@@ -130,9 +130,9 @@ class ExperimentConfig:
                 f"expected {SCHEMA_VERSION}, got {raw['schema_version']}",
             )
         self.seed = raw.get("seed", 0)
-        self.threads = raw.get("threads", 1)
-        if self.threads < 1:
-            raise ConfigError("config.threads", f"must be >= 1, got {self.threads}")
+        # Accepted for schema v1 and validated, but nothing reads it.
+        if raw.get("threads", 1) < 1:
+            raise ConfigError("config.threads", f"must be >= 1, got {raw['threads']}")
         self.band = self._band(raw["band"])
         self.picard = False
         self.grid = self._grid(raw["grid"]) if needs_grid else None
@@ -287,9 +287,8 @@ def _run_convexity(cfg: ExperimentConfig):
         (z_range[0], z_range[1]),
         resolution=resolution,
         t=t,
-        threads=cfg.threads,
     )
-    rows = [(y, z, a, gap) for (y, z, a, gap) in _scan_cells(cfg, report_obj, t)]
+    rows = report_obj.cells.reshape(-1, 4).tolist()
     report = {
         "verdict": report_obj.verdict,
         "min_gap": report_obj.min_gap,
@@ -298,16 +297,6 @@ def _run_convexity(cfg: ExperimentConfig):
         "tolerance": 1e-9,
     }
     return report, ("y", "z", "argmin_A", "inf_gap"), rows
-
-
-def _scan_cells(cfg: ExperimentConfig, report_obj, t: float):
-    from .convexity import reduce_over_A
-
-    (ylo, yhi, res), (zlo, zhi, _) = report_obj.scanned
-    for yv in np.linspace(ylo, yhi, res):
-        for zv in np.linspace(zlo, zhi, res):
-            gap, arg = reduce_over_A(cfg.band, cfg.generator, cfg.function("h"), t, float(yv), float(zv))
-            yield (float(yv), float(zv), arg, gap)
 
 
 def _run_jensen(cfg: ExperimentConfig):

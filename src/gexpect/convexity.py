@@ -18,11 +18,11 @@ the matching end-to-end expectation experiments:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, g_eval
+from .core import SpaceTimeGrid, VolatilityBand, g_eval, make_grid, sub_steps
 from .expr import BinOp, Call, Lit, Pow, ScalarFunction, Var
 from .gbsde import GeneratorPair, nonlinear_expectation, solve_gbsde
 
@@ -37,12 +37,18 @@ __all__ = [
     "representation_limit_check",
     "jensen_experiment",
     "witness_to_phi",
-    "replimit_grid",
 ]
 
 WITNESS_TOL = 1e-9
 
 NEGATIVE_INF = float("-inf")
+
+
+def _gap(band: VolatilityBand, h1, h2, z, g_h, f_h, g_y, f_y, A):
+    """Condition gap from h's jet, the drivers at (h(y), h'(y) z) and (y, z), and A."""
+    left = g_h + 2.0 * g_eval(band, f_h + 0.5 * h2 * z * z + 0.5 * h1 * A)
+    right = h1 * g_y + 2.0 * h1 * g_eval(band, f_y + 0.5 * A)
+    return left - right
 
 
 def condition_gap(
@@ -61,13 +67,40 @@ def condition_gap(
     depend on it.
     """
     hv, h1, h2 = h.eval2(y)
-    g_h = gen.g(t, hv, h1 * z)
-    f_h = gen.f(t, hv, h1 * z)
-    g_y = gen.g(t, y, z)
-    f_y = gen.f(t, y, z)
-    left = g_h + 2.0 * g_eval(band, f_h + 0.5 * h2 * z * z + 0.5 * h1 * A)
-    right = h1 * g_y + 2.0 * h1 * g_eval(band, f_y + 0.5 * A)
-    return left - right
+    return _gap(
+        band, h1, h2, z,
+        gen.g(t, hv, h1 * z), gen.f(t, hv, h1 * z), gen.g(t, y, z), gen.f(t, y, z), A,
+    )
+
+
+def _reduce_mesh(band: VolatilityBand, gen: GeneratorPair, h: ScalarFunction, t: float, ys, zs):
+    """Infimum over A of the condition gap on the mesh ys x zs, and its A.
+
+    Both are (len(ys), len(zs)) arrays.  h's jets come from ``h.eval2``
+    once per y node, each driver runs once per argument set on the whole
+    mesh, and each cell gets ``condition_gap``'s arithmetic at the
+    candidates (-2 f(y, z), 0, kink), keeping the first minimum.
+    """
+    hv, h1, h2 = np.array([h.eval2(float(y)) for y in ys]).T[..., None]
+    y, z = ys[:, None], zs[None, :]
+    with np.errstate(all="ignore"):
+        hz = h1 * z
+        g_h, f_h = gen.g(t, hv, hz), gen.f(t, hv, hz)
+        g_y, f_y = gen.g(t, y, z), gen.f(t, y, z)
+        kink = -(2.0 * f_h + h2 * z * z) / h1
+        candidates = np.stack(np.broadcast_arrays(-2.0 * f_y, np.zeros(hz.shape), kink))
+        gaps = _gap(band, h1, h2, z, g_h, f_h, g_y, f_y, candidates)
+        gaps[2] = np.where(h1 != 0.0, gaps[2], np.inf)  # no kink when h' = 0
+        best = np.argmin(gaps, axis=0)
+        inf_gap, arg = np.choose(best, gaps), np.choose(best, candidates)
+        # Tail slopes of the gap in A; a downward tail (impossible for a
+        # valid band) sends the infimum to -inf along that tail.
+        s_plus = g_eval(band, h1) - 0.5 * band.sigma_max_sq * h1
+        s_minus = -g_eval(band, -h1) - 0.5 * band.sigma_min_sq * h1
+    up, down = s_plus < -1e-15, s_minus > 1e-15
+    inf_gap = np.where(up | down, NEGATIVE_INF, inf_gap)
+    arg = np.where(up, np.inf, np.where(down, -np.inf, arg))
+    return inf_gap, arg
 
 
 def reduce_over_A(
@@ -86,21 +119,8 @@ def reduce_over_A(
     and h'.  Returns (-inf, +-inf) when a tail escapes, which cannot
     happen for a valid band.
     """
-    hv, h1, h2 = h.eval2(y)
-    s_plus = float(g_eval(band, h1)) - 0.5 * band.sigma_max_sq * h1
-    s_minus = -float(g_eval(band, -h1)) - 0.5 * band.sigma_min_sq * h1
-    if s_plus < -1e-15:
-        return NEGATIVE_INF, float("inf")
-    if s_minus > 1e-15:
-        return NEGATIVE_INF, float("-inf")
-    f_y = gen.f(t, y, z)
-    candidates = [-2.0 * f_y, 0.0]
-    if h1 != 0.0:
-        f_h = gen.f(t, hv, h1 * z)
-        candidates.append(-(2.0 * f_h + h2 * z * z) / h1)
-    gaps = [float(condition_gap(band, gen, h, t, y, z, a)) for a in candidates]
-    best = int(np.argmin(gaps))
-    return gaps[best], candidates[best]
+    inf_gap, arg = _reduce_mesh(band, gen, h, t, np.array([float(y)]), np.array([float(z)]))
+    return float(inf_gap[0, 0]), float(arg[0, 0])
 
 
 @dataclass(frozen=True)
@@ -109,6 +129,7 @@ class ConvexityReport:
     witnesses: tuple[tuple[float, float, float, float], ...]  # (y, z, A, gap)
     scanned: tuple[tuple[float, float, int], tuple[float, float, int]]
     min_gap: float
+    cells: np.ndarray = field(compare=False, repr=False)  # read-only [y, z] -> (y, z, A, gap)
 
     def __post_init__(self) -> None:
         if (self.verdict == "fails") != (len(self.witnesses) > 0):
@@ -123,39 +144,26 @@ def check_g_convexity(
     z_range: tuple[float, float],
     resolution: int = 33,
     t: float = 0.0,
-    threads: int = 1,
 ) -> ConvexityReport:
     """Scan the (y, z) box for violations of the pointwise condition.
 
-    A cell is a witness when its infimum over A falls below -1e-9 (the
-    tolerance separating sign changes from rounding).  Witnesses come out
-    sorted by (y, z) so the report does not depend on scan order.
+    The whole box is one array pass.  A cell is a witness when its
+    infimum over A falls below -1e-9 (the tolerance separating sign
+    changes from rounding).  Witnesses come out in scan order, y-major,
+    so the report does not depend on how the pass is evaluated.
     """
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16, got {resolution}")
     ys = np.linspace(y_range[0], y_range[1], resolution)
     zs = np.linspace(z_range[0], z_range[1], resolution)
-
-    def scan_row(yv: float):
-        row = []
-        for zv in zs:
-            inf_gap, arg = reduce_over_A(band, gen, h, t, float(yv), float(zv))
-            row.append((float(yv), float(zv), arg, inf_gap))
-        return row
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(scan_row, ys))
-    else:
-        rows = [scan_row(yv) for yv in ys]
-
-    cells = [cell for row in rows for cell in row]
-    min_gap = min(cell[3] for cell in cells)
-    witnesses = tuple(
-        (y, z, a, gap) for (y, z, a, gap) in cells if gap < -WITNESS_TOL
-    )
+    inf_gap, arg = _reduce_mesh(band, gen, h, t, ys, zs)
+    grid_y, grid_z = np.meshgrid(ys, zs, indexing="ij")
+    cells = np.stack([grid_y, grid_z, arg, inf_gap], axis=-1)
+    cells.setflags(write=False)
+    gaps = inf_gap.ravel()
+    # First minimum in scan order, as a sequential min over the cells would pick.
+    min_gap = float(gaps[np.argmin(gaps)])
+    witnesses = tuple(map(tuple, cells[inf_gap < -WITNESS_TOL].tolist()))
     verdict = "fails" if witnesses else "holds"
     return ConvexityReport(
         verdict=verdict,
@@ -165,6 +173,7 @@ def check_g_convexity(
             (float(z_range[0]), float(z_range[1]), resolution),
         ),
         min_gap=min_gap,
+        cells=cells,
     )
 
 
@@ -178,15 +187,6 @@ def representation_formula(
     """Limit value g(t, Phi(0), Phi'(0)) + 2 G(f(t, Phi(0), Phi'(0)) + Phi''(0)/2)."""
     v, d1, d2 = terminal.eval2(0.0)
     return float(gen.g(t, v, d1) + 2.0 * g_eval(band, gen.f(t, v, d1) + 0.5 * d2))
-
-
-def replimit_grid(
-    band: VolatilityBand, eps: float, nx: int = 201, theta: float = 0.45
-) -> SpaceTimeGrid:
-    """Short-horizon grid scaled to the increment's own diffusion width."""
-    from .core import make_grid
-
-    return make_grid(band, eps, nx=nx, theta=theta)
 
 
 def representation_quotient(
@@ -206,7 +206,7 @@ def representation_quotient(
             x_min=grid.x_min,
             x_max=grid.x_max,
             nx=grid.nx,
-            nt=max(1, round(eps / grid.dt)),
+            nt=sub_steps(eps, grid.dt),
         )
     sol = solve_gbsde(band, gen, terminal, grid, t0=t)
     return (sol.y_at(t, 0.0) - float(terminal(0.0))) / eps
@@ -232,7 +232,7 @@ def representation_limit_check(
     formula = representation_formula(band, gen, terminal, t)
     rows = []
     for eps in eps_list:
-        grid = replimit_grid(band, eps, nx=nx)
+        grid = make_grid(band, eps, nx=nx)
         quotient = representation_quotient(band, gen, terminal, t, eps, grid)
         rows.append((eps, quotient, abs(quotient - formula)))
     errors = [r[2] for r in rows]

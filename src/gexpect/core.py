@@ -23,6 +23,7 @@ __all__ = [
     "CflError",
     "g_eval",
     "cfl_time_steps",
+    "sub_steps",
     "make_grid",
 ]
 
@@ -124,6 +125,11 @@ def cfl_time_steps(
     if not (0.0 < theta <= MAX_CFL_THETA):
         raise ValueError(f"theta must lie in (0, {MAX_CFL_THETA}], got {theta}")
     return max(1, math.ceil(horizon * band.sigma_max_sq / (theta * dx * dx)))
+
+
+def sub_steps(span: float, dt: float) -> int:
+    """Fewest steps over ``span`` no longer than ``dt``; multiples of dt to 1e-9 keep their count."""
+    return max(1, math.ceil(span / dt * (1.0 - 1e-9)))
 
 
 def make_grid(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, g_eval
+from .core import SpaceTimeGrid, VolatilityBand, g_eval, sub_steps
 from .expr import ScalarFunction, TriFunction, parse_tri
 from .gheat import FieldSolution, _march
 
@@ -173,9 +173,9 @@ def nonlinear_expectation(
 ) -> float:
     """Y at time s, node x = 0, of the backward solve on [s, t].
 
-    The sub-interval reuses the grid's spatial mesh and time resolution,
-    so the answer does not depend on how much horizon the grid carries
-    beyond t.
+    The sub-interval reuses the grid's spatial mesh and takes the fewest
+    time steps no longer than the grid's, so the answer does not depend on
+    how much horizon the grid carries beyond t.
     """
     if not (0.0 <= s <= t <= grid.horizon + 1e-12):
         raise ValueError(
@@ -183,9 +183,8 @@ def nonlinear_expectation(
         )
     if t == s:
         return float(terminal(0.0))
-    nt_sub = max(1, round((t - s) / grid.dt))
     sub = SpaceTimeGrid(
-        horizon=t - s, x_min=grid.x_min, x_max=grid.x_max, nx=grid.nx, nt=nt_sub
+        horizon=t - s, x_min=grid.x_min, x_max=grid.x_max, nx=grid.nx, nt=sub_steps(t - s, grid.dt)
     )
     sol = solve_gbsde(band, gen, terminal, sub, t0=s)
     return sol.y_at(s, 0.0)

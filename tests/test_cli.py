@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from gexpect.cli import COMMANDS, ExperimentConfig, main, run
+import numpy as np
+
+from gexpect import GeneratorPair, VolatilityBand, parse_scalar, parse_tri, reduce_over_A
+from gexpect.cli import COMMANDS, ConfigError, ExperimentConfig, main, run
 
 
 def base_config(**overrides):
@@ -182,6 +185,46 @@ class TestConvexityCommand:
         assert run("convexity", path, out) == 0
         report = json.loads((out / "convexity.report.json").read_text())
         assert report["results"]["verdict"] == "holds"
+
+
+    @staticmethod
+    def _mixed_config(**overrides):
+        config = {
+            "schema_version": 1,
+            "band": {"sigma_min_sq": 1.0, "sigma_max_sq": 2.0},
+            "generator": {"g": "0.3*y + 0.2*z", "f": "0.25*z", "lipschitz_L": 0.5},
+            "functions": {"h": "tanh(x)"},
+            "params": {"y_range": [-1.5, 2.0], "z_range": [-2.0, 1.0], "resolution": 19, "t": 0.2},
+        }
+        config.update(overrides)
+        return config
+
+    def test_csv_rows_are_the_per_cell_infima(self, tmp_path):
+        path = write_config(tmp_path, self._mixed_config())
+        out = tmp_path / "out"
+        assert run("convexity", path, out) == 0
+        band = VolatilityBand(1.0, 2.0)
+        gen = GeneratorPair(parse_tri("0.3*y + 0.2*z"), parse_tri("0.25*z"), 0.5)
+        h = parse_scalar("tanh(x)")
+        expected = ["y,z,argmin_A,inf_gap"]
+        for y in np.linspace(-1.5, 2.0, 19):
+            for z in np.linspace(-2.0, 1.0, 19):
+                gap, arg = reduce_over_A(band, gen, h, 0.2, float(y), float(z))
+                expected.append(",".join(format(v, ".17g") for v in (float(y), float(z), arg, gap)))
+        assert (out / "convexity.data.csv").read_text().splitlines() == expected
+
+    def test_threads_key_accepted_and_ignored(self, tmp_path):
+        plain, threaded = tmp_path / "plain", tmp_path / "threaded"
+        assert run("convexity", write_config(tmp_path, self._mixed_config(), "a.json"), plain) == 0
+        assert run("convexity", write_config(tmp_path, self._mixed_config(threads=4), "b.json"), threaded) == 0
+        reports = [json.loads((d / "convexity.report.json").read_text()) for d in (plain, threaded)]
+        assert reports[0]["results"] == reports[1]["results"]
+        assert (plain / "convexity.data.csv").read_bytes() == (threaded / "convexity.data.csv").read_bytes()
+
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig("convexity", self._mixed_config(threads=0))
+        assert info.value.field == "config.threads"
 
 
 class TestJensenCommand:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gexpect import (
     GeneratorPair,
+    VolatilityBand,
     check_g_convexity,
     condition_gap,
     jensen_experiment,
@@ -17,7 +19,6 @@ from gexpect import (
     witness_to_phi,
     zero_generator,
 )
-from gexpect.convexity import replimit_grid
 
 from conftest import dense_scan_min
 
@@ -34,6 +35,17 @@ GEN_CASES = (
 
 def _gen(g, f, L):
     return GeneratorPair(parse_tri(g), parse_tri(f), L, check_samples=0)
+
+
+def _scalar_reduce(band, gen, h, t, y, z):
+    """A-infimum of one cell from condition_gap at each candidate A, first minimum."""
+    hv, h1, h2 = h.eval2(y)
+    candidates = [-2.0 * gen.f(t, y, z), 0.0]
+    if h1 != 0.0:
+        candidates.append(-(2.0 * gen.f(t, hv, h1 * z) + h2 * z * z) / h1)
+    gaps = [float(condition_gap(band, gen, h, t, y, z, a)) for a in candidates]
+    best = int(np.argmin(gaps))
+    return gaps[best], candidates[best]
 
 
 class TestConditionGap:
@@ -150,33 +162,80 @@ class TestCheckGConvexity:
         with pytest.raises(ValueError):
             check_g_convexity(band, zero_generator(), parse_scalar("x"), (-1, 1), (-1, 1), resolution=8)
 
-    def test_threads_do_not_change_report(self, band):
-        h = parse_scalar("-(x^2)")
-        one = check_g_convexity(band, zero_generator(), h, (-2, 2), (-2, 2), resolution=17)
-        four = check_g_convexity(band, zero_generator(), h, (-2, 2), (-2, 2), resolution=17, threads=4)
-        assert one == four
+    @settings(max_examples=25, deadline=None)
+    @given(
+        smin=st.floats(0.1, 3.0),
+        spread=st.floats(1.0, 4.0),
+        y_box=st.tuples(st.floats(-3.0, 1.0), st.floats(0.1, 4.0)),
+        z_box=st.tuples(st.floats(-3.0, 1.0), st.floats(0.1, 4.0)),
+        resolution=st.integers(16, 40),
+        h_text=st.sampled_from(H_CATALOG + ("2", "-abs_smooth(x)")),
+        case=st.sampled_from(GEN_CASES),
+        t=st.floats(0.0, 1.0),
+    )
+    # a constant h (h' = 0: no kink candidate) and the smoothed-slope driver
+    @example(1.0, 2.0, (-2.0, 4.0), (-2.0, 4.0), 17, "2", ("0.5*z", "0.1*y", 0.5), 0.0)
+    @example(0.5, 3.0, (-1.0, 2.5), (-1.5, 3.0), 33, "-abs_smooth(x)", GEN_CASES[4], 0.3)
+    def test_report_matches_per_cell_loop(self, smin, spread, y_box, z_box, resolution, h_text, case, t):
+        # The array pass gives each cell what reduce_over_A gives it alone,
+        # so the report does not depend on evaluation order.
+        band = VolatilityBand(smin, smin * spread)
+        gen, h = _gen(*case), parse_scalar(h_text)
+        y_range = (y_box[0], y_box[0] + y_box[1])
+        z_range = (z_box[0], z_box[0] + z_box[1])
+        report = check_g_convexity(band, gen, h, y_range, z_range, resolution=resolution, t=t)
+        ys = np.linspace(*y_range, resolution)
+        zs = np.linspace(*z_range, resolution)
+        loop = np.array([[reduce_over_A(band, gen, h, t, float(y), float(z)) for z in zs] for y in ys])
+        scalar = np.array([[_scalar_reduce(band, gen, h, t, float(y), float(z)) for z in zs] for y in ys])
+        assert np.array_equal(loop, scalar)
+        cells = report.cells
+        assert cells.shape == (resolution, resolution, 4) and not cells.flags.writeable
+        assert np.array_equal(cells[..., 0], np.broadcast_to(ys[:, None], loop.shape[:2]))
+        assert np.array_equal(cells[..., 1], np.broadcast_to(zs[None, :], loop.shape[:2]))
+        assert np.array_equal(cells[..., 3], loop[..., 0])
+        assert np.array_equal(cells[..., 2], loop[..., 1])
+        witnesses = tuple(
+            (float(y), float(z), float(a), float(gap))
+            for y, row in zip(ys, loop)
+            for z, (gap, a) in zip(zs, row)
+            if gap < -1e-9
+        )
+        assert report.witnesses == witnesses
+        assert report.verdict == ("fails" if witnesses else "holds")
+        assert report.min_gap == min(float(gap) for gap in loop[..., 0].ravel())
 
 
 class TestRepresentation:
     def test_square_quotient_near_top_variance(self, band):
         gen = zero_generator()
         term = parse_scalar("x^2")
-        grid = replimit_grid(band, 0.01)
+        grid = make_grid(band, 0.01, nx=201)
         quotient = representation_quotient(band, gen, term, 0.0, 0.01, grid)
         assert quotient == pytest.approx(band.sigma_max_sq, rel=0.02)
 
     def test_linear_quotient_vanishes(self, band):
         gen = zero_generator()
-        grid = replimit_grid(band, 0.01)
+        grid = make_grid(band, 0.01, nx=201)
         quotient = representation_quotient(band, gen, parse_scalar("x"), 0.0, 0.01, grid)
         assert quotient == pytest.approx(0.0, abs=1e-6)
+
+    def test_sub_horizon_off_the_time_grid(self, band):
+        # eps = 1.4 dt used to round down to one step and break the CFL bound
+        gen = zero_generator()
+        term = parse_scalar("x^2")
+        grid = make_grid(band, 0.01, nx=201)
+        for ratio in (1.4, 2.4):
+            eps = ratio * grid.dt
+            quotient = representation_quotient(band, gen, term, 0.0, eps, grid)
+            assert quotient == pytest.approx(band.sigma_max_sq, rel=1e-6)
 
     def test_driver_reads_initial_slope(self, band):
         gen = GeneratorPair(parse_tri("y + z"), parse_tri("0"), 1.0)
         term = parse_scalar("sin(x)")
         formula = representation_formula(band, gen, term, 0.0)
         assert formula == 1.0
-        grid = replimit_grid(band, 0.005)
+        grid = make_grid(band, 0.005, nx=201)
         quotient = representation_quotient(band, gen, term, 0.0, 0.005, grid)
         assert quotient == pytest.approx(formula, rel=0.05)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gexpect import CflError, SpaceTimeGrid, VolatilityBand, cfl_time_steps, g_eval, make_grid
+from gexpect.core import sub_steps
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 bands = st.tuples(
@@ -98,6 +99,19 @@ class TestSpaceTimeGrid:
         nt = cfl_time_steps(band, 1.0, dx, theta=0.45)
         grid = SpaceTimeGrid(horizon=1.0, x_min=-8.5, x_max=8.5, nx=401, nt=nt)
         grid.check_cfl(band)  # passes
+
+    @given(
+        dt=st.floats(min_value=1e-6, max_value=1.0),
+        k=st.integers(min_value=1, max_value=10_000),
+        frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    def test_sub_steps(self, dt, k, frac):
+        # whole multiples keep their count; other spans get the fewest steps within dt
+        assert sub_steps(k * dt, dt) == k
+        span = (k + frac) * dt
+        n = sub_steps(span, dt)
+        assert span / n <= dt * (1.0 + 1e-9)
+        assert n == 1 or span / (n - 1) > dt
 
     def test_make_grid_centers_zero(self, band):
         grid = make_grid(band, 1.0, nx=400, half_width=8.5)

@@ -162,6 +162,24 @@ class TestNonlinearExpectation:
         extended = nonlinear_expectation(band, gen, term, 0.0, 1.0, longer)
         assert abs(short - extended) <= 1e-6
 
+    @pytest.mark.parametrize("ratio", [1.4, 2.4])
+    def test_sub_horizon_off_the_time_grid(self, band, ratio):
+        # a span of 1.4 dt used to round down to one step and break the CFL bound
+        grid = make_grid(band, 1.0, nx=101)
+        tau = ratio * grid.dt
+        value = nonlinear_expectation(band, zero_generator(), parse_scalar("x^2"), 0.0, tau, grid)
+        assert value == pytest.approx(band.sigma_max_sq * tau, rel=1e-9)
+
+    @pytest.mark.parametrize("s", [0.0, 0.3])
+    def test_whole_multiples_keep_their_step_count(self, band, grid, s):
+        gen = GeneratorPair(parse_tri("z"), parse_tri("0.5*z"), 1.0, h6=True)
+        phi = parse_scalar("tanh(x)")
+        for k in (1, 3, 7, 10, 33):
+            t = s + k * grid.dt
+            sub = SpaceTimeGrid(horizon=t - s, x_min=grid.x_min, x_max=grid.x_max, nx=grid.nx, nt=k)
+            expected = solve_gbsde(band, gen, phi, sub, t0=s).y_at(s, 0.0)
+            assert nonlinear_expectation(band, gen, phi, s, t, grid) == expected
+
     def test_degenerate_interval(self, band, grid):
         gen = zero_generator()
         assert nonlinear_expectation(band, gen, parse_scalar("x^2 + 1"), 0.5, 0.5, grid) == 1.0
