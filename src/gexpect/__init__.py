@@ -17,7 +17,6 @@ from .expr import (
     ParseError,
     ScalarFunction,
     TriFunction,
-    eval2,
     parse,
     parse_scalar,
     parse_tri,

@@ -129,8 +129,7 @@ class ExperimentConfig:
                 "config.schema_version",
                 f"expected {SCHEMA_VERSION}, got {raw['schema_version']}",
             )
-        self.seed = raw.get("seed", 0)
-        # Accepted for schema v1 and validated, but nothing reads it.
+        # "seed" and "threads" are accepted for schema v1 and validated, but nothing reads them.
         if raw.get("threads", 1) < 1:
             raise ConfigError("config.threads", f"must be >= 1, got {raw['threads']}")
         self.band = self._band(raw["band"])
@@ -229,39 +228,41 @@ class ExperimentConfig:
 # Command bodies: return (report dict, csv header, csv rows)
 # ---------------------------------------------------------------------------
 
+def _times(cfg: ExperimentConfig) -> list:
+    """The ``times`` parameter, each inside [0, horizon] of the grid."""
+    times = cfg.param("times", "number-list")
+    for t in times:
+        if not 0.0 <= t <= cfg.grid.horizon:
+            raise ConfigError("config.params.times", f"time {t} outside [0, {cfg.grid.horizon}]")
+    return times
+
+
 def _run_gexp(cfg: ExperimentConfig):
     _require(cfg.params, "config.params", {"times": "number-list"})
-    times = cfg.param("times", "number-list")
+    times = _times(cfg)
     phi = cfg.function("phi")
     field = solve_g_heat(cfg.band, phi, cfg.grid)
     values = {}
     rows = []
     for t in times:
-        if not 0.0 <= t <= cfg.grid.horizon:
-            raise ConfigError("config.params.times", f"time {t} outside [0, {cfg.grid.horizon}]")
         values[_fmt(t)] = field.value_at(t, 0.0)
-        pos = field.layer_of(t)
-        k = int(np.clip(round(pos), 0, cfg.grid.nt))
+        k = field.nearest_layer(t)
         for x, u in zip(cfg.grid.xs, field.u[k]):
-            rows.append((t, x, u))
+            rows.append((field.times[k], x, u))
     report = {"values_at_zero": values}
     return report, ("t", "x", "u"), rows
 
 
 def _run_gbsde(cfg: ExperimentConfig):
     _require(cfg.params, "config.params", {"times": "number-list"})
-    times = cfg.param("times", "number-list")
-    for t in times:
-        if not 0.0 <= t <= cfg.grid.horizon:
-            raise ConfigError("config.params.times", f"time {t} outside [0, {cfg.grid.horizon}]")
+    times = _times(cfg)
     terminal = cfg.function("terminal")
     sol = solve_gbsde(cfg.band, cfg.generator, terminal, cfg.grid, picard=cfg.picard)
     rows = []
     for t in times:
-        pos = sol.field.layer_of(t)
-        k = int(np.clip(round(pos), 0, cfg.grid.nt))
+        k = sol.field.nearest_layer(t)
         for x, y, z, eta in zip(cfg.grid.xs, sol.field.u[k], sol.field.z[k], sol.eta[k]):
-            rows.append((t, x, y, z, eta))
+            rows.append((sol.field.times[k], x, y, z, eta))
     report = {"y_at_start": sol.y_at(0.0, 0.0), "horizon": cfg.grid.horizon}
     return report, ("t", "x", "y", "z", "eta"), rows
 
@@ -355,10 +356,7 @@ def _run_oracle_check(cfg: ExperimentConfig):
         {"steps": "int", "tolerance": "number"},
     )
     texts = cfg.param("functions", "string-list")
-    times = cfg.param("times", "number-list")
-    for t in times:
-        if not 0.0 <= t <= cfg.grid.horizon:
-            raise ConfigError("config.params.times", f"time {t} outside [0, {cfg.grid.horizon}]")
+    times = _times(cfg)
     steps = cfg.optional_param("steps", "int", 2000)
     tolerance = cfg.optional_param("tolerance", "number", 5e-3)
     rows = []
@@ -432,7 +430,6 @@ def run(command: str, config_path: str | Path, out_dir: str | Path | None = None
         "config": raw,
         "status": "ok",
         "results": report,
-        "seed": cfg.seed,
     }
     report_path.write_text(json.dumps(document, indent=2) + "\n")
     with data_path.open("w", newline="") as handle:

@@ -106,7 +106,18 @@ class SpaceTimeGrid:
     @property
     def center_index(self) -> int:
         """Index of the node nearest x = 0."""
-        return int(round(-self.x_min / self.dx))
+        return self.node_index(0.0)
+
+    def node_index(self, x):
+        """Index of the node nearest x (ties to even), clamped to [0, nx - 1].
+
+        An array x gives an int array; non-finite x raises ValueError.
+        """
+        x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError(f"node_index needs finite x, got {x}")
+        j = np.clip(np.rint((x - self.x_min) / self.dx), 0, self.nx - 1).astype(int)
+        return j if j.ndim else int(j)
 
     def check_cfl(self, band: VolatilityBand, theta: float = MAX_CFL_THETA) -> None:
         """Raise CflError unless dt <= theta * dx^2 / sigma_max_sq."""

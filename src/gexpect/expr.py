@@ -34,7 +34,6 @@ __all__ = [
     "parse",
     "parse_scalar",
     "parse_tri",
-    "eval2",
     "ABS_SMOOTH_EPS",
 ]
 
@@ -594,7 +593,3 @@ def _parse_checked(text: str, allowed: set[str] | None) -> Node:
             )
     return ast
 
-
-def eval2(fn: ScalarFunction, x: float) -> tuple[float, float, float]:
-    """Value, first and second derivative of ``fn`` at ``x``."""
-    return fn.eval2(x)

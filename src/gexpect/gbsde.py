@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import SpaceTimeGrid, VolatilityBand, g_eval, sub_steps
 from .expr import ScalarFunction, TriFunction, parse_tri
-from .gheat import FieldSolution, _march
+from .gheat import FieldSolution, _field, _march
 
 __all__ = [
     "GeneratorPair",
@@ -119,9 +119,7 @@ class BsdeSolution:
 
     def eta_forward(self, step: int, x: float) -> float:
         """eta at forward time step * dt and the node nearest x."""
-        k = self.grid.nt - step
-        j = int(np.clip(round((x - self.grid.x_min) / self.grid.dx), 0, self.grid.nx - 1))
-        return float(self.eta[k, j])
+        return float(self.eta[self.grid.nt - step, self.grid.node_index(x)])
 
 
 def solve_gbsde(
@@ -159,7 +157,8 @@ def solve_gbsde(
         if peak > envelope:
             raise BlowUpError(k, peak, envelope)
 
-    u = _march(band, grid, datum, gen.g, gen.f, times, check_layer, picard=picard)
+    layers = _march(band, grid.dx, grid.dt, grid.nt, datum, gen.g, gen.f, times, picard)
+    u = _field(grid, datum, layers, check_layer)
     return BsdeSolution(FieldSolution(grid, u, times), gen, band)
 
 
@@ -198,7 +197,12 @@ def k_increment(band: VolatilityBand, eta: float, a: float, dt: float) -> float:
         )
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return float((eta * a - 2.0 * g_eval(band, eta)) * dt)
+    return float(_k_step(band, eta, a, dt))
+
+
+def _k_step(band: VolatilityBand, eta, a, dt: float):
+    """K increment (eta * a - 2 G(eta)) * dt, elementwise over arrays."""
+    return (eta * a - 2.0 * g_eval(band, eta)) * dt
 
 
 def k_along_path(sol: BsdeSolution, path) -> np.ndarray:
@@ -213,13 +217,8 @@ def k_along_path(sol: BsdeSolution, path) -> np.ndarray:
         (path.times[-1] - path.times[0]) - grid.horizon
     ) > 1e-9:
         raise ValueError("path and field are on different time grids")
-    steps = np.arange(nt)
-    layers = nt - steps
-    cols = np.clip(
-        np.rint((path.b[:-1] - grid.x_min) / grid.dx).astype(int), 0, grid.nx - 1
-    )
-    eta = sol.eta[layers, cols]
-    dk = (eta * path.a - 2.0 * g_eval(sol.band, eta)) * grid.dt
+    eta = sol.eta[nt - np.arange(nt), grid.node_index(path.b[:-1])]
+    dk = _k_step(sol.band, eta, path.a, grid.dt)
     out = np.empty(nt + 1)
     out[0] = 0.0
     np.cumsum(dk, out=out[1:])

@@ -8,8 +8,9 @@ The scheme marches whole layers::
 
 with the three-point second difference D2 (zero at the two boundary
 nodes, exact for affine tails).  With zero driver terms this is exactly
-``u + dt * G(D2 u)``; the backward BSDE solver reuses the same kernel so
-the two recursions agree bit for bit when the drivers vanish.
+``u + dt * G(D2 u)``; the backward BSDE solver and the conditional
+reductions reuse the same kernel, so the recursions agree bit for bit
+when the drivers vanish.
 Monotonicity under the CFL bound makes the scheme converge to the
 viscosity solution and gives discrete maximum/comparison principles.
 """
@@ -17,13 +18,14 @@ viscosity solution and gives discrete maximum/comparison principles.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, g_eval
-from .expr import ScalarFunction, parse_tri
+from .core import SpaceTimeGrid, VolatilityBand, cfl_time_steps, g_eval
+from .expr import ScalarFunction
 
 __all__ = [
     "FieldSolution",
@@ -49,9 +51,6 @@ class GridResolutionError(ValueError):
     """Tabulated result too coarse to represent the payoff."""
 
 
-_ZERO_DRIVER = parse_tri("0")
-
-
 def _second_difference(u: np.ndarray, dx: float) -> np.ndarray:
     """Three-point second difference along the last axis, zero at the ends."""
     d2 = np.zeros_like(u)
@@ -70,47 +69,55 @@ def _space_gradient(u: np.ndarray, dx: float) -> np.ndarray:
 
 def _march(
     band: VolatilityBand,
-    grid: SpaceTimeGrid,
+    dx: float,
+    dt: float,
+    nt: int,
     datum: np.ndarray,
-    g_fn,
-    f_fn,
-    layer_times: np.ndarray,
-    check_layer: Callable[[int, np.ndarray], None] | None = None,
+    g_fn=None,
+    f_fn=None,
+    layer_times: np.ndarray | None = None,
     picard: bool = False,
-) -> np.ndarray:
-    """Shared explicit kernel.
+):
+    """Shared explicit kernel: yields layers 1..nt of the march from ``datum``.
 
-    Layer 0 is the datum; layer k+1 is one explicit step from layer k with
-    the drivers evaluated at ``layer_times[k + 1]`` (the time label of the
-    layer being produced).  With ``picard`` the driver arguments are
-    corrected once against the explicit predictor (the diffusion part stays
-    explicit either way).  Updates across nodes are independent, so the
-    result does not depend on evaluation order.
+    Space is the last axis; leading axes are a batch.  Layer k is one step
+    from layer k-1 with the drivers (zero when ``g_fn`` is None) evaluated at
+    ``layer_times[k]``.  ``picard`` corrects the driver arguments once against
+    the explicit predictor.  The datum and each layer must be finite, else
+    NonFiniteError names the layer.
     """
-    dt, dx = grid.dt, grid.dx
-    u = np.empty((grid.nt + 1, grid.nx))
-    u[0] = datum
-    for k in range(grid.nt):
-        layer = u[k]
+    if not np.isfinite(datum).all():
+        raise NonFiniteError(0)
+    layer = datum
+    for k in range(1, nt + 1):
         d2 = _second_difference(layer, dx)
-        t_next = layer_times[k + 1]
-        if g_fn is _ZERO_DRIVER and f_fn is _ZERO_DRIVER:
-            g_term = 0.0
-            f_term = 0.0
+        if g_fn is None:
+            # no gradient and no 0.0 additions; same bytes as the driver step with zero terms
+            layer = layer + dt * (2.0 * g_eval(band, 0.5 * d2))
         else:
+            t = layer_times[k]
             du = _space_gradient(layer, dx)
-            g_term = g_fn(t_next, layer, du)
-            f_term = f_fn(t_next, layer, du)
+            g_term = g_fn(t, layer, du)
+            f_term = f_fn(t, layer, du)
             if picard:
                 predictor = layer + dt * (g_term + 2.0 * g_eval(band, f_term + 0.5 * d2))
                 dp = _space_gradient(predictor, dx)
-                g_term = g_fn(t_next, predictor, dp)
-                f_term = f_fn(t_next, predictor, dp)
-        u[k + 1] = layer + dt * (g_term + 2.0 * g_eval(band, f_term + 0.5 * d2))
-        if not np.isfinite(u[k + 1]).all():
-            raise NonFiniteError(k + 1)
+                g_term = g_fn(t, predictor, dp)
+                f_term = f_fn(t, predictor, dp)
+            layer = layer + dt * (g_term + 2.0 * g_eval(band, f_term + 0.5 * d2))
+        if not np.isfinite(layer).all():
+            raise NonFiniteError(k)
+        yield layer
+
+
+def _field(grid: SpaceTimeGrid, datum: np.ndarray, layers, check_layer=None) -> np.ndarray:
+    """Read-only (nt + 1, nx) field of the datum and the layers, each passed to ``check_layer``."""
+    u = np.empty((grid.nt + 1, grid.nx))
+    u[0] = datum
+    for k, layer in enumerate(layers, start=1):
+        u[k] = layer
         if check_layer is not None:
-            check_layer(k + 1, u[k + 1])
+            check_layer(k, layer)
     u.setflags(write=False)
     return u
 
@@ -155,9 +162,13 @@ class FieldSolution:
             raise ValueError(f"time {t} outside field range [{lo}, {hi}]")
         return (t - t0) / (t1 - t0) * self.grid.nt
 
+    def nearest_layer(self, t: float) -> int:
+        """Index of the layer whose time label is nearest t."""
+        return int(np.clip(round(self.layer_of(t)), 0, self.grid.nt))
+
     def value_at(self, t: float, x: float = 0.0) -> float:
         """u at the node nearest x, linearly interpolated in time."""
-        j = int(np.clip(round((x - self.grid.x_min) / self.grid.dx), 0, self.grid.nx - 1))
+        j = self.grid.node_index(x)
         pos = self.layer_of(t)
         k = int(np.clip(math.floor(pos), 0, self.grid.nt - 1))
         w = min(max(pos - k, 0.0), 1.0)
@@ -174,11 +185,8 @@ def solve_g_heat(
     """
     grid.check_cfl(band)
     datum = np.asarray(phi(grid.xs), dtype=float)
-    if not np.isfinite(datum).all():
-        raise NonFiniteError(0)
-    times = np.linspace(0.0, grid.horizon, grid.nt + 1)
-    u = _march(band, grid, datum, _ZERO_DRIVER, _ZERO_DRIVER, times)
-    return FieldSolution(grid, u, times)
+    u = _field(grid, datum, _march(band, grid.dx, grid.dt, grid.nt, datum))
+    return FieldSolution(grid, u, np.linspace(0.0, grid.horizon, grid.nt + 1))
 
 
 def g_expectation(
@@ -261,20 +269,10 @@ def _reduce_last_axis(
     ``values`` has shape (..., len(axis)); each leading slice is a datum on
     ``axis`` and reduces to its solved value at the center node.
     """
-    from .core import cfl_time_steps
-
-    nx = len(axis)
     dx = axis[1] - axis[0]
     nt = cfl_time_steps(band, duration, dx, theta)
-    dt = duration / nt
-    u = values.reshape(-1, nx).astype(float)
-    for _ in range(nt):
-        d2 = _second_difference(u, dx)
-        u = u + dt * (2.0 * g_eval(band, 0.5 * d2))
-    if not np.isfinite(u).all():
-        raise NonFiniteError(nt)
-    center = nx // 2
-    return u[:, center].reshape(values.shape[:-1])
+    layers = _march(band, dx, duration / nt, nt, values)
+    return deque(layers, maxlen=1)[0][..., len(axis) // 2]
 
 
 def conditional_g_expectation(

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, g_eval
+from .core import SpaceTimeGrid, VolatilityBand
+from .gbsde import _k_step
 
 __all__ = [
     "LatticePath",
@@ -85,6 +86,14 @@ class LatticePath:
             arr.setflags(write=False)
 
 
+def _tree_step(values: np.ndarray, p_low: float) -> tuple[np.ndarray, np.ndarray]:
+    """One backward lattice step: continuation values at the (top, bottom) band endpoints."""
+    mid = values[1:-1]
+    avg = 0.5 * (values[2:] + values[:-2])
+    # move probability 1/2 each way at the top endpoint, p_low at the bottom
+    return mid + (avg - mid), mid + 2.0 * p_low * (avg - mid)
+
+
 def tree_expectation(band: VolatilityBand, phi, t: float, steps: int) -> float:
     """Worst-case expectation of phi at time t on a recombining lattice.
 
@@ -99,12 +108,8 @@ def tree_expectation(band: VolatilityBand, phi, t: float, steps: int) -> float:
     xs = dx * np.arange(-steps, steps + 1)
     values = np.asarray(phi(xs), dtype=float)
     p_low = band.sigma_min_sq / (2.0 * band.sigma_max_sq)
-    for i in range(steps - 1, -1, -1):
-        mid = values[1:-1]
-        avg = 0.5 * (values[2:] + values[:-2])
-        high = mid + (avg - mid)  # move probability 1/2 each way at the top endpoint
-        low = mid + 2.0 * p_low * (avg - mid)
-        values = np.maximum(high, low)
+    for _ in range(steps):
+        values = np.maximum(*_tree_step(values, p_low))
     return float(values[0])
 
 
@@ -192,17 +197,12 @@ def tree_k_expectation(band: VolatilityBand, sol) -> float:
     p_low = band.sigma_min_sq / (2.0 * band.sigma_max_sq)
     values = np.zeros(2 * nt + 1)
     for i in range(nt - 1, -1, -1):
-        xs = dx_tree * np.arange(-i, i + 1)
-        cols = np.clip(np.rint((xs - grid.x_min) / grid.dx).astype(int), 0, grid.nx - 1)
-        eta = sol.eta[nt - i, cols]
-        two_g = 2.0 * g_eval(band, eta)
-        mid = values[1:-1]
-        avg = 0.5 * (values[2:] + values[:-2])
-        cont_high = mid + (avg - mid)
-        cont_low = mid + 2.0 * p_low * (avg - mid)
-        reward_high = (eta * band.sigma_max_sq - two_g) * dt
-        reward_low = (eta * band.sigma_min_sq - two_g) * dt
-        values = np.maximum(reward_high + cont_high, reward_low + cont_low)
+        eta = sol.eta[nt - i, grid.node_index(dx_tree * np.arange(-i, i + 1))]
+        cont_high, cont_low = _tree_step(values, p_low)
+        values = np.maximum(
+            _k_step(band, eta, band.sigma_max_sq, dt) + cont_high,
+            _k_step(band, eta, band.sigma_min_sq, dt) + cont_low,
+        )
     return float(values[0])
 
 

@@ -4,7 +4,15 @@ import pytest
 
 import numpy as np
 
-from gexpect import GeneratorPair, VolatilityBand, parse_scalar, parse_tri, reduce_over_A
+from gexpect import (
+    GeneratorPair,
+    VolatilityBand,
+    parse_scalar,
+    parse_tri,
+    reduce_over_A,
+    solve_g_heat,
+    solve_gbsde,
+)
 from gexpect.cli import COMMANDS, ConfigError, ExperimentConfig, main, run
 
 
@@ -53,6 +61,51 @@ class TestGexpCommand:
         assert run("gexp", path, out1) == 0
         assert run("gexp", path, out2) == 0
         assert (out1 / "gexp.data.csv").read_bytes() == (out2 / "gexp.data.csv").read_bytes()
+
+
+class TestCsvTimeLabels:
+    # t = 0.3 falls between layers (dt = 1/616); rows come from the nearest layer
+    def test_gexp_rows_carry_the_layer_time(self, tmp_path):
+        config = base_config(functions={"phi": "tanh(x)"}, params={"times": [0.3]})
+        out = tmp_path / "out"
+        assert run("gexp", write_config(tmp_path, config), out) == 0
+        cfg = ExperimentConfig("gexp", config)
+        field = solve_g_heat(cfg.band, cfg.function("phi"), cfg.grid)
+        k = int(round(field.layer_of(0.3)))
+        assert field.times[k] != 0.3
+        rows = [line.split(",") for line in (out / "gexp.data.csv").read_text().splitlines()[1:]]
+        assert {float(r[0]) for r in rows} == {float(field.times[k])}
+        assert [float(r[2]) for r in rows] == field.u[k].tolist()
+
+    def test_gbsde_rows_carry_the_layer_time(self, tmp_path):
+        config = base_config(
+            generator={"g": "-y", "f": "0", "lipschitz_L": 1.0},
+            functions={"terminal": "tanh(x)"},
+            params={"times": [0.3]},
+        )
+        out = tmp_path / "out"
+        assert run("gbsde", write_config(tmp_path, config), out) == 0
+        cfg = ExperimentConfig("gbsde", config)
+        sol = solve_gbsde(cfg.band, cfg.generator, cfg.function("terminal"), cfg.grid)
+        k = int(round(sol.field.layer_of(0.3)))
+        assert sol.field.times[k] != 0.3
+        rows = [line.split(",") for line in (out / "gbsde.data.csv").read_text().splitlines()[1:]]
+        assert {float(r[0]) for r in rows} == {float(sol.field.times[k])}
+        assert [float(r[2]) for r in rows] == sol.field.u[k].tolist()
+
+
+class TestSeedKey:
+    def test_seed_accepted_and_not_reported(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("gexp", write_config(tmp_path, base_config(seed=5)), out) == 0
+        report = json.loads((out / "gexp.report.json").read_text())
+        assert "seed" not in report
+        assert report["config"]["seed"] == 5
+
+    def test_seed_type_checked(self):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig("gexp", base_config(seed="x"))
+        assert info.value.field == "config.seed"
 
 
 class TestConfigErrors:

@@ -113,6 +113,49 @@ class TestSpaceTimeGrid:
         assert span / n <= dt * (1.0 + 1e-9)
         assert n == 1 or span / (n - 1) > dt
 
+    @given(
+        dyadic=st.booleans(),
+        e=st.integers(min_value=0, max_value=6),
+        left=st.integers(min_value=1, max_value=400),
+        right=st.integers(min_value=1, max_value=400),
+        x_min=st.floats(min_value=-50.0, max_value=-1e-3),
+        x_max=st.floats(min_value=1e-3, max_value=50.0),
+        nx=st.integers(min_value=3, max_value=1000),
+        data=st.data(),
+    )
+    def test_node_index(self, dyadic, e, left, right, x_min, x_max, nx, data):
+        if dyadic:
+            # node spacing 2^-e: half-node points are exact ties
+            h = 2.0 ** -e
+            x_min, x_max, nx = -left * h, right * h, left + right + 1
+        grid = SpaceTimeGrid(horizon=1.0, x_min=x_min, x_max=x_max, nx=nx, nt=1)
+        ks = data.draw(st.lists(st.integers(min_value=-3, max_value=nx + 2), max_size=8))
+        ties = [grid.x_min + (k + 0.5) * grid.dx for k in ks]
+        lo, hi = 3.0 * grid.x_min - 1.0, 3.0 * grid.x_max + 1.0
+        free = data.draw(st.lists(st.floats(min_value=lo, max_value=hi), max_size=20))
+        points = ties + free + [lo, hi, grid.x_min, grid.x_max]
+        js = grid.node_index(np.array(points))
+        assert js.shape == (len(points),)
+        for x, j in zip(points, js):
+            # the per-site formula node_index replaced
+            old = int(np.clip(round((x - grid.x_min) / grid.dx), 0, grid.nx - 1))
+            assert grid.node_index(x) == j == old
+            assert isinstance(grid.node_index(x), int)
+            if x <= grid.x_min:
+                assert j == 0
+            if x >= grid.x_max:
+                assert j == grid.nx - 1
+        if dyadic:
+            for k, j in zip(ks, js):
+                if 0 <= k < nx - 1:
+                    assert j in (k, k + 1) and j % 2 == 0
+        assert grid.node_index(np.array([-1e300, 1e300])).tolist() == [0, grid.nx - 1]
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                grid.node_index(bad)
+            with pytest.raises(ValueError):
+                grid.node_index(np.array([0.0, bad]))
+
     def test_make_grid_centers_zero(self, band):
         grid = make_grid(band, 1.0, nx=400, half_width=8.5)
         assert grid.nx == 401

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gexpect import EvalDomainError, ParseError, eval2, parse, parse_scalar, parse_tri
+from gexpect import EvalDomainError, ParseError, parse, parse_scalar, parse_tri
 from gexpect.expr import ScalarFunction, TriFunction
 
 from conftest import fd_derivatives
@@ -100,14 +100,14 @@ class TestRoundTrip:
 
 class TestEval2:
     def test_polynomial_jet(self):
-        assert eval2(parse_scalar("x^2"), 3.0) == (9.0, 6.0, 2.0)
+        assert parse_scalar("x^2").eval2(3.0) == (9.0, 6.0, 2.0)
 
     def test_exp_jet(self):
-        assert eval2(parse_scalar("exp(x)"), 0.0) == (1.0, 1.0, 1.0)
+        assert parse_scalar("exp(x)").eval2(0.0) == (1.0, 1.0, 1.0)
 
     def test_tanh_matches_finite_differences(self):
         fn = parse_scalar("tanh(x)")
-        _, d1, d2 = eval2(fn, 0.5)
+        _, d1, d2 = fn.eval2(0.5)
         fd1, fd2 = fd_derivatives(fn, 0.5)
         assert abs(d1 - fd1) <= 1e-6
         assert abs(d2 - fd2) <= 1e-6

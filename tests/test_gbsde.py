@@ -7,6 +7,7 @@ from gexpect import (
     BlowUpError,
     CflError,
     GeneratorPair,
+    NonFiniteError,
     SpaceTimeGrid,
     k_along_path,
     k_increment,
@@ -73,10 +74,17 @@ class TestSolveGbsde:
         assert np.max(np.abs(shifted.field.u - (plain.u + 0.5 * elapsed))) < 1e-12
 
     def test_zero_generator_reduces_to_heat_bitwise(self, band, grid):
-        phi = parse_scalar("tanh(x)")
-        heat = solve_g_heat(band, phi, grid)
-        sol = solve_gbsde(band, zero_generator(), phi, grid)
-        assert np.array_equal(heat.u, sol.field.u)
+        # bytes, not values: signed zeros must agree too
+        for text in ("tanh(x)", "-bump(x)"):
+            phi = parse_scalar(text)
+            heat = solve_g_heat(band, phi, grid)
+            sol = solve_gbsde(band, zero_generator(), phi, grid)
+            assert heat.u.tobytes() == sol.field.u.tobytes(), text
+
+    def test_non_finite_terminal_raises_at_layer_zero(self, band, grid):
+        with pytest.raises(NonFiniteError) as err:
+            solve_gbsde(band, zero_generator(), parse_scalar("sqrt(x)"), grid)
+        assert err.value.layer == 0
 
     def test_maximum_principle_under_h6(self, band, grid):
         # compactly supported terminal keeps its extrema off the boundary,

@@ -191,6 +191,13 @@ class TestConditional:
         with pytest.raises(GridResolutionError):
             conditional_g_expectation(band, payoff, 1, grid, residual_tol=1e-4)
 
+    def test_non_finite_payoff_raises_at_layer_zero(self, band):
+        grid = make_grid(band, 1.0, nx=201)
+        payoff = CylinderPayoff((0.5, 1.0), lambda x1, x2: np.where(x2 > 1.0, np.inf, x1 + x2))
+        with pytest.raises(NonFiniteError) as err:
+            conditional_g_expectation(band, payoff, 1, grid)
+        assert err.value.layer == 0
+
     def test_rejects_bad_index(self, band):
         grid = make_grid(band, 1.0, nx=81)
         payoff = CylinderPayoff((0.5, 1.0), lambda x1, x2: x1)
