@@ -174,6 +174,9 @@ class ExperimentConfig:
             grid.check_cfl(self.band)
         except ValueError as exc:
             raise ConfigError("config.grid", str(exc)) from exc
+        nearest = float(grid.xs[grid.center_index])  # what every result "at x = 0" reads
+        if abs(nearest) > 1e-9 * grid.dx:
+            raise ConfigError("config.grid", f"x = 0 is not a grid node (nearest node {nearest!r})")
         return grid
 
     def _generator(self, obj: dict) -> GeneratorPair:
@@ -211,17 +214,6 @@ class ExperimentConfig:
             raise ConfigError(f"config.functions.{name}", "missing required field")
         return self.functions[name]
 
-    def param(self, name: str, kind: str):
-        if name not in self.params:
-            raise ConfigError(f"config.params.{name}", "missing required field")
-        _check_type(self.params[name], f"config.params.{name}", kind)
-        return self.params[name]
-
-    def optional_param(self, name: str, kind: str, default):
-        if name not in self.params:
-            return default
-        _check_type(self.params[name], f"config.params.{name}", kind)
-        return self.params[name]
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +222,7 @@ class ExperimentConfig:
 
 def _times(cfg: ExperimentConfig) -> list:
     """The ``times`` parameter, each inside [0, horizon] of the grid."""
-    times = cfg.param("times", "number-list")
+    times = cfg.params["times"]
     for t in times:
         if not 0.0 <= t <= cfg.grid.horizon:
             raise ConfigError("config.params.times", f"time {t} outside [0, {cfg.grid.horizon}]")
@@ -274,12 +266,12 @@ def _run_convexity(cfg: ExperimentConfig):
         {"y_range": "number-list", "z_range": "number-list"},
         {"resolution": "int", "t": "number"},
     )
-    y_range = cfg.param("y_range", "number-list")
-    z_range = cfg.param("z_range", "number-list")
+    y_range = cfg.params["y_range"]
+    z_range = cfg.params["z_range"]
     if len(y_range) != 2 or len(z_range) != 2:
         raise ConfigError("config.params.y_range", "ranges are [lo, hi] pairs")
-    resolution = cfg.optional_param("resolution", "int", 33)
-    t = cfg.optional_param("t", "number", 0.0)
+    resolution = cfg.params.get("resolution", 33)
+    t = cfg.params.get("t", 0.0)
     report_obj = check_g_convexity(
         cfg.band,
         cfg.generator,
@@ -302,8 +294,8 @@ def _run_convexity(cfg: ExperimentConfig):
 
 def _run_jensen(cfg: ExperimentConfig):
     _require(cfg.params, "config.params", {"horizons": "number-list"}, {"s": "number"})
-    horizons = cfg.param("horizons", "number-list")
-    s = cfg.optional_param("s", "number", 0.0)
+    horizons = cfg.params["horizons"]
+    s = cfg.params.get("s", 0.0)
     h = cfg.function("h")
     phi = cfg.function("phi")
     rows = []
@@ -330,9 +322,9 @@ def _run_replimit(cfg: ExperimentConfig):
         {"eps_list": "number-list"},
         {"t": "number", "nx": "int"},
     )
-    eps_list = cfg.param("eps_list", "number-list")
-    t = cfg.optional_param("t", "number", 0.0)
-    nx = cfg.optional_param("nx", "int", 201)
+    eps_list = cfg.params["eps_list"]
+    t = cfg.params.get("t", 0.0)
+    nx = cfg.params.get("nx", 201)
     result = representation_limit_check(
         cfg.band, cfg.generator, cfg.function("terminal"), t, eps_list, nx=nx
     )
@@ -355,10 +347,10 @@ def _run_oracle_check(cfg: ExperimentConfig):
         {"functions": "string-list", "times": "number-list"},
         {"steps": "int", "tolerance": "number"},
     )
-    texts = cfg.param("functions", "string-list")
+    texts = cfg.params["functions"]
     times = _times(cfg)
-    steps = cfg.optional_param("steps", "int", 2000)
-    tolerance = cfg.optional_param("tolerance", "number", 5e-3)
+    steps = cfg.params.get("steps", 2000)
+    tolerance = cfg.params.get("tolerance", 5e-3)
     rows = []
     worst = 0.0
     for text in texts:

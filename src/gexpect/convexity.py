@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SpaceTimeGrid, VolatilityBand, g_eval, make_grid, sub_steps
-from .expr import BinOp, Call, Lit, Pow, ScalarFunction, Var
+from .expr import BinOp, Call, EvalDomainError, Lit, Pow, ScalarFunction, Var
 from .gbsde import GeneratorPair, nonlinear_expectation, solve_gbsde
 
 __all__ = [
@@ -76,12 +76,12 @@ def condition_gap(
 def _reduce_mesh(band: VolatilityBand, gen: GeneratorPair, h: ScalarFunction, t: float, ys, zs):
     """Infimum over A of the condition gap on the mesh ys x zs, and its A.
 
-    Both are (len(ys), len(zs)) arrays.  h's jets come from ``h.eval2``
-    once per y node, each driver runs once per argument set on the whole
+    Both are (len(ys), len(zs)) arrays.  h's jets come from one
+    ``h.eval2(ys)``, each driver runs once per argument set on the whole
     mesh, and each cell gets ``condition_gap``'s arithmetic at the
     candidates (-2 f(y, z), 0, kink), keeping the first minimum.
     """
-    hv, h1, h2 = np.array([h.eval2(float(y)) for y in ys]).T[..., None]
+    hv, h1, h2 = (part[:, None] for part in h.eval2(ys))
     y, z = ys[:, None], zs[None, :]
     with np.errstate(all="ignore"):
         hz = h1 * z
@@ -150,13 +150,18 @@ def check_g_convexity(
     The whole box is one array pass.  A cell is a witness when its
     infimum over A falls below -1e-9 (the tolerance separating sign
     changes from rounding).  Witnesses come out in scan order, y-major,
-    so the report does not depend on how the pass is evaluated.
+    so the report does not depend on how the pass is evaluated.  A cell
+    whose gap is NaN raises EvalDomainError naming its (y, z).
     """
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16, got {resolution}")
     ys = np.linspace(y_range[0], y_range[1], resolution)
     zs = np.linspace(z_range[0], z_range[1], resolution)
     inf_gap, arg = _reduce_mesh(band, gen, h, t, ys, zs)
+    nan = np.argwhere(np.isnan(inf_gap))
+    if nan.size:
+        i, j = nan[0]
+        raise EvalDomainError(f"condition gap is NaN at (y, z) = ({float(ys[i])!r}, {float(zs[j])!r})")
     grid_y, grid_z = np.meshgrid(ys, zs, indexing="ij")
     cells = np.stack([grid_y, grid_z, arg, inf_gap], axis=-1)
     cells.setflags(write=False)

@@ -13,14 +13,20 @@ Known functions: exp, tanh, sin, cos, sqrt, abs_smooth (smoothed absolute
 value, sqrt(x^2 + eps^2) with eps = 1e-8) and bump (C^2 plateau equal to 1
 on [-1, 1], supported in [-2, 2]).  All functions take one argument.
 
-Evaluation works on scalars and on numpy arrays.  Exact first and second
-derivatives come from truncated-Taylor (jet) arithmetic of order 2, so no
-expression ever needs symbolic differentiation.
+One AST walker evaluates every expression, on floats, on numpy arrays and
+on order-2 jets (value, first and second derivative under truncated-Taylor
+arithmetic), so exact derivatives never need symbolic differentiation.
+Each built-in is defined once, in numpy, with its value and its first two
+derivatives; a call applies the chain rule when its argument is a jet.
+Jets carry arrays, so ``eval2`` takes a float or a whole array of points.
+A float argument gives the same bits as that point inside an array, and a
+value or jet part that is NaN or infinite at a float raises
+``EvalDomainError``.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -92,8 +98,6 @@ class Call:
     func: str
     arg: Node
 
-
-_FUNCTIONS = ("exp", "tanh", "sin", "cos", "sqrt", "abs_smooth", "bump")
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
@@ -216,7 +220,7 @@ class _Parser:
                     self.advance()
                     args.append(self.expr())
                 self.expect(")")
-                if text not in _FUNCTIONS:
+                if text not in _BUILTINS:
                     raise ParseError(f"unknown function {text!r}", offset)
                 if len(args) != 1:
                     raise ParseError(
@@ -274,173 +278,135 @@ def _to_string(node: Node, parent_prec: int = 0) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Value evaluation (scalars and arrays)
-# ---------------------------------------------------------------------------
-
-def _bump_value(x):
-    """C^2 plateau: 1 on [-1, 1], 0 outside [-2, 2], quintic ramp between."""
-    ax = np.abs(x)
-    u = np.clip(ax - 1.0, 0.0, 1.0)
-    ramp = 1.0 - u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
-    return np.where(ax <= 1.0, 1.0, np.where(ax >= 2.0, 0.0, ramp))
-
-
-_VALUE_FUNCS = {
-    "exp": np.exp,
-    "tanh": np.tanh,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sqrt": np.sqrt,
-    "abs_smooth": lambda x: np.sqrt(x * x + ABS_SMOOTH_EPS * ABS_SMOOTH_EPS),
-    "bump": _bump_value,
-}
-
-
-def _eval_value(node: Node, env: dict):
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_eval_value(node.operand, env)
-    if isinstance(node, BinOp):
-        a = _eval_value(node.left, env)
-        b = _eval_value(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
-    if isinstance(node, Pow):
-        base = _eval_value(node.base, env)
-        if node.exponent >= 0:
-            return base ** node.exponent
-        return 1.0 / base ** (-node.exponent)
-    if isinstance(node, Call):
-        return _VALUE_FUNCS[node.func](_eval_value(node.arg, env))
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _check_scalar_result(value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise EvalDomainError(f"evaluation produced {value}")
-    return value
-
-
-# ---------------------------------------------------------------------------
 # Order-2 jets: (value, first, second) with truncated-Taylor arithmetic
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class _Jet:
-    v: float
-    d1: float
-    d2: float
+    """Order-2 jet; parts are floats or arrays, plain numbers act as constants."""
 
-    def __add__(self, other: "_Jet") -> "_Jet":
+    __slots__ = ("v", "d1", "d2")
+    __array_ufunc__ = None  # numpy operands defer to the reflected operators below
+
+    def __init__(self, v, d1, d2):
+        self.v, self.d1, self.d2 = v, d1, d2
+
+    def __add__(self, other) -> "_Jet":
+        other = _lift(other)
         return _Jet(self.v + other.v, self.d1 + other.d1, self.d2 + other.d2)
 
-    def __sub__(self, other: "_Jet") -> "_Jet":
+    def __sub__(self, other) -> "_Jet":
+        other = _lift(other)
         return _Jet(self.v - other.v, self.d1 - other.d1, self.d2 - other.d2)
 
     def __neg__(self) -> "_Jet":
         return _Jet(-self.v, -self.d1, -self.d2)
 
-    def __mul__(self, other: "_Jet") -> "_Jet":
+    def __mul__(self, other) -> "_Jet":
+        other = _lift(other)
         return _Jet(
             self.v * other.v,
             self.d1 * other.v + self.v * other.d1,
             self.d2 * other.v + 2.0 * self.d1 * other.d1 + self.v * other.d2,
         )
 
-    def __truediv__(self, other: "_Jet") -> "_Jet":
-        if other.v == 0.0:
-            raise EvalDomainError("division by zero")
+    def __truediv__(self, other) -> "_Jet":
+        other = _lift(other)
         q = self.v / other.v
         q1 = (self.d1 - q * other.d1) / other.v
         q2 = (self.d2 - 2.0 * q1 * other.d1 - q * other.d2) / other.v
         return _Jet(q, q1, q2)
 
+    __radd__, __rmul__ = __add__, __mul__  # same bits as the constant on the left
 
-def _jet_chain(x: _Jet, f: float, f1: float, f2: float) -> _Jet:
-    """Compose the univariate map with jet x: (f, f'*x', f''*x'^2 + f'*x'')."""
-    return _Jet(f, f1 * x.d1, f2 * x.d1 * x.d1 + f1 * x.d2)
+    def __rsub__(self, other) -> "_Jet":
+        return _lift(other) - self
 
+    def __rtruediv__(self, other) -> "_Jet":
+        return _lift(other) / self
 
-def _jet_pow(x: _Jet, n: int) -> _Jet:
-    if n == 0:
-        return _Jet(1.0, 0.0, 0.0)
-    if n < 0:
-        return _Jet(1.0, 0.0, 0.0) / _jet_pow(x, -n)
-    v = x.v ** n
-    f1 = n * x.v ** (n - 1)
-    f2 = n * (n - 1) * x.v ** (n - 2) if n >= 2 else 0.0
-    return _jet_chain(x, v, f1, f2)
-
-
-def _jet_call(name: str, x: _Jet) -> _Jet:
-    if name == "exp":
-        e = math.exp(x.v)
-        return _jet_chain(x, e, e, e)
-    if name == "tanh":
-        t = math.tanh(x.v)
-        s = 1.0 - t * t
-        return _jet_chain(x, t, s, -2.0 * t * s)
-    if name == "sin":
-        s, c = math.sin(x.v), math.cos(x.v)
-        return _jet_chain(x, s, c, -s)
-    if name == "cos":
-        s, c = math.sin(x.v), math.cos(x.v)
-        return _jet_chain(x, c, -s, -c)
-    if name == "sqrt":
-        if x.v <= 0.0:
-            raise EvalDomainError(f"sqrt of non-positive value {x.v}")
-        r = math.sqrt(x.v)
-        return _jet_chain(x, r, 0.5 / r, -0.25 / (x.v * r))
-    if name == "abs_smooth":
-        e2 = ABS_SMOOTH_EPS * ABS_SMOOTH_EPS
-        r = math.sqrt(x.v * x.v + e2)
-        return _jet_chain(x, r, x.v / r, e2 / (r * r * r))
-    if name == "bump":
-        ax = abs(x.v)
-        if ax <= 1.0:
+    def __pow__(self, n: int) -> "_Jet":  # n >= 0
+        if n == 0:
             return _Jet(1.0, 0.0, 0.0)
-        if ax >= 2.0:
-            return _Jet(0.0, 0.0, 0.0)
-        u = ax - 1.0
-        s = u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
-        s1 = u * u * (30.0 + u * (-60.0 + 30.0 * u))
-        s2 = u * (60.0 + u * (-180.0 + 120.0 * u))
-        sign = 1.0 if x.v > 0.0 else -1.0
-        return _jet_chain(x, 1.0 - s, -s1 * sign, -s2)
-    raise EvalDomainError(f"unknown function {name!r}")
+        v = self.v
+        return self.chain(v ** n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2) if n >= 2 else 0.0)
+
+    def chain(self, f, f1, f2) -> "_Jet":
+        """Compose with a univariate map whose value and derivatives at v are f, f1, f2."""
+        return _Jet(f, f1 * self.d1, f2 * self.d1 * self.d1 + f1 * self.d2)
 
 
-def _eval_jet(node: Node, env: dict[str, _Jet]) -> _Jet:
+def _lift(x) -> _Jet:
+    return x if isinstance(x, _Jet) else _Jet(x, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Built-ins: value, first and second derivative of each, in numpy
+# ---------------------------------------------------------------------------
+
+def _bump(u):
+    """C^2 plateau: 1 on [-1, 1], 0 outside [-2, 2], quintic ramp between."""
+    au = np.abs(u)
+    w = np.clip(au - 1.0, 0.0, 1.0)
+    ramp = 1.0 - w * w * w * (10.0 + w * (-15.0 + 6.0 * w))
+    return np.where(au <= 1.0, 1.0, np.where(au >= 2.0, 0.0, ramp))
+
+
+def _bump_derivatives(u, _):
+    au = np.abs(u)
+    w = np.clip(au - 1.0, 0.0, 1.0)
+    ramp = (au > 1.0) & (au < 2.0)
+    return (
+        np.where(ramp, -w * w * (30.0 + w * (-60.0 + 30.0 * w)) * np.sign(u), 0.0),
+        np.where(ramp, -w * (60.0 + w * (-180.0 + 120.0 * w)), 0.0),
+    )
+
+
+_E2 = ABS_SMOOTH_EPS * ABS_SMOOTH_EPS
+
+# name -> (value at u, (u, value) -> first and second derivative at u)
+_BUILTINS = {
+    "exp": (np.exp, lambda u, e: (e, e)),
+    "tanh": (np.tanh, lambda u, t: (1.0 - t * t, -2.0 * t * (1.0 - t * t))),
+    "sin": (np.sin, lambda u, s: (np.cos(u), -s)),
+    "cos": (np.cos, lambda u, c: (-np.sin(u), -c)),
+    "sqrt": (np.sqrt, lambda u, r: (0.5 / r, -0.25 / (u * r))),
+    "abs_smooth": (lambda u: np.sqrt(u * u + _E2), lambda u, r: (u / r, _E2 / (r * r * r))),
+    "bump": (_bump, _bump_derivatives),
+}
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _eval(node: Node, env: dict):
+    """Evaluate under ``env``, whose values may be floats, arrays or jets."""
     if isinstance(node, Lit):
-        return _Jet(node.value, 0.0, 0.0)
+        return node.value
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Neg):
-        return -_eval_jet(node.operand, env)
+        return -_eval(node.operand, env)
     if isinstance(node, BinOp):
-        a = _eval_jet(node.left, env)
-        b = _eval_jet(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
+        return _BINARY[node.op](_eval(node.left, env), _eval(node.right, env))
     if isinstance(node, Pow):
-        return _jet_pow(_eval_jet(node.base, env), node.exponent)
+        base, n = _eval(node.base, env), node.exponent
+        return base ** n if n >= 0 else 1.0 / base ** -n
     if isinstance(node, Call):
-        return _jet_call(node.func, _eval_jet(node.arg, env))
+        arg = _eval(node.arg, env)
+        value, derivatives = _BUILTINS[node.func]
+        if isinstance(arg, _Jet):
+            f = value(arg.v)
+            return arg.chain(f, *derivatives(arg.v, f))
+        return value(arg)
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _finite(values: np.ndarray, xs: np.ndarray, what: str) -> np.ndarray:
+    """A copy of ``values``; EvalDomainError names the first x where one is NaN or infinite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise EvalDomainError(f"{what} produced {float(values.flat[k])} at x = {float(xs.flat[k])!r}")
+    return values.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -482,21 +448,21 @@ class ScalarFunction:
     ast: Node
 
     def __call__(self, x):
-        if np.isscalar(x) or isinstance(x, float):
-            try:
-                return _check_scalar_result(_eval_value(self.ast, {"x": float(x)}))
-            except ZeroDivisionError as exc:
-                raise EvalDomainError(str(exc)) from exc
+        """Array like x; for a number, a float that must be finite (else EvalDomainError)."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
         with np.errstate(all="ignore"):
-            value = np.asarray(_eval_value(self.ast, {"x": np.asarray(x)}))
-        return np.broadcast_to(value, np.shape(x)).copy()
+            value = np.broadcast_to(_eval(self.ast, {"x": xs}), xs.shape)
+        return value.copy() if np.ndim(x) else float(_finite(value, xs, "evaluation")[0])
 
-    def eval2(self, x: float) -> tuple[float, float, float]:
-        jet = _eval_jet(self.ast, {"x": _Jet(float(x), 1.0, 0.0)})
-        for part in (jet.v, jet.d1, jet.d2):
-            if not math.isfinite(part):
-                raise EvalDomainError(f"jet evaluation produced {part}")
-        return jet.v, jet.d1, jet.d2
+    def eval2(self, x):
+        """Finite (h, h', h'') at x (else EvalDomainError): floats for a number, arrays like x."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        with np.errstate(all="ignore"):
+            jet = _lift(_eval(self.ast, {"x": _Jet(xs, np.ones_like(xs), np.zeros_like(xs))}))
+        parts = tuple(
+            _finite(np.broadcast_to(p, xs.shape), xs, "jet evaluation") for p in (jet.v, jet.d1, jet.d2)
+        )
+        return parts if np.ndim(x) else tuple(float(p[0]) for p in parts)
 
     def compose(self, inner: "ScalarFunction") -> "ScalarFunction":
         """self(inner(x)) as a new expression."""
@@ -524,7 +490,7 @@ class TriFunction:
     def __call__(self, t, y, z):
         env = {"t": t, "y": y, "z": z}
         with np.errstate(all="ignore"):
-            result = _eval_value(self.ast, env)
+            result = _eval(self.ast, env)
         if np.isscalar(y) and np.isscalar(z) and np.isscalar(result):
             return float(result)
         return result

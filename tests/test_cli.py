@@ -165,6 +165,43 @@ class TestNumericalFailure:
         assert "NonFiniteError" in report["diagnostic"]
         assert not (out / "gexp.data.csv").exists()
 
+    def test_overflowing_transform_exits_2(self, tmp_path, capsys):
+        # exp(800) overflows in h's jets: a named failure, not a traceback
+        config = {
+            "schema_version": 1,
+            "band": {"sigma_min_sq": 1.0, "sigma_max_sq": 2.0},
+            "generator": {"g": "0", "f": "0", "lipschitz_L": 0.0},
+            "functions": {"h": "exp(x)"},
+            "params": {"y_range": [0.0, 800.0], "z_range": [-1.0, 1.0], "resolution": 16},
+        }
+        out = tmp_path / "out"
+        assert run("convexity", write_config(tmp_path, config), out) == 2
+        report = json.loads((out / "convexity.report.json").read_text())
+        assert report["status"] == "numerical-failure"
+        assert report["diagnostic"].startswith("EvalDomainError")
+        assert not (out / "convexity.data.csv").exists()
+
+
+class TestGridNodeAtZero:
+    def test_grid_without_a_node_at_zero_rejected(self, tmp_path, capsys):
+        # dx = 8/99: the nearest node sits 0.0101 from 0, which "x = 0" used to read
+        config = base_config(grid={"horizon": 1.0, "x_min": -3.0, "x_max": 5.0, "nx": 100})
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig("gexp", config)
+        assert info.value.field == "config.grid"
+        assert run("gexp", write_config(tmp_path, config), tmp_path / "out") == 1
+        assert "x = 0 is not a grid node" in capsys.readouterr().err
+
+    def test_asymmetric_grid_with_a_node_at_zero(self, tmp_path):
+        config = base_config(
+            grid={"horizon": 1.0, "x_min": -3.0, "x_max": 5.0, "nx": 81},
+            functions={"phi": "x"},
+        )
+        out = tmp_path / "out"
+        assert run("gexp", write_config(tmp_path, config), out) == 0
+        report = json.loads((out / "gexp.report.json").read_text())
+        assert report["results"]["values_at_zero"]["1"] == pytest.approx(0.0, abs=1e-12)
+
 
 class TestGbsdeCommand:
     def test_happy_path(self, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gexpect import (
+    EvalDomainError,
     GeneratorPair,
     VolatilityBand,
     check_g_convexity,
@@ -158,6 +159,14 @@ class TestCheckGConvexity:
         else:
             assert sampled_min < -1e-9
 
+    def test_nan_gap_raises_naming_the_cell(self):
+        # h'(y) = 1e-323 sends the kink candidate to -inf; no "holds" with a NaN min_gap
+        with pytest.raises(EvalDomainError, match=r"\(y, z\) = \(5e-324, 0.0666"):
+            check_g_convexity(
+                VolatilityBand(1.0, 1.0), zero_generator(), parse_scalar("x^2"),
+                (5e-324, 1.0 + 5e-324), (0.0, 1.0), resolution=16,
+            )
+
     def test_resolution_floor(self, band):
         with pytest.raises(ValueError):
             check_g_convexity(band, zero_generator(), parse_scalar("x"), (-1, 1), (-1, 1), resolution=8)
@@ -176,6 +185,8 @@ class TestCheckGConvexity:
     # a constant h (h' = 0: no kink candidate) and the smoothed-slope driver
     @example(1.0, 2.0, (-2.0, 4.0), (-2.0, 4.0), 17, "2", ("0.5*z", "0.1*y", 0.5), 0.0)
     @example(0.5, 3.0, (-1.0, 2.5), (-1.5, 3.0), 33, "-abs_smooth(x)", GEN_CASES[4], 0.3)
+    # a subnormal y: the kink candidate overflows to -inf and the gap is NaN
+    @example(1.0, 1.0, (5e-324, 1.0), (0.0, 1.0), 16, "x^2", GEN_CASES[0], 0.0)
     def test_report_matches_per_cell_loop(self, smin, spread, y_box, z_box, resolution, h_text, case, t):
         # The array pass gives each cell what reduce_over_A gives it alone,
         # so the report does not depend on evaluation order.
@@ -183,12 +194,17 @@ class TestCheckGConvexity:
         gen, h = _gen(*case), parse_scalar(h_text)
         y_range = (y_box[0], y_box[0] + y_box[1])
         z_range = (z_box[0], z_box[0] + z_box[1])
-        report = check_g_convexity(band, gen, h, y_range, z_range, resolution=resolution, t=t)
         ys = np.linspace(*y_range, resolution)
         zs = np.linspace(*z_range, resolution)
         loop = np.array([[reduce_over_A(band, gen, h, t, float(y), float(z)) for z in zs] for y in ys])
-        scalar = np.array([[_scalar_reduce(band, gen, h, t, float(y), float(z)) for z in zs] for y in ys])
-        assert np.array_equal(loop, scalar)
+        with np.errstate(invalid="ignore"):  # the reference may compute a NaN gap, as the pass does
+            scalar = np.array([[_scalar_reduce(band, gen, h, t, float(y), float(z)) for z in zs] for y in ys])
+        assert np.array_equal(loop, scalar, equal_nan=True)
+        if np.isnan(scalar[..., 0]).any():
+            with pytest.raises(EvalDomainError, match="NaN"):
+                check_g_convexity(band, gen, h, y_range, z_range, resolution=resolution, t=t)
+            return
+        report = check_g_convexity(band, gen, h, y_range, z_range, resolution=resolution, t=t)
         cells = report.cells
         assert cells.shape == (resolution, resolution, 4) and not cells.flags.writeable
         assert np.array_equal(cells[..., 0], np.broadcast_to(ys[:, None], loop.shape[:2]))

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gexpect import EvalDomainError, ParseError, parse, parse_scalar, parse_tri
 from gexpect.expr import ScalarFunction, TriFunction
 
-from conftest import fd_derivatives
+from conftest import CATALOG_TEXTS, fd_derivatives
 
 
 class TestParse:
@@ -174,6 +174,16 @@ class TestBuiltins:
             for lo, hi in zip(below, above):
                 assert abs(hi - lo) < 1e-6
 
+    @pytest.mark.parametrize("text,x", [("x^2", 1e200), ("exp(x)", 1000.0)])
+    def test_overflow_is_a_domain_error(self, text, x):
+        fn = parse_scalar(text)
+        with pytest.raises(EvalDomainError, match="inf at x = "):
+            fn(x)
+        with pytest.raises(EvalDomainError, match="inf at x = "):
+            fn.eval2(x)
+        with pytest.raises(EvalDomainError):
+            fn.eval2(np.array([0.0, x]))
+
     def test_vectorized_matches_scalar(self):
         fn = parse_scalar("exp(tanh(x)) * bump(x) - abs_smooth(x)")
         xs = np.linspace(-3, 3, 41)
@@ -214,3 +224,29 @@ class TestTriFunction:
 
     def test_difference_quotient_constant(self):
         assert parse_tri("3").max_difference_quotient() == 0.0
+
+
+class TestOneEvaluator:
+    # expressions finite with finite jets on the whole sampled range
+    TEXTS = sorted(
+        set(CATALOG_TEXTS)
+        | {"cos(x)", "exp(x)", "sqrt(1 + x^2)", "abs_smooth(x)", "(1 + x^2)/(2 + sin(x))",
+           "x * bump(x)", "-bump(x)", "exp(tanh(x)) * (1 - bump(x))", "1/(1 + x^2)^2", "2"}
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        text=st.sampled_from(TEXTS),
+        xs=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40).map(np.array),
+    )
+    def test_arrays_scalars_values_and_jets_agree_bitwise(self, text, xs):
+        fn = parse_scalar(text)
+        values = fn(xs)
+        jets = fn.eval2(xs)
+        assert values.shape == xs.shape and all(part.shape == xs.shape for part in jets)
+        assert jets[0].tobytes() == values.tobytes()
+        for k, x in enumerate(xs.tolist()):
+            assert np.float64(fn(x)).tobytes() == values[k].tobytes()
+            point = fn.eval2(x)
+            assert all(type(part) is float for part in point)
+            assert np.array(point).tobytes() == np.array([part[k] for part in jets]).tobytes()
