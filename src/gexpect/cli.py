@@ -4,13 +4,27 @@ One JSON config per run, one command per invocation::
 
     gexpect <command> --config experiment.json [--out DIR]
 
-Commands: gexp, gbsde, convexity, jensen, replimit, oracle-check.  Each
-run writes ``<out>/<command>.report.json`` (inputs echo, results,
+Each run writes ``<out>/<command>.report.json`` (inputs echo, results,
 tolerances, pass flag) and ``<out>/<command>.data.csv`` (one row per grid
 point / eps / scan cell, floats with 17 significant digits).  Exit status
 0 on success (verdicts are data, not failures), 1 on config errors, 2 on
-numerical failures.  Unknown config keys are rejected: reproducibility
-over convenience.
+numerical failures.  ``_COMMANDS`` declares what each command reads
+besides ``band`` and ``params`` (optional params in brackets)::
+
+    command       sections                    functions  params
+    gexp          grid, functions             phi        times
+    gbsde         grid, generator, functions  terminal   times
+    convexity     generator, functions        h          y_range, z_range, [resolution, t]
+    jensen        grid, generator, functions  h, phi     horizons, [s]
+    replimit      generator, functions        terminal   eps_list, [t, nx]
+    oracle-check  grid                        -          functions, times, [steps, tolerance]
+
+A command accepts exactly these, plus the schema-v1 top-level keys
+``seed``, ``threads`` and ``out_dir``.  ``generator.picard`` applies to
+``gbsde`` only; ``grid`` takes ``nt`` or ``theta``, not both.  The config
+is checked before any solve, and every rejected input, a param value that
+a library routine refuses included, exits 1 naming its field, never with
+a traceback.
 """
 
 from __future__ import annotations
@@ -18,13 +32,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import CflError, SpaceTimeGrid, VolatilityBand, cfl_time_steps
-from .expr import EvalDomainError, ParseError, ScalarFunction, parse_scalar, parse_tri
+from .expr import EvalDomainError, ParseError, parse_scalar, parse_tri
 from .gbsde import BlowUpError, GeneratorPair, solve_gbsde
 from .gheat import NonFiniteError, solve_g_heat
 from .convexity import (
@@ -37,7 +54,6 @@ from .oracle import tree_expectation
 __all__ = ["ConfigError", "ExperimentConfig", "run", "main"]
 
 SCHEMA_VERSION = 1
-COMMANDS = ("gexp", "gbsde", "convexity", "jensen", "replimit", "oracle-check")
 
 _NUMERICAL_ERRORS = (CflError, BlowUpError, NonFiniteError, EvalDomainError)
 
@@ -69,10 +85,16 @@ def _require(obj: dict, path: str, required: dict, optional: dict | None = None)
             _check_type(obj[key], f"{path}.{key}", optional[key])
 
 
+def _is_number(value) -> bool:  # an int or a finite float; Python's json also reads NaN and Infinity
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
 def _check_type(value, path: str, kind) -> None:
     if kind == "number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(path, f"expected a number, got {value!r}")
+        if not _is_number(value):
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
     elif kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(path, f"expected an integer, got {value!r}")
@@ -83,10 +105,11 @@ def _check_type(value, path: str, kind) -> None:
         if not isinstance(value, str):
             raise ConfigError(path, f"expected a string, got {value!r}")
     elif kind == "number-list":
-        if not isinstance(value, list) or not value or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-        ):
-            raise ConfigError(path, f"expected a non-empty list of numbers, got {value!r}")
+        if not isinstance(value, list) or not value or not all(map(_is_number, value)):
+            raise ConfigError(path, f"expected a non-empty list of finite numbers, got {value!r}")
+    elif kind == "number-pair":
+        if not isinstance(value, list) or len(value) != 2 or not all(map(_is_number, value)):
+            raise ConfigError(path, f"expected a [lo, hi] pair of finite numbers, got {value!r}")
     elif kind == "string-list":
         if not isinstance(value, list) or not value or any(not isinstance(v, str) for v in value):
             raise ConfigError(path, f"expected a non-empty list of strings, got {value!r}")
@@ -97,33 +120,27 @@ def _check_type(value, path: str, kind) -> None:
         raise AssertionError(kind)
 
 
+class _Command(NamedTuple):
+    """What one command reads from its config besides ``band`` and ``params``."""
+
+    runner: Callable
+    sections: tuple[str, ...]
+    functions: tuple[str, ...]
+    params: dict[str, str]  # required param -> kind
+    optional: dict[str, str] = {}
+    picard: bool = False  # whether generator.picard drives the run
+
+
 class ExperimentConfig:
     """Validated view of a raw config document for one command."""
 
     def __init__(self, command: str, raw: dict):
+        spec = _COMMANDS[command]
         self.command = command
         self.raw = raw
-        needs_grid = command in ("gexp", "gbsde", "jensen", "oracle-check")
-        needs_gen = command in ("gbsde", "convexity", "jensen", "replimit")
         required = {"schema_version": "int", "band": "object", "params": "object"}
-        optional = {
-            "seed": "int",
-            "threads": "int",
-            "out_dir": "string",
-            "functions": "object",
-            "grid": "object",
-            "generator": "object",
-        }
-        if needs_grid:
-            required["grid"] = "object"
-            optional.pop("grid")
-        if needs_gen:
-            required["generator"] = "object"
-            optional.pop("generator")
-        if command != "oracle-check":
-            required["functions"] = "object"
-            optional.pop("functions")
-        _require(raw, "config", required, optional)
+        required.update(dict.fromkeys(spec.sections, "object"))
+        _require(raw, "config", required, {"seed": "int", "threads": "int", "out_dir": "string"})
         if raw["schema_version"] != SCHEMA_VERSION:
             raise ConfigError(
                 "config.schema_version",
@@ -133,10 +150,15 @@ class ExperimentConfig:
         if raw.get("threads", 1) < 1:
             raise ConfigError("config.threads", f"must be >= 1, got {raw['threads']}")
         self.band = self._band(raw["band"])
-        self.picard = False
-        self.grid = self._grid(raw["grid"]) if needs_grid else None
-        self.generator = self._generator(raw["generator"]) if needs_gen else None
-        self.functions = self._functions(raw.get("functions", {}))
+        # a section is in raw exactly when the command uses it
+        self.grid = self._grid(raw["grid"]) if "grid" in raw else None
+        self.generator = self._generator(raw["generator"], spec.picard) if "generator" in raw else None
+        _require(raw.get("functions", {}), "config.functions", dict.fromkeys(spec.functions, "string"))
+        self.functions = {
+            name: self._parse(raw["functions"][name], f"config.functions.{name}", parse_scalar)
+            for name in spec.functions
+        }
+        _require(raw["params"], "config.params", spec.params, spec.optional)
         self.params = raw["params"]
 
     def _band(self, obj: dict) -> VolatilityBand:
@@ -155,22 +177,23 @@ class ExperimentConfig:
         )
         if "half_width" in obj and ("x_min" in obj or "x_max" in obj):
             raise ConfigError("config.grid.half_width", "give either half_width or x_min/x_max")
+        if "nt" in obj and "theta" in obj:
+            raise ConfigError("config.grid.theta", "give either nt or theta")
+        horizon = obj["horizon"]
         if "half_width" in obj:
             x_min, x_max = -obj["half_width"], obj["half_width"]
         elif "x_min" in obj or "x_max" in obj:
             if "x_min" not in obj or "x_max" not in obj:
                 raise ConfigError("config.grid.x_min", "x_min and x_max go together")
             x_min, x_max = obj["x_min"], obj["x_max"]
-        else:
-            half = 6.0 * self.band.sigma_max * float(np.sqrt(obj["horizon"]))
+        else:  # empty for a horizon <= 0, which the grid rejects by its horizon
+            half = 6.0 * self.band.sigma_max * float(np.sqrt(max(horizon, 0.0)))
             x_min, x_max = -half, half
-        nx = obj["nx"]
-        dx = (x_max - x_min) / (nx - 1)
-        nt = obj.get("nt")
-        if nt is None:
-            nt = cfl_time_steps(self.band, obj["horizon"], dx, obj.get("theta", 0.45))
         try:
-            grid = SpaceTimeGrid(horizon=obj["horizon"], x_min=x_min, x_max=x_max, nx=nx, nt=nt)
+            # nt = 1 stands in until the grid has checked horizon and nx, which dx needs
+            grid = SpaceTimeGrid(horizon=horizon, x_min=x_min, x_max=x_max, nx=obj["nx"], nt=obj.get("nt", 1))
+            if "nt" not in obj:
+                grid = replace(grid, nt=cfl_time_steps(self.band, horizon, grid.dx, obj.get("theta", 0.45)))
             grid.check_cfl(self.band)
         except ValueError as exc:
             raise ConfigError("config.grid", str(exc)) from exc
@@ -179,14 +202,13 @@ class ExperimentConfig:
             raise ConfigError("config.grid", f"x = 0 is not a grid node (nearest node {nearest!r})")
         return grid
 
-    def _generator(self, obj: dict) -> GeneratorPair:
+    def _generator(self, obj: dict, picard: bool) -> GeneratorPair:
         _require(
             obj,
             "config.generator",
             {"g": "string", "f": "string", "lipschitz_L": "number"},
-            {"h6": "bool", "picard": "bool"},
+            {"h6": "bool", "picard": "bool"} if picard else {"h6": "bool"},
         )
-        self.picard = obj.get("picard", False)
         g = self._parse(obj["g"], "config.generator.g", parse_tri)
         f = self._parse(obj["f"], "config.generator.f", parse_tri)
         try:
@@ -194,26 +216,12 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError("config.generator", str(exc)) from exc
 
-    def _functions(self, obj: dict) -> dict[str, ScalarFunction]:
-        allowed = {"h": "string", "phi": "string", "terminal": "string"}
-        _require(obj, "config.functions", {}, allowed)
-        return {
-            name: self._parse(text, f"config.functions.{name}", parse_scalar)
-            for name, text in obj.items()
-        }
-
     @staticmethod
     def _parse(text: str, path: str, parser):
         try:
             return parser(text)
         except ParseError as exc:
             raise ConfigError(path, str(exc)) from exc
-
-    def function(self, name: str) -> ScalarFunction:
-        if name not in self.functions:
-            raise ConfigError(f"config.functions.{name}", "missing required field")
-        return self.functions[name]
-
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +238,8 @@ def _times(cfg: ExperimentConfig) -> list:
 
 
 def _run_gexp(cfg: ExperimentConfig):
-    _require(cfg.params, "config.params", {"times": "number-list"})
     times = _times(cfg)
-    phi = cfg.function("phi")
-    field = solve_g_heat(cfg.band, phi, cfg.grid)
+    field = solve_g_heat(cfg.band, cfg.functions["phi"], cfg.grid)
     values = {}
     rows = []
     for t in times:
@@ -246,10 +252,9 @@ def _run_gexp(cfg: ExperimentConfig):
 
 
 def _run_gbsde(cfg: ExperimentConfig):
-    _require(cfg.params, "config.params", {"times": "number-list"})
     times = _times(cfg)
-    terminal = cfg.function("terminal")
-    sol = solve_gbsde(cfg.band, cfg.generator, terminal, cfg.grid, picard=cfg.picard)
+    picard = cfg.raw["generator"].get("picard", False)
+    sol = solve_gbsde(cfg.band, cfg.generator, cfg.functions["terminal"], cfg.grid, picard=picard)
     rows = []
     for t in times:
         k = sol.field.nearest_layer(t)
@@ -260,26 +265,14 @@ def _run_gbsde(cfg: ExperimentConfig):
 
 
 def _run_convexity(cfg: ExperimentConfig):
-    _require(
-        cfg.params,
-        "config.params",
-        {"y_range": "number-list", "z_range": "number-list"},
-        {"resolution": "int", "t": "number"},
-    )
-    y_range = cfg.params["y_range"]
-    z_range = cfg.params["z_range"]
-    if len(y_range) != 2 or len(z_range) != 2:
-        raise ConfigError("config.params.y_range", "ranges are [lo, hi] pairs")
-    resolution = cfg.params.get("resolution", 33)
-    t = cfg.params.get("t", 0.0)
     report_obj = check_g_convexity(
         cfg.band,
         cfg.generator,
-        cfg.function("h"),
-        (y_range[0], y_range[1]),
-        (z_range[0], z_range[1]),
-        resolution=resolution,
-        t=t,
+        cfg.functions["h"],
+        tuple(cfg.params["y_range"]),
+        tuple(cfg.params["z_range"]),
+        resolution=cfg.params.get("resolution", 33),
+        t=cfg.params.get("t", 0.0),
     )
     rows = report_obj.cells.reshape(-1, 4).tolist()
     report = {
@@ -293,17 +286,15 @@ def _run_convexity(cfg: ExperimentConfig):
 
 
 def _run_jensen(cfg: ExperimentConfig):
-    _require(cfg.params, "config.params", {"horizons": "number-list"}, {"s": "number"})
     horizons = cfg.params["horizons"]
     s = cfg.params.get("s", 0.0)
-    h = cfg.function("h")
-    phi = cfg.function("phi")
+    for tau in horizons:
+        if s + tau > cfg.grid.horizon + 1e-12:
+            raise ConfigError("config.params.horizons", f"s + {tau} exceeds grid horizon")
+    h, phi = cfg.functions["h"], cfg.functions["phi"]
     rows = []
     for tau in horizons:
-        t = s + tau
-        if t > cfg.grid.horizon + 1e-12:
-            raise ConfigError("config.params.horizons", f"s + {tau} exceeds grid horizon")
-        lhs, rhs, gap = jensen_experiment(cfg.band, cfg.generator, h, phi, s, t, cfg.grid)
+        lhs, rhs, gap = jensen_experiment(cfg.band, cfg.generator, h, phi, s, s + tau, cfg.grid)
         rows.append((tau, lhs, rhs, gap))
     report = {
         "gaps": {_fmt(r[0]): r[3] for r in rows},
@@ -316,17 +307,11 @@ def _run_jensen(cfg: ExperimentConfig):
 
 
 def _run_replimit(cfg: ExperimentConfig):
-    _require(
-        cfg.params,
-        "config.params",
-        {"eps_list": "number-list"},
-        {"t": "number", "nx": "int"},
-    )
     eps_list = cfg.params["eps_list"]
     t = cfg.params.get("t", 0.0)
     nx = cfg.params.get("nx", 201)
     result = representation_limit_check(
-        cfg.band, cfg.generator, cfg.function("terminal"), t, eps_list, nx=nx
+        cfg.band, cfg.generator, cfg.functions["terminal"], t, eps_list, nx=nx
     )
     rows = [(eps, quotient, result["formula"], err) for eps, quotient, err in result["rows"]]
     report = {
@@ -341,20 +326,14 @@ def _run_replimit(cfg: ExperimentConfig):
 
 
 def _run_oracle_check(cfg: ExperimentConfig):
-    _require(
-        cfg.params,
-        "config.params",
-        {"functions": "string-list", "times": "number-list"},
-        {"steps": "int", "tolerance": "number"},
-    )
     texts = cfg.params["functions"]
     times = _times(cfg)
+    phis = [ExperimentConfig._parse(text, "config.params.functions", parse_scalar) for text in texts]
     steps = cfg.params.get("steps", 2000)
     tolerance = cfg.params.get("tolerance", 5e-3)
     rows = []
     worst = 0.0
-    for text in texts:
-        phi = ExperimentConfig._parse(text, "config.params.functions", parse_scalar)
+    for text, phi in zip(texts, phis):
         field = solve_g_heat(cfg.band, phi, cfg.grid)
         for t in times:
             pde = field.value_at(t, 0.0)
@@ -371,14 +350,30 @@ def _run_oracle_check(cfg: ExperimentConfig):
     return report, ("function", "t", "pde", "tree", "abs_diff"), rows
 
 
-_RUNNERS = {
-    "gexp": _run_gexp,
-    "gbsde": _run_gbsde,
-    "convexity": _run_convexity,
-    "jensen": _run_jensen,
-    "replimit": _run_replimit,
-    "oracle-check": _run_oracle_check,
+_COMMANDS = {
+    # runner, sections besides band and params, function names, params, optional params
+    "gexp": _Command(_run_gexp, ("grid", "functions"), ("phi",), {"times": "number-list"}),
+    "gbsde": _Command(
+        _run_gbsde, ("grid", "generator", "functions"), ("terminal",), {"times": "number-list"}, picard=True
+    ),
+    "convexity": _Command(
+        _run_convexity, ("generator", "functions"), ("h",),
+        {"y_range": "number-pair", "z_range": "number-pair"}, {"resolution": "int", "t": "number"},
+    ),
+    "jensen": _Command(
+        _run_jensen, ("grid", "generator", "functions"), ("h", "phi"),
+        {"horizons": "number-list"}, {"s": "number"},
+    ),
+    "replimit": _Command(
+        _run_replimit, ("generator", "functions"), ("terminal",),
+        {"eps_list": "number-list"}, {"t": "number", "nx": "int"},
+    ),
+    "oracle-check": _Command(
+        _run_oracle_check, ("grid",), (),
+        {"functions": "string-list", "times": "number-list"}, {"steps": "int", "tolerance": "number"},
+    ),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(command: str, config_path: str | Path, out_dir: str | Path | None = None) -> int:
@@ -401,7 +396,7 @@ def run(command: str, config_path: str | Path, out_dir: str | Path | None = None
     report_path = out / f"{command}.report.json"
     data_path = out / f"{command}.data.csv"
     try:
-        report, header, rows = _RUNNERS[command](cfg)
+        report, header, rows = _COMMANDS[command].runner(cfg)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -416,6 +411,9 @@ def run(command: str, config_path: str | Path, out_dir: str | Path | None = None
         report_path.write_text(json.dumps(failure, indent=2) + "\n")
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # a library routine refused a param value (resolution < 16, ...)
+        print(str(ConfigError("config.params", str(exc))), file=sys.stderr)
+        return 1
     document = {
         "schema_version": SCHEMA_VERSION,
         "command": command,

@@ -232,8 +232,8 @@ def representation_limit_check(
     (1 + |limit|).
     """
     eps_list = list(eps_list)
-    if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be decreasing with at least 3 entries")
+    if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])) or eps_list[-1] <= 0:
+        raise ValueError("eps_list must be positive and decreasing with at least 3 entries")
     formula = representation_formula(band, gen, terminal, t)
     rows = []
     for eps in eps_list:

@@ -13,7 +13,7 @@ drives the nonlinear heat equation and everything built on top of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,14 +82,15 @@ class SpaceTimeGrid:
     nt: int
 
     def __post_init__(self) -> None:
-        if not (self.x_min < 0.0 < self.x_max):
-            raise ValueError(f"domain must straddle 0, got [{self.x_min}, {self.x_max}]")
+        # horizon first: a default domain derived from a bad horizon is empty
+        if not (self.horizon > 0.0):
+            raise ValueError(f"horizon must be > 0, got {self.horizon}")
         if self.nx < 3:
             raise ValueError(f"nx must be >= 3, got {self.nx}")
         if self.nt < 1:
             raise ValueError(f"nt must be >= 1, got {self.nt}")
-        if not (self.horizon > 0.0):
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
+        if not (self.x_min < 0.0 < self.x_max):
+            raise ValueError(f"domain must straddle 0, got [{self.x_min}, {self.x_max}]")
 
     @property
     def dx(self) -> float:
@@ -160,6 +161,6 @@ def make_grid(
         half_width = 6.0 * band.sigma_max * math.sqrt(horizon)
     if nx % 2 == 0:
         nx += 1
-    dx = 2.0 * half_width / (nx - 1)
-    nt = cfl_time_steps(band, horizon, dx, theta)
-    return SpaceTimeGrid(horizon=horizon, x_min=-half_width, x_max=half_width, nx=nx, nt=nt)
+    # nt = 1 stands in until the grid has checked horizon and nx, which dx needs
+    grid = SpaceTimeGrid(horizon=horizon, x_min=-half_width, x_max=half_width, nx=nx, nt=1)
+    return replace(grid, nt=cfl_time_steps(band, horizon, grid.dx, theta))

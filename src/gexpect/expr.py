@@ -488,12 +488,19 @@ class TriFunction:
     ast: Node
 
     def __call__(self, t, y, z):
-        env = {"t": t, "y": y, "z": z}
+        """Array like the arguments; for numbers, a float that must be finite (else EvalDomainError)."""
+        point = np.ndim(t) == np.ndim(y) == np.ndim(z) == 0
+        if point:  # 1-element arrays: the same bits as an array call, and no Python float errors
+            t, y, z = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (t, y, z))
         with np.errstate(all="ignore"):
-            result = _eval(self.ast, env)
-        if np.isscalar(y) and np.isscalar(z) and np.isscalar(result):
-            return float(result)
-        return result
+            result = _eval(self.ast, {"t": t, "y": y, "z": z})
+        if not point:
+            return result
+        value = float(np.broadcast_to(result, (1,))[0])
+        if not np.isfinite(value):
+            at = ", ".join(repr(float(v[0])) for v in (t, y, z))
+            raise EvalDomainError(f"evaluation produced {value} at (t, y, z) = ({at})")
+        return value
 
     def to_string(self) -> str:
         return _to_string(self.ast)

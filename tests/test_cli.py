@@ -70,7 +70,7 @@ class TestCsvTimeLabels:
         out = tmp_path / "out"
         assert run("gexp", write_config(tmp_path, config), out) == 0
         cfg = ExperimentConfig("gexp", config)
-        field = solve_g_heat(cfg.band, cfg.function("phi"), cfg.grid)
+        field = solve_g_heat(cfg.band, cfg.functions["phi"], cfg.grid)
         k = int(round(field.layer_of(0.3)))
         assert field.times[k] != 0.3
         rows = [line.split(",") for line in (out / "gexp.data.csv").read_text().splitlines()[1:]]
@@ -86,7 +86,7 @@ class TestCsvTimeLabels:
         out = tmp_path / "out"
         assert run("gbsde", write_config(tmp_path, config), out) == 0
         cfg = ExperimentConfig("gbsde", config)
-        sol = solve_gbsde(cfg.band, cfg.generator, cfg.function("terminal"), cfg.grid)
+        sol = solve_gbsde(cfg.band, cfg.generator, cfg.functions["terminal"], cfg.grid)
         k = int(round(sol.field.layer_of(0.3)))
         assert sol.field.times[k] != 0.3
         rows = [line.split(",") for line in (out / "gbsde.data.csv").read_text().splitlines()[1:]]
@@ -381,6 +381,129 @@ class TestOracleCheckCommand:
         assert run("oracle-check", path, out) == 0
         report = json.loads((out / "oracle-check.report.json").read_text())
         assert report["results"]["passed"] is True
+
+
+GRID = {"horizon": 1.0, "half_width": 8.5, "nx": 201}
+GENERATOR = {"g": "-y", "f": "0", "lipschitz_L": 1.0}
+BAND = {"sigma_min_sq": 1.0, "sigma_max_sq": 2.0}
+
+# one valid config per command, using exactly the sections and functions it reads
+VALID = {
+    "gexp": base_config(),
+    "gbsde": base_config(generator=GENERATOR, functions={"terminal": "1"}, params={"times": [0.0]}),
+    "convexity": {
+        "schema_version": 1,
+        "band": BAND,
+        "generator": GENERATOR,
+        "functions": {"h": "exp(x)"},
+        "params": {"y_range": [-2.0, 2.0], "z_range": [-2.0, 2.0], "resolution": 16},
+    },
+    "jensen": base_config(
+        generator=GENERATOR, functions={"h": "exp(x)", "phi": "tanh(x)"}, params={"horizons": [0.5]}
+    ),
+    "replimit": {
+        "schema_version": 1,
+        "band": BAND,
+        "generator": GENERATOR,
+        "functions": {"terminal": "x^2 + 1"},
+        "params": {"eps_list": [0.1, 0.05, 0.025]},
+    },
+    "oracle-check": {
+        "schema_version": 1,
+        "band": BAND,
+        "grid": GRID,
+        "params": {"functions": ["x^2"], "times": [1.0], "steps": 100},
+    },
+}
+
+
+def variant(command, section, **entries):
+    """VALID[command] with entries merged into one section."""
+    config = json.loads(json.dumps(VALID[command]))
+    config[section] = {**config.get(section, {}), **entries}
+    return config
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_valid_config_accepted(self, command):
+        ExperimentConfig(command, VALID[command])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unused_section_and_function_rejected(self, command):
+        config = VALID[command]
+        for section, body in (("grid", GRID), ("generator", GENERATOR)):
+            if section not in config:
+                with pytest.raises(ConfigError) as info:
+                    ExperimentConfig(command, {**config, section: body})
+                assert info.value.field == f"config.{section}"
+        functions = config.get("functions", {})
+        name = next(n for n in ("h", "phi", "terminal") if n not in functions)
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(command, {**config, "functions": {**functions, name: "x"}})
+        assert info.value.field == (f"config.functions.{name}" if functions else "config.functions")
+
+    def test_missing_function_named(self):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig("jensen", {**VALID["jensen"], "functions": {"h": "exp(x)"}})
+        assert info.value.field == "config.functions.phi"
+
+    def test_three_element_range_names_its_field(self, tmp_path, capsys):
+        config = variant("convexity", "params", z_range=[-1.0, 0.0, 1.0])
+        assert run("convexity", write_config(tmp_path, config), tmp_path / "out") == 1
+        assert "config.params.z_range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["jensen", "replimit"])
+    def test_picard_rejected_where_it_drives_nothing(self, command):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(command, variant(command, "generator", picard=True))
+        assert info.value.field == "config.generator.picard"
+
+    def test_theta_with_nt_rejected(self):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig("gexp", variant("gexp", "grid", nt=2000, theta=0.3))
+        assert info.value.field == "config.grid.theta"
+
+
+class TestNoTraceback:
+    # each of these ended in a Python traceback, or ran, before the config was checked up front
+    CASES = [
+        ("gexp", "grid", {"nx": 1}, "config.grid"),
+        ("gexp", "grid", {"theta": 0.9}, "config.grid"),
+        ("convexity", "params", {"resolution": 8}, "config.params"),
+        ("replimit", "params", {"eps_list": [0.1, 0.1, 0.05]}, "config.params"),
+        ("oracle-check", "params", {"steps": 0}, "config.params"),
+        ("jensen", "params", {"s": -0.2}, "config.params"),
+        ("replimit", "params", {"eps_list": [0.1, 0.05, 0.0]}, "config.params"),
+        ("replimit", "params", {"nx": 1}, "config.params"),
+        # Python's json reads NaN and Infinity; the parent crashed on one and ran on the other
+        ("gexp", "grid", {"half_width": float("inf")}, "config.grid.half_width"),
+        ("gbsde", "generator", {"lipschitz_L": float("nan")}, "config.generator.lipschitz_L"),
+    ]
+
+    @pytest.mark.parametrize("command,section,entries,field", CASES)
+    def test_bad_value_exits_1_naming_its_field(self, tmp_path, capsys, command, section, entries, field):
+        out = tmp_path / "out"
+        assert run(command, write_config(tmp_path, variant(command, section, **entries)), out) == 1
+        assert f"config error at {field}: " in capsys.readouterr().err
+        assert not (out / f"{command}.report.json").exists()
+
+    def test_negative_horizon_with_default_domain(self, tmp_path, capsys):
+        config = base_config(grid={"horizon": -1.0, "nx": 201})
+        out = tmp_path / "out"
+        assert run("gexp", write_config(tmp_path, config), out) == 1
+        assert "config error at config.grid: horizon must be > 0" in capsys.readouterr().err
+        assert not (out / "gexp.report.json").exists()
+
+    def test_overflowing_driver_exits_2(self, tmp_path, capsys):
+        # the drivers at the terminal's jet overflow: a named failure, not a traceback
+        config = variant("replimit", "generator", g="1e-300*y^2")
+        config["functions"] = {"terminal": "1e200*x + 1e200"}
+        out = tmp_path / "out"
+        assert run("replimit", write_config(tmp_path, config), out) == 2
+        report = json.loads((out / "replimit.report.json").read_text())
+        assert report["status"] == "numerical-failure"
+        assert report["diagnostic"].startswith("EvalDomainError")
 
 
 class TestMain:

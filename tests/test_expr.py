@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gexpect import EvalDomainError, ParseError, parse, parse_scalar, parse_tri
 from gexpect.expr import ScalarFunction, TriFunction
@@ -225,6 +225,18 @@ class TestTriFunction:
     def test_difference_quotient_constant(self):
         assert parse_tri("3").max_difference_quotient() == 0.0
 
+    @pytest.mark.parametrize(
+        "text,point", [("1/y", (0.0, 0.0, 0.0)), ("y^2", (0.0, 1e200, 0.0)), ("exp(y)", (0.0, 1000.0, 0.0))]
+    )
+    def test_non_finite_point_is_a_domain_error(self, text, point):
+        # the parent raised ZeroDivisionError, OverflowError and returned inf
+        with pytest.raises(EvalDomainError, match=r"inf at \(t, y, z\) = "):
+            parse_tri(text)(*point)
+
+    def test_arrays_keep_non_finite_entries(self):
+        out = parse_tri("1/y")(0.0, np.array([0.0, 2.0]), 0.0)
+        assert out.tolist() == [np.inf, 0.5]
+
 
 class TestOneEvaluator:
     # expressions finite with finite jets on the whole sampled range
@@ -250,3 +262,32 @@ class TestOneEvaluator:
             point = fn.eval2(x)
             assert all(type(part) is float for part in point)
             assert np.array(point).tobytes() == np.array([part[k] for part in jets]).tobytes()
+
+    TRI_TEXTS = (
+        "t + 2*y - z", "0.3*y + 0.2*z", "-abs_smooth(z)", "y*exp(-z^2)", "0.5*z/(1 + y^2)^2",
+        "tanh(y) * sin(t + z)", "y^3 - bump(z)", "exp(y) - cos(z)", "1/y", "y^2", "2",
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        text=st.sampled_from(TRI_TEXTS),
+        points=st.lists(
+            st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3), min_size=1, max_size=40
+        ).map(np.array),
+    )
+    @example(text="1/y", points=np.array([[0.0, 0.0, 0.0], [0.0, 4.0, 0.0]]))
+    @example(text="y^2", points=np.array([[0.0, 1e200, 0.0]]))
+    @example(text="exp(y) - cos(z)", points=np.array([[0.0, 1000.0, 0.0]]))
+    def test_tri_points_agree_with_arrays_bitwise(self, text, points):
+        # a point call returns the array call's bits there, or EvalDomainError where that is not finite
+        fn = parse_tri(text)
+        t, y, z = (np.ascontiguousarray(column) for column in points.T)
+        values = np.broadcast_to(fn(t, y, z), t.shape)
+        for k, point in enumerate(points.tolist()):
+            if not np.isfinite(values[k]):
+                with pytest.raises(EvalDomainError):
+                    fn(*point)
+                continue
+            value = fn(*point)
+            assert type(value) is float
+            assert np.float64(value).tobytes() == values[k].tobytes()
