@@ -38,9 +38,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .core import CflError, SpaceTimeGrid, VolatilityBand, cfl_time_steps
+from .core import DEFAULT_CFL_THETA, CflError, SpaceTimeGrid, VolatilityBand, cfl_time_steps, make_grid
 from .expr import EvalDomainError, ParseError, parse_scalar, parse_tri
 from .gbsde import BlowUpError, GeneratorPair, solve_gbsde
 from .gheat import NonFiniteError, solve_g_heat
@@ -179,27 +177,21 @@ class ExperimentConfig:
             raise ConfigError("config.grid.half_width", "give either half_width or x_min/x_max")
         if "nt" in obj and "theta" in obj:
             raise ConfigError("config.grid.theta", "give either nt or theta")
-        horizon = obj["horizon"]
-        if "half_width" in obj:
-            x_min, x_max = -obj["half_width"], obj["half_width"]
-        elif "x_min" in obj or "x_max" in obj:
-            if "x_min" not in obj or "x_max" not in obj:
-                raise ConfigError("config.grid.x_min", "x_min and x_max go together")
-            x_min, x_max = obj["x_min"], obj["x_max"]
-        else:  # empty for a horizon <= 0, which the grid rejects by its horizon
-            half = 6.0 * self.band.sigma_max * float(np.sqrt(max(horizon, 0.0)))
-            x_min, x_max = -half, half
+        if ("x_min" in obj) != ("x_max" in obj):
+            raise ConfigError("config.grid.x_min", "x_min and x_max go together")
+        theta = obj.get("theta", DEFAULT_CFL_THETA)
         try:
-            # nt = 1 stands in until the grid has checked horizon and nx, which dx needs
-            grid = SpaceTimeGrid(horizon=horizon, x_min=x_min, x_max=x_max, nx=obj["nx"], nt=obj.get("nt", 1))
-            if "nt" not in obj:
-                grid = replace(grid, nt=cfl_time_steps(self.band, horizon, grid.dx, obj.get("theta", 0.45)))
+            if "x_min" in obj:
+                # nt = 1 stands in until the grid has checked horizon and nx, which dx needs
+                grid = SpaceTimeGrid(obj["horizon"], obj["x_min"], obj["x_max"], obj["nx"], nt=1)
+                grid = replace(grid, nt=cfl_time_steps(self.band, grid.horizon, grid.dx, theta))
+            else:
+                grid = make_grid(self.band, obj["horizon"], obj["nx"], obj.get("half_width"), theta)
+            if "nt" in obj:
+                grid = replace(grid, nt=obj["nt"])
             grid.check_cfl(self.band)
         except ValueError as exc:
             raise ConfigError("config.grid", str(exc)) from exc
-        nearest = float(grid.xs[grid.center_index])  # what every result "at x = 0" reads
-        if abs(nearest) > 1e-9 * grid.dx:
-            raise ConfigError("config.grid", f"x = 0 is not a grid node (nearest node {nearest!r})")
         return grid
 
     def _generator(self, obj: dict, picard: bool) -> GeneratorPair:

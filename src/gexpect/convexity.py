@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, g_eval, make_grid, sub_steps
+from .core import SpaceTimeGrid, VolatilityBand, g_eval, make_grid
 from .expr import BinOp, Call, EvalDomainError, Lit, Pow, ScalarFunction, Var
 from .gbsde import GeneratorPair, nonlinear_expectation, solve_gbsde
 
@@ -79,7 +79,8 @@ def _reduce_mesh(band: VolatilityBand, gen: GeneratorPair, h: ScalarFunction, t:
     Both are (len(ys), len(zs)) arrays.  h's jets come from one
     ``h.eval2(ys)``, each driver runs once per argument set on the whole
     mesh, and each cell gets ``condition_gap``'s arithmetic at the
-    candidates (-2 f(y, z), 0, kink), keeping the first minimum.
+    candidates (-2 f(y, z), 0, kink), keeping the first minimum.  A cell
+    whose gap is NaN raises EvalDomainError naming its (y, z).
     """
     hv, h1, h2 = (part[:, None] for part in h.eval2(ys))
     y, z = ys[:, None], zs[None, :]
@@ -99,6 +100,10 @@ def _reduce_mesh(band: VolatilityBand, gen: GeneratorPair, h: ScalarFunction, t:
         s_minus = -g_eval(band, -h1) - 0.5 * band.sigma_min_sq * h1
     up, down = s_plus < -1e-15, s_minus > 1e-15
     inf_gap = np.where(up | down, NEGATIVE_INF, inf_gap)
+    nan = np.argwhere(np.isnan(inf_gap))
+    if nan.size:
+        i, j = nan[0]
+        raise EvalDomainError(f"condition gap is NaN at (y, z) = ({float(ys[i])!r}, {float(zs[j])!r})")
     arg = np.where(up, np.inf, np.where(down, -np.inf, arg))
     return inf_gap, arg
 
@@ -117,7 +122,7 @@ def reduce_over_A(
     band branch switches), so the infimum lies at a kink unless a tail
     slope points down; tail slopes follow in closed form from the band
     and h'.  Returns (-inf, +-inf) when a tail escapes, which cannot
-    happen for a valid band.
+    happen for a valid band, and raises EvalDomainError for a NaN gap.
     """
     inf_gap, arg = _reduce_mesh(band, gen, h, t, np.array([float(y)]), np.array([float(z)]))
     return float(inf_gap[0, 0]), float(arg[0, 0])
@@ -151,17 +156,16 @@ def check_g_convexity(
     infimum over A falls below -1e-9 (the tolerance separating sign
     changes from rounding).  Witnesses come out in scan order, y-major,
     so the report does not depend on how the pass is evaluated.  A cell
-    whose gap is NaN raises EvalDomainError naming its (y, z).
+    whose gap is NaN raises EvalDomainError naming its (y, z); a negative
+    ``t`` raises ValueError.
     """
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16, got {resolution}")
+    if t < 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
     ys = np.linspace(y_range[0], y_range[1], resolution)
     zs = np.linspace(z_range[0], z_range[1], resolution)
     inf_gap, arg = _reduce_mesh(band, gen, h, t, ys, zs)
-    nan = np.argwhere(np.isnan(inf_gap))
-    if nan.size:
-        i, j = nan[0]
-        raise EvalDomainError(f"condition gap is NaN at (y, z) = ({float(ys[i])!r}, {float(zs[j])!r})")
     grid_y, grid_z = np.meshgrid(ys, zs, indexing="ij")
     cells = np.stack([grid_y, grid_z, arg, inf_gap], axis=-1)
     cells.setflags(write=False)
@@ -206,13 +210,7 @@ def representation_quotient(
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if abs(grid.horizon - eps) > 1e-12:
-        grid = SpaceTimeGrid(
-            horizon=eps,
-            x_min=grid.x_min,
-            x_max=grid.x_max,
-            nx=grid.nx,
-            nt=sub_steps(eps, grid.dt),
-        )
+        grid = grid.over(eps)
     sol = solve_gbsde(band, gen, terminal, grid, t0=t)
     return (sol.y_at(t, 0.0) - float(terminal(0.0))) / eps
 
@@ -234,6 +232,8 @@ def representation_limit_check(
     eps_list = list(eps_list)
     if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])) or eps_list[-1] <= 0:
         raise ValueError("eps_list must be positive and decreasing with at least 3 entries")
+    if t < 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
     formula = representation_formula(band, gen, terminal, t)
     rows = []
     for eps in eps_list:

@@ -72,7 +72,8 @@ class SpaceTimeGrid:
     """Uniform grid on [0, horizon] x [x_min, x_max].
 
     ``nx`` counts nodes (spacing (x_max - x_min)/(nx - 1)); ``nt`` counts
-    time steps (spacing horizon/nt).  The domain must straddle 0.
+    time steps (spacing horizon/nt).  The domain must straddle 0 and x = 0
+    must be a node (to 1e-9 dx), since every value "at x = 0" reads it.
     """
 
     horizon: float
@@ -91,6 +92,9 @@ class SpaceTimeGrid:
             raise ValueError(f"nt must be >= 1, got {self.nt}")
         if not (self.x_min < 0.0 < self.x_max):
             raise ValueError(f"domain must straddle 0, got [{self.x_min}, {self.x_max}]")
+        nearest = self.x_min + self.center_index * self.dx
+        if abs(nearest) > 1e-9 * self.dx:
+            raise ValueError(f"x = 0 is not a grid node (nearest node {nearest!r})")
 
     @property
     def dx(self) -> float:
@@ -119,6 +123,10 @@ class SpaceTimeGrid:
             raise ValueError(f"node_index needs finite x, got {x}")
         j = np.clip(np.rint((x - self.x_min) / self.dx), 0, self.nx - 1).astype(int)
         return j if j.ndim else int(j)
+
+    def over(self, span: float) -> SpaceTimeGrid:
+        """The same x mesh over [0, span], in the fewest steps no longer than dt."""
+        return replace(self, horizon=span, nt=sub_steps(span, self.dt))
 
     def check_cfl(self, band: VolatilityBand, theta: float = MAX_CFL_THETA) -> None:
         """Raise CflError unless dt <= theta * dx^2 / sigma_max_sq."""
@@ -151,16 +159,14 @@ def make_grid(
     half_width: float | None = None,
     theta: float = DEFAULT_CFL_THETA,
 ) -> SpaceTimeGrid:
-    """Symmetric grid with x = 0 exactly on a node and CFL-matched nt.
+    """Symmetric grid on [-half_width, half_width] with CFL-matched nt.
 
     ``half_width`` defaults to 6 standard deviations of the widest
-    diffusion over the horizon; ``nx`` is bumped to odd so the center
-    node sits at 0.
+    diffusion over the horizon.  ``nx`` must be odd, so that the center
+    node sits at x = 0; the grid rejects an even one.
     """
-    if half_width is None:
-        half_width = 6.0 * band.sigma_max * math.sqrt(horizon)
-    if nx % 2 == 0:
-        nx += 1
+    if half_width is None:  # empty for a horizon <= 0, which the grid rejects by its horizon
+        half_width = 6.0 * band.sigma_max * math.sqrt(max(horizon, 0.0))
     # nt = 1 stands in until the grid has checked horizon and nx, which dx needs
     grid = SpaceTimeGrid(horizon=horizon, x_min=-half_width, x_max=half_width, nx=nx, nt=1)
     return replace(grid, nt=cfl_time_steps(band, horizon, grid.dx, theta))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, g_eval, sub_steps
+from .core import SpaceTimeGrid, VolatilityBand, g_eval
 from .expr import ScalarFunction, TriFunction, parse_tri
 from .gheat import FieldSolution, _field, _march
 
@@ -182,10 +182,7 @@ def nonlinear_expectation(
         )
     if t == s:
         return float(terminal(0.0))
-    sub = SpaceTimeGrid(
-        horizon=t - s, x_min=grid.x_min, x_max=grid.x_max, nx=grid.nx, nt=sub_steps(t - s, grid.dt)
-    )
-    sol = solve_gbsde(band, gen, terminal, sub, t0=s)
+    sol = solve_gbsde(band, gen, terminal, grid.over(t - s), t0=s)
     return sol.y_at(s, 0.0)
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, cfl_time_steps, g_eval
+from .core import DEFAULT_CFL_THETA, SpaceTimeGrid, VolatilityBand, g_eval, make_grid
 from .expr import ScalarFunction
 
 __all__ = [
@@ -256,23 +256,14 @@ class TabulatedFunction:
         return float(block)
 
 
-def _axis_grid(band: VolatilityBand, duration: float, nx: int) -> np.ndarray:
-    half = 6.0 * band.sigma_max * math.sqrt(duration)
-    return np.linspace(-half, half, nx)
-
-
-def _reduce_last_axis(
-    band: VolatilityBand, values: np.ndarray, axis: np.ndarray, duration: float, theta: float
-) -> np.ndarray:
+def _reduce_last_axis(band: VolatilityBand, values: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     """Expectation over the last increment: batched 1-d heat solves.
 
-    ``values`` has shape (..., len(axis)); each leading slice is a datum on
-    ``axis`` and reduces to its solved value at the center node.
+    ``values`` has shape (..., grid.nx); each leading slice is a datum on
+    ``grid.xs`` and reduces to its solved value at the node x = 0.
     """
-    dx = axis[1] - axis[0]
-    nt = cfl_time_steps(band, duration, dx, theta)
-    layers = _march(band, dx, duration / nt, nt, values)
-    return deque(layers, maxlen=1)[0][..., len(axis) // 2]
+    layers = _march(band, grid.dx, grid.dt, grid.nt, values)
+    return deque(layers, maxlen=1)[0][..., grid.center_index]
 
 
 def conditional_g_expectation(
@@ -284,8 +275,9 @@ def conditional_g_expectation(
 ) -> TabulatedFunction:
     """Condition the cylinder payoff on the first i increments.
 
-    Solves one heat problem per remaining increment, innermost first, on
-    axis grids sized to each increment.  The returned table interpolates
+    Solves one heat problem per remaining increment, innermost first, on a
+    ``make_grid`` grid with ``grid.nx`` nodes sized to each increment (so an
+    even ``nx`` raises ValueError).  The returned table interpolates
     psi(x_1, ..., x_i) multilinearly; a sparse re-solve probe estimates
     the interpolation residual and raises GridResolutionError when it
     exceeds ``residual_tol`` relative to the payoff scale.
@@ -293,17 +285,16 @@ def conditional_g_expectation(
     m = len(payoff.times)
     if not 1 <= i < m:
         raise ValueError(f"conditioning index must satisfy 1 <= i < {m}, got {i}")
-    nx = grid.nx if grid.nx % 2 == 1 else grid.nx + 1
-    theta = min(grid.dt * band.sigma_max_sq / (grid.dx * grid.dx), 0.45)
-    durations = payoff.increments
-    axes = [_axis_grid(band, d, nx) for d in durations]
+    theta = min(grid.dt * band.sigma_max_sq / (grid.dx * grid.dx), DEFAULT_CFL_THETA)
+    grids = [make_grid(band, d, grid.nx, theta=theta) for d in payoff.increments]
+    axes = [g.xs for g in grids]
 
     def reduce_to(level: int, axis_list: Sequence[np.ndarray]) -> np.ndarray:
         mesh = np.meshgrid(*axis_list, indexing="ij")
         values = np.asarray(payoff.fn(*mesh), dtype=float)
         values = np.broadcast_to(values, mesh[0].shape).copy()
         for k in range(m - 1, level - 1, -1):
-            values = _reduce_last_axis(band, values, axis_list[k], durations[k], theta)
+            values = _reduce_last_axis(band, values, grids[k])
         return values
 
     table_values = reduce_to(i, axes)

@@ -479,6 +479,11 @@ class TestNoTraceback:
         # Python's json reads NaN and Infinity; the parent crashed on one and ran on the other
         ("gexp", "grid", {"half_width": float("inf")}, "config.grid.half_width"),
         ("gbsde", "generator", {"lipschitz_L": float("nan")}, "config.generator.lipschitz_L"),
+        # one start-time rule: a negative t is refused like jensen's negative s
+        ("replimit", "params", {"t": -1}, "config.params"),
+        ("convexity", "params", {"t": -1}, "config.params"),
+        # an even nx has no node at x = 0: refused, not bumped to nx + 1
+        ("replimit", "params", {"nx": 4}, "config.params"),
     ]
 
     @pytest.mark.parametrize("command,section,entries,field", CASES)

@@ -171,6 +171,11 @@ class TestCheckGConvexity:
         with pytest.raises(ValueError):
             check_g_convexity(band, zero_generator(), parse_scalar("x"), (-1, 1), (-1, 1), resolution=8)
 
+    def test_nan_gap_raises_for_one_cell(self):
+        # one cell raises as the whole scan does, naming the cell
+        with pytest.raises(EvalDomainError, match=r"\(y, z\) = \(5e-324, 0.5\)"):
+            reduce_over_A(VolatilityBand(1.0, 1.0), zero_generator(), parse_scalar("x^2"), 0.0, 5e-324, 0.5)
+
     @settings(max_examples=25, deadline=None)
     @given(
         smin=st.floats(0.1, 3.0),
@@ -196,14 +201,21 @@ class TestCheckGConvexity:
         z_range = (z_box[0], z_box[0] + z_box[1])
         ys = np.linspace(*y_range, resolution)
         zs = np.linspace(*z_range, resolution)
-        loop = np.array([[reduce_over_A(band, gen, h, t, float(y), float(z)) for z in zs] for y in ys])
-        with np.errstate(invalid="ignore"):  # the reference may compute a NaN gap, as the pass does
+        with np.errstate(invalid="ignore"):  # the reference may compute a NaN gap
             scalar = np.array([[_scalar_reduce(band, gen, h, t, float(y), float(z)) for z in zs] for y in ys])
-        assert np.array_equal(loop, scalar, equal_nan=True)
-        if np.isnan(scalar[..., 0]).any():
+        nan = np.isnan(scalar[..., 0])
+        if nan.any():
+            # a NaN gap is a named error, cell by cell and for the whole box
+            for i, j in np.argwhere(nan):
+                with pytest.raises(EvalDomainError, match="NaN"):
+                    reduce_over_A(band, gen, h, t, float(ys[i]), float(zs[j]))
+            for i, j in np.argwhere(~nan):
+                assert reduce_over_A(band, gen, h, t, float(ys[i]), float(zs[j])) == tuple(scalar[i, j])
             with pytest.raises(EvalDomainError, match="NaN"):
                 check_g_convexity(band, gen, h, y_range, z_range, resolution=resolution, t=t)
             return
+        loop = np.array([[reduce_over_A(band, gen, h, t, float(y), float(z)) for z in zs] for y in ys])
+        assert np.array_equal(loop, scalar)
         report = check_g_convexity(band, gen, h, y_range, z_range, resolution=resolution, t=t)
         cells = report.cells
         assert cells.shape == (resolution, resolution, 4) and not cells.flags.writeable

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gexpect import CflError, SpaceTimeGrid, VolatilityBand, cfl_time_steps, g_eval, make_grid
 from gexpect.core import sub_steps
@@ -83,6 +83,8 @@ class TestSpaceTimeGrid:
             dict(horizon=1.0, x_min=-2.0, x_max=2.0, nx=2, nt=1),
             dict(horizon=1.0, x_min=-2.0, x_max=2.0, nx=5, nt=0),
             dict(horizon=0.0, x_min=-2.0, x_max=2.0, nx=5, nt=1),
+            # dx = 0.75: the nearest node sits 0.25 from 0
+            dict(horizon=1.0, x_min=-1.0, x_max=2.0, nx=5, nt=1),
         ],
     )
     def test_rejects_bad_grids(self, kwargs):
@@ -119,15 +121,16 @@ class TestSpaceTimeGrid:
         left=st.integers(min_value=1, max_value=400),
         right=st.integers(min_value=1, max_value=400),
         x_min=st.floats(min_value=-50.0, max_value=-1e-3),
-        x_max=st.floats(min_value=1e-3, max_value=50.0),
-        nx=st.integers(min_value=3, max_value=1000),
         data=st.data(),
     )
-    def test_node_index(self, dyadic, e, left, right, x_min, x_max, nx, data):
+    def test_node_index(self, dyadic, e, left, right, x_min, data):
         if dyadic:
             # node spacing 2^-e: half-node points are exact ties
             h = 2.0 ** -e
             x_min, x_max, nx = -left * h, right * h, left + right + 1
+        else:
+            # left nodes below 0 and right above it, so x = 0 is a node
+            x_max, nx = right * (-x_min / left), left + right + 1
         grid = SpaceTimeGrid(horizon=1.0, x_min=x_min, x_max=x_max, nx=nx, nt=1)
         ks = data.draw(st.lists(st.integers(min_value=-3, max_value=nx + 2), max_size=8))
         ties = [grid.x_min + (k + 0.5) * grid.dx for k in ks]
@@ -157,10 +160,36 @@ class TestSpaceTimeGrid:
                 grid.node_index(np.array([0.0, bad]))
 
     def test_make_grid_centers_zero(self, band):
-        grid = make_grid(band, 1.0, nx=400, half_width=8.5)
-        assert grid.nx == 401
+        grid = make_grid(band, 1.0, nx=401, half_width=8.5)
         assert grid.xs[grid.center_index] == 0.0
         grid.check_cfl(band)
+
+    def test_make_grid_rejects_even_nx(self, band):
+        # 400 nodes put 0 half-way between two of them; nothing bumps nx
+        with pytest.raises(ValueError, match="x = 0 is not a grid node"):
+            make_grid(band, 1.0, nx=400, half_width=8.5)
+
+    def test_make_grid_names_a_bad_horizon(self, band):
+        # named by the grid's horizon check, not by a sqrt in the default half width
+        with pytest.raises(ValueError, match=r"horizon must be > 0, got -1\.0"):
+            make_grid(band, -1.0)
+
+    @settings(deadline=None)
+    @given(
+        b=bands,
+        horizon=st.floats(min_value=1e-4, max_value=10.0),
+        half=st.integers(min_value=1, max_value=300),
+        frac=st.floats(min_value=1e-3, max_value=2.0),
+    )
+    def test_make_grid_and_over_keep_the_rules(self, b, horizon, half, frac):
+        grid = make_grid(b, horizon, nx=2 * half + 1)
+        grid.check_cfl(b)
+        assert abs(grid.xs[grid.center_index]) <= 1e-9 * grid.dx
+        span = frac * horizon
+        sub = grid.over(span)
+        assert (sub.x_min, sub.x_max, sub.nx, sub.horizon) == (grid.x_min, grid.x_max, grid.nx, span)
+        assert sub.nt == sub_steps(span, grid.dt)
+        sub.check_cfl(b)
 
     def test_make_grid_default_width(self, band):
         grid = make_grid(band, 1.0)

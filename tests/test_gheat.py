@@ -198,6 +198,13 @@ class TestConditional:
             conditional_g_expectation(band, payoff, 1, grid)
         assert err.value.layer == 0
 
+    def test_even_nx_rejected_not_bumped(self, band):
+        # 80 nodes on the asymmetric grid hit 0, but not on the symmetric increment grids
+        grid = SpaceTimeGrid(horizon=1.0, x_min=-3.0, x_max=4.9, nx=80, nt=1)
+        payoff = CylinderPayoff((0.5, 1.0), lambda x1, x2: x1 + x2)
+        with pytest.raises(ValueError, match="x = 0 is not a grid node"):
+            conditional_g_expectation(band, payoff, 1, grid)
+
     def test_rejects_bad_index(self, band):
         grid = make_grid(band, 1.0, nx=81)
         payoff = CylinderPayoff((0.5, 1.0), lambda x1, x2: x1)
