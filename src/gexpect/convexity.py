@@ -161,8 +161,7 @@ def check_g_convexity(
     """
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16, got {resolution}")
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _check_start(t)
     ys = np.linspace(y_range[0], y_range[1], resolution)
     zs = np.linspace(z_range[0], z_range[1], resolution)
     inf_gap, arg = _reduce_mesh(band, gen, h, t, ys, zs)
@@ -190,10 +189,20 @@ def check_g_convexity(
 # Small-horizon representation of the expectation
 # ---------------------------------------------------------------------------
 
+def _check_start(t: float) -> None:
+    """The drivers are read from time t on; a negative t raises ValueError."""
+    if t < 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
+
+
 def representation_formula(
     band: VolatilityBand, gen: GeneratorPair, terminal: ScalarFunction, t: float
 ) -> float:
-    """Limit value g(t, Phi(0), Phi'(0)) + 2 G(f(t, Phi(0), Phi'(0)) + Phi''(0)/2)."""
+    """Limit value g(t, Phi(0), Phi'(0)) + 2 G(f(t, Phi(0), Phi'(0)) + Phi''(0)/2).
+
+    A negative ``t`` raises ValueError.
+    """
+    _check_start(t)
     v, d1, d2 = terminal.eval2(0.0)
     return float(gen.g(t, v, d1) + 2.0 * g_eval(band, gen.f(t, v, d1) + 0.5 * d2))
 
@@ -206,7 +215,8 @@ def representation_quotient(
     eps: float,
     grid: SpaceTimeGrid,
 ) -> float:
-    """(E over [t, t + eps] of Phi(increment) - Phi(0)) / eps."""
+    """(E over [t, t + eps] of Phi(increment) - Phi(0)) / eps; t >= 0, eps > 0."""
+    _check_start(t)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if abs(grid.horizon - eps) > 1e-12:
@@ -232,9 +242,7 @@ def representation_limit_check(
     eps_list = list(eps_list)
     if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])) or eps_list[-1] <= 0:
         raise ValueError("eps_list must be positive and decreasing with at least 3 entries")
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    formula = representation_formula(band, gen, terminal, t)
+    formula = representation_formula(band, gen, terminal, t)  # rejects a negative t
     rows = []
     for eps in eps_list:
         grid = make_grid(band, eps, nx=nx)

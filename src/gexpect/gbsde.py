@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SpaceTimeGrid, VolatilityBand, g_eval
-from .expr import ScalarFunction, TriFunction, parse_tri
-from .gheat import FieldSolution, _field, _march
+from .expr import Lit, ScalarFunction, TriFunction, parse_tri
+from .gheat import FieldSolution, _field
 
 __all__ = [
     "GeneratorPair",
@@ -32,6 +32,9 @@ __all__ = [
     "k_increment",
     "k_along_path",
 ]
+
+
+_LITERAL_ZERO = Lit(0.0)
 
 
 class BlowUpError(RuntimeError):
@@ -157,8 +160,10 @@ def solve_gbsde(
         if peak > envelope:
             raise BlowUpError(k, peak, envelope)
 
-    layers = _march(band, grid.dx, grid.dt, grid.nt, datum, gen.g, gen.f, times, picard)
-    u = _field(grid, datum, layers, check_layer)
+    # drivers that are the literal 0 take the forward heat step itself: the fields agree by construction
+    zero = gen.g.ast == _LITERAL_ZERO and gen.f.ast == _LITERAL_ZERO
+    drivers = () if zero else (gen.g, gen.f, times, picard)
+    u = _field(band, grid, datum, *drivers, check_layer=check_layer)
     return BsdeSolution(FieldSolution(grid, u, times), gen, band)
 
 

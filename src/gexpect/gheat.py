@@ -7,10 +7,13 @@ The scheme marches whole layers::
     u_next = u + dt * (g_term + 2 * G(f_term + 0.5 * D2 u))
 
 with the three-point second difference D2 (zero at the two boundary
-nodes, exact for affine tails).  With zero driver terms this is exactly
-``u + dt * G(D2 u)``; the backward BSDE solver and the conditional
-reductions reuse the same kernel, so the recursions agree bit for bit
-when the drivers vanish.
+nodes, exact for affine tails).  With zero driver terms the kernel steps
+``u + dt * G(D2 u)``, which has the bits of the driver step because
+2 G(a / 2) = G(a) exactly outside the subnormal range; the backward BSDE
+solver and the conditional reductions reuse the same kernel, so the
+recursions agree bit for bit when the drivers vanish.  Each step writes
+into preallocated arrays: a stored field's next row, or else one of two
+buffers that alternate, so such a layer is valid only until the next step.
 Monotonicity under the CFL bound makes the scheme converge to the
 viscosity solution and gives discrete maximum/comparison principles.
 """
@@ -18,13 +21,12 @@ viscosity solution and gives discrete maximum/comparison principles.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_CFL_THETA, SpaceTimeGrid, VolatilityBand, g_eval, make_grid
+from .core import DEFAULT_CFL_THETA, SpaceTimeGrid, VolatilityBand, _g_into, g_eval, make_grid
 from .expr import ScalarFunction
 
 __all__ = [
@@ -51,11 +53,24 @@ class GridResolutionError(ValueError):
     """Tabulated result too coarse to represent the payoff."""
 
 
-def _second_difference(u: np.ndarray, dx: float) -> np.ndarray:
-    """Three-point second difference along the last axis, zero at the ends."""
-    d2 = np.zeros_like(u)
-    d2[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / (dx * dx)
-    return d2
+def _second_difference(u: np.ndarray, dx_sq, out: np.ndarray | None = None) -> np.ndarray:
+    """Three-point second difference along the last axis, zero at the ends.
+
+    ``dx_sq`` is the squared node spacing; ``out``, if given, is a
+    C-contiguous array shaped like u.  The pass runs along the flattened
+    array, one contiguous sweep for a whole batch; the values it forms
+    across two rows land in the end columns, which are then zeroed.
+    """
+    if out is None:
+        out = np.empty(u.shape)
+    flat, inner = u.reshape(-1), out.reshape(-1)[1:-1]
+    # (u[2:] - 2 u[1:-1]) + u[:-2], then / dx^2, with 2 u formed exactly as u + u
+    np.add(flat[1:-1], flat[1:-1], out=inner)
+    np.subtract(flat[2:], inner, out=inner)
+    np.add(inner, flat[:-2], out=inner)
+    np.divide(inner, dx_sq, out=inner)
+    out[..., :: u.shape[-1] - 1] = 0.0
+    return out
 
 
 def _space_gradient(u: np.ndarray, dx: float) -> np.ndarray:
@@ -77,47 +92,74 @@ def _march(
     f_fn=None,
     layer_times: np.ndarray | None = None,
     picard: bool = False,
-):
-    """Shared explicit kernel: yields layers 1..nt of the march from ``datum``.
+    out: np.ndarray | None = None,
+    check_layer=None,
+) -> np.ndarray:
+    """Shared explicit kernel: marches layers 1..nt from ``datum``, returns layer nt.
 
     Space is the last axis; leading axes are a batch.  Layer k is one step
     from layer k-1 with the drivers (zero when ``g_fn`` is None) evaluated at
     ``layer_times[k]``.  ``picard`` corrects the driver arguments once against
     the explicit predictor.  The datum and each layer must be finite, else
     NonFiniteError names the layer.
+
+    ``check_layer(k, layer)``, if given, sees each layer as it is written,
+    inside the kernel's error state.  With ``out`` (shape (nt + 1,) +
+    datum.shape) the datum goes to out[0] and layer k straight into out[k].
+    Without it the layers alternate between two buffers allocated per
+    march, so a layer handed to ``check_layer`` is valid only until the next
+    step; the returned last layer is one of the two.
     """
-    if not np.isfinite(datum).all():
+    # a finite array has dot product 0 with zeros; inf * 0 and NaN give NaN
+    zeros = np.zeros(datum.size)
+    if np.vdot(datum, zeros) != 0.0:
         raise NonFiniteError(0)
+    # 0-d arrays: numpy takes them per call faster than Python floats
+    dx_sq, step, half_max, half_min = map(
+        np.array, (dx * dx, dt, 0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq)
+    )
+    d2 = np.empty(datum.shape)
+    scratch = np.empty(datum.shape)
+    if out is None:
+        ring = (np.empty(datum.shape), np.empty(datum.shape))
+    else:
+        out[0] = datum
     layer = datum
-    for k in range(1, nt + 1):
-        d2 = _second_difference(layer, dx)
-        if g_fn is None:
-            # no gradient and no 0.0 additions; same bytes as the driver step with zero terms
-            layer = layer + dt * (2.0 * g_eval(band, 0.5 * d2))
-        else:
-            t = layer_times[k]
-            du = _space_gradient(layer, dx)
-            g_term = g_fn(t, layer, du)
-            f_term = f_fn(t, layer, du)
-            if picard:
-                predictor = layer + dt * (g_term + 2.0 * g_eval(band, f_term + 0.5 * d2))
-                dp = _space_gradient(predictor, dx)
-                g_term = g_fn(t, predictor, dp)
-                f_term = f_fn(t, predictor, dp)
-            layer = layer + dt * (g_term + 2.0 * g_eval(band, f_term + 0.5 * d2))
-        if not np.isfinite(layer).all():
-            raise NonFiniteError(k)
-        yield layer
+    # the kernel names its own failures: an overflow is a NonFiniteError, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, nt + 1):
+            row = ring[k % 2] if out is None else out[k]
+            _second_difference(layer, dx_sq, d2)
+            if g_fn is None:
+                # u + dt * G(D2 u): the driver step with zero terms, as 2 G(a / 2) = G(a)
+                _g_into(half_max, half_min, d2, row, scratch)
+                np.multiply(row, step, out=row)
+            else:
+                t = layer_times[k]
+                du = _space_gradient(layer, dx)
+                g_term = g_fn(t, layer, du)
+                f_term = f_fn(t, layer, du)
+                if picard:
+                    predictor = layer + dt * (g_term + 2.0 * g_eval(band, f_term + 0.5 * d2))
+                    dp = _space_gradient(predictor, dx)
+                    g_term = g_fn(t, predictor, dp)
+                    f_term = f_fn(t, predictor, dp)
+                np.multiply(dt, g_term + 2.0 * g_eval(band, f_term + 0.5 * d2), out=row)
+            np.add(layer, row, out=row)
+            if np.vdot(row, zeros) != 0.0:
+                raise NonFiniteError(k)
+            if check_layer is not None:
+                check_layer(k, row)
+            layer = row
+    return layer
 
 
-def _field(grid: SpaceTimeGrid, datum: np.ndarray, layers, check_layer=None) -> np.ndarray:
-    """Read-only (nt + 1, nx) field of the datum and the layers, each passed to ``check_layer``."""
+def _field(
+    band: VolatilityBand, grid: SpaceTimeGrid, datum: np.ndarray, *drivers, check_layer=None
+) -> np.ndarray:
+    """Read-only (nt + 1, nx) field of the datum and the layers marched on ``grid``."""
     u = np.empty((grid.nt + 1, grid.nx))
-    u[0] = datum
-    for k, layer in enumerate(layers, start=1):
-        u[k] = layer
-        if check_layer is not None:
-            check_layer(k, layer)
+    _march(band, grid.dx, grid.dt, grid.nt, datum, *drivers, out=u, check_layer=check_layer)
     u.setflags(write=False)
     return u
 
@@ -149,7 +191,7 @@ class FieldSolution:
     @property
     def curvature(self) -> np.ndarray:
         if self._curvature is None:
-            c = _second_difference(self.u, self.grid.dx)
+            c = _second_difference(self.u, self.grid.dx * self.grid.dx)
             c.setflags(write=False)
             self._curvature = c
         return self._curvature
@@ -185,7 +227,7 @@ def solve_g_heat(
     """
     grid.check_cfl(band)
     datum = np.asarray(phi(grid.xs), dtype=float)
-    u = _field(grid, datum, _march(band, grid.dx, grid.dt, grid.nt, datum))
+    u = _field(band, grid, datum)
     return FieldSolution(grid, u, np.linspace(0.0, grid.horizon, grid.nt + 1))
 
 
@@ -262,8 +304,7 @@ def _reduce_last_axis(band: VolatilityBand, values: np.ndarray, grid: SpaceTimeG
     ``values`` has shape (..., grid.nx); each leading slice is a datum on
     ``grid.xs`` and reduces to its solved value at the node x = 0.
     """
-    layers = _march(band, grid.dx, grid.dt, grid.nt, values)
-    return deque(layers, maxlen=1)[0][..., grid.center_index]
+    return _march(band, grid.dx, grid.dt, grid.nt, values)[..., grid.center_index]
 
 
 def conditional_g_expectation(

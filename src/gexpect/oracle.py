@@ -86,12 +86,27 @@ class LatticePath:
             arr.setflags(write=False)
 
 
-def _tree_step(values: np.ndarray, p_low: float) -> tuple[np.ndarray, np.ndarray]:
-    """One backward lattice step: continuation values at the (top, bottom) band endpoints."""
+_HALF = np.array(0.5)  # 0-d arrays: numpy takes them per call faster than floats
+_HALF.setflags(write=False)
+
+
+def _tree_step(
+    values: np.ndarray, c: np.ndarray, d: np.ndarray, cd: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One backward lattice step from ``values`` (n + 2 nodes) to n nodes.
+
+    Returns (mid, d, c * d), writing the length-n buffers ``d`` and ``cd``
+    in place: d = avg - mid is the move term at the top band endpoint
+    (probability 1/2 each way) and c * d, with c = 2 p_low <= 1 a 0-d
+    array, the one at the bottom.  The continuation values at the two
+    endpoints are mid + d and mid + c * d.
+    """
     mid = values[1:-1]
-    avg = 0.5 * (values[2:] + values[:-2])
-    # move probability 1/2 each way at the top endpoint, p_low at the bottom
-    return mid + (avg - mid), mid + 2.0 * p_low * (avg - mid)
+    np.add(values[2:], values[:-2], out=d)
+    np.multiply(d, _HALF, out=d)
+    np.subtract(d, mid, out=d)
+    np.multiply(d, c, out=cd)
+    return mid, d, cd
 
 
 def tree_expectation(band: VolatilityBand, phi, t: float, steps: int) -> float:
@@ -106,10 +121,15 @@ def tree_expectation(band: VolatilityBand, phi, t: float, steps: int) -> float:
     dt = t / steps
     dx = band.sigma_max * math.sqrt(dt)
     xs = dx * np.arange(-steps, steps + 1)
-    values = np.asarray(phi(xs), dtype=float)
+    values = np.array(phi(xs), dtype=float)  # a copy: the lattice shrinks in place
     p_low = band.sigma_min_sq / (2.0 * band.sigma_max_sq)
-    for _ in range(steps):
-        values = np.maximum(*_tree_step(values, p_low))
+    c = np.array(2.0 * p_low)
+    d, cd = np.empty(2 * steps - 1), np.empty(2 * steps - 1)
+    for n in range(2 * steps - 1, 0, -2):
+        mid, dn, cdn = _tree_step(values, c, d[:n], cd[:n])
+        # max(mid + d, mid + c d) = mid + max(d, c d): rounding is monotone
+        np.add(mid, np.maximum(dn, cdn, out=dn), out=mid)
+        values = mid
     return float(values[0])
 
 
@@ -195,13 +215,15 @@ def tree_k_expectation(band: VolatilityBand, sol) -> float:
     nt, dt = grid.nt, grid.dt
     dx_tree = band.sigma_max * math.sqrt(dt)
     p_low = band.sigma_min_sq / (2.0 * band.sigma_max_sq)
+    c = np.array(2.0 * p_low)
     values = np.zeros(2 * nt + 1)
+    d, cd = np.empty(2 * nt - 1), np.empty(2 * nt - 1)
     for i in range(nt - 1, -1, -1):
         eta = sol.eta[nt - i, grid.node_index(dx_tree * np.arange(-i, i + 1))]
-        cont_high, cont_low = _tree_step(values, p_low)
+        mid, dn, cdn = _tree_step(values, c, d[: 2 * i + 1], cd[: 2 * i + 1])
         values = np.maximum(
-            _k_step(band, eta, band.sigma_max_sq, dt) + cont_high,
-            _k_step(band, eta, band.sigma_min_sq, dt) + cont_low,
+            _k_step(band, eta, band.sigma_max_sq, dt) + (mid + dn),
+            _k_step(band, eta, band.sigma_min_sq, dt) + (mid + cdn),
         )
     return float(values[0])
 

@@ -297,6 +297,17 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             representation_limit_check(band, zero_generator(), parse_scalar("x"), 0.0, [0.1, 0.2, 0.3])
 
+    def test_rejects_negative_start_time(self, band):
+        # the drivers would be read at negative times; the quotient used to return 1.9999999996
+        term = parse_scalar("x^2")
+        grid = make_grid(band, 0.01, nx=201)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            representation_quotient(band, zero_generator(), term, -1.0, 0.01, grid)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            representation_formula(band, zero_generator(), term, -1.0)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            representation_limit_check(band, zero_generator(), term, -1.0, [0.1, 0.05, 0.025])
+
 
 class TestJensen:
     def test_identity_gap_zero(self, band):

@@ -81,6 +81,17 @@ class TestSolveGbsde:
             sol = solve_gbsde(band, zero_generator(), phi, grid)
             assert heat.u.tobytes() == sol.field.u.tobytes(), text
 
+    def test_zero_valued_drivers_keep_the_heat_bytes(self, band, grid):
+        # "0*y" and "0*z" are not the literal 0, so they take the driver step
+        # u + dt * (g + 2 G(f + D2 u / 2)); it must still give the heat bytes
+        gen = GeneratorPair(parse_tri("0*y"), parse_tri("0*z"), 0.0)
+        for picard in (False, True):
+            for text in ("tanh(x)", "-bump(x)", "-(x^2)"):
+                phi = parse_scalar(text)
+                heat = solve_g_heat(band, phi, grid)
+                sol = solve_gbsde(band, gen, phi, grid, picard=picard)
+                assert heat.u.tobytes() == sol.field.u.tobytes(), (text, picard)
+
     def test_non_finite_terminal_raises_at_layer_zero(self, band, grid):
         with pytest.raises(NonFiniteError) as err:
             solve_gbsde(band, zero_generator(), parse_scalar("sqrt(x)"), grid)
