@@ -56,20 +56,28 @@ class GridResolutionError(ValueError):
 def _second_difference(u: np.ndarray, dx_sq, out: np.ndarray | None = None) -> np.ndarray:
     """Three-point second difference along the last axis, zero at the ends.
 
-    ``dx_sq`` is the squared node spacing; ``out``, if given, is a
-    C-contiguous array shaped like u.  The pass runs along the flattened
+    ``dx_sq`` is the squared node spacing.  Without ``out`` the pass runs
+    row by row into a fresh array, so no value is formed across two rows.
+    With ``out`` (a C-contiguous array shaped like u whose end columns hold
+    zeros, as the kernel allocates it) the pass runs along the flattened
     array, one contiguous sweep for a whole batch; the values it forms
-    across two rows land in the end columns, which are then zeroed.
+    across two rows land in the end columns, which are zeroed again.
+    Those values can overflow where no row does, so that form runs only
+    inside the kernel's error state.
     """
     if out is None:
-        out = np.empty(u.shape)
-    flat, inner = u.reshape(-1), out.reshape(-1)[1:-1]
+        out = np.zeros(u.shape)
+        lo, mid, hi, inner = u[..., :-2], u[..., 1:-1], u[..., 2:], out[..., 1:-1]
+    else:
+        flat = u.reshape(-1)
+        lo, mid, hi, inner = flat[:-2], flat[1:-1], flat[2:], out.reshape(-1)[1:-1]
     # (u[2:] - 2 u[1:-1]) + u[:-2], then / dx^2, with 2 u formed exactly as u + u
-    np.add(flat[1:-1], flat[1:-1], out=inner)
-    np.subtract(flat[2:], inner, out=inner)
-    np.add(inner, flat[:-2], out=inner)
+    np.add(mid, mid, out=inner)
+    np.subtract(hi, inner, out=inner)
+    np.add(inner, lo, out=inner)
     np.divide(inner, dx_sq, out=inner)
-    out[..., :: u.shape[-1] - 1] = 0.0
+    if inner.ndim < u.ndim:  # a flattened sweep over several rows
+        out[..., :: u.shape[-1] - 1] = 0.0
     return out
 
 
@@ -118,7 +126,7 @@ def _march(
     dx_sq, step, half_max, half_min = map(
         np.array, (dx * dx, dt, 0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq)
     )
-    d2 = np.empty(datum.shape)
+    d2 = np.zeros(datum.shape)
     scratch = np.empty(datum.shape)
     if out is None:
         ring = (np.empty(datum.shape), np.empty(datum.shape))

@@ -136,6 +136,19 @@ class TestZeroDriverMarch:
         field = solve_g_heat(band, parse_scalar("1e300*x^4"), grid)
         assert np.isfinite(field.u).all()
 
+    @pytest.mark.parametrize("text", ["1e305*x", "-1e305*x + 1e300"])
+    def test_curvature_of_a_large_affine_field(self, band, text):
+        # a difference across two rows of this field overflows, none within a row does;
+        # under the suite's error::RuntimeWarning filter any overflow warning fails here
+        grid = make_grid(band, 1.0, nx=201)
+        sol = solve_gbsde(band, zero_generator(), parse_scalar(text), grid)
+        u = sol.field.u
+        expected = np.zeros_like(u)
+        expected[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (grid.dx * grid.dx)
+        assert sol.field.curvature.tobytes() == expected.tobytes()
+        assert np.isfinite(sol.eta).all()
+        assert tree_k_expectation(band, sol) <= 0.0
+
 
 class TestGenerator:
     @settings(max_examples=60, deadline=None)

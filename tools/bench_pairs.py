@@ -3,19 +3,24 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 \\
         --first-seed 11 --out BENCH_7.json
 
-Both commits are exported with ``git archive`` into fresh directories and
-byte-compiled the same way, so the two sides run the same benchmark code
-in the same environment: neither reuses the working tree's bytecode cache
-or its ``perfbench/_out``.  Pair i runs ``perfbench/run.py --trace 0`` on
-seed ``first-seed + i`` for each workload, parent first in even pairs and
-change first in odd ones.  The output holds both commits, ``nproc``, the
-Python and numpy versions, every run, and for each workload and
-end-to-end metric each side's median and quartiles, the change's pair
-wins and ties, and whether a gain is shown: the change wins at least nine
-tenths of the pairs and the medians differ by more than the parent's
-quartile spread.  ``regressed`` marks a change median worse than the
-parent's by more than the metric's bound in ``BENCHMARK.json`` (relative
-to the parent median).  Temporary exports go under ``$TMPDIR``.
+Both commits are exported with ``git archive`` into fresh directories
+and byte-compiled the same way, so the two sides run the same benchmark
+code in the same environment: neither reuses the working tree's bytecode
+cache or its ``perfbench/_out``.  Pair i runs
+``perfbench/run.py --trace 0`` on seed ``first-seed + i`` for every
+workload in ``BENCHMARK.json`` for its ``run_seconds``, parent first in
+even pairs and change first in odd ones.  The output holds both
+commits, ``nproc``, the Python and numpy versions, every run, and for
+each workload and end-to-end metric each side's median and quartiles,
+the change's pair wins and ties, and whether a gain is shown: the
+change wins at least nine tenths of the pairs and the medians differ by
+more than the parent's quartile spread.
+``regressed`` marks a change median worse than the parent's by more than
+the metric's bound in ``BENCHMARK.json`` (relative to the parent
+median).  ``unresolved`` marks a metric whose parent quartile spread is
+wider than that bound, so that a median inside it says nothing, unless
+every change run beats every parent run.  Temporary exports go under
+``$TMPDIR``.
 """
 
 from __future__ import annotations
@@ -88,6 +93,7 @@ def _summary(runs: list[dict], spec: dict) -> dict:
         ties = sum(c == p for p, c in zip(parent, change))
         before, after = _side(parent), _side(change)
         worse = sign * (after["median"] - before["median"])
+        bound = metric["bound"] * abs(before["median"])
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -98,7 +104,9 @@ def _summary(runs: list[dict], spec: dict) -> dict:
             "relative_change": (after["median"] - before["median"]) / before["median"]
             if before["median"] else None,
             "gain_shown": wins >= 0.9 * len(pairs) and -worse > before["iqr"],
-            "regressed": worse > metric["bound"] * abs(before["median"]),
+            "regressed": worse > bound,
+            "unresolved": before["iqr"] > bound
+            and not max(sign * c for c in change) < min(sign * p for p in parent),
         }
     out["failed"] = {
         "parent": sum(p["failed"] for p, _ in pairs),
@@ -115,14 +123,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", default="HEAD", help="changed revision (default HEAD)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=20, help="run length of every run")
-    parser.add_argument("--workload", action="append", help="repeatable; default: every workload")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     spec = {m["name"]: m for m in bench["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         trees = {side: scratch / side for side in ("parent", "change")}
@@ -133,19 +139,19 @@ def main(argv: list[str] | None = None) -> int:
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": numpy.__version__,
-            "seconds": args.seconds,
+            "seconds": seconds,
             "seeds": [args.first_seed + i for i in range(args.pairs)],
             "order": "parent first in even pairs, change first in odd ones",
             "workloads": {},
         }
-        for workload in workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = []
             for i in range(args.pairs):
                 seed = args.first_seed + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
-                    run[side] = _run(trees[side], workload, seed, args.seconds)
+                    run[side] = _run(trees[side], workload, seed, seconds)
                 runs.append(run)
                 print(json.dumps({"workload": workload, **run}), flush=True)
             document["workloads"][workload] = {"summary": _summary(runs, spec), "runs": runs}
