@@ -64,8 +64,13 @@ def condition_gap(
 
     Nonnegative everywhere exactly when h respects the expectation
     inequality.  ``A`` may be an array; the driver evaluations do not
-    depend on it.
+    depend on it.  A NaN or infinite A raises EvalDomainError naming
+    (y, z, A), the first such A for an array.
     """
+    bad = ~np.isfinite(A)
+    if np.any(bad):
+        a = float(np.asarray(A)[bad].flat[0])
+        raise EvalDomainError(f"condition gap needs a finite A, got (y, z, A) = ({float(y)!r}, {float(z)!r}, {a!r})")
     hv, h1, h2 = h.eval2(y)
     return _gap(
         band, h1, h2, z,

@@ -59,26 +59,29 @@ def g_eval(band: VolatilityBand, a):
     """Generator G(a) = (sigma_max_sq * a+ - sigma_min_sq * a-) / 2.
 
     Total, monotone, sublinear, positively homogeneous.  Accepts a scalar
-    or an ndarray and returns the same shape.
+    or an ndarray and returns the same shape.  The bits are those of the
+    formula as written, for every a: the supremum 0.5 * max(sigma_min_sq * a,
+    sigma_max_sq * a) gives the same value, subnormal a included.
     """
-    return _g_into(0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq, a)
+    return 0.5 * _g_into(band.sigma_max_sq, band.sigma_min_sq, a)
 
 
 _ZERO = np.zeros(())  # a 0-d array: numpy takes it per call faster than the float 0.0
 _ZERO.setflags(write=False)
 
 
-def _g_into(half_max, half_min, a, out=None, scratch=None):
-    """G(a) = half_max * max(a, 0) + half_min * min(a, 0), from the halved band ends.
+def _g_into(hi, lo, a, out=None, scratch=None):
+    """hi * max(a, 0) + lo * min(a, 0), for band ends (or halved band ends) hi >= lo > 0.
 
-    Halving is exact, so this has the bits of halving the difference
-    sigma_max_sq * a+ - sigma_min_sq * a- wherever sigma_max_sq * |a| is
-    finite and a is not subnormal; G(+-0) is +0.  With ``out`` and
-    ``scratch`` (arrays shaped like a, distinct from each other) the result
-    is written into ``out`` and nothing is allocated.
+    The march passes the halved ends and gets G(a) itself.  Halving is exact,
+    so that has the bits of halving sigma_max_sq * a+ - sigma_min_sq * a-
+    wherever sigma_max_sq * |a| is finite and the result is not subnormal.
+    With ``out`` and ``scratch`` (arrays shaped like a, distinct from each
+    other and from a) the result is written into ``out`` and nothing is
+    allocated.
     """
-    up = np.multiply(half_max, np.maximum(a, _ZERO, out=out), out=out)
-    down = np.multiply(half_min, np.minimum(a, _ZERO, out=scratch), out=scratch)
+    up = np.multiply(hi, np.maximum(a, _ZERO, out=out), out=out)
+    down = np.multiply(lo, np.minimum(a, _ZERO, out=scratch), out=scratch)
     return np.add(up, down, out=out)
 
 

@@ -13,9 +13,13 @@ Known functions: exp, tanh, sin, cos, sqrt, abs_smooth (smoothed absolute
 value, sqrt(x^2 + eps^2) with eps = 1e-8) and bump (C^2 plateau equal to 1
 on [-1, 1], supported in [-2, 2]).  All functions take one argument.
 
-One AST walker evaluates every expression, on floats, on numpy arrays and
-on order-2 jets (value, first and second derivative under truncated-Taylor
-arithmetic), so exact derivatives never need symbolic differentiation.
+Each expression is compiled once, when its function object is built:
+``_compile`` walks the AST a single time and returns a closure that
+evaluates it on floats, on numpy arrays and on order-2 jets (value, first
+and second derivative under truncated-Taylor arithmetic), so exact
+derivatives never need symbolic differentiation.  The closure applies,
+node by node, the operation a walk of the tree would, so it gives the
+same bits.
 Each built-in is defined once, in numpy, with its value and its first two
 derivatives; a call applies the chain rule when its argument is a jet.
 Jets carry arrays, so ``eval2`` takes a float or a whole array of points.
@@ -27,8 +31,8 @@ value or jet part that is NaN or infinite at a float raises
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Callable, Union
 
 import numpy as np
 
@@ -377,26 +381,41 @@ _BUILTINS = {
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _eval(node: Node, env: dict):
-    """Evaluate under ``env``, whose values may be floats, arrays or jets."""
+def _compile(node: Node):
+    """Closure ``fn(env)`` evaluating ``node`` under ``env``, whose values may be floats, arrays or jets.
+
+    The AST is walked once, here; each node's closure applies exactly the
+    operation an evaluation of that node would, so a compiled expression
+    gives the bits of evaluating it node by node.
+    """
     if isinstance(node, Lit):
-        return node.value
+        value = node.value
+        return lambda env: value
     if isinstance(node, Var):
-        return env[node.name]
+        name = node.name
+        return lambda env: env[name]
     if isinstance(node, Neg):
-        return -_eval(node.operand, env)
+        operand = _compile(node.operand)
+        return lambda env: -operand(env)
     if isinstance(node, BinOp):
-        return _BINARY[node.op](_eval(node.left, env), _eval(node.right, env))
+        op, left, right = _BINARY[node.op], _compile(node.left), _compile(node.right)
+        return lambda env: op(left(env), right(env))
     if isinstance(node, Pow):
-        base, n = _eval(node.base, env), node.exponent
-        return base ** n if n >= 0 else 1.0 / base ** -n
+        base, n = _compile(node.base), node.exponent
+        if n >= 0:
+            return lambda env: base(env) ** n
+        return lambda env: 1.0 / base(env) ** -n
     if isinstance(node, Call):
-        arg = _eval(node.arg, env)
-        value, derivatives = _BUILTINS[node.func]
-        if isinstance(arg, _Jet):
-            f = value(arg.v)
-            return arg.chain(f, *derivatives(arg.v, f))
-        return value(arg)
+        arg, (value, derivatives) = _compile(node.arg), _BUILTINS[node.func]
+
+        def call(env):
+            a = arg(env)
+            if isinstance(a, _Jet):
+                f = value(a.v)
+                return a.chain(f, *derivatives(a.v, f))
+            return value(a)
+
+        return call
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -443,22 +462,26 @@ def _substitute(node: Node, replacement: dict[str, Node]) -> Node:
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """Function of the single variable ``x``."""
+    """Function of the single variable ``x``; its AST is compiled once, at construction."""
 
     ast: Node
+    _compiled: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_compiled", _compile(self.ast))
 
     def __call__(self, x):
         """Array like x; for a number, a float that must be finite (else EvalDomainError)."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         with np.errstate(all="ignore"):
-            value = np.broadcast_to(_eval(self.ast, {"x": xs}), xs.shape)
+            value = np.broadcast_to(self._compiled({"x": xs}), xs.shape)
         return value.copy() if np.ndim(x) else float(_finite(value, xs, "evaluation")[0])
 
     def eval2(self, x):
         """Finite (h, h', h'') at x (else EvalDomainError): floats for a number, arrays like x."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         with np.errstate(all="ignore"):
-            jet = _lift(_eval(self.ast, {"x": _Jet(xs, np.ones_like(xs), np.zeros_like(xs))}))
+            jet = _lift(self._compiled({"x": _Jet(xs, np.ones_like(xs), np.zeros_like(xs))}))
         parts = tuple(
             _finite(np.broadcast_to(p, xs.shape), xs, "jet evaluation") for p in (jet.v, jet.d1, jet.d2)
         )
@@ -483,9 +506,17 @@ class ScalarFunction:
 
 @dataclass(frozen=True)
 class TriFunction:
-    """Function of the driver variables ``t, y, z``."""
+    """Function of the driver variables ``t, y, z``; its AST is compiled once, at construction.
+
+    ``_compiled({"t": t, "y": y, "z": z})`` evaluates without the checks and
+    the error state of a call: the march calls it inside its own.
+    """
 
     ast: Node
+    _compiled: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_compiled", _compile(self.ast))
 
     def __call__(self, t, y, z):
         """Array like the arguments; for numbers, a float that must be finite (else EvalDomainError)."""
@@ -493,7 +524,7 @@ class TriFunction:
         if point:  # 1-element arrays: the same bits as an array call, and no Python float errors
             t, y, z = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (t, y, z))
         with np.errstate(all="ignore"):
-            result = _eval(self.ast, {"t": t, "y": y, "z": z})
+            result = self._compiled({"t": t, "y": y, "z": z})
         if not point:
             return result
         value = float(np.broadcast_to(result, (1,))[0])

@@ -155,10 +155,10 @@ def solve_gbsde(
         float(np.max(np.abs(datum))) + grid.horizon * origin_scale + 1.0
     )
 
-    def check_layer(k: int, layer: np.ndarray) -> None:
-        peak = float(np.max(np.abs(layer)))
-        if peak > envelope:
-            raise BlowUpError(k, peak, envelope)
+    def check_layer(k: int, layer: np.ndarray, top=np.maximum.reduce, bottom=np.minimum.reduce) -> None:
+        # max |Y| > envelope without forming |Y|: the march has already checked the layer is finite
+        if top(layer) > envelope or -bottom(layer) > envelope:
+            raise BlowUpError(k, float(np.max(np.abs(layer))), envelope)
 
     # drivers that are the literal 0 take the forward heat step itself: the fields agree by construction
     zero = gen.g.ast == _LITERAL_ZERO and gen.f.ast == _LITERAL_ZERO

@@ -14,6 +14,9 @@ solver and the conditional reductions reuse the same kernel, so the
 recursions agree bit for bit when the drivers vanish.  Each step writes
 into preallocated arrays: a stored field's next row, or else one of two
 buffers that alternate, so such a layer is valid only until the next step.
+The driver step calls the drivers' compiled closures and forms its terms
+in buffers allocated once per march, in the order of the allocating step
+it replaced, so its layers keep their bits.
 Monotonicity under the CFL bound makes the scheme converge to the
 viscosity solution and gives discrete maximum/comparison principles.
 """
@@ -26,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_CFL_THETA, SpaceTimeGrid, VolatilityBand, _g_into, g_eval, make_grid
+from .core import DEFAULT_CFL_THETA, SpaceTimeGrid, VolatilityBand, _g_into, make_grid
 from .expr import ScalarFunction
 
 __all__ = [
@@ -81,12 +84,20 @@ def _second_difference(u: np.ndarray, dx_sq, out: np.ndarray | None = None) -> n
     return out
 
 
-def _space_gradient(u: np.ndarray, dx: float) -> np.ndarray:
-    """Central differences inside, one-sided at the two boundary nodes."""
-    z = np.empty_like(u)
-    z[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
-    z[..., 0] = (u[..., 1] - u[..., 0]) / dx
-    z[..., -1] = (u[..., -1] - u[..., -2]) / dx
+def _space_gradient(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Central differences inside, one-sided at the two boundary nodes.
+
+    Written into ``out`` (an array shaped like u, not u itself) when given,
+    else into a fresh array.
+    """
+    z = np.empty_like(u) if out is None else out
+    n = u.shape[-1]
+    inner, ends = z[..., 1:-1], z[..., :: n - 1]
+    np.subtract(u[..., 2:], u[..., :-2], out=inner)
+    np.divide(inner, 2.0 * dx, out=inner)
+    # both ends in one pass: (u[1] - u[0], u[n-1] - u[n-2]) / dx
+    np.subtract(u[..., 1 :: n - 2], u[..., : n - 1 : n - 2], out=ends)
+    np.divide(ends, dx, out=ends)
     return z
 
 
@@ -111,20 +122,24 @@ def _march(
     the explicit predictor.  The datum and each layer must be finite, else
     NonFiniteError names the layer.
 
-    ``check_layer(k, layer)``, if given, sees each layer as it is written,
-    inside the kernel's error state.  With ``out`` (shape (nt + 1,) +
-    datum.shape) the datum goes to out[0] and layer k straight into out[k].
-    Without it the layers alternate between two buffers allocated per
-    march, so a layer handed to ``check_layer`` is valid only until the next
-    step; the returned last layer is one of the two.
+    ``g_fn`` and ``f_fn`` are TriFunctions; the kernel calls their compiled
+    closures inside its error state, which ignores every floating-point
+    condition, so a driver that divides by zero or overflows surfaces as a
+    NonFiniteError, never as a warning.  ``check_layer(k, layer)``, if
+    given, sees each layer as it is written, inside the kernel's error
+    state.  With ``out`` (shape (nt + 1,) + datum.shape) the datum goes to
+    out[0] and layer k straight into out[k].  Without it the layers
+    alternate between two buffers allocated per march, so a layer handed to
+    ``check_layer`` is valid only until the next step; the returned last
+    layer is one of the two.
     """
     # a finite array has dot product 0 with zeros; inf * 0 and NaN give NaN
     zeros = np.zeros(datum.size)
     if np.vdot(datum, zeros) != 0.0:
         raise NonFiniteError(0)
     # 0-d arrays: numpy takes them per call faster than Python floats
-    dx_sq, step, half_max, half_min = map(
-        np.array, (dx * dx, dt, 0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq)
+    dx_sq, step, half_max, half_min, half, two = map(
+        np.array, (dx * dx, dt, 0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq, 0.5, 2.0)
     )
     d2 = np.zeros(datum.shape)
     scratch = np.empty(datum.shape)
@@ -132,9 +147,23 @@ def _march(
         ring = (np.empty(datum.shape), np.empty(datum.shape))
     else:
         out[0] = datum
+    if g_fn is not None:
+        g, f = g_fn._compiled, f_fn._compiled
+        grad, half_d2, arg, two_g = (np.empty(datum.shape) for _ in range(4))
+        predictor = np.empty(datum.shape) if picard else None
+
+        def increment(env: dict, into: np.ndarray) -> np.ndarray:
+            """dt * (g + 2 G(f + D2 u / 2)) at ``env``, formed in the order of the allocating step."""
+            g_term, f_term = g(env), f(env)
+            np.add(f_term, half_d2, out=arg)
+            _g_into(half_max, half_min, arg, two_g, scratch)
+            np.multiply(two, two_g, out=two_g)
+            np.add(g_term, two_g, out=two_g)
+            return np.multiply(step, two_g, out=into)
+
     layer = datum
-    # the kernel names its own failures: an overflow is a NonFiniteError, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the kernel names its own failures: an overflow or x/0 is a NonFiniteError, not a warning
+    with np.errstate(all="ignore"):
         for k in range(1, nt + 1):
             row = ring[k % 2] if out is None else out[k]
             _second_difference(layer, dx_sq, d2)
@@ -144,15 +173,12 @@ def _march(
                 np.multiply(row, step, out=row)
             else:
                 t = layer_times[k]
-                du = _space_gradient(layer, dx)
-                g_term = g_fn(t, layer, du)
-                f_term = f_fn(t, layer, du)
+                np.multiply(half, d2, out=half_d2)
+                env = {"t": t, "y": layer, "z": _space_gradient(layer, dx, grad)}
                 if picard:
-                    predictor = layer + dt * (g_term + 2.0 * g_eval(band, f_term + 0.5 * d2))
-                    dp = _space_gradient(predictor, dx)
-                    g_term = g_fn(t, predictor, dp)
-                    f_term = f_fn(t, predictor, dp)
-                np.multiply(dt, g_term + 2.0 * g_eval(band, f_term + 0.5 * d2), out=row)
+                    np.add(layer, increment(env, predictor), out=predictor)
+                    env = {"t": t, "y": predictor, "z": _space_gradient(predictor, dx, grad)}
+                increment(env, row)
             np.add(layer, row, out=row)
             if np.vdot(row, zeros) != 0.0:
                 raise NonFiniteError(k)

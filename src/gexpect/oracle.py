@@ -5,7 +5,10 @@ quadratic-variation and K-monotonicity experiments.
 The tree maximises, node by node, over the two band endpoints; for a
 linear reward in the variance that is exact, not an approximation.  Path
 innovations are +-1 from a fixed 64-bit shift-register generator so that
-quadratic variation is exact per step and runs reproduce bit for bit.
+quadratic variation is exact per step and runs reproduce bit for bit.  The
+path loop runs on Python floats; IEEE arithmetic is the same on a Python
+float as on a numpy scalar, so the paths keep the bits of the earlier loop
+on numpy scalars.
 """
 
 from __future__ import annotations
@@ -153,32 +156,35 @@ def simulate_path(
         raise ValueError("markov policy needs the backward solution")
     rng = _Xorshift64Star(seed)
     nt = grid.nt
-    dt = grid.dt
-    times = np.linspace(0.0, grid.horizon, nt + 1)
-    b = np.empty(nt + 1)
-    a = np.empty(nt)
-    qv = np.empty(nt + 1)
-    b[0] = 0.0
-    qv[0] = 0.0
+    low, high = band.sigma_min_sq, band.sigma_max_sq
+    # each step is sqrt(a * dt) for a band end; the loop runs on Python floats
+    low_step, high_step = math.sqrt(low * grid.dt), math.sqrt(high * grid.dt)
+    if policy == "markov":
+        # eta at forward step i and the node nearest x, as BsdeSolution.eta_forward reads it
+        eta, field_nt = field.eta, field.grid.nt
+        x_min, dx, last = field.grid.x_min, field.grid.dx, field.grid.nx - 1
+    x = 0.0
+    b, a, squares = [x], [], []
     for i in range(nt):
         if policy == "const-low":
-            a_i = band.sigma_min_sq
+            up = False
         elif policy == "const-high":
-            a_i = band.sigma_max_sq
+            up = True
         elif policy == "random":
-            a_i = band.sigma_max_sq if rng.next_bit() else band.sigma_min_sq
+            up = rng.next_bit()
         else:
-            a_i = (
-                band.sigma_max_sq
-                if field.eta_forward(i, b[i]) >= 0.0
-                else band.sigma_min_sq
-            )
-        step = math.sqrt(a_i * dt)
-        sign = 1.0 if rng.next_bit() else -1.0
-        a[i] = a_i
-        b[i + 1] = b[i] + sign * step
-        qv[i + 1] = qv[i] + step * step
-    return LatticePath(times=times, b=b, a=a, qv=qv)
+            j = min(max(round((x - x_min) / dx), 0), last)
+            up = eta[field_nt - i, j] >= 0.0
+        a_i, step = (high, high_step) if up else (low, low_step)
+        x = x + step if rng.next_bit() else x - step
+        a.append(a_i)
+        b.append(x)
+        squares.append(step * step)
+    qv = np.empty(nt + 1)
+    qv[0] = 0.0
+    np.cumsum(squares, out=qv[1:])  # sequential, as a running sum is
+    times = np.linspace(0.0, grid.horizon, nt + 1)
+    return LatticePath(times=times, b=np.array(b), a=np.array(a), qv=qv)
 
 
 def quadratic_variation(path: LatticePath) -> np.ndarray:

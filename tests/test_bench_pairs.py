@@ -1,0 +1,89 @@
+"""The verdicts of ``tools/bench_pairs.py`` on synthetic parent/change runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+SPEC = {"wall_s": {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}}
+
+
+def run(wall_s, failed=0, attempted=100):
+    return {"attempted": attempted, "failed": failed, "metrics": {"wall_s": wall_s}}
+
+
+def runs(parent, change, parent_failed=0, change_failed=0):
+    return [
+        {"seed": i, "parent": run(p, parent_failed), "change": run(c, change_failed)}
+        for i, (p, c) in enumerate(zip(parent, change))
+    ]
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+def verdicts(summary):
+    m = summary["wall_s"]
+    return m["gain_shown"], m["regressed"], m["unresolved"]
+
+
+def test_a_clear_gain_is_shown():
+    summary = bench_pairs._summary(runs(PARENT, [0.7 * p for p in PARENT]), SPEC)
+    assert verdicts(summary) == (True, False, False)
+    assert summary["wall_s"]["change_wins"] == 10
+    assert summary["wall_s"]["relative_change"] == pytest.approx(-0.3)
+
+
+def test_a_gain_inside_the_parent_spread_is_not_shown():
+    # the change wins every pair, but by less than the parent's quartile spread
+    summary = bench_pairs._summary(runs(PARENT, [p - 0.001 for p in PARENT]), SPEC)
+    assert verdicts(summary) == (False, False, False)
+
+
+def test_a_slowdown_beyond_the_bound_regresses():
+    summary = bench_pairs._summary(runs(PARENT, [1.5 * p for p in PARENT]), SPEC)
+    assert verdicts(summary) == (False, True, False)
+
+
+def test_a_wide_parent_spread_is_unresolved():
+    wide = [1.0, 2.0] * 5
+    summary = bench_pairs._summary(runs(wide, [1.4, 1.6] * 5), SPEC)
+    assert summary["wall_s"]["unresolved"]
+    # unless every change run beats every parent run
+    summary = bench_pairs._summary(runs(wide, [0.5, 0.6] * 5), SPEC)
+    assert not summary["wall_s"]["unresolved"]
+
+
+@pytest.mark.parametrize(
+    "parent_failed,change_failed,worse",
+    [(0, 0, False), (0, 1, True), (2, 2, False), (3, 1, False)],
+)
+def test_failed_share_worse(parent_failed, change_failed, worse):
+    summary = bench_pairs._summary(runs(PARENT, PARENT, parent_failed, change_failed), SPEC)
+    failed = summary["failed"]
+    assert failed["parent"] == 10 * parent_failed and failed["change"] == 10 * change_failed
+    assert failed["attempted_parent"] == failed["attempted_change"] == 1000
+    assert failed["failed_share_worse"] is worse
+
+
+def test_failed_share_compares_shares_not_counts():
+    # more failures over more attempts can still be a smaller share
+    pairs = runs(PARENT, PARENT)
+    for pair in pairs:
+        pair["parent"]["failed"], pair["parent"]["attempted"] = 1, 10
+        pair["change"]["failed"], pair["change"]["attempted"] = 2, 40
+    assert not bench_pairs._summary(pairs, SPEC)["failed"]["failed_share_worse"]
+
+
+def test_errored_pairs_are_left_out():
+    pairs = runs(PARENT, [0.7 * p for p in PARENT])
+    pairs[0]["change"] = {"error": ["Traceback"]}
+    summary = bench_pairs._summary(pairs, SPEC)
+    assert (summary["pairs_complete"], summary["pairs_run"]) == (9, 10)
+    assert summary["wall_s"]["change_wins"] == 9
+    assert bench_pairs._summary(pairs[:1], SPEC) == {"pairs_complete": 0, "pairs_run": 1}

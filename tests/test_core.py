@@ -61,6 +61,12 @@ class TestGEval:
         sup_form = 0.5 * max(b.sigma_min_sq * a, b.sigma_max_sq * a)
         assert g_eval(b, a) == pytest.approx(sup_form, rel=1e-15, abs=0.0)
 
+    def test_subnormal_argument_matches_the_supremum(self):
+        # halving the band ends first rounds once at subnormal precision, the formula twice
+        b, a = VolatilityBand(1.0, 2.1875), 2.2250738585e-313
+        assert g_eval(b, a) == 0.5 * max(b.sigma_min_sq * a, b.sigma_max_sq * a)
+        assert g_eval(b, -a) == 0.5 * max(b.sigma_min_sq * -a, b.sigma_max_sq * -a)
+
     @given(bands, finite, finite)
     def test_nondegenerate_slope(self, b, a1, a2):
         hi, lo = max(a1, a2), min(a1, a2)

@@ -1,7 +1,7 @@
 """Alternating parent/change benchmark pairs, written to one JSON file.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 \\
-        --first-seed 11 --out BENCH_7.json
+        --first-seed 11 --out BENCH_8.json
 
 Both commits are exported with ``git archive`` into fresh directories
 and byte-compiled the same way, so the two sides run the same benchmark
@@ -19,8 +19,10 @@ more than the parent's quartile spread.
 the metric's bound in ``BENCHMARK.json`` (relative to the parent
 median).  ``unresolved`` marks a metric whose parent quartile spread is
 wider than that bound, so that a median inside it says nothing, unless
-every change run beats every parent run.  Temporary exports go under
-``$TMPDIR``.
+every change run beats every parent run.  Each workload's ``failed``
+block sums the failed and attempted checks of each side, and
+``failed_share_worse`` marks a change whose failed/attempted exceeds the
+parent's.  Temporary exports go under ``$TMPDIR``.
 """
 
 from __future__ import annotations
@@ -108,13 +110,20 @@ def _summary(runs: list[dict], spec: dict) -> dict:
             "unresolved": before["iqr"] > bound
             and not max(sign * c for c in change) < min(sign * p for p in parent),
         }
-    out["failed"] = {
+    failed = out["failed"] = {
         "parent": sum(p["failed"] for p, _ in pairs),
         "change": sum(c["failed"] for _, c in pairs),
         "attempted_parent": sum(p["attempted"] for p, _ in pairs),
         "attempted_change": sum(c["attempted"] for _, c in pairs),
     }
+    failed["failed_share_worse"] = _share(failed["change"], failed["attempted_change"]) > _share(
+        failed["parent"], failed["attempted_parent"]
+    )
     return out
+
+
+def _share(failed: int, attempted: int) -> float:
+    return failed / attempted if attempted else 0.0
 
 
 def main(argv: list[str] | None = None) -> int:
