@@ -65,17 +65,18 @@ def condition_gap(
     Nonnegative everywhere exactly when h respects the expectation
     inequality.  ``A`` may be an array; the driver evaluations do not
     depend on it.  A NaN or infinite A raises EvalDomainError naming
-    (y, z, A), the first such A for an array.
+    (y, z, A), the first such A for an array.  A G value beyond the
+    float range makes the gap infinite without a warning, as in the mesh
+    pass of ``reduce_over_A``.
     """
     bad = ~np.isfinite(A)
     if np.any(bad):
         a = float(np.asarray(A)[bad].flat[0])
         raise EvalDomainError(f"condition gap needs a finite A, got (y, z, A) = ({float(y)!r}, {float(z)!r}, {a!r})")
     hv, h1, h2 = h.eval2(y)
-    return _gap(
-        band, h1, h2, z,
-        gen.g(t, hv, h1 * z), gen.f(t, hv, h1 * z), gen.g(t, y, z), gen.f(t, y, z), A,
-    )
+    g_h, f_h, g_y, f_y = gen.g(t, hv, h1 * z), gen.f(t, hv, h1 * z), gen.g(t, y, z), gen.f(t, y, z)
+    with np.errstate(over="ignore"):
+        return _gap(band, h1, h2, z, g_h, f_h, g_y, f_y, A)
 
 
 def _reduce_mesh(band: VolatilityBand, gen: GeneratorPair, h: ScalarFunction, t: float, ys, zs):

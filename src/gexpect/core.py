@@ -60,14 +60,26 @@ def g_eval(band: VolatilityBand, a):
 
     Total, monotone, sublinear, positively homogeneous.  Accepts a scalar
     or an ndarray and returns the same shape.  The bits are those of the
-    formula as written, for every a: the supremum 0.5 * max(sigma_min_sq * a,
-    sigma_max_sq * a) gives the same value, subnormal a included.
+    formula as written wherever sigma_max_sq * |a| is finite: the supremum
+    0.5 * max(sigma_min_sq * a, sigma_max_sq * a) gives the same value,
+    subnormal a included.  Where only that product overflows, G(a) is
+    still the finite (sigma_max_sq / 2) * a+ - (sigma_min_sq / 2) * a-.
     """
-    return 0.5 * _g_into(band.sigma_max_sq, band.sigma_min_sq, a)
+    # From the halved ends nothing overflows early, and a normal result has
+    # the formula's bits; a subnormal one is rounded as the formula rounds it.
+    g = _g_into(0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq, a)
+    small = np.abs(g) < _TINY
+    if small.any():
+        if np.ndim(g):  # g is a fresh array; the small entries alone are recomputed
+            g[small] = 0.5 * _g_into(band.sigma_max_sq, band.sigma_min_sq, np.asarray(a)[small])
+        else:
+            g = 0.5 * _g_into(band.sigma_max_sq, band.sigma_min_sq, a)
+    return g
 
 
 _ZERO = np.zeros(())  # a 0-d array: numpy takes it per call faster than the float 0.0
 _ZERO.setflags(write=False)
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _g_into(hi, lo, a, out=None, scratch=None):

@@ -70,6 +70,14 @@ class TestConditionGap:
         with pytest.raises(EvalDomainError, match=rf"\(y, z, A\) = \({y!r}, 0.5, {shown}\)"):
             condition_gap(VolatilityBand(1.0, 1.0), zero_generator(), parse_scalar("x^2"), 0.0, y, 0.5, A)
 
+    def test_gap_beyond_the_float_range_is_infinite(self):
+        # the kink A of a subnormal y: G(A / 2) = 6 * 8.8e307 overflows, and the gap
+        # is +inf as in the mesh pass, with no warning
+        band, h = VolatilityBand(3.0, 12.0), parse_scalar("x^2")
+        y, z, kink = -2.225073858507e-311, 0.0625, 1.7555597020141738e308
+        assert condition_gap(band, zero_generator(), h, 0.0, y, z, kink) == np.inf
+        assert reduce_over_A(band, zero_generator(), h, 0.0, y, z) == (0.046875, -0.0)
+
     def test_identity_transform_vanishes(self, band):
         h = parse_scalar("x")
         gen = _gen("0.3*y + 0.2*z", "0.25*z", 0.5)

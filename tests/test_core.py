@@ -67,6 +67,13 @@ class TestGEval:
         assert g_eval(b, a) == 0.5 * max(b.sigma_min_sq * a, b.sigma_max_sq * a)
         assert g_eval(b, -a) == 0.5 * max(b.sigma_min_sq * -a, b.sigma_max_sq * -a)
 
+    def test_finite_where_only_the_unhalved_product_overflows(self):
+        # 3 * 8.8e307 overflows, G = 1.5 * 8.8e307 does not (no warning under the suite's filter)
+        b, a = VolatilityBand(3.0, 3.0), 8.777798510070869e307
+        assert g_eval(b, a) == 1.5 * a
+        assert g_eval(b, -a) == -1.5 * a
+        assert np.array_equal(g_eval(b, np.array([a, -a, 2.2250738585e-313])), [1.5 * a, -1.5 * a, g_eval(b, 2.2250738585e-313)])
+
     @given(bands, finite, finite)
     def test_nondegenerate_slope(self, b, a1, a2):
         hi, lo = max(a1, a2), min(a1, a2)
