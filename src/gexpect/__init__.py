@@ -22,6 +22,7 @@ from .expr import (
     parse_tri,
 )
 from .gheat import (
+    BlowUpError,
     CylinderPayoff,
     FieldSolution,
     GridResolutionError,
@@ -32,7 +33,6 @@ from .gheat import (
     solve_g_heat,
 )
 from .gbsde import (
-    BlowUpError,
     BsdeSolution,
     GeneratorPair,
     k_along_path,

@@ -28,7 +28,6 @@ from .gbsde import GeneratorPair, nonlinear_expectation, solve_gbsde
 
 __all__ = [
     "ConvexityReport",
-    "NEGATIVE_INF",
     "condition_gap",
     "reduce_over_A",
     "check_g_convexity",
@@ -40,8 +39,6 @@ __all__ = [
 ]
 
 WITNESS_TOL = 1e-9
-
-NEGATIVE_INF = float("-inf")
 
 
 def _gap(band: VolatilityBand, h1, h2, z, g_h, f_h, g_y, f_y, A):
@@ -100,17 +97,15 @@ def _reduce_mesh(band: VolatilityBand, gen: GeneratorPair, h: ScalarFunction, t:
         gaps[2] = np.where(h1 != 0.0, gaps[2], np.inf)  # no kink when h' = 0
         best = np.argmin(gaps, axis=0)
         inf_gap, arg = np.choose(best, gaps), np.choose(best, candidates)
-        # Tail slopes of the gap in A; a downward tail (impossible for a
-        # valid band) sends the infimum to -inf along that tail.
-        s_plus = g_eval(band, h1) - 0.5 * band.sigma_max_sq * h1
-        s_minus = -g_eval(band, -h1) - 0.5 * band.sigma_min_sq * h1
-    up, down = s_plus < -1e-15, s_minus > 1e-15
-    inf_gap = np.where(up | down, NEGATIVE_INF, inf_gap)
+    # No tail of the gap in A slopes down, so the candidates hold the infimum:
+    # as A -> +inf the slope G(h') - sigma_max_sq h' / 2 is exactly 0 for h' >= 0
+    # (the same product twice) and >= 0 for h' < 0 by monotone rounding; as
+    # A -> -inf, -G(-h') - sigma_min_sq h' / 2 <= 0 likewise.  G's subnormal
+    # recompute moves a slope by one subnormal ulp at most; an overflow gives NaN.
     nan = np.argwhere(np.isnan(inf_gap))
     if nan.size:
         i, j = nan[0]
         raise EvalDomainError(f"condition gap is NaN at (y, z) = ({float(ys[i])!r}, {float(zs[j])!r})")
-    arg = np.where(up, np.inf, np.where(down, -np.inf, arg))
     return inf_gap, arg
 
 
@@ -125,10 +120,10 @@ def reduce_over_A(
     """Infimum over all A of the condition gap, with its attaining A.
 
     The gap is piecewise linear in A with at most two kinks (where either
-    band branch switches), so the infimum lies at a kink unless a tail
-    slope points down; tail slopes follow in closed form from the band
-    and h'.  Returns (-inf, +-inf) when a tail escapes, which cannot
-    happen for a valid band, and raises EvalDomainError for a NaN gap.
+    band branch switches), so the infimum lies at a kink: no tail slopes
+    down, since G(h') - sigma_max_sq h' / 2 >= 0 and
+    -G(-h') - sigma_min_sq h' / 2 <= 0, in floating point too.  Raises
+    EvalDomainError for a NaN gap.
     """
     inf_gap, arg = _reduce_mesh(band, gen, h, t, np.array([float(y)]), np.array([float(z)]))
     return float(inf_gap[0, 0]), float(arg[0, 0])

@@ -158,9 +158,9 @@ class SpaceTimeGrid:
         """The same x mesh over [0, span], in the fewest steps no longer than dt."""
         return replace(self, horizon=span, nt=sub_steps(span, self.dt))
 
-    def check_cfl(self, band: VolatilityBand, theta: float = MAX_CFL_THETA) -> None:
-        """Raise CflError unless dt <= theta * dx^2 / sigma_max_sq."""
-        limit = theta * self.dx * self.dx / band.sigma_max_sq
+    def check_cfl(self, band: VolatilityBand) -> None:
+        """Raise CflError unless dt <= MAX_CFL_THETA * dx^2 / sigma_max_sq."""
+        limit = MAX_CFL_THETA * self.dx * self.dx / band.sigma_max_sq
         if self.dt > limit * (1.0 + 1e-12):
             raise CflError(
                 f"dt = {self.dt:.3e} exceeds CFL limit {limit:.3e} "

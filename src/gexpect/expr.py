@@ -519,10 +519,12 @@ class TriFunction:
         object.__setattr__(self, "_compiled", _compile(self.ast))
 
     def __call__(self, t, y, z):
-        """Array like the arguments; for numbers, a float that must be finite (else EvalDomainError)."""
+        """Array like the arguments; for numbers, a float that must be finite (else EvalDomainError).
+
+        Numbers take part as 1-element arrays: NaN or infinity where Python floats would raise.
+        """
         point = np.ndim(t) == np.ndim(y) == np.ndim(z) == 0
-        if point:  # 1-element arrays: the same bits as an array call, and no Python float errors
-            t, y, z = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (t, y, z))
+        t, y, z = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (t, y, z))
         with np.errstate(all="ignore"):
             result = self._compiled({"t": t, "y": y, "z": z})
         if not point:
@@ -536,17 +538,11 @@ class TriFunction:
     def to_string(self) -> str:
         return _to_string(self.ast)
 
-    def max_difference_quotient(
-        self,
-        t_range: tuple[float, float] = (0.0, 1.0),
-        box: float = 10.0,
-        samples: int = 1000,
-        seed: int = 20240,
-    ) -> float:
-        """Largest sampled |df| / (|dy| + |dz|) over the working domain."""
-        rng = np.random.default_rng(seed)
-        t = rng.uniform(t_range[0], t_range[1], samples)
-        y1, z1, y2, z2 = (rng.uniform(-box, box, samples) for _ in range(4))
+    def max_difference_quotient(self, samples: int = 1000) -> float:
+        """Largest sampled |df| / (|dy| + |dz|) over t in [0, 1] and y, z in [-10, 10]."""
+        rng = np.random.default_rng(20240)
+        t = rng.uniform(0.0, 1.0, samples)
+        y1, z1, y2, z2 = (rng.uniform(-10.0, 10.0, samples) for _ in range(4))
         df = np.broadcast_to(np.abs(np.asarray(self(t, y1, z1)) - np.asarray(self(t, y2, z2))), t.shape)
         denom = np.abs(y1 - y2) + np.abs(z1 - z2)
         mask = denom > 1e-12

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import SpaceTimeGrid, VolatilityBand, g_eval
 from .expr import Lit, ScalarFunction, TriFunction, parse_tri
-from .gheat import FieldSolution, _field
+from .gheat import BlowUpError, FieldSolution, _field
 
 __all__ = [
     "GeneratorPair",
@@ -35,16 +35,6 @@ __all__ = [
 
 
 _LITERAL_ZERO = Lit(0.0)
-
-
-class BlowUpError(RuntimeError):
-    """Solution escaped the growth envelope implied by the terminal data."""
-
-    def __init__(self, layer: int, value: float, envelope: float):
-        super().__init__(
-            f"|Y| = {value:.6g} exceeded envelope {envelope:.6g} at time layer {layer}"
-        )
-        self.layer = layer
 
 
 @dataclass(frozen=True)
@@ -70,7 +60,7 @@ class GeneratorPair:
         tol = self.lipschitz_L * (1.0 + 1e-9) + 1e-12
         for name, fn in (("g", self.g), ("f", self.f)):
             worst = fn.max_difference_quotient(samples=self.check_samples)
-            if worst > tol:
+            if not worst <= tol:  # a NaN quotient fails too
                 raise ValueError(
                     f"driver {name} shows difference quotient {worst:.6g} "
                     f"above declared Lipschitz bound {self.lipschitz_L}"
@@ -81,7 +71,7 @@ class GeneratorPair:
             y = rng.uniform(-10.0, 10.0, 100)
             for name, fn in (("g", self.g), ("f", self.f)):
                 vals = np.broadcast_to(np.asarray(fn(t, y, 0.0)), t.shape)
-                if np.max(np.abs(vals)) > 1e-12:
+                if not np.max(np.abs(vals)) <= 1e-12:  # a NaN value fails too
                     raise ValueError(f"h6 declared but {name}(t, y, 0) != 0")
 
 
@@ -155,15 +145,10 @@ def solve_gbsde(
         float(np.max(np.abs(datum))) + grid.horizon * origin_scale + 1.0
     )
 
-    def check_layer(k: int, layer: np.ndarray, top=np.maximum.reduce, bottom=np.minimum.reduce) -> None:
-        # max |Y| > envelope without forming |Y|: the march has already checked the layer is finite
-        if top(layer) > envelope or -bottom(layer) > envelope:
-            raise BlowUpError(k, float(np.max(np.abs(layer))), envelope)
-
     # drivers that are the literal 0 take the forward heat step itself: the fields agree by construction
     zero = gen.g.ast == _LITERAL_ZERO and gen.f.ast == _LITERAL_ZERO
     drivers = () if zero else (gen.g, gen.f, times, picard)
-    u = _field(band, grid, datum, *drivers, check_layer=check_layer)
+    u = _field(band, grid, datum, *drivers, envelope=envelope)
     return BsdeSolution(FieldSolution(grid, u, times), gen, band)
 
 

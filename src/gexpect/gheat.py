@@ -13,10 +13,9 @@ nodes, exact for affine tails).  With zero driver terms the kernel steps
 solver and the conditional reductions reuse the same kernel, so the
 recursions agree bit for bit when the drivers vanish.  Each step writes
 into preallocated arrays: a stored field's next row, or else one of two
-buffers that alternate, so such a layer is valid only until the next step.
-The driver step calls the drivers' compiled closures and forms its terms
-in buffers allocated once per march, in the order of the allocating step
-it replaced, so its layers keep their bits.
+buffers that alternate.  The driver step calls the drivers' compiled
+closures and forms its terms in buffers allocated once per march, in the
+order of the allocating step it replaced, so its layers keep their bits.
 Monotonicity under the CFL bound makes the scheme converge to the
 viscosity solution and gives discrete maximum/comparison principles.
 """
@@ -35,6 +34,7 @@ from .expr import ScalarFunction
 __all__ = [
     "FieldSolution",
     "NonFiniteError",
+    "BlowUpError",
     "CylinderPayoff",
     "TabulatedFunction",
     "GridResolutionError",
@@ -49,6 +49,16 @@ class NonFiniteError(RuntimeError):
 
     def __init__(self, layer: int):
         super().__init__(f"non-finite values encountered at time layer {layer}")
+        self.layer = layer
+
+
+class BlowUpError(RuntimeError):
+    """Solution escaped the growth envelope implied by the terminal data."""
+
+    def __init__(self, layer: int, value: float, envelope: float):
+        super().__init__(
+            f"|Y| = {value:.6g} exceeded envelope {envelope:.6g} at time layer {layer}"
+        )
         self.layer = layer
 
 
@@ -112,26 +122,24 @@ def _march(
     layer_times: np.ndarray | None = None,
     picard: bool = False,
     out: np.ndarray | None = None,
-    check_layer=None,
+    envelope: float | None = None,
 ) -> np.ndarray:
     """Shared explicit kernel: marches layers 1..nt from ``datum``, returns layer nt.
 
     Space is the last axis; leading axes are a batch.  Layer k is one step
     from layer k-1 with the drivers (zero when ``g_fn`` is None) evaluated at
     ``layer_times[k]``.  ``picard`` corrects the driver arguments once against
-    the explicit predictor.  The datum and each layer must be finite, else
-    NonFiniteError names the layer.
+    the explicit predictor.  The datum, each layer and each predictor must be
+    finite, else NonFiniteError names the layer.  With ``envelope`` set, a
+    layer whose largest |value| exceeds it raises BlowUpError naming the layer.
 
     ``g_fn`` and ``f_fn`` are TriFunctions; the kernel calls their compiled
     closures inside its error state, which ignores every floating-point
     condition, so a driver that divides by zero or overflows surfaces as a
-    NonFiniteError, never as a warning.  ``check_layer(k, layer)``, if
-    given, sees each layer as it is written, inside the kernel's error
-    state.  With ``out`` (shape (nt + 1,) + datum.shape) the datum goes to
-    out[0] and layer k straight into out[k].  Without it the layers
-    alternate between two buffers allocated per march, so a layer handed to
-    ``check_layer`` is valid only until the next step; the returned last
-    layer is one of the two.
+    NonFiniteError, never as a warning.  With ``out`` (shape (nt + 1,) +
+    datum.shape) the datum goes to out[0] and layer k straight into out[k].
+    Without it the layers alternate between two buffers allocated per march;
+    the returned last layer is one of the two.
     """
     # a finite array has dot product 0 with zeros; inf * 0 and NaN give NaN
     zeros = np.zeros(datum.size)
@@ -177,23 +185,28 @@ def _march(
                 env = {"t": t, "y": layer, "z": _space_gradient(layer, dx, grad)}
                 if picard:
                     np.add(layer, increment(env, predictor), out=predictor)
+                    if np.vdot(predictor, zeros) != 0.0:
+                        raise NonFiniteError(k)
                     env = {"t": t, "y": predictor, "z": _space_gradient(predictor, dx, grad)}
                 increment(env, row)
             np.add(layer, row, out=row)
             if np.vdot(row, zeros) != 0.0:
                 raise NonFiniteError(k)
-            if check_layer is not None:
-                check_layer(k, row)
+            # max |Y| > envelope without forming |Y|: the row is finite
+            if envelope is not None and (
+                np.maximum.reduce(row, None) > envelope or -np.minimum.reduce(row, None) > envelope
+            ):
+                raise BlowUpError(k, float(np.max(np.abs(row))), envelope)
             layer = row
     return layer
 
 
 def _field(
-    band: VolatilityBand, grid: SpaceTimeGrid, datum: np.ndarray, *drivers, check_layer=None
+    band: VolatilityBand, grid: SpaceTimeGrid, datum: np.ndarray, *drivers, envelope=None
 ) -> np.ndarray:
     """Read-only (nt + 1, nx) field of the datum and the layers marched on ``grid``."""
     u = np.empty((grid.nt + 1, grid.nx))
-    _march(band, grid.dx, grid.dt, grid.nt, datum, *drivers, out=u, check_layer=check_layer)
+    _march(band, grid.dx, grid.dt, grid.nt, datum, *drivers, out=u, envelope=envelope)
     u.setflags(write=False)
     return u
 

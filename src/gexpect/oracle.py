@@ -234,8 +234,8 @@ def tree_k_expectation(band: VolatilityBand, sol) -> float:
     return float(values[0])
 
 
-def gauss_hermite_expectation(phi, variance: float, n: int = 80) -> float:
-    """Classical Gaussian expectation of phi with the given variance."""
-    nodes, weights = np.polynomial.hermite.hermgauss(n)
+def gauss_hermite_expectation(phi, variance: float) -> float:
+    """Classical Gaussian expectation of phi with the given variance, by 80-point Gauss-Hermite."""
+    nodes, weights = np.polynomial.hermite.hermgauss(80)
     xs = math.sqrt(2.0 * variance) * nodes
     return float(np.sum(weights * np.asarray(phi(xs))) / math.sqrt(math.pi))

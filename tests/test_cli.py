@@ -484,6 +484,9 @@ class TestNoTraceback:
         ("convexity", "params", {"t": -1}, "config.params"),
         # an even nx has no node at x = 0: refused, not bumped to nx + 1
         ("replimit", "params", {"nx": 4}, "config.params"),
+        # spot checks that read NaN as a pass: a NaN difference quotient, f(t, y, 0) = 0/0
+        ("gbsde", "generator", {"g": "sqrt(y)"}, "config.generator"),
+        ("gbsde", "generator", {"g": "0", "f": "y*z/z", "h6": True}, "config.generator"),
     ]
 
     @pytest.mark.parametrize("command,section,entries,field", CASES)
@@ -509,6 +512,16 @@ class TestNoTraceback:
         report = json.loads((out / "replimit.report.json").read_text())
         assert report["status"] == "numerical-failure"
         assert report["diagnostic"].startswith("EvalDomainError")
+
+    def test_driver_undefined_at_the_origin_exits_2(self, tmp_path, capsys):
+        # 1/y at y = 0: the envelope's evaluation at the origin and the first layer are infinite
+        config = variant("gbsde", "generator", g="1/y", lipschitz_L=1e300)
+        config["functions"] = {"terminal": "x"}
+        out = tmp_path / "out"
+        assert run("gbsde", write_config(tmp_path, config), out) == 2
+        report = json.loads((out / "gbsde.report.json").read_text())
+        assert report["status"] == "numerical-failure"
+        assert report["diagnostic"].startswith("NonFiniteError")
 
 
 class TestMain:

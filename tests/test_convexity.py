@@ -10,6 +10,7 @@ from gexpect import (
     VolatilityBand,
     check_g_convexity,
     condition_gap,
+    g_eval,
     jensen_experiment,
     make_grid,
     parse_scalar,
@@ -139,6 +140,27 @@ class TestReduceOverA:
             scan, _ = dense_scan_min(band, gen, h, 0.0, y, z)
             assert inf_gap == pytest.approx(scan, abs=1e-9)
             checked += 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        smin=st.floats(1e-3, 1e3),
+        ratio=st.one_of(st.just(1.0), st.floats(1.0, 1e6)),
+        h1=st.one_of(
+            st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -2.2e-310, 1e300, -1e300)),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+    )
+    def test_no_tail_of_the_gap_slopes_down(self, smin, ratio, h1):
+        # the gap's slope in A as A -> +inf and as A -> -inf; the infimum
+        # looks at no tail, so neither may point down (NaN where a product overflows)
+        band = VolatilityBand(smin, smin * ratio)
+        with np.errstate(over="ignore", invalid="ignore"):
+            up = g_eval(band, h1) - 0.5 * band.sigma_max_sq * h1
+            down = -g_eval(band, -h1) - 0.5 * band.sigma_min_sq * h1
+        for slope, product in ((up, band.sigma_max_sq * h1), (down, band.sigma_min_sq * h1)):
+            assert not math.isnan(slope) or math.isinf(product), (band, h1)
+        assert not up < -1e-15, (band, h1, up)
+        assert not down > 1e-15, (band, h1, down)
 
 
 class TestCheckGConvexity:

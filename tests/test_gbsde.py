@@ -42,6 +42,16 @@ class TestGeneratorPair:
         with pytest.raises(ValueError, match="h6"):
             GeneratorPair(parse_tri("y"), parse_tri("0"), 1.0, h6=True)
 
+    def test_nan_difference_quotient_rejected(self):
+        # sqrt(y) is NaN for the sampled y < 0
+        with pytest.raises(ValueError, match="Lipschitz"):
+            GeneratorPair(parse_tri("sqrt(y)"), parse_tri("0"), 1.0)
+
+    def test_nan_at_zero_z_fails_h6(self):
+        # y*z/z is y for z != 0, within the bound, but 0/0 at z = 0
+        with pytest.raises(ValueError, match="h6"):
+            GeneratorPair(parse_tri("0"), parse_tri("y*z/z"), 1.0, h6=True)
+
 
 class TestSolveGbsde:
     def test_linear_terminal_zero_drivers(self, band, grid):
@@ -96,6 +106,13 @@ class TestSolveGbsde:
         with pytest.raises(NonFiniteError) as err:
             solve_gbsde(band, zero_generator(), parse_scalar("sqrt(x)"), grid)
         assert err.value.layer == 0
+
+    def test_driver_undefined_at_the_origin_raises_at_layer_one(self, band, grid):
+        # 1/y is infinite at the origin, where the envelope reads the drivers, and at the node x = 0
+        gen = GeneratorPair(parse_tri("1/y"), parse_tri("0"), 1.0, check_samples=0)
+        with pytest.raises(NonFiniteError) as err:
+            solve_gbsde(band, gen, parse_scalar("x"), grid)
+        assert err.value.layer == 1
 
     def test_maximum_principle_under_h6(self, band, grid):
         # compactly supported terminal keeps its extrema off the boundary,
