@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SpaceTimeGrid, VolatilityBand, g_eval
-from .expr import Lit, ScalarFunction, TriFunction, parse_tri
+from .expr import EvalDomainError, Lit, ScalarFunction, TriFunction, parse_tri
 from .gheat import BlowUpError, FieldSolution, _field
 
 __all__ = [
@@ -130,7 +130,8 @@ def solve_gbsde(
     ``value_at(s)``.  ``picard`` re-evaluates the drivers once against the
     explicit predictor per step (the Lipschitz bound plus CFL already make
     the plain explicit step a contraction, so this is an accuracy knob,
-    not a stability requirement).  Raises CflError for unstable grids and
+    not a stability requirement).  Raises CflError for unstable grids,
+    EvalDomainError when a driver is NaN or infinite at the origin, and
     BlowUpError when |Y| escapes ``envelope_factor * (max|terminal| +
     horizon * sup |drivers at the origin| + 1)``.
     """
@@ -138,8 +139,16 @@ def solve_gbsde(
     datum = np.asarray(terminal(grid.xs), dtype=float)
     times = t0 + grid.horizon - np.linspace(0.0, grid.horizon, grid.nt + 1)
     origin_scale = 0.0
-    for fn in (gen.g, gen.f):
-        vals = np.abs(np.asarray(fn(times, 0.0, 0.0)))
+    for name, fn in (("g", gen.g), ("f", gen.f)):
+        vals = np.abs(np.broadcast_to(fn(times, 0.0, 0.0), times.shape))
+        # a NaN or infinite envelope would pass every layer unchecked
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            k = int(bad[0])
+            raise EvalDomainError(
+                f"driver {name} is {float(vals[k])} at (t, y, z) = ({float(times[k])!r}, 0.0, 0.0), "
+                "where the blow-up envelope reads it"
+            )
         origin_scale += float(np.max(vals))
     envelope = envelope_factor * (
         float(np.max(np.abs(datum))) + grid.horizon * origin_scale + 1.0

@@ -514,14 +514,14 @@ class TestNoTraceback:
         assert report["diagnostic"].startswith("EvalDomainError")
 
     def test_driver_undefined_at_the_origin_exits_2(self, tmp_path, capsys):
-        # 1/y at y = 0: the envelope's evaluation at the origin and the first layer are infinite
+        # 1/y at y = 0: the envelope's evaluation at the origin is infinite
         config = variant("gbsde", "generator", g="1/y", lipschitz_L=1e300)
         config["functions"] = {"terminal": "x"}
         out = tmp_path / "out"
         assert run("gbsde", write_config(tmp_path, config), out) == 2
         report = json.loads((out / "gbsde.report.json").read_text())
         assert report["status"] == "numerical-failure"
-        assert report["diagnostic"].startswith("NonFiniteError")
+        assert report["diagnostic"].startswith("EvalDomainError: driver g is inf")
 
 
 class TestMain:

@@ -6,6 +6,7 @@ import pytest
 from gexpect import (
     BlowUpError,
     CflError,
+    EvalDomainError,
     GeneratorPair,
     NonFiniteError,
     SpaceTimeGrid,
@@ -107,12 +108,23 @@ class TestSolveGbsde:
             solve_gbsde(band, zero_generator(), parse_scalar("sqrt(x)"), grid)
         assert err.value.layer == 0
 
-    def test_driver_undefined_at_the_origin_raises_at_layer_one(self, band, grid):
-        # 1/y is infinite at the origin, where the envelope reads the drivers, and at the node x = 0
+    def test_driver_undefined_at_the_origin_raises_before_marching(self, band, grid):
+        # 1/y is infinite at the origin, where the envelope reads the drivers
         gen = GeneratorPair(parse_tri("1/y"), parse_tri("0"), 1.0, check_samples=0)
-        with pytest.raises(NonFiniteError) as err:
+        with pytest.raises(EvalDomainError, match=r"driver g is inf at \(t, y, z\) = \(1\.0, 0\.0, 0\.0\)"):
             solve_gbsde(band, gen, parse_scalar("x"), grid)
-        assert err.value.layer == 1
+
+    def test_driver_undefined_only_at_the_origin_raises(self, band):
+        # 1/y^2 is finite at every node of x + 0.013, so only an infinite envelope would let it through:
+        # unchecked, Y(0) came out near 31.7 with max|u| about 2100
+        gen = GeneratorPair(parse_tri("1/(y*y)"), parse_tri("0"), 1e300, check_samples=0)
+        with pytest.raises(EvalDomainError, match="driver g is inf"):
+            solve_gbsde(band, gen, parse_scalar("x + 0.013"), make_grid(band, 0.5, nx=101), envelope_factor=2.0)
+
+    def test_driver_nan_at_the_origin_raises(self, band, grid):
+        gen = GeneratorPair(parse_tri("0"), parse_tri("y*z/z"), 1.0, check_samples=0)
+        with pytest.raises(EvalDomainError, match="driver f is nan"):
+            solve_gbsde(band, gen, parse_scalar("x"), grid)
 
     def test_maximum_principle_under_h6(self, band, grid):
         # compactly supported terminal keeps its extrema off the boundary,
