@@ -108,23 +108,20 @@ class TestSolveGbsde:
             solve_gbsde(band, zero_generator(), parse_scalar("sqrt(x)"), grid)
         assert err.value.layer == 0
 
-    def test_driver_undefined_at_the_origin_raises_before_marching(self, band, grid):
-        # 1/y is infinite at the origin, where the envelope reads the drivers
-        gen = GeneratorPair(parse_tri("1/y"), parse_tri("0"), 1.0, check_samples=0)
-        with pytest.raises(EvalDomainError, match=r"driver g is inf at \(t, y, z\) = \(1\.0, 0\.0, 0\.0\)"):
-            solve_gbsde(band, gen, parse_scalar("x"), grid)
-
-    def test_driver_undefined_only_at_the_origin_raises(self, band):
-        # 1/y^2 is finite at every node of x + 0.013, so only an infinite envelope would let it through:
-        # unchecked, Y(0) came out near 31.7 with max|u| about 2100
-        gen = GeneratorPair(parse_tri("1/(y*y)"), parse_tri("0"), 1e300, check_samples=0)
-        with pytest.raises(EvalDomainError, match="driver g is inf"):
-            solve_gbsde(band, gen, parse_scalar("x + 0.013"), make_grid(band, 0.5, nx=101), envelope_factor=2.0)
-
-    def test_driver_nan_at_the_origin_raises(self, band, grid):
-        gen = GeneratorPair(parse_tri("0"), parse_tri("y*z/z"), 1.0, check_samples=0)
-        with pytest.raises(EvalDomainError, match="driver f is nan"):
-            solve_gbsde(band, gen, parse_scalar("x"), grid)
+    @pytest.mark.parametrize(
+        "g,f,terminal,message",
+        [
+            ("1/y", "0", "x", r"driver g is inf at \(t, y, z\) = \(0\.5, 0\.0, 0\.0\)"),
+            # finite at every node of x + 0.013: unchecked, Y(0) came out near 31.7 with max|u| about 2100
+            ("1/(y*y)", "0", "x + 0.013", "driver g is inf"),
+            ("0", "y*z/z", "x", "driver f is nan"),
+        ],
+    )
+    def test_driver_not_finite_at_the_origin_raises_before_marching(self, band, g, f, terminal, message):
+        # the envelope reads the drivers at the origin; an infinite or NaN one would pass every layer
+        gen = GeneratorPair(parse_tri(g), parse_tri(f), 1e300, check_samples=0)
+        with pytest.raises(EvalDomainError, match=message):
+            solve_gbsde(band, gen, parse_scalar(terminal), make_grid(band, 0.5, nx=101))
 
     def test_maximum_principle_under_h6(self, band, grid):
         # compactly supported terminal keeps its extrema off the boundary,
