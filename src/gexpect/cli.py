@@ -19,8 +19,8 @@ besides ``band`` and ``params`` (optional params in brackets)::
     replimit      generator, functions        terminal   eps_list, [t, nx]
     oracle-check  grid                        -          functions, times, [steps, tolerance]
 
-A command accepts exactly these, plus the schema-v1 top-level keys
-``seed``, ``threads`` and ``out_dir``.  ``generator.picard`` applies to
+A command accepts exactly these, plus the optional top-level key
+``out_dir``.  ``generator.picard`` applies to
 ``gbsde`` only; ``grid`` takes ``nt`` or ``theta``, not both.  The config
 is checked before any solve, and every rejected input, a param value that
 a library routine refuses included, exits 1 naming its field, never with
@@ -70,8 +70,7 @@ def _fmt(x: float) -> str:
 
 def _require(obj: dict, path: str, required: dict, optional: dict | None = None) -> None:
     optional = optional or {}
-    if not isinstance(obj, dict):
-        raise ConfigError(path, f"expected an object, got {type(obj).__name__}")
+    _check_type(obj, path, "object")
     for key, kind in required.items():
         if key not in obj:
             raise ConfigError(f"{path}.{key}", "missing required field")
@@ -89,33 +88,27 @@ def _is_number(value) -> bool:  # an int or a finite float; Python's json also r
     return isinstance(value, int) or math.isfinite(value)
 
 
-def _check_type(value, path: str, kind) -> None:
-    if kind == "number":
-        if not _is_number(value):
-            raise ConfigError(path, f"expected a finite number, got {value!r}")
-    elif kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(path, f"expected an integer, got {value!r}")
-    elif kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(path, f"expected a boolean, got {value!r}")
-    elif kind == "string":
-        if not isinstance(value, str):
-            raise ConfigError(path, f"expected a string, got {value!r}")
-    elif kind == "number-list":
-        if not isinstance(value, list) or not value or not all(map(_is_number, value)):
-            raise ConfigError(path, f"expected a non-empty list of finite numbers, got {value!r}")
-    elif kind == "number-pair":
-        if not isinstance(value, list) or len(value) != 2 or not all(map(_is_number, value)):
-            raise ConfigError(path, f"expected a [lo, hi] pair of finite numbers, got {value!r}")
-    elif kind == "string-list":
-        if not isinstance(value, list) or not value or any(not isinstance(v, str) for v in value):
-            raise ConfigError(path, f"expected a non-empty list of strings, got {value!r}")
-    elif kind == "object":
-        if not isinstance(value, dict):
-            raise ConfigError(path, f"expected an object, got {type(value).__name__}")
-    else:  # pragma: no cover
-        raise AssertionError(kind)
+def _list_of(value, test) -> bool:
+    return isinstance(value, list) and bool(value) and all(map(test, value))
+
+
+# kind -> (what the message says a value must be, the test it must pass)
+_KINDS = {
+    "number": ("a finite number", _is_number),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "number-list": ("a non-empty list of finite numbers", lambda v: _list_of(v, _is_number)),
+    "number-pair": ("a [lo, hi] pair of finite numbers", lambda v: _list_of(v, _is_number) and len(v) == 2),
+    "string-list": ("a non-empty list of strings", lambda v: _list_of(v, lambda item: isinstance(item, str))),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def _check_type(value, path: str, kind: str) -> None:
+    what, test = _KINDS[kind]
+    if not test(value):
+        raise ConfigError(path, f"expected {what}, got {value!r}")
 
 
 class _Command(NamedTuple):
@@ -138,15 +131,12 @@ class ExperimentConfig:
         self.raw = raw
         required = {"schema_version": "int", "band": "object", "params": "object"}
         required.update(dict.fromkeys(spec.sections, "object"))
-        _require(raw, "config", required, {"seed": "int", "threads": "int", "out_dir": "string"})
+        _require(raw, "config", required, {"out_dir": "string"})
         if raw["schema_version"] != SCHEMA_VERSION:
             raise ConfigError(
                 "config.schema_version",
                 f"expected {SCHEMA_VERSION}, got {raw['schema_version']}",
             )
-        # "seed" and "threads" are accepted for schema v1 and validated, but nothing reads them.
-        if raw.get("threads", 1) < 1:
-            raise ConfigError("config.threads", f"must be >= 1, got {raw['threads']}")
         self.band = self._band(raw["band"])
         # a section is in raw exactly when the command uses it
         self.grid = self._grid(raw["grid"]) if "grid" in raw else None

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SpaceTimeGrid, VolatilityBand, g_eval, make_grid
-from .expr import BinOp, Call, EvalDomainError, Lit, Pow, ScalarFunction, Var
+from .expr import EvalDomainError, ScalarFunction, parse_scalar
 from .gbsde import GeneratorPair, nonlinear_expectation, solve_gbsde
 
 __all__ = [
@@ -296,10 +296,5 @@ def witness_to_phi(y0: float, z0: float, A0: float) -> ScalarFunction:
     (identically 1 on [-1, 1], supported in [-2, 2]); the jet at 0 is
     untouched while the product stays bounded.
     """
-    x = Var("x")
-    quad = BinOp(
-        "+",
-        BinOp("+", Lit(float(y0)), BinOp("*", Lit(float(z0)), x)),
-        BinOp("*", Lit(0.5 * float(A0)), Pow(x, 2)),
-    )
-    return ScalarFunction(BinOp("*", quad, Call("bump", x)))
+    # repr round-trips each float exactly; a negative one parses as the negation of its magnitude
+    return parse_scalar(f"({float(y0)!r} + {float(z0)!r}*x + {0.5 * float(A0)!r}*x^2) * bump(x)")

@@ -19,7 +19,9 @@ evaluates it on floats, on numpy arrays and on order-2 jets (value, first
 and second derivative under truncated-Taylor arithmetic), so exact
 derivatives never need symbolic differentiation.  The closure applies,
 node by node, the operation a walk of the tree would, so it gives the
-same bits.
+same bits.  Literals compile to numpy floats, so a constant subexpression
+such as ``1/0`` gives an infinity under the caller's error state, as an
+array value does, rather than a Python exception.
 Each built-in is defined once, in numpy, with its value and its first two
 derivatives; a call applies the chain rule when its argument is a jet.
 Jets carry arrays, so ``eval2`` takes a float or a whole array of points.
@@ -389,7 +391,7 @@ def _compile(node: Node):
     gives the bits of evaluating it node by node.
     """
     if isinstance(node, Lit):
-        value = node.value
+        value = np.float64(node.value)
         return lambda env: value
     if isinstance(node, Var):
         name = node.name
@@ -543,7 +545,8 @@ class TriFunction:
         rng = np.random.default_rng(20240)
         t = rng.uniform(0.0, 1.0, samples)
         y1, z1, y2, z2 = (rng.uniform(-10.0, 10.0, samples) for _ in range(4))
-        df = np.broadcast_to(np.abs(np.asarray(self(t, y1, z1)) - np.asarray(self(t, y2, z2))), t.shape)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the bound check
+            df = np.broadcast_to(np.abs(np.asarray(self(t, y1, z1)) - np.asarray(self(t, y2, z2))), t.shape)
         denom = np.abs(y1 - y2) + np.abs(z1 - z2)
         mask = denom > 1e-12
         if not np.any(mask):

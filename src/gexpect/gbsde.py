@@ -15,11 +15,12 @@ increments make up the nonincreasing component K.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core import SpaceTimeGrid, VolatilityBand, g_eval
-from .expr import EvalDomainError, Lit, ScalarFunction, TriFunction, parse_tri
+from .expr import EvalDomainError, ScalarFunction, TriFunction, parse_tri
 from .gheat import BlowUpError, FieldSolution, _field
 
 __all__ = [
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 
-_LITERAL_ZERO = Lit(0.0)
+_ZERO = parse_tri("0")
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class GeneratorPair:
 
 
 def zero_generator() -> GeneratorPair:
-    return GeneratorPair(parse_tri("0"), parse_tri("0"), 0.0, h6=True, check_samples=0)
+    return GeneratorPair(_ZERO, _ZERO, 0.0, h6=True, check_samples=0)
 
 
 class BsdeSolution:
@@ -91,21 +92,17 @@ class BsdeSolution:
         self.field = field_solution
         self.gen = gen
         self.band = band
-        self._eta: np.ndarray | None = None
 
     @property
     def grid(self) -> SpaceTimeGrid:
         return self.field.grid
 
-    @property
+    @cached_property
     def eta(self) -> np.ndarray:
-        if self._eta is None:
-            f_vals = self.gen.f(self.field.times[:, None], self.field.u, self.field.z)
-            eta = np.broadcast_to(f_vals, self.field.u.shape) + 0.5 * self.field.curvature
-            eta = np.ascontiguousarray(eta)
-            eta.setflags(write=False)
-            self._eta = eta
-        return self._eta
+        f_vals = self.gen.f(self.field.times[:, None], self.field.u, self.field.z)
+        eta = np.ascontiguousarray(np.broadcast_to(f_vals, self.field.u.shape) + 0.5 * self.field.curvature)
+        eta.setflags(write=False)
+        return eta
 
     def y_at(self, s: float, x: float = 0.0) -> float:
         return self.field.value_at(s, x)
@@ -155,7 +152,7 @@ def solve_gbsde(
     )
 
     # drivers that are the literal 0 take the forward heat step itself: the fields agree by construction
-    zero = gen.g.ast == _LITERAL_ZERO and gen.f.ast == _LITERAL_ZERO
+    zero = gen.g == _ZERO and gen.f == _ZERO
     drivers = () if zero else (gen.g, gen.f, times, picard)
     u = _field(band, grid, datum, *drivers, envelope=envelope)
     return BsdeSolution(FieldSolution(grid, u, times), gen, band)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -224,24 +225,18 @@ class FieldSolution:
         self.u = u
         times.setflags(write=False)
         self.times = times
-        self._z: np.ndarray | None = None
-        self._curvature: np.ndarray | None = None
 
-    @property
+    @cached_property
     def z(self) -> np.ndarray:
-        if self._z is None:
-            z = _space_gradient(self.u, self.grid.dx)
-            z.setflags(write=False)
-            self._z = z
-        return self._z
+        z = _space_gradient(self.u, self.grid.dx)
+        z.setflags(write=False)
+        return z
 
-    @property
+    @cached_property
     def curvature(self) -> np.ndarray:
-        if self._curvature is None:
-            c = _second_difference(self.u, self.grid.dx * self.grid.dx)
-            c.setflags(write=False)
-            self._curvature = c
-        return self._curvature
+        c = _second_difference(self.u, self.grid.dx * self.grid.dx)
+        c.setflags(write=False)
+        return c
 
     def layer_of(self, t: float) -> float:
         """Fractional layer index whose time label is t."""

@@ -87,3 +87,22 @@ def test_errored_pairs_are_left_out():
     assert (summary["pairs_complete"], summary["pairs_run"]) == (9, 10)
     assert summary["wall_s"]["change_wins"] == 9
     assert bench_pairs._summary(pairs[:1], SPEC) == {"pairs_complete": 0, "pairs_run": 1}
+
+
+def test_a_gain_needs_nine_tenths_of_all_pairs_run():
+    # the change wins all 8 complete pairs, but 8 of 10 run is short of nine tenths
+    pairs = runs(PARENT, [0.7 * p for p in PARENT])
+    pairs[0]["change"] = pairs[1]["parent"] = {"error": ["Traceback"]}
+    summary = bench_pairs._summary(pairs, SPEC)
+    assert summary["wall_s"]["change_wins"] == 8
+    assert not summary["wall_s"]["gain_shown"]
+
+
+@pytest.mark.parametrize("errored,worse", [("change", True), ("parent", False)])
+def test_errored_runs_count_in_failed(errored, worse):
+    pairs = runs(PARENT, PARENT)
+    pairs[3][errored] = {"error": ["exit 1"]}
+    failed = bench_pairs._summary(pairs, SPEC)["failed"]
+    assert failed[f"errored_{errored}"] == 1 and failed[f"attempted_{errored}"] == 900
+    assert failed["parent"] == failed["change"] == 0
+    assert failed["failed_share_worse"] is worse

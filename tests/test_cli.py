@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -94,20 +95,6 @@ class TestCsvTimeLabels:
         assert [float(r[2]) for r in rows] == sol.field.u[k].tolist()
 
 
-class TestSeedKey:
-    def test_seed_accepted_and_not_reported(self, tmp_path):
-        out = tmp_path / "out"
-        assert run("gexp", write_config(tmp_path, base_config(seed=5)), out) == 0
-        report = json.loads((out / "gexp.report.json").read_text())
-        assert "seed" not in report
-        assert report["config"]["seed"] == 5
-
-    def test_seed_type_checked(self):
-        with pytest.raises(ConfigError) as info:
-            ExperimentConfig("gexp", base_config(seed="x"))
-        assert info.value.field == "config.seed"
-
-
 class TestConfigErrors:
     def test_malformed_expression_names_field(self, tmp_path, capsys):
         config = base_config(functions={"phi": "2*"})
@@ -123,6 +110,14 @@ class TestConfigErrors:
         path = write_config(tmp_path, config)
         assert run("gexp", path, tmp_path / "out") == 1
         assert "config.extra_knob" in capsys.readouterr().err
+
+    def test_seed_and_threads_are_unknown_fields(self, tmp_path, capsys):
+        # schema v1 accepted both and nothing read them; a config that carries one is refused like any other key
+        for key, value in (("seed", 5), ("threads", 4)):
+            out = tmp_path / key
+            assert run("gexp", write_config(tmp_path, base_config(**{key: value})), out) == 1
+            assert f"config error at config.{key}: unknown field" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_band_named(self, tmp_path, capsys):
         config = base_config(band={"sigma_min_sq": 2.0, "sigma_max_sq": 1.0})
@@ -164,6 +159,13 @@ class TestNumericalFailure:
         assert report["status"] == "numerical-failure"
         assert "NonFiniteError" in report["diagnostic"]
         assert not (out / "gexp.data.csv").exists()
+
+    def test_infinite_constant_in_the_datum_exits_2(self, tmp_path, capsys):
+        # 1/0 is inf under the solver's error state, as in an array: a NonFiniteError, not a ZeroDivisionError
+        out = tmp_path / "out"
+        assert run("gexp", write_config(tmp_path, base_config(functions={"phi": "x^2 + 1/0"})), out) == 2
+        report = json.loads((out / "gexp.report.json").read_text())
+        assert report["diagnostic"] == "NonFiniteError: non-finite values encountered at time layer 0"
 
     def test_overflowing_transform_exits_2(self, tmp_path, capsys):
         # exp(800) overflows in h's jets: a named failure, not a traceback
@@ -276,9 +278,7 @@ class TestConvexityCommand:
         report = json.loads((out / "convexity.report.json").read_text())
         assert report["results"]["verdict"] == "holds"
 
-
-    @staticmethod
-    def _mixed_config(**overrides):
+    def test_csv_rows_are_the_per_cell_infima(self, tmp_path):
         config = {
             "schema_version": 1,
             "band": {"sigma_min_sq": 1.0, "sigma_max_sq": 2.0},
@@ -286,11 +286,7 @@ class TestConvexityCommand:
             "functions": {"h": "tanh(x)"},
             "params": {"y_range": [-1.5, 2.0], "z_range": [-2.0, 1.0], "resolution": 19, "t": 0.2},
         }
-        config.update(overrides)
-        return config
-
-    def test_csv_rows_are_the_per_cell_infima(self, tmp_path):
-        path = write_config(tmp_path, self._mixed_config())
+        path = write_config(tmp_path, config)
         out = tmp_path / "out"
         assert run("convexity", path, out) == 0
         band = VolatilityBand(1.0, 2.0)
@@ -302,19 +298,6 @@ class TestConvexityCommand:
                 gap, arg = reduce_over_A(band, gen, h, 0.2, float(y), float(z))
                 expected.append(",".join(format(v, ".17g") for v in (float(y), float(z), arg, gap)))
         assert (out / "convexity.data.csv").read_text().splitlines() == expected
-
-    def test_threads_key_accepted_and_ignored(self, tmp_path):
-        plain, threaded = tmp_path / "plain", tmp_path / "threaded"
-        assert run("convexity", write_config(tmp_path, self._mixed_config(), "a.json"), plain) == 0
-        assert run("convexity", write_config(tmp_path, self._mixed_config(threads=4), "b.json"), threaded) == 0
-        reports = [json.loads((d / "convexity.report.json").read_text()) for d in (plain, threaded)]
-        assert reports[0]["results"] == reports[1]["results"]
-        assert (plain / "convexity.data.csv").read_bytes() == (threaded / "convexity.data.csv").read_bytes()
-
-    def test_threads_below_one_rejected(self):
-        with pytest.raises(ConfigError) as info:
-            ExperimentConfig("convexity", self._mixed_config(threads=0))
-        assert info.value.field == "config.threads"
 
 
 class TestJensenCommand:
@@ -487,6 +470,8 @@ class TestNoTraceback:
         # spot checks that read NaN as a pass: a NaN difference quotient, f(t, y, 0) = 0/0
         ("gbsde", "generator", {"g": "sqrt(y)"}, "config.generator"),
         ("gbsde", "generator", {"g": "0", "f": "y*z/z", "h6": True}, "config.generator"),
+        # an overflowing literal: OverflowError, then inf - inf in the spot check, a RuntimeWarning
+        ("gbsde", "generator", {"g": "y + (1e200)^2"}, "config.generator"),
     ]
 
     @pytest.mark.parametrize("command,section,entries,field", CASES)
@@ -522,6 +507,15 @@ class TestNoTraceback:
         report = json.loads((out / "gbsde.report.json").read_text())
         assert report["status"] == "numerical-failure"
         assert report["diagnostic"].startswith("EvalDomainError: driver g is inf")
+
+
+class TestReadmeExample:
+    def test_readme_config_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        out = tmp_path / "out"
+        assert run("gbsde", write_config(tmp_path, json.loads(block)), out) == 0
+        assert json.loads((out / "gbsde.report.json").read_text())["status"] == "ok"
 
 
 class TestMain:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from gexpect import (
     witness_to_phi,
     zero_generator,
 )
+
+from gexpect.expr import BinOp, Call, Lit, Pow, ScalarFunction, Var
 
 from conftest import dense_scan_min
 
@@ -405,6 +408,35 @@ class TestWitnessToPhi:
         phi = witness_to_phi(0.5, -1.0, 2.0)
         again = parse_scalar(phi.to_string())
         assert again(0.3) == pytest.approx(phi(0.3), rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
+    @example((0.0, -0.0, -0.0))
+    @example((-1e300, 5e-324, -5e-324))
+    @example((1e-8, -1e8, 1.7976931348623157e308))
+    def test_text_built_witness_has_the_hand_built_bits(self, jet):
+        phi, reference = witness_to_phi(*jet), _hand_built_witness(*jet)
+        xs = np.concatenate([np.linspace(-2.5, 2.5, 101), [-0.0, 1.0, -1.0, 2.0, -2.0]])
+        assert phi(xs).tobytes() == reference(xs).tobytes()
+        for x in (xs, 0.0, -0.0, 0.3, 1.5):
+            try:
+                expected = np.array(reference.eval2(x)).tobytes()
+            except EvalDomainError as exc:
+                with pytest.raises(EvalDomainError, match=f"^{re.escape(str(exc))}$"):
+                    phi.eval2(x)
+            else:
+                assert np.array(phi.eval2(x)).tobytes() == expected
+
+
+def _hand_built_witness(y0, z0, A0):
+    """The witness AST assembled node by node, as witness_to_phi built it before it parsed text."""
+    x = Var("x")
+    quad = BinOp(
+        "+",
+        BinOp("+", Lit(float(y0)), BinOp("*", Lit(float(z0)), x)),
+        BinOp("*", Lit(0.5 * float(A0)), Pow(x, 2)),
+    )
+    return ScalarFunction(BinOp("*", quad, Call("bump", x)))
 
 
 COHERENCE_GENS = (

@@ -174,7 +174,11 @@ class TestBuiltins:
             for lo, hi in zip(below, above):
                 assert abs(hi - lo) < 1e-6
 
-    @pytest.mark.parametrize("text,x", [("x^2", 1e200), ("exp(x)", 1000.0)])
+    # literals follow the array contract: the constant cases raised ZeroDivisionError and OverflowError
+    @pytest.mark.parametrize(
+        "text,x",
+        [("x^2", 1e200), ("exp(x)", 1000.0), ("x^2 + 1/0", 0.3), ("0^(-1)*x", 0.3), ("(1e200)^2 - x", 0.3)],
+    )
     def test_overflow_is_a_domain_error(self, text, x):
         fn = parse_scalar(text)
         with pytest.raises(EvalDomainError, match="inf at x = "):
@@ -226,7 +230,14 @@ class TestTriFunction:
         assert parse_tri("3").max_difference_quotient() == 0.0
 
     @pytest.mark.parametrize(
-        "text,point", [("1/y", (0.0, 0.0, 0.0)), ("y^2", (0.0, 1e200, 0.0)), ("exp(y)", (0.0, 1000.0, 0.0))]
+        "text,point",
+        [
+            ("1/y", (0.0, 0.0, 0.0)),
+            ("y^2", (0.0, 1e200, 0.0)),
+            ("exp(y)", (0.0, 1000.0, 0.0)),
+            ("y + 1/0", (0.0, 0.3, 0.0)),
+            ("y + (1e200)^2", (0.0, 0.3, 0.0)),
+        ],
     )
     def test_non_finite_point_is_a_domain_error(self, text, point):
         # the parent raised ZeroDivisionError, OverflowError and returned inf

@@ -13,15 +13,17 @@ even pairs and change first in odd ones.  The output holds both
 commits, ``nproc``, the Python and numpy versions, every run, and for
 each workload and end-to-end metric each side's median and quartiles,
 the change's pair wins and ties, and whether a gain is shown: the
-change wins at least nine tenths of the pairs and the medians differ by
-more than the parent's quartile spread.
+change wins at least nine tenths of all pairs run, errored ones
+included, and the medians differ by more than the parent's quartile
+spread.
 ``regressed`` marks a change median worse than the parent's by more than
 the metric's bound in ``BENCHMARK.json`` (relative to the parent
 median).  ``unresolved`` marks a metric whose parent quartile spread is
 wider than that bound, so that a median inside it says nothing, unless
 every change run beats every parent run.  Each workload's ``failed``
-block sums the failed and attempted checks of each side, and
-``failed_share_worse`` marks a change whose failed/attempted exceeds the
+block sums the failed and attempted checks of each side's completed
+runs and counts its errored runs, and ``failed_share_worse`` marks a
+change that errors more often or whose failed/attempted exceeds the
 parent's.  Temporary exports go under ``$TMPDIR``.
 """
 
@@ -105,20 +107,20 @@ def _summary(runs: list[dict], spec: dict) -> dict:
             "ties": ties,
             "relative_change": (after["median"] - before["median"]) / before["median"]
             if before["median"] else None,
-            "gain_shown": wins >= 0.9 * len(pairs) and -worse > before["iqr"],
+            "gain_shown": wins >= 0.9 * len(runs) and -worse > before["iqr"],
             "regressed": worse > bound,
             "unresolved": before["iqr"] > bound
             and not max(sign * c for c in change) < min(sign * p for p in parent),
         }
-    failed = out["failed"] = {
-        "parent": sum(p["failed"] for p, _ in pairs),
-        "change": sum(c["failed"] for _, c in pairs),
-        "attempted_parent": sum(p["attempted"] for p, _ in pairs),
-        "attempted_change": sum(c["attempted"] for _, c in pairs),
-    }
-    failed["failed_share_worse"] = _share(failed["change"], failed["attempted_change"]) > _share(
-        failed["parent"], failed["attempted_parent"]
-    )
+    failed = out["failed"] = {}
+    for side in ("parent", "change"):
+        done = [r[side] for r in runs if "metrics" in r[side]]
+        failed[side] = sum(r["failed"] for r in done)
+        failed[f"attempted_{side}"] = sum(r["attempted"] for r in done)
+        failed[f"errored_{side}"] = len(runs) - len(done)
+    failed["failed_share_worse"] = failed["errored_change"] > failed["errored_parent"] or _share(
+        failed["change"], failed["attempted_change"]
+    ) > _share(failed["parent"], failed["attempted_parent"])
     return out
 
 
