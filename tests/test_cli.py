@@ -95,6 +95,15 @@ class TestCsvTimeLabels:
         assert [float(r[2]) for r in rows] == sol.field.u[k].tolist()
 
 
+class TestSeedKey:
+    def test_seed_type_checked(self):
+        # the key is gone, so a seed of any type is refused by name as an unknown field
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig("gexp", base_config(seed="x"))
+        assert info.value.field == "config.seed"
+        assert str(info.value) == "config error at config.seed: unknown field"
+
+
 class TestConfigErrors:
     def test_malformed_expression_names_field(self, tmp_path, capsys):
         config = base_config(functions={"phi": "2*"})
@@ -298,6 +307,21 @@ class TestConvexityCommand:
                 gap, arg = reduce_over_A(band, gen, h, 0.2, float(y), float(z))
                 expected.append(",".join(format(v, ".17g") for v in (float(y), float(z), arg, gap)))
         assert (out / "convexity.data.csv").read_text().splitlines() == expected
+
+    def test_threads_below_one_rejected(self):
+        # the key is gone, so any threads value is refused by name before its range could matter
+        config = {
+            "schema_version": 1,
+            "band": {"sigma_min_sq": 1.0, "sigma_max_sq": 2.0},
+            "generator": {"g": "0", "f": "0", "lipschitz_L": 0.0},
+            "functions": {"h": "exp(x)"},
+            "params": {"y_range": [-2.0, 2.0], "z_range": [-2.0, 2.0], "resolution": 17},
+            "threads": 0,
+        }
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig("convexity", config)
+        assert info.value.field == "config.threads"
+        assert str(info.value) == "config error at config.threads: unknown field"
 
 
 class TestJensenCommand:
