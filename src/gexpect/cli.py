@@ -227,7 +227,7 @@ def _run_gexp(cfg: ExperimentConfig):
     for t in times:
         values[_fmt(t)] = field.value_at(t, 0.0)
         k = field.nearest_layer(t)
-        for x, u in zip(cfg.grid.xs, field.u[k]):
+        for x, u in zip(cfg.grid.xs, field.layer(k)):
             rows.append((field.times[k], x, u))
     report = {"values_at_zero": values}
     return report, ("t", "x", "u"), rows

@@ -294,7 +294,11 @@ def witness_to_phi(y0: float, z0: float, A0: float) -> ScalarFunction:
 
     The quadratic with that jet is multiplied by the built-in plateau
     (identically 1 on [-1, 1], supported in [-2, 2]); the jet at 0 is
-    untouched while the product stays bounded.
+    untouched while the product stays bounded.  A non-finite entry raises
+    ValueError naming it.
     """
+    for name, value in (("y0", y0), ("z0", z0), ("A0", A0)):
+        if not math.isfinite(value):
+            raise ValueError(f"witness_to_phi needs a finite {name}, got {float(value)!r}")
     # repr round-trips each float exactly; a negative one parses as the negation of its magnitude
     return parse_scalar(f"({float(y0)!r} + {float(z0)!r}*x + {0.5 * float(A0)!r}*x^2) * bump(x)")

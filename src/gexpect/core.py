@@ -59,15 +59,19 @@ def g_eval(band: VolatilityBand, a):
     """Generator G(a) = (sigma_max_sq * a+ - sigma_min_sq * a-) / 2.
 
     Total, monotone, sublinear, positively homogeneous.  Accepts a scalar
-    or an ndarray and returns the same shape.  The bits are those of the
-    formula as written wherever sigma_max_sq * |a| is finite: the supremum
-    0.5 * max(sigma_min_sq * a, sigma_max_sq * a) gives the same value,
-    subnormal a included.  Where only that product overflows, G(a) is
-    still the finite (sigma_max_sq / 2) * a+ - (sigma_min_sq / 2) * a-.
+    or an ndarray and returns the same shape.  The value is the supremum
+    0.5 * max(sigma_min_sq * a, sigma_max_sq * a), subnormal a included,
+    which has the formula's bits wherever sigma_max_sq * |a| is finite.
+    Where only that product overflows, G(a) is still the finite
+    (sigma_max_sq / 2) * a+ - (sigma_min_sq / 2) * a-.  No overflow
+    warning is raised, also where G(a) itself overflows to inf.
     """
     # From the halved ends nothing overflows early, and a normal result has
     # the formula's bits; a subnormal one is rounded as the formula rounds it.
-    g = _g_into(0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq, a)
+    # For a < 0 the larger end's product may overflow where G does not; the
+    # maximum discards it, so its warning says nothing.
+    with np.errstate(over="ignore"):
+        g = _g_into(0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq, a)
     small = np.abs(g) < _TINY
     if small.any():
         if np.ndim(g):  # g is a fresh array; the small entries alone are recomputed
@@ -83,18 +87,22 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _g_into(hi, lo, a, out=None, scratch=None):
-    """hi * max(a, 0) + lo * min(a, 0), for band ends (or halved band ends) hi >= lo > 0.
+    """max(hi * a, lo * a) + 0, for band ends (or halved band ends) hi >= lo > 0.
 
-    The march passes the halved ends and gets G(a) itself.  Halving is exact,
-    so that has the bits of halving sigma_max_sq * a+ - sigma_min_sq * a-
-    wherever sigma_max_sq * |a| is finite and the result is not subnormal.
-    With ``out`` and ``scratch`` (arrays shaped like a, distinct from each
-    other and from a) the result is written into ``out`` and nothing is
-    allocated.
+    The supremum over the band's two ends, which is G(a) itself when the
+    march passes the halved ends.  It has the bits of hi * a+ + lo * a-:
+    one of the two parts is zero, and adding +0 turns a -0 maximum (at
+    a = -0, or where lo * a underflows) into the +0 that sum gives.  For
+    a < 0, hi * a may overflow where the result does not.  Halving is
+    exact, so with the halved ends this has the bits of halving
+    sigma_max_sq * a+ - sigma_min_sq * a- wherever sigma_max_sq * |a| is
+    finite and the result is not subnormal.  With ``out`` and ``scratch``
+    (arrays shaped like a, distinct from each other and from a) the result
+    is written into ``out`` and nothing is allocated.
     """
-    up = np.multiply(hi, np.maximum(a, _ZERO, out=out), out=out)
-    down = np.multiply(lo, np.minimum(a, _ZERO, out=scratch), out=scratch)
-    return np.add(up, down, out=out)
+    up = np.multiply(hi, a, out=out)
+    up = np.maximum(up, np.multiply(lo, a, out=scratch), out=out)
+    return np.add(up, _ZERO, out=out)
 
 
 @dataclass(frozen=True)

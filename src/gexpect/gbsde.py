@@ -15,13 +15,12 @@ increments make up the nonincreasing component K.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .core import SpaceTimeGrid, VolatilityBand, g_eval
 from .expr import EvalDomainError, ScalarFunction, TriFunction, parse_tri
-from .gheat import BlowUpError, FieldSolution, _field
+from .gheat import BlowUpError, FieldSolution, _derived, _solve
 
 __all__ = [
     "GeneratorPair",
@@ -85,24 +84,25 @@ class BsdeSolution:
 
     Layer 0 holds the terminal datum (time label ``times[0]``); layer k is
     k backward steps earlier.  ``eta[k] = f(times[k], u[k], z[k]) +
-    0.5 * curvature[k]``.
+    0.5 * curvature[k]``; like the field's ``u``, ``z`` and ``curvature``
+    it is built whole on first access and is read-only.
     """
 
     def __init__(self, field_solution: FieldSolution, gen: GeneratorPair, band: VolatilityBand):
         self.field = field_solution
         self.gen = gen
         self.band = band
+        self._eta = None
 
     @property
     def grid(self) -> SpaceTimeGrid:
         return self.field.grid
 
-    @cached_property
+    @_derived
     def eta(self) -> np.ndarray:
+        """The variance density of every layer, shaped like ``field.u``."""
         f_vals = self.gen.f(self.field.times[:, None], self.field.u, self.field.z)
-        eta = np.ascontiguousarray(np.broadcast_to(f_vals, self.field.u.shape) + 0.5 * self.field.curvature)
-        eta.setflags(write=False)
-        return eta
+        return np.ascontiguousarray(np.broadcast_to(f_vals, self.field.u.shape) + 0.5 * self.field.curvature)
 
     def y_at(self, s: float, x: float = 0.0) -> float:
         return self.field.value_at(s, x)
@@ -153,9 +153,8 @@ def solve_gbsde(
 
     # drivers that are the literal 0 take the forward heat step itself: the fields agree by construction
     zero = gen.g == _ZERO and gen.f == _ZERO
-    drivers = () if zero else (gen.g, gen.f, times, picard)
-    u = _field(band, grid, datum, *drivers, envelope=envelope)
-    return BsdeSolution(FieldSolution(grid, u, times), gen, band)
+    drivers = () if zero else (gen.g, gen.f, picard)
+    return BsdeSolution(_solve(band, grid, datum, times, drivers, envelope), gen, band)
 
 
 def nonlinear_expectation(

@@ -12,8 +12,11 @@ nodes, exact for affine tails).  With zero driver terms the kernel steps
 2 G(a / 2) = G(a) exactly outside the subnormal range; the backward BSDE
 solver and the conditional reductions reuse the same kernel, so the
 recursions agree bit for bit when the drivers vanish.  Each step writes
-into preallocated arrays: a stored field's next row, or else one of two
-buffers that alternate.  The driver step calls the drivers' compiled
+into preallocated arrays: the next checkpoint row of a stored field when
+the layer is one, or else one of two buffers that alternate.  A solved
+field keeps every floor(sqrt(nt))-th layer and the last two, and a read
+of any other layer re-marches from the checkpoint before it, which
+repeats the first march's bits.  The driver step calls the drivers' compiled
 closures and forms its terms in buffers allocated once per march, in the
 order of the allocating step it replaced, so its layers keep their bits.
 Monotonicity under the CFL bound makes the scheme converge to the
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -124,6 +126,8 @@ def _march(
     picard: bool = False,
     out: np.ndarray | None = None,
     envelope: float | None = None,
+    stride: int = 1,
+    ring: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Shared explicit kernel: marches layers 1..nt from ``datum``, returns layer nt.
 
@@ -137,10 +141,14 @@ def _march(
     ``g_fn`` and ``f_fn`` are TriFunctions; the kernel calls their compiled
     closures inside its error state, which ignores every floating-point
     condition, so a driver that divides by zero or overflows surfaces as a
-    NonFiniteError, never as a warning.  With ``out`` (shape (nt + 1,) +
-    datum.shape) the datum goes to out[0] and layer k straight into out[k].
-    Without it the layers alternate between two buffers allocated per march;
-    the returned last layer is one of the two.
+    NonFiniteError, never as a warning.  With ``out`` (shape
+    (nt // stride + 1,) + datum.shape) the datum goes to out[0] and each
+    layer k with k % stride == 0 straight into out[k // stride]; stride 1
+    stores every layer.  The other layers alternate between the two arrays
+    of ``ring`` (allocated per march when not given), layer k in
+    ring[k % 2], so after the march ``ring`` still holds the last two
+    layers that are not in ``out``.  The returned last layer is a row of
+    ``out`` or of ``ring``.
     """
     # a finite array has dot product 0 with zeros; inf * 0 and NaN give NaN
     zeros = np.zeros(datum.size)
@@ -152,9 +160,9 @@ def _march(
     )
     d2 = np.zeros(datum.shape)
     scratch = np.empty(datum.shape)
-    if out is None:
+    if ring is None:
         ring = (np.empty(datum.shape), np.empty(datum.shape))
-    else:
+    if out is not None:
         out[0] = datum
     if g_fn is not None:
         g, f = g_fn._compiled, f_fn._compiled
@@ -174,7 +182,7 @@ def _march(
     # the kernel names its own failures: an overflow or x/0 is a NonFiniteError, not a warning
     with np.errstate(all="ignore"):
         for k in range(1, nt + 1):
-            row = ring[k % 2] if out is None else out[k]
+            row = out[k // stride] if out is not None and k % stride == 0 else ring[k % 2]
             _second_difference(layer, dx_sq, d2)
             if g_fn is None:
                 # u + dt * G(D2 u): the driver step with zero terms, as 2 G(a / 2) = G(a)
@@ -202,14 +210,19 @@ def _march(
     return layer
 
 
-def _field(
-    band: VolatilityBand, grid: SpaceTimeGrid, datum: np.ndarray, *drivers, envelope=None
-) -> np.ndarray:
-    """Read-only (nt + 1, nx) field of the datum and the layers marched on ``grid``."""
-    u = np.empty((grid.nt + 1, grid.nx))
-    _march(band, grid.dx, grid.dt, grid.nt, datum, *drivers, out=u, envelope=envelope)
-    u.setflags(write=False)
-    return u
+def _derived(build):
+    """A read-only property: ``build(self)`` runs on first access, kept read-only in ``self._<name>``."""
+    slot = "_" + build.__name__
+
+    def get(self):
+        value = getattr(self, slot)
+        if value is None:
+            value = build(self)
+            value.setflags(write=False)
+            setattr(self, slot, value)
+        return value
+
+    return property(get, doc=build.__doc__)
 
 
 class FieldSolution:
@@ -218,25 +231,85 @@ class FieldSolution:
     Layer 0 always holds the datum; ``times[k]`` is the time label of
     layer k (increasing for the forward heat solve, decreasing from the
     terminal time for backward solves).
+
+    A solve keeps the field as checkpoints: every ``stride``-th layer, with
+    stride max(1, isqrt(nt)), plus the last two layers, O(nx sqrt(nt))
+    numbers in all.  ``layer(k)`` returns any layer, re-marching the
+    segment from the checkpoint before it with the band and drivers of the
+    solve; the re-march gives the first march's bits, and reads at the end
+    time re-march nothing.  ``u``, ``z`` and ``curvature`` are the whole
+    (nt + 1, nx) fields, built on first access (``u`` by one more march)
+    and read-only.  ``FieldSolution(grid, u, times)`` wraps a whole field
+    ``u`` as stride 1.
     """
 
-    def __init__(self, grid: SpaceTimeGrid, u: np.ndarray, times: np.ndarray):
+    def __init__(
+        self,
+        grid: SpaceTimeGrid,
+        u: np.ndarray,
+        times: np.ndarray,
+        *,
+        stride: int = 1,
+        ring: tuple[np.ndarray, ...] = (),
+        band: VolatilityBand | None = None,
+        drivers: tuple = (),
+    ):
+        """``u`` holds layer k * stride in row k.  Above stride 1, ``ring[k % 2]``
+        holds layer k for the last two layers that are not checkpoints, and
+        ``band`` and ``drivers`` (g, f, picard; empty for the heat step)
+        re-march the others."""
         self.grid = grid
-        self.u = u
-        times.setflags(write=False)
+        for array in (u, times, *ring):
+            array.setflags(write=False)
         self.times = times
+        self._checkpoints, self._stride, self._ring = u, stride, ring
+        self._band, self._drivers = band, drivers
+        self._u = u if stride == 1 else None
+        self._z = self._curvature = None
+        self._segment = (-1, None)  # the last re-marched segment: its first layer and its rows
 
-    @cached_property
+    def _march_on(self, k: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the checkpoint at layer k and the layers after it, as the solve marched them."""
+        g, f, picard = self._drivers or (None, None, False)
+        grid = self.grid
+        datum = self._checkpoints[k // self._stride]
+        _march(self._band, grid.dx, grid.dt, len(out) - 1, datum, g, f, self.times[k:], picard, out=out)
+
+    def layer(self, k: int) -> np.ndarray:
+        """Layer k, 0 <= k <= nt, as a read-only array; re-marches at most one segment."""
+        nt, stride = self.grid.nt, self._stride
+        if not 0 <= k <= nt:
+            raise IndexError(f"layer {k} outside [0, {nt}]")
+        if k % stride == 0:
+            return self._checkpoints[k // stride]
+        if k >= nt - 1:
+            return self._ring[k % 2]
+        if self._u is not None:
+            return self._u[k]
+        first = k - k % stride
+        if self._segment[0] != first:
+            rows = np.empty((min(stride, nt - first), self.grid.nx))
+            self._march_on(first, rows)
+            rows.setflags(write=False)
+            self._segment = (first, rows)
+        return self._segment[1][k - first]
+
+    @_derived
+    def u(self) -> np.ndarray:
+        """The whole (nt + 1, nx) field, re-marched from the datum on first access."""
+        u = np.empty((self.grid.nt + 1, self.grid.nx))
+        self._march_on(0, u)
+        return u
+
+    @_derived
     def z(self) -> np.ndarray:
-        z = _space_gradient(self.u, self.grid.dx)
-        z.setflags(write=False)
-        return z
+        """Space gradient of every layer, shaped like ``u``."""
+        return _space_gradient(self.u, self.grid.dx)
 
-    @cached_property
+    @_derived
     def curvature(self) -> np.ndarray:
-        c = _second_difference(self.u, self.grid.dx * self.grid.dx)
-        c.setflags(write=False)
-        return c
+        """Second difference of every layer, shaped like ``u``."""
+        return _second_difference(self.u, self.grid.dx * self.grid.dx)
 
     def layer_of(self, t: float) -> float:
         """Fractional layer index whose time label is t."""
@@ -256,7 +329,26 @@ class FieldSolution:
         pos = self.layer_of(t)
         k = int(np.clip(math.floor(pos), 0, self.grid.nt - 1))
         w = min(max(pos - k, 0.0), 1.0)
-        return float((1.0 - w) * self.u[k, j] + w * self.u[k + 1, j])
+        return float((1.0 - w) * self.layer(k)[j] + w * self.layer(k + 1)[j])
+
+
+def _solve(
+    band: VolatilityBand, grid: SpaceTimeGrid, datum: np.ndarray, times: np.ndarray, drivers=(), envelope=None
+) -> FieldSolution:
+    """March the datum once over ``grid``, keeping checkpoints at stride max(1, isqrt(nt)).
+
+    ``drivers`` is (g, f, picard), or empty for the heat step; ``times``
+    labels the layers and gives the drivers their time argument.
+    """
+    stride = max(1, math.isqrt(grid.nt))
+    checkpoints = np.empty((grid.nt // stride + 1, grid.nx))
+    ring = (np.empty(grid.nx), np.empty(grid.nx))
+    g, f, picard = drivers or (None, None, False)
+    _march(
+        band, grid.dx, grid.dt, grid.nt, datum, g, f, times, picard,
+        out=checkpoints, envelope=envelope, stride=stride, ring=ring,
+    )
+    return FieldSolution(grid, checkpoints, times, stride=stride, ring=ring, band=band, drivers=drivers)
 
 
 def solve_g_heat(
@@ -269,8 +361,7 @@ def solve_g_heat(
     """
     grid.check_cfl(band)
     datum = np.asarray(phi(grid.xs), dtype=float)
-    u = _field(band, grid, datum)
-    return FieldSolution(grid, u, np.linspace(0.0, grid.horizon, grid.nt + 1))
+    return _solve(band, grid, datum, np.linspace(0.0, grid.horizon, grid.nt + 1))
 
 
 def g_expectation(

@@ -86,7 +86,13 @@ def test_errored_pairs_are_left_out():
     summary = bench_pairs._summary(pairs, SPEC)
     assert (summary["pairs_complete"], summary["pairs_run"]) == (9, 10)
     assert summary["wall_s"]["change_wins"] == 9
-    assert bench_pairs._summary(pairs[:1], SPEC) == {"pairs_complete": 0, "pairs_run": 1}
+    # with fewer than two complete pairs there are no quartiles, but the errored run still counts
+    alone = bench_pairs._summary(pairs[:1], SPEC)
+    assert (alone["pairs_complete"], alone["pairs_run"]) == (0, 1) and "wall_s" not in alone
+    assert alone["failed"] == {
+        "parent": 0, "change": 0, "attempted_parent": 100, "attempted_change": 0,
+        "errored_parent": 0, "errored_change": 1, "failed_share_worse": True,
+    }
 
 
 def test_a_gain_needs_nine_tenths_of_all_pairs_run():

@@ -409,6 +409,15 @@ class TestWitnessToPhi:
         again = parse_scalar(phi.to_string())
         assert again(0.3) == pytest.approx(phi(0.3), rel=1e-15)
 
+    @pytest.mark.parametrize("index,name", [(0, "y0"), (1, "z0"), (2, "A0")])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_entry_is_named(self, index, name, value):
+        # not a ParseError about an identifier 'inf' the caller never wrote
+        jet = [0.5, -1.0, 2.0]
+        jet[index] = value
+        with pytest.raises(ValueError, match=f"^witness_to_phi needs a finite {name}, got {re.escape(repr(value))}$"):
+            witness_to_phi(*jet)
+
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
     @example((0.0, -0.0, -0.0))

@@ -86,8 +86,8 @@ def _side(values: list[float]) -> dict:
 def _summary(runs: list[dict], spec: dict) -> dict:
     """Per-metric medians, quartiles, pair wins and verdicts of one workload."""
     pairs = [(r["parent"], r["change"]) for r in runs if "metrics" in r["parent"] and "metrics" in r["change"]]
-    out = {"pairs_complete": len(pairs), "pairs_run": len(runs)}
-    if len(pairs) < 2:
+    out = {"pairs_complete": len(pairs), "pairs_run": len(runs), "failed": _failed(runs)}
+    if len(pairs) < 2:  # no quartiles to compare; the failed block still counts every run
         return out
     for name, metric in spec.items():
         sign = 1.0 if metric["better"] == "lower" else -1.0
@@ -112,7 +112,12 @@ def _summary(runs: list[dict], spec: dict) -> dict:
             "unresolved": before["iqr"] > bound
             and not max(sign * c for c in change) < min(sign * p for p in parent),
         }
-    failed = out["failed"] = {}
+    return out
+
+
+def _failed(runs: list[dict]) -> dict:
+    """Failed and attempted checks of each side's completed runs, and its errored runs."""
+    failed = {}
     for side in ("parent", "change"):
         done = [r[side] for r in runs if "metrics" in r[side]]
         failed[side] = sum(r["failed"] for r in done)
@@ -121,7 +126,7 @@ def _summary(runs: list[dict], spec: dict) -> dict:
     failed["failed_share_worse"] = failed["errored_change"] > failed["errored_parent"] or _share(
         failed["change"], failed["attempted_change"]
     ) > _share(failed["parent"], failed["attempted_parent"])
-    return out
+    return failed
 
 
 def _share(failed: int, attempted: int) -> float:
