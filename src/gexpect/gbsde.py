@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import SpaceTimeGrid, VolatilityBand, g_eval
 from .expr import EvalDomainError, ScalarFunction, TriFunction, parse_tri
-from .gheat import BlowUpError, FieldSolution, _derived, _solve
+from .gheat import BlowUpError, FieldSolution, _derived
 
 __all__ = [
     "GeneratorPair",
@@ -154,7 +154,7 @@ def solve_gbsde(
     # drivers that are the literal 0 take the forward heat step itself: the fields agree by construction
     zero = gen.g == _ZERO and gen.f == _ZERO
     drivers = () if zero else (gen.g, gen.f, picard)
-    return BsdeSolution(_solve(band, grid, datum, times, drivers, envelope), gen, band)
+    return BsdeSolution(FieldSolution._solve(band, grid, datum, times, drivers, envelope), gen, band)
 
 
 def nonlinear_expectation(

@@ -243,34 +243,46 @@ class FieldSolution:
     ``u`` as stride 1.
     """
 
-    def __init__(
-        self,
-        grid: SpaceTimeGrid,
-        u: np.ndarray,
-        times: np.ndarray,
-        *,
-        stride: int = 1,
-        ring: tuple[np.ndarray, ...] = (),
-        band: VolatilityBand | None = None,
-        drivers: tuple = (),
-    ):
-        """``u`` holds layer k * stride in row k.  Above stride 1, ``ring[k % 2]``
-        holds layer k for the last two layers that are not checkpoints, and
-        ``band`` and ``drivers`` (g, f, picard; empty for the heat step)
-        re-march the others."""
+    def __init__(self, grid: SpaceTimeGrid, u: np.ndarray, times: np.ndarray):
         self.grid = grid
-        for array in (u, times, *ring):
-            array.setflags(write=False)
+        u.setflags(write=False)
+        times.setflags(write=False)
         self.times = times
-        self._checkpoints, self._stride, self._ring = u, stride, ring
-        self._band, self._drivers = band, drivers
-        self._u = u if stride == 1 else None
+        # layer k * stride is row k of the checkpoints; a whole field is stride 1
+        self._checkpoints, self._stride, self._u = u, 1, u
+        self._ring, self._band, self._drivers = (), None, (None, None, False)
         self._z = self._curvature = None
         self._segment = (-1, None)  # the last re-marched segment: its first layer and its rows
 
+    @classmethod
+    def _solve(
+        cls, band: VolatilityBand, grid: SpaceTimeGrid, datum: np.ndarray, times: np.ndarray, drivers=(), envelope=None
+    ) -> FieldSolution:
+        """March the datum once over ``grid``, keeping checkpoints at stride max(1, isqrt(nt)).
+
+        ``drivers`` is (g, f, picard), or empty for the heat step; ``times``
+        labels the layers and gives the drivers their time argument.  The
+        march's two alternating buffers keep the last two layers that are
+        not checkpoints, layer k in ring[k % 2].
+        """
+        stride = max(1, math.isqrt(grid.nt))
+        checkpoints = np.empty((grid.nt // stride + 1, grid.nx))
+        ring = (np.empty(grid.nx), np.empty(grid.nx))
+        g, f, picard = drivers or (None, None, False)
+        _march(
+            band, grid.dx, grid.dt, grid.nt, datum, g, f, times, picard,
+            out=checkpoints, envelope=envelope, stride=stride, ring=ring,
+        )
+        field = cls(grid, checkpoints, times)
+        for row in ring:
+            row.setflags(write=False)
+        field._stride, field._ring, field._band, field._drivers = stride, ring, band, (g, f, picard)
+        field._u = checkpoints if stride == 1 else None
+        return field
+
     def _march_on(self, k: int, out: np.ndarray) -> None:
         """Fill ``out`` with the checkpoint at layer k and the layers after it, as the solve marched them."""
-        g, f, picard = self._drivers or (None, None, False)
+        g, f, picard = self._drivers
         grid = self.grid
         datum = self._checkpoints[k // self._stride]
         _march(self._band, grid.dx, grid.dt, len(out) - 1, datum, g, f, self.times[k:], picard, out=out)
@@ -332,25 +344,6 @@ class FieldSolution:
         return float((1.0 - w) * self.layer(k)[j] + w * self.layer(k + 1)[j])
 
 
-def _solve(
-    band: VolatilityBand, grid: SpaceTimeGrid, datum: np.ndarray, times: np.ndarray, drivers=(), envelope=None
-) -> FieldSolution:
-    """March the datum once over ``grid``, keeping checkpoints at stride max(1, isqrt(nt)).
-
-    ``drivers`` is (g, f, picard), or empty for the heat step; ``times``
-    labels the layers and gives the drivers their time argument.
-    """
-    stride = max(1, math.isqrt(grid.nt))
-    checkpoints = np.empty((grid.nt // stride + 1, grid.nx))
-    ring = (np.empty(grid.nx), np.empty(grid.nx))
-    g, f, picard = drivers or (None, None, False)
-    _march(
-        band, grid.dx, grid.dt, grid.nt, datum, g, f, times, picard,
-        out=checkpoints, envelope=envelope, stride=stride, ring=ring,
-    )
-    return FieldSolution(grid, checkpoints, times, stride=stride, ring=ring, band=band, drivers=drivers)
-
-
 def solve_g_heat(
     band: VolatilityBand, phi: ScalarFunction, grid: SpaceTimeGrid
 ) -> FieldSolution:
@@ -361,7 +354,7 @@ def solve_g_heat(
     """
     grid.check_cfl(band)
     datum = np.asarray(phi(grid.xs), dtype=float)
-    return _solve(band, grid, datum, np.linspace(0.0, grid.horizon, grid.nt + 1))
+    return FieldSolution._solve(band, grid, datum, np.linspace(0.0, grid.horizon, grid.nt + 1))
 
 
 def g_expectation(
