@@ -256,7 +256,13 @@ class FieldSolution:
 
     @classmethod
     def _solve(
-        cls, band: VolatilityBand, grid: SpaceTimeGrid, datum: np.ndarray, times: np.ndarray, drivers=(), envelope=None
+        cls,
+        band: VolatilityBand,
+        grid: SpaceTimeGrid,
+        datum: np.ndarray,
+        times: np.ndarray,
+        drivers=(),
+        envelope=None,
     ) -> FieldSolution:
         """March the datum once over ``grid``, keeping checkpoints at stride max(1, isqrt(nt)).
 
@@ -296,8 +302,6 @@ class FieldSolution:
             return self._checkpoints[k // stride]
         if k >= nt - 1:
             return self._ring[k % 2]
-        if self._u is not None:
-            return self._u[k]
         first = k - k % stride
         if self._segment[0] != first:
             rows = np.empty((min(stride, nt - first), self.grid.nx))

@@ -48,7 +48,9 @@ def grid_with_steps(band, nx, nt, theta):
 
 
 def generator(g, f):
-    return zero_generator() if (g, f) == ("0", "0") else GeneratorPair(parse_tri(g), parse_tri(f), 1.0, check_samples=0)
+    if (g, f) == ("0", "0"):
+        return zero_generator()
+    return GeneratorPair(parse_tri(g), parse_tri(f), 1.0, check_samples=0)
 
 
 def stride_one(band, grid, datum, gen, times, picard):
