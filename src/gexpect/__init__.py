@@ -31,6 +31,7 @@ from .gheat import (
     conditional_g_expectation,
     g_expectation,
     solve_g_heat,
+    solve_g_heat_batch,
 )
 from .gbsde import (
     BsdeSolution,
@@ -39,6 +40,7 @@ from .gbsde import (
     k_increment,
     nonlinear_expectation,
     solve_gbsde,
+    solve_gbsde_batch,
     zero_generator,
 )
 from .oracle import (

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 from .core import DEFAULT_CFL_THETA, CflError, SpaceTimeGrid, VolatilityBand, cfl_time_steps, make_grid
 from .expr import EvalDomainError, ParseError, parse_scalar, parse_tri
 from .gbsde import BlowUpError, GeneratorPair, solve_gbsde
-from .gheat import NonFiniteError, solve_g_heat
+from .gheat import NonFiniteError, solve_g_heat, solve_g_heat_batch
 from .convexity import (
     check_g_convexity,
     jensen_experiment,
@@ -240,7 +240,8 @@ def _run_gbsde(cfg: ExperimentConfig):
     rows = []
     for t in times:
         k = sol.field.nearest_layer(t)
-        for x, y, z, eta in zip(cfg.grid.xs, sol.field.u[k], sol.field.z[k], sol.eta[k]):
+        columns = sol.field.layer(k), sol.field.z_layer(k), sol.eta_layer(k)
+        for x, y, z, eta in zip(cfg.grid.xs, *columns):
             rows.append((sol.field.times[k], x, y, z, eta))
     report = {"y_at_start": sol.y_at(0.0, 0.0), "horizon": cfg.grid.horizon}
     return report, ("t", "x", "y", "z", "eta"), rows
@@ -315,8 +316,7 @@ def _run_oracle_check(cfg: ExperimentConfig):
     tolerance = cfg.params.get("tolerance", 5e-3)
     rows = []
     worst = 0.0
-    for text, phi in zip(texts, phis):
-        field = solve_g_heat(cfg.band, phi, cfg.grid)
+    for text, phi, field in zip(texts, phis, solve_g_heat_batch(cfg.band, phis, cfg.grid)):
         for t in times:
             pde = field.value_at(t, 0.0)
             tree = tree_expectation(cfg.band, phi, t, steps)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import SpaceTimeGrid, VolatilityBand, g_eval, make_grid
 from .expr import EvalDomainError, ScalarFunction, parse_scalar
-from .gbsde import GeneratorPair, nonlinear_expectation, solve_gbsde
+from .gbsde import GeneratorPair, _nonlinear_expectations, solve_gbsde
 
 __all__ = [
     "ConvexityReport",
@@ -282,9 +282,13 @@ def jensen_experiment(
     t: float,
     grid: SpaceTimeGrid,
 ) -> tuple[float, float, float]:
-    """(E[h(phi(B_t - B_s))], h(E[phi(B_t - B_s)]), their difference)."""
-    lhs = nonlinear_expectation(band, gen, h.compose(phi), s, t, grid)
-    inner = nonlinear_expectation(band, gen, phi, s, t, grid)
+    """(E[h(phi(B_t - B_s))], h(E[phi(B_t - B_s)]), their difference).
+
+    Both expectations come from one march of the stack (h(phi), phi), each
+    with the bits of its own ``nonlinear_expectation``; a numerical failure
+    is that of the first failing (layer, row), row 0 being h(phi).
+    """
+    lhs, inner = _nonlinear_expectations(band, gen, [h.compose(phi), phi], s, t, grid)
     rhs = float(h(inner))
     return lhs, rhs, lhs - rhs
 

@@ -511,13 +511,17 @@ class TriFunction:
     """Function of the driver variables ``t, y, z``; its AST is compiled once, at construction.
 
     ``_compiled({"t": t, "y": y, "z": z})`` evaluates without the checks and
-    the error state of a call: the march calls it inside its own.
+    the error state of a call: the march calls it inside its own, and leaves
+    out of the mapping a variable that ``variables``, the names the
+    expression reads, does not hold.
     """
 
     ast: Node
+    variables: frozenset = field(init=False, repr=False, compare=False)
     _compiled: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "variables", frozenset(_free_variables(self.ast)))
         object.__setattr__(self, "_compiled", _compile(self.ast))
 
     def __call__(self, t, y, z):

@@ -15,12 +15,13 @@ increments make up the nonincreasing component K.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .core import SpaceTimeGrid, VolatilityBand, g_eval
 from .expr import EvalDomainError, ScalarFunction, TriFunction, parse_tri
-from .gheat import BlowUpError, FieldSolution, _derived
+from .gheat import BlowUpError, FieldSolution, _derived, _stack
 
 __all__ = [
     "GeneratorPair",
@@ -28,6 +29,7 @@ __all__ = [
     "BlowUpError",
     "zero_generator",
     "solve_gbsde",
+    "solve_gbsde_batch",
     "nonlinear_expectation",
     "k_increment",
     "k_along_path",
@@ -85,7 +87,9 @@ class BsdeSolution:
     Layer 0 holds the terminal datum (time label ``times[0]``); layer k is
     k backward steps earlier.  ``eta[k] = f(times[k], u[k], z[k]) +
     0.5 * curvature[k]``; like the field's ``u``, ``z`` and ``curvature``
-    it is built whole on first access and is read-only.
+    it is built whole on first access and is read-only.  ``eta_layer(k)``
+    forms row k alone, from ``field.layer(k)``, as the field's ``z_layer``
+    and ``curvature_layer`` do.
     """
 
     def __init__(self, field_solution: FieldSolution, gen: GeneratorPair, band: VolatilityBand):
@@ -104,6 +108,13 @@ class BsdeSolution:
         f_vals = self.gen.f(self.field.times[:, None], self.field.u, self.field.z)
         return np.ascontiguousarray(np.broadcast_to(f_vals, self.field.u.shape) + 0.5 * self.field.curvature)
 
+    def eta_layer(self, k: int) -> np.ndarray:
+        """Row k of ``eta``, from ``field.layer(k)`` alone."""
+        field = self.field
+        y = field.layer(k)
+        f_vals = self.gen.f(field.times[k], y, field.z_layer(k))
+        return np.broadcast_to(f_vals, y.shape) + 0.5 * field.curvature_layer(k)
+
     def y_at(self, s: float, x: float = 0.0) -> float:
         return self.field.value_at(s, x)
 
@@ -112,28 +123,41 @@ class BsdeSolution:
         return float(self.eta[self.grid.nt - step, self.grid.node_index(x)])
 
 
-def solve_gbsde(
+def solve_gbsde_batch(
     band: VolatilityBand,
     gen: GeneratorPair,
-    terminal: ScalarFunction,
+    terminals: Sequence[ScalarFunction],
     grid: SpaceTimeGrid,
     t0: float = 0.0,
     envelope_factor: float = 50.0,
     picard: bool = False,
-) -> BsdeSolution:
-    """Solve backward from the terminal datum over [t0, t0 + horizon].
+) -> list[BsdeSolution]:
+    """Solve backward from each terminal datum over [t0, t0 + horizon], all in one march.
 
-    Time labels run from the terminal time down to t0; Y at time s is
-    ``value_at(s)``.  ``picard`` re-evaluates the drivers once against the
-    explicit predictor per step (the Lipschitz bound plus CFL already make
-    the plain explicit step a contraction, so this is an accuracy knob,
-    not a stability requirement).  Raises CflError for unstable grids,
-    EvalDomainError when a driver is NaN or infinite at the origin, and
-    BlowUpError when |Y| escapes ``envelope_factor * (max|terminal| +
-    horizon * sup |drivers at the origin| + 1)``.
+    Returns one solution per datum, in order, each with the bits of its own
+    ``solve_gbsde``.  Time labels run from the terminal time down to t0; Y
+    at time s is ``value_at(s)``.  ``picard`` re-evaluates the drivers once
+    against the explicit predictor per step, an accuracy knob.
+
+    Neither form is unconditionally stable.  The explicit step is monotone
+    in the layer it reads, the condition of the convergence and comparison
+    proofs, only while 1 - dt * sigma_max_sq / dx^2 - dt * L >= 0 for its
+    y-part, with L the drivers' Lipschitz bound; the CFL bound checked here
+    limits the first term alone.  Grids from ``make_grid`` have dt of order
+    dx^2 and meet it unless L is large, but a coarse explicit grid with
+    dt * L > 1 makes the step expansive: on band (0.125, 0.125), 3 nodes on
+    [-1, 1] and 3 steps (dt = 4), g = -y marches u <- -3 u, turning a
+    positive datum negative, and with ``picard`` u <- 13 u, which raises
+    BlowUpError at layer 2.
+
+    Raises CflError for unstable grids, EvalDomainError when a driver is
+    NaN or infinite at the origin, NonFiniteError for a NaN or infinite
+    layer, and BlowUpError when |Y| of a datum escapes its envelope
+    ``envelope_factor * (max|terminal| + horizon * sup |drivers at the
+    origin| + 1)``; both errors name the time layer and the datum's row.
     """
     grid.check_cfl(band)
-    datum = np.asarray(terminal(grid.xs), dtype=float)
+    data = _stack(terminals, grid)
     times = t0 + grid.horizon - np.linspace(0.0, grid.horizon, grid.nt + 1)
     origin_scale = 0.0
     for name, fn in (("g", gen.g), ("f", gen.f)):
@@ -147,14 +171,47 @@ def solve_gbsde(
                 "where the blow-up envelope reads it"
             )
         origin_scale += float(np.max(vals))
-    envelope = envelope_factor * (
-        float(np.max(np.abs(datum))) + grid.horizon * origin_scale + 1.0
-    )
+    with np.errstate(over="ignore"):  # an envelope beyond the float range is inf, as in float arithmetic
+        envelope = envelope_factor * (np.max(np.abs(data), axis=-1) + grid.horizon * origin_scale + 1.0)
 
     # drivers that are the literal 0 take the forward heat step itself: the fields agree by construction
     zero = gen.g == _ZERO and gen.f == _ZERO
     drivers = () if zero else (gen.g, gen.f, picard)
-    return BsdeSolution(FieldSolution._solve(band, grid, datum, times, drivers, envelope), gen, band)
+    fields = FieldSolution._solve(band, grid, data, times, drivers, envelope)
+    return [BsdeSolution(field, gen, band) for field in fields]
+
+
+def solve_gbsde(
+    band: VolatilityBand,
+    gen: GeneratorPair,
+    terminal: ScalarFunction,
+    grid: SpaceTimeGrid,
+    t0: float = 0.0,
+    envelope_factor: float = 50.0,
+    picard: bool = False,
+) -> BsdeSolution:
+    """Solve backward from the terminal datum over [t0, t0 + horizon]: ``solve_gbsde_batch`` of one."""
+    (sol,) = solve_gbsde_batch(band, gen, [terminal], grid, t0, envelope_factor, picard)
+    return sol
+
+
+def _nonlinear_expectations(
+    band: VolatilityBand,
+    gen: GeneratorPair,
+    terminals: Sequence[ScalarFunction],
+    s: float,
+    t: float,
+    grid: SpaceTimeGrid,
+) -> list[float]:
+    """``nonlinear_expectation`` of each terminal, all in one march."""
+    if not (0.0 <= s <= t <= grid.horizon + 1e-12):
+        raise ValueError(
+            f"need 0 <= s <= t <= horizon, got s={s}, t={t}, horizon={grid.horizon}"
+        )
+    if t == s:
+        return [float(terminal(0.0)) for terminal in terminals]
+    sols = solve_gbsde_batch(band, gen, terminals, grid.over(t - s), t0=s)
+    return [sol.y_at(s, 0.0) for sol in sols]
 
 
 def nonlinear_expectation(
@@ -171,14 +228,8 @@ def nonlinear_expectation(
     time steps no longer than the grid's, so the answer does not depend on
     how much horizon the grid carries beyond t.
     """
-    if not (0.0 <= s <= t <= grid.horizon + 1e-12):
-        raise ValueError(
-            f"need 0 <= s <= t <= horizon, got s={s}, t={t}, horizon={grid.horizon}"
-        )
-    if t == s:
-        return float(terminal(0.0))
-    sol = solve_gbsde(band, gen, terminal, grid.over(t - s), t0=s)
-    return sol.y_at(s, 0.0)
+    (value,) = _nonlinear_expectations(band, gen, [terminal], s, t, grid)
+    return value
 
 
 def k_increment(band: VolatilityBand, eta: float, a: float, dt: float) -> float:

@@ -18,7 +18,21 @@ field keeps every floor(sqrt(nt))-th layer and the last two, and a read
 of any other layer re-marches from the checkpoint before it, which
 repeats the first march's bits.  The driver step calls the drivers' compiled
 closures and forms its terms in buffers allocated once per march, in the
-order of the allocating step it replaced, so its layers keep their bits.
+order of the allocating step it replaced, so its layers keep their bits;
+when neither driver reads z it forms no gradient.
+
+``solve_g_heat_batch`` (and ``gbsde.solve_gbsde_batch``) march a stack of
+data on one grid in one pass: the layers are (B, nx) arrays, every step is
+elementwise or confined to its row, so each row has the bits of its own
+solve, and each datum gets a field that keeps its row of the shared
+checkpoints.  ``solve_g_heat`` is the stack of one, marched as a single
+row.  The blow-up envelope may hold one value per row.  A failure names
+its time layer and its row (0 for a single solve) as the fields ``layer``
+and ``row`` of ``NonFiniteError`` and ``BlowUpError``; the first failing
+layer raises, and within it a non-finite row wins over a row beyond its
+envelope.  When every envelope is finite, each layer's per-row maximum and
+minimum prove it finite as well as bounded, and the separate finiteness
+test runs only on a layer that fails them.
 Monotonicity under the CFL bound makes the scheme converge to the
 viscosity solution and gives discrete maximum/comparison principles.
 """
@@ -27,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -42,27 +56,33 @@ __all__ = [
     "TabulatedFunction",
     "GridResolutionError",
     "solve_g_heat",
+    "solve_g_heat_batch",
     "g_expectation",
     "conditional_g_expectation",
 ]
 
 
 class NonFiniteError(RuntimeError):
-    """The march produced a NaN or infinity."""
+    """The march produced a NaN or infinity at time layer ``layer`` of batch row ``row``."""
 
-    def __init__(self, layer: int):
+    def __init__(self, layer: int, row: int = 0):
         super().__init__(f"non-finite values encountered at time layer {layer}")
         self.layer = layer
+        self.row = row
 
 
 class BlowUpError(RuntimeError):
-    """Solution escaped the growth envelope implied by the terminal data."""
+    """Solution escaped the growth envelope implied by the terminal data.
 
-    def __init__(self, layer: int, value: float, envelope: float):
+    ``layer`` and ``row`` name the time layer and the batch row.
+    """
+
+    def __init__(self, layer: int, value: float, envelope: float, row: int = 0):
         super().__init__(
             f"|Y| = {value:.6g} exceeded envelope {envelope:.6g} at time layer {layer}"
         )
         self.layer = layer
+        self.row = row
 
 
 class GridResolutionError(ValueError):
@@ -114,6 +134,20 @@ def _space_gradient(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> 
     return z
 
 
+def _raise_failure(k: int, layer: np.ndarray, zeros: np.ndarray, limits: np.ndarray | None) -> NoReturn:
+    """Raise the failure of layer k: NonFiniteError, else BlowUpError, each naming its first row.
+
+    A row is one slice along the batch axes, counted in C order (0 for an
+    unbatched march); ``limits`` holds each row's envelope, or is None.
+    """
+    rows = layer.reshape(-1, layer.shape[-1])
+    if np.vdot(layer, zeros) != 0.0:
+        raise NonFiniteError(k, int(np.flatnonzero(~np.isfinite(rows).all(axis=-1))[0]))
+    peaks = np.max(np.abs(rows), axis=-1)
+    r = int(np.flatnonzero(peaks > limits)[0])
+    raise BlowUpError(k, float(peaks[r]), float(limits[r]), r)
+
+
 def _march(
     band: VolatilityBand,
     dx: float,
@@ -125,23 +159,33 @@ def _march(
     layer_times: np.ndarray | None = None,
     picard: bool = False,
     out: np.ndarray | None = None,
-    envelope: float | None = None,
+    envelope=None,
     stride: int = 1,
     ring: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Shared explicit kernel: marches layers 1..nt from ``datum``, returns layer nt.
 
-    Space is the last axis; leading axes are a batch.  Layer k is one step
-    from layer k-1 with the drivers (zero when ``g_fn`` is None) evaluated at
-    ``layer_times[k]``.  ``picard`` corrects the driver arguments once against
-    the explicit predictor.  The datum, each layer and each predictor must be
-    finite, else NonFiniteError names the layer.  With ``envelope`` set, a
-    layer whose largest |value| exceeds it raises BlowUpError naming the layer.
+    Space is the last axis; leading axes are a batch, and each slice along
+    them (a row) marches on its own, with the bits it gets alone.  Layer k
+    is one step from layer k-1 with the drivers (zero when ``g_fn`` is None)
+    evaluated at ``layer_times[k]``.  ``picard`` corrects the driver
+    arguments once against the explicit predictor.  The datum, each layer
+    and each predictor must be finite, else NonFiniteError names the layer
+    and the row.  With ``envelope`` set (one value, or one per row shaped
+    like the batch axes), a layer with a row whose largest |value| exceeds
+    that row's envelope raises BlowUpError naming the layer and the row.
+    The first failing layer raises; within it a non-finite row wins over
+    a row beyond its envelope, and of several rows the first is named.
+    When every envelope is finite, the per-row maximum and minimum that
+    check it also prove the rows finite (a NaN fails both comparisons and
+    an infinity exceeds the bound), so the separate finiteness test runs
+    only on a layer that fails them.
 
     ``g_fn`` and ``f_fn`` are TriFunctions; the kernel calls their compiled
     closures inside its error state, which ignores every floating-point
     condition, so a driver that divides by zero or overflows surfaces as a
-    NonFiniteError, never as a warning.  With ``out`` (shape
+    NonFiniteError, never as a warning.  When neither driver reads ``z``
+    the gradient is not formed.  With ``out`` (shape
     (nt // stride + 1,) + datum.shape) the datum goes to out[0] and each
     layer k with k % stride == 0 straight into out[k // stride]; stride 1
     stores every layer.  The other layers alternate between the two arrays
@@ -153,7 +197,12 @@ def _march(
     # a finite array has dot product 0 with zeros; inf * 0 and NaN give NaN
     zeros = np.zeros(datum.size)
     if np.vdot(datum, zeros) != 0.0:
-        raise NonFiniteError(0)
+        _raise_failure(0, datum, zeros, None)
+    limits = None if envelope is None else np.broadcast_to(envelope, datum.shape[:-1]).reshape(-1)
+    if limits is not None:
+        floor = -envelope
+    folded = limits is not None and bool(np.isfinite(limits).all())
+    single = datum.ndim == 1  # one row compares scalars, which `and` takes faster than .all()
     # 0-d arrays: numpy takes them per call faster than Python floats
     dx_sq, step, half_max, half_min, half, two = map(
         np.array, (dx * dx, dt, 0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq, 0.5, 2.0)
@@ -166,6 +215,7 @@ def _march(
         out[0] = datum
     if g_fn is not None:
         g, f = g_fn._compiled, f_fn._compiled
+        reads_z = "z" in g_fn.variables or "z" in f_fn.variables
         grad, half_d2, arg, two_g = (np.empty(datum.shape) for _ in range(4))
         predictor = np.empty(datum.shape) if picard else None
 
@@ -191,21 +241,29 @@ def _march(
             else:
                 t = layer_times[k]
                 np.multiply(half, d2, out=half_d2)
-                env = {"t": t, "y": layer, "z": _space_gradient(layer, dx, grad)}
+                env = {"t": t, "y": layer}
+                if reads_z:
+                    env["z"] = _space_gradient(layer, dx, grad)
                 if picard:
                     np.add(layer, increment(env, predictor), out=predictor)
                     if np.vdot(predictor, zeros) != 0.0:
-                        raise NonFiniteError(k)
-                    env = {"t": t, "y": predictor, "z": _space_gradient(predictor, dx, grad)}
+                        _raise_failure(k, predictor, zeros, None)
+                    env = {"t": t, "y": predictor}
+                    if reads_z:
+                        env["z"] = _space_gradient(predictor, dx, grad)
                 increment(env, row)
             np.add(layer, row, out=row)
-            if np.vdot(row, zeros) != 0.0:
-                raise NonFiniteError(k)
-            # max |Y| > envelope without forming |Y|: the row is finite
-            if envelope is not None and (
-                np.maximum.reduce(row, None) > envelope or -np.minimum.reduce(row, None) > envelope
+            if folded:
+                # a NaN fails both comparisons and an infinity exceeds the finite bound
+                below, above = np.maximum.reduce(row, -1) <= envelope, np.minimum.reduce(row, -1) >= floor
+                if not (below and above if single else (below & above).all()):
+                    _raise_failure(k, row, zeros, limits)
+            elif np.vdot(row, zeros) != 0.0 or (
+                # max |Y| > envelope without forming |Y|: the row is finite
+                limits is not None
+                and ((np.maximum.reduce(row, -1) > envelope) | (np.minimum.reduce(row, -1) < floor)).any()
             ):
-                raise BlowUpError(k, float(np.max(np.abs(row))), envelope)
+                _raise_failure(k, row, zeros, limits)
             layer = row
     return layer
 
@@ -259,32 +317,45 @@ class FieldSolution:
         cls,
         band: VolatilityBand,
         grid: SpaceTimeGrid,
-        datum: np.ndarray,
+        data: np.ndarray,
         times: np.ndarray,
         drivers=(),
         envelope=None,
-    ) -> FieldSolution:
-        """March the datum once over ``grid``, keeping checkpoints at stride max(1, isqrt(nt)).
+    ) -> list[FieldSolution]:
+        """March a (B, nx) stack of data once over ``grid``; one field per datum.
 
         ``drivers`` is (g, f, picard), or empty for the heat step; ``times``
-        labels the layers and gives the drivers their time argument.  The
-        march's two alternating buffers keep the last two layers that are
-        not checkpoints, layer k in ring[k % 2].
+        labels the layers and gives the drivers their time argument;
+        ``envelope`` is None or one value per datum.  The checkpoints, every
+        max(1, isqrt(nt))-th layer, share one (nt // stride + 1, B, nx) array,
+        and the march's two alternating (B, nx) buffers keep the last two
+        layers that are not checkpoints, layer k in ring[k % 2]; field b
+        keeps row b of each.  A stack of one marches as a single row, so it
+        skips the end-column pass of the flattened sweep over several rows.
         """
+        batch, nx = data.shape
         stride = max(1, math.isqrt(grid.nt))
-        checkpoints = np.empty((grid.nt // stride + 1, grid.nx))
-        ring = (np.empty(grid.nx), np.empty(grid.nx))
+        checkpoints = np.empty((grid.nt // stride + 1, batch, nx))
+        ring = (np.empty((batch, nx)), np.empty((batch, nx)))
         g, f, picard = drivers or (None, None, False)
+        rows, out, buffers = data, checkpoints, ring
+        if batch == 1:
+            rows, out, buffers = data[0], checkpoints[:, 0], (ring[0][0], ring[1][0])
+            envelope = None if envelope is None else envelope[0]
         _march(
-            band, grid.dx, grid.dt, grid.nt, datum, g, f, times, picard,
-            out=checkpoints, envelope=envelope, stride=stride, ring=ring,
+            band, grid.dx, grid.dt, grid.nt, rows, g, f, times, picard,
+            out=out, envelope=envelope, stride=stride, ring=buffers,
         )
-        field = cls(grid, checkpoints, times)
-        for row in ring:
-            row.setflags(write=False)
-        field._stride, field._ring, field._band, field._drivers = stride, ring, band, (g, f, picard)
-        field._u = checkpoints if stride == 1 else None
-        return field
+        for array in (checkpoints, *ring):
+            array.setflags(write=False)
+        fields = []
+        for b in range(batch):
+            field = cls(grid, checkpoints[:, b], times)
+            field._stride, field._ring, field._band = stride, (ring[0][b], ring[1][b]), band
+            field._drivers = (g, f, picard)
+            field._u = field._checkpoints if stride == 1 else None
+            fields.append(field)
+        return fields
 
     def _march_on(self, k: int, out: np.ndarray) -> None:
         """Fill ``out`` with the checkpoint at layer k and the layers after it, as the solve marched them."""
@@ -327,6 +398,14 @@ class FieldSolution:
         """Second difference of every layer, shaped like ``u``."""
         return _second_difference(self.u, self.grid.dx * self.grid.dx)
 
+    def z_layer(self, k: int) -> np.ndarray:
+        """Row k of ``z``, from ``layer(k)`` alone."""
+        return _space_gradient(self.layer(k), self.grid.dx)
+
+    def curvature_layer(self, k: int) -> np.ndarray:
+        """Row k of ``curvature``, from ``layer(k)`` alone."""
+        return _second_difference(self.layer(k), self.grid.dx * self.grid.dx)
+
     def layer_of(self, t: float) -> float:
         """Fractional layer index whose time label is t."""
         t0, t1 = self.times[0], self.times[-1]
@@ -348,17 +427,33 @@ class FieldSolution:
         return float((1.0 - w) * self.layer(k)[j] + w * self.layer(k + 1)[j])
 
 
+def _stack(functions: Sequence[ScalarFunction], grid: SpaceTimeGrid) -> np.ndarray:
+    """Each function on ``grid.xs``, one row per function; at least one is needed."""
+    if not len(functions):
+        raise ValueError("need at least one datum")
+    return np.stack([np.asarray(fn(grid.xs), dtype=float) for fn in functions])
+
+
+def solve_g_heat_batch(
+    band: VolatilityBand, phis: Sequence[ScalarFunction], grid: SpaceTimeGrid
+) -> list[FieldSolution]:
+    """March each initial datum forward over [0, horizon], all in one march.
+
+    Returns one field per datum, in order, each with the bits of its own
+    ``solve_g_heat``.  Layer k of a field is the solution at time k * dt;
+    boundary nodes use the zero-second-difference convention (exact for
+    affine tails).
+    """
+    grid.check_cfl(band)
+    return FieldSolution._solve(band, grid, _stack(phis, grid), np.linspace(0.0, grid.horizon, grid.nt + 1))
+
+
 def solve_g_heat(
     band: VolatilityBand, phi: ScalarFunction, grid: SpaceTimeGrid
 ) -> FieldSolution:
-    """March the initial datum phi forward over [0, horizon].
-
-    Layer k of the result is the solution at time k * dt; boundary nodes
-    use the zero-second-difference convention (exact for affine tails).
-    """
-    grid.check_cfl(band)
-    datum = np.asarray(phi(grid.xs), dtype=float)
-    return FieldSolution._solve(band, grid, datum, np.linspace(0.0, grid.horizon, grid.nt + 1))
+    """March the initial datum phi forward over [0, horizon]: ``solve_g_heat_batch`` of one."""
+    (field,) = solve_g_heat_batch(band, [phi], grid)
+    return field
 
 
 def g_expectation(

@@ -135,6 +135,29 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
+    def test_gbsde_rows_at_nx401_stay_small(self, band):
+        # the whole u, z, curvature and eta were 7.9 MB each (nt = 2470) and the run peaked
+        # at 40.5 MB; rows from layer(k) hold checkpoints, one segment and the rows
+        config = {
+            "schema_version": 1,
+            "band": {"sigma_min_sq": 1.0, "sigma_max_sq": 2.0},
+            "grid": {"horizon": 1.0, "nx": 401},
+            "generator": {"g": "0.5*z", "f": "0.1*y", "lipschitz_L": 1.0},
+            "functions": {"terminal": "tanh(x)"},
+            "params": {"times": [0.5, 1.0]},
+        }
+        field_bytes = (make_grid(band, 1.0, nx=401).nt + 1) * 401 * 8
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gbsde.json"
+            path.write_text(json.dumps(config))
+            tracemalloc.start()
+            try:
+                assert run("gbsde", path, Path(tmp)) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < field_bytes / 4, f"peak {peak / 1e6:.1f} MB against {field_bytes / 1e6:.1f} MB per field"
+
 
 class TestDerivedFieldsAreReadOnly:
     def test_assignment_raises(self, band):

@@ -248,6 +248,16 @@ class TestTriFunction:
         out = parse_tri("1/y")(0.0, np.array([0.0, 2.0]), 0.0)
         assert out.tolist() == [np.inf, 0.5]
 
+    @pytest.mark.parametrize(
+        "text,names",
+        [("-y", {"y"}), ("0", set()), ("t + 2*y - z", {"t", "y", "z"}), ("-abs_smooth(z)", {"z"}), ("sin(y)^2 - t", {"t", "y"})],
+    )
+    def test_variables_are_the_names_read(self, text, names):
+        fn = parse_tri(text)
+        assert fn.variables == frozenset(names)
+        # the compiled closure reads nothing else
+        assert fn._compiled(dict.fromkeys(names, np.ones(2))) is not None
+
 
 class TestOneEvaluator:
     # expressions finite with finite jets on the whole sampled range

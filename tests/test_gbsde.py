@@ -10,6 +10,7 @@ from gexpect import (
     GeneratorPair,
     NonFiniteError,
     SpaceTimeGrid,
+    VolatilityBand,
     k_along_path,
     k_increment,
     make_grid,
@@ -175,6 +176,21 @@ class TestSolveGbsde:
         bad = SpaceTimeGrid(horizon=1.0, x_min=-8.5, x_max=8.5, nx=401, nt=50)
         with pytest.raises(CflError):
             solve_gbsde(band, zero_generator(), parse_scalar("x"), bad)
+
+
+class TestStepCondition:
+    def test_a_step_past_the_lipschitz_condition_is_expansive(self):
+        # CFL holds (dt sigma^2 / dx^2 = 0.5) but 1 - 0.5 - dt L = -3.5 < 0 with dt = 4, L = 1
+        band = VolatilityBand(0.125, 0.125)
+        grid = SpaceTimeGrid(12.0, -1.0, 1.0, 3, 3)
+        grid.check_cfl(band)
+        gen = GeneratorPair(parse_tri("-y"), parse_tri("0"), 1.0)
+        # the plain step marches u <- -3 u: a positive datum turns negative, no comparison principle
+        u = solve_gbsde(band, gen, parse_scalar("1"), grid).field.u
+        assert u[:, 1].tolist() == [1.0, -3.0, 9.0, -27.0]
+        with pytest.raises(BlowUpError) as err:  # the Picard step marches u <- 13 u
+            solve_gbsde(band, gen, parse_scalar("1"), grid, picard=True)
+        assert err.value.layer == 2
 
 
 class TestNonlinearExpectation:

@@ -296,7 +296,8 @@ def backward_times(grid, t0=0.0):
 
 
 # the generators of the acceptance criteria 5-8, plus drivers that hand back
-# their own arguments (y is the layer, z the gradient buffer) and a quotient
+# their own arguments (y is the layer, z the gradient buffer), a quotient, and
+# drivers that read no z (the kernel forms no gradient for them), y alone or t too
 DRIVER_CASES = (
     ("-y", "0"),
     ("0.5*z", "0.1*y"),
@@ -306,6 +307,9 @@ DRIVER_CASES = (
     ("-abs_smooth(z)", "0"),
     ("z", "y"),
     ("0.5*z/(1 + y^2)", "0.1*sin(y)*z - t"),
+    ("y", "-0.5*y"),
+    ("sin(y) - t", "0.3*t*y"),
+    ("t", "0"),
 )
 
 
