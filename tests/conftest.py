@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from gexpect import VolatilityBand, make_grid, parse_scalar
+from gexpect import (
+    GeneratorPair,
+    SpaceTimeGrid,
+    VolatilityBand,
+    make_grid,
+    parse_scalar,
+    parse_tri,
+    zero_generator,
+)
 
 # Expressions used across the suite: 8 reference payoffs spanning odd/even,
 # polynomial growth and bounded-smooth shapes.
@@ -58,3 +66,16 @@ def dense_scan_min(band, gen, h, t, y, z, lo=-1e3, hi=1e3, n=100_000, zooms=3):
 def assert_series_nonincreasing(series: np.ndarray, slack: float = 1e-12):
     steps = np.diff(series)
     assert steps.size == 0 or float(np.max(steps)) <= slack
+
+
+def grid_with_steps(band, nx, nt, theta):
+    """The grid on [-1, 1] with exactly ``nt`` steps at CFL fraction ``theta``."""
+    dx = 2.0 / (nx - 1)
+    return SpaceTimeGrid(nt * theta * dx * dx / band.sigma_max_sq, -1.0, 1.0, nx, nt)
+
+
+def generator(g, f):
+    """The driver pair (g, f) at Lipschitz bound 1, unchecked; the literal zero pair is ``zero_generator()``."""
+    if (g, f) == ("0", "0"):
+        return zero_generator()
+    return GeneratorPair(parse_tri(g), parse_tri(f), 1.0, check_samples=0)

@@ -14,7 +14,6 @@ from gexpect import (
     BlowUpError,
     GeneratorPair,
     NonFiniteError,
-    SpaceTimeGrid,
     VolatilityBand,
     jensen_experiment,
     make_grid,
@@ -28,7 +27,7 @@ from gexpect import (
     zero_generator,
 )
 
-from conftest import CATALOG_TEXTS
+from conftest import CATALOG_TEXTS, generator, grid_with_steps
 
 # zero; z-free (the kernel forms no gradient); z-reading; transcendental in z or y
 DRIVERS = (
@@ -40,18 +39,6 @@ DRIVERS = (
     ("-abs_smooth(z)", "0"),
     ("0.5*z/(1 + y^2)", "0.1*sin(y)*z - t"),
 )
-
-
-def generator(g, f):
-    if (g, f) == ("0", "0"):
-        return zero_generator()
-    return GeneratorPair(parse_tri(g), parse_tri(f), 1.0, check_samples=0)
-
-
-def grid_with_steps(band, nx, nt, theta):
-    """The grid on [-1, 1] with exactly ``nt`` steps at CFL fraction ``theta``."""
-    dx = 2.0 / (nx - 1)
-    return SpaceTimeGrid(nt * theta * dx * dx / band.sigma_max_sq, -1.0, 1.0, nx, nt)
 
 
 def same(a, b):
@@ -157,7 +144,7 @@ class TestFailuresNameTheirRow:
     def test_a_non_finite_row_raises_at_its_reference_layer(self, band, picard):
         # 1/(y - 1) divides by zero where the datum x + 1 is 1; x^2 + 3 stays away from 1
         grid = make_grid(band, 0.5, nx=101)
-        gen = GeneratorPair(parse_tri("1/(y - 1)"), parse_tri("0"), 1.0, check_samples=0)
+        gen = generator("1/(y - 1)", "0")
         good, bad = parse_scalar("x^2 + 3"), parse_scalar("x + 1")
         solve_gbsde(band, gen, good, grid, picard=picard)
         alone = failure_of(lambda: solve_gbsde(band, gen, bad, grid, picard=picard))
@@ -187,7 +174,7 @@ class TestFailuresNameTheirRow:
         # at envelope factor 0.1 the datum x^2 + 3 leaves its envelope at layer 1, where
         # 1/(y - 1) divides by zero on the datum x + 1
         grid = make_grid(band, 0.5, nx=101)
-        gen = GeneratorPair(parse_tri("1/(y - 1)"), parse_tri("0"), 1.0, check_samples=0)
+        gen = generator("1/(y - 1)", "0")
         good, bad = parse_scalar("x^2 + 3"), parse_scalar("x + 1")
         singles = [failure_of(lambda: solve_gbsde(band, gen, fn, grid, envelope_factor=0.1)) for fn in (good, bad)]
         assert [(type(err), err.layer) for err in singles] == [(BlowUpError, 1), (NonFiniteError, 1)]

@@ -20,7 +20,6 @@ from gexpect import (
     BsdeSolution,
     FieldSolution,
     GeneratorPair,
-    SpaceTimeGrid,
     VolatilityBand,
     make_grid,
     parse_scalar,
@@ -32,25 +31,13 @@ from gexpect import (
 from gexpect.cli import _fmt, run
 from gexpect.gheat import _march, _second_difference, _space_gradient
 
-from conftest import CATALOG_TEXTS
+from conftest import CATALOG_TEXTS, generator, grid_with_steps
 
 DRIVERS = (("0", "0"), ("-y", "0"), ("0.5*z", "0.1*y"))
 
 # nt = 1 and 2 (stride 1), perfect squares (the last layer is a checkpoint),
 # multiples of the stride, and one past a checkpoint (the last layer alone in the ring)
 EDGE_STEPS = (1, 2, 3, 4, 5, 9, 10, 16, 17, 20, 21, 25, 26, 30, 49, 50)
-
-
-def grid_with_steps(band, nx, nt, theta):
-    """The grid on [-1, 1] with exactly ``nt`` steps at CFL fraction ``theta``."""
-    dx = 2.0 / (nx - 1)
-    return SpaceTimeGrid(nt * theta * dx * dx / band.sigma_max_sq, -1.0, 1.0, nx, nt)
-
-
-def generator(g, f):
-    if (g, f) == ("0", "0"):
-        return zero_generator()
-    return GeneratorPair(parse_tri(g), parse_tri(f), 1.0, check_samples=0)
 
 
 def stride_one(band, grid, datum, gen, times, picard):
