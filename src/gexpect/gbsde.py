@@ -14,6 +14,7 @@ increments make up the nonincreasing component K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -118,9 +119,19 @@ class BsdeSolution:
     def y_at(self, s: float, x: float = 0.0) -> float:
         return self.field.value_at(s, x)
 
-    def eta_forward(self, step: int, x: float) -> float:
-        """eta at forward time step * dt and the node nearest x."""
-        return float(self.eta[self.grid.nt - step, self.grid.node_index(x)])
+    def eta_forward(self, step, x):
+        """eta at forward time step * dt (0 <= step <= nt) and the node nearest x.
+
+        Arrays of steps and of x broadcast and give an array; two scalars give a float.
+        """
+        grid = self.grid
+        eta = self.eta[grid.nt - step, grid.node_index(x)]
+        return eta if eta.ndim else float(eta)
+
+    def _check_time_grid(self, nt: int, span: float) -> None:
+        """Raise ValueError unless nt steps over ``span`` are this solution's time grid."""
+        if nt != self.grid.nt or abs(span - self.grid.horizon) > 1e-9:
+            raise ValueError("path and field are on different time grids")
 
 
 def solve_gbsde_batch(
@@ -150,12 +161,16 @@ def solve_gbsde_batch(
     positive datum negative, and with ``picard`` u <- 13 u, which raises
     BlowUpError at layer 2.
 
-    Raises CflError for unstable grids, EvalDomainError when a driver is
-    NaN or infinite at the origin, NonFiniteError for a NaN or infinite
-    layer, and BlowUpError when |Y| of a datum escapes its envelope
+    Raises ValueError unless ``envelope_factor`` is finite and > 0,
+    CflError for unstable grids, EvalDomainError when a driver is NaN or
+    infinite at the origin, NonFiniteError for a NaN or infinite layer,
+    and BlowUpError when |Y| of a datum escapes its envelope
     ``envelope_factor * (max|terminal| + horizon * sup |drivers at the
-    origin| + 1)``; both errors name the time layer and the datum's row.
+    origin| + 1)``, clamped to the largest float; both errors name the
+    time layer and the datum's row.
     """
+    if not (math.isfinite(envelope_factor) and envelope_factor > 0.0):
+        raise ValueError(f"envelope_factor must be finite and > 0, got {envelope_factor}")
     grid.check_cfl(band)
     data = _stack(terminals, grid)
     times = t0 + grid.horizon - np.linspace(0.0, grid.horizon, grid.nt + 1)
@@ -171,8 +186,9 @@ def solve_gbsde_batch(
                 "where the blow-up envelope reads it"
             )
         origin_scale += float(np.max(vals))
-    with np.errstate(over="ignore"):  # an envelope beyond the float range is inf, as in float arithmetic
+    with np.errstate(over="ignore"):  # clamped, a bound is finite: a row inside it is finite too
         envelope = envelope_factor * (np.max(np.abs(data), axis=-1) + grid.horizon * origin_scale + 1.0)
+    np.minimum(envelope, np.finfo(float).max, out=envelope)
 
     # drivers that are the literal 0 take the forward heat step itself: the fields agree by construction
     zero = gen.g == _ZERO and gen.f == _ZERO
@@ -254,15 +270,7 @@ def k_along_path(sol: BsdeSolution, path) -> np.ndarray:
     Each step uses the variance density the path actually realised, so the
     series is nonincreasing up to rounding noise.
     """
-    grid = sol.grid
-    nt = grid.nt
-    if len(path.times) != nt + 1 or abs(
-        (path.times[-1] - path.times[0]) - grid.horizon
-    ) > 1e-9:
-        raise ValueError("path and field are on different time grids")
-    eta = sol.eta[nt - np.arange(nt), grid.node_index(path.b[:-1])]
-    dk = _k_step(sol.band, eta, path.a, grid.dt)
-    out = np.empty(nt + 1)
-    out[0] = 0.0
-    np.cumsum(dk, out=out[1:])
-    return out
+    nt = len(path.times) - 1
+    sol._check_time_grid(nt, path.times[-1] - path.times[0])
+    dk = _k_step(sol.band, sol.eta_forward(np.arange(nt), path.b[:-1]), path.a, sol.grid.dt)
+    return np.concatenate(([0.0], np.cumsum(dk)))

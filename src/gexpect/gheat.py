@@ -30,9 +30,8 @@ row.  The blow-up envelope may hold one value per row.  A failure names
 its time layer and its row (0 for a single solve) as the fields ``layer``
 and ``row`` of ``NonFiniteError`` and ``BlowUpError``; the first failing
 layer raises, and within it a non-finite row wins over a row beyond its
-envelope.  When every envelope is finite, each layer's per-row maximum and
-minimum prove it finite as well as bounded, and the separate finiteness
-test runs only on a layer that fails them.
+envelope.  A (finite) envelope's per-row maximum and minimum prove a
+layer finite too; only a march without one runs a separate finiteness test.
 Monotonicity under the CFL bound makes the scheme converge to the
 viscosity solution and gives discrete maximum/comparison principles.
 """
@@ -176,10 +175,10 @@ def _march(
     that row's envelope raises BlowUpError naming the layer and the row.
     The first failing layer raises; within it a non-finite row wins over
     a row beyond its envelope, and of several rows the first is named.
-    When every envelope is finite, the per-row maximum and minimum that
-    check it also prove the rows finite (a NaN fails both comparisons and
-    an infinity exceeds the bound), so the separate finiteness test runs
-    only on a layer that fails them.
+    Every envelope must be finite: the per-row maximum and minimum that
+    check it then also prove the rows finite (a NaN fails both comparisons
+    and an infinity exceeds the bound), so the separate finiteness test
+    runs only without an envelope, or on a layer that fails it.
 
     ``g_fn`` and ``f_fn`` are TriFunctions; the kernel calls their compiled
     closures inside its error state, which ignores every floating-point
@@ -199,9 +198,7 @@ def _march(
     if np.vdot(datum, zeros) != 0.0:
         _raise_failure(0, datum, zeros, None)
     limits = None if envelope is None else np.broadcast_to(envelope, datum.shape[:-1]).reshape(-1)
-    if limits is not None:
-        floor = -envelope
-    folded = limits is not None and bool(np.isfinite(limits).all())
+    floor = None if envelope is None else -envelope
     single = datum.ndim == 1  # one row compares scalars, which `and` takes faster than .all()
     # 0-d arrays: numpy takes them per call faster than Python floats
     dx_sq, step, half_max, half_min, half, two = map(
@@ -253,17 +250,13 @@ def _march(
                         env["z"] = _space_gradient(predictor, dx, grad)
                 increment(env, row)
             np.add(layer, row, out=row)
-            if folded:
+            if limits is not None:
                 # a NaN fails both comparisons and an infinity exceeds the finite bound
                 below, above = np.maximum.reduce(row, -1) <= envelope, np.minimum.reduce(row, -1) >= floor
                 if not (below and above if single else (below & above).all()):
                     _raise_failure(k, row, zeros, limits)
-            elif np.vdot(row, zeros) != 0.0 or (
-                # max |Y| > envelope without forming |Y|: the row is finite
-                limits is not None
-                and ((np.maximum.reduce(row, -1) > envelope) | (np.minimum.reduce(row, -1) < floor)).any()
-            ):
-                _raise_failure(k, row, zeros, limits)
+            elif np.vdot(row, zeros) != 0.0:
+                _raise_failure(k, row, zeros, None)
             layer = row
     return layer
 

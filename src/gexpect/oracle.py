@@ -2,13 +2,16 @@
 tree for the band's expectations and a seeded path simulator for
 quadratic-variation and K-monotonicity experiments.
 
-The tree maximises, node by node, over the two band endpoints; for a
-linear reward in the variance that is exact, not an approximation.  Path
-innovations are +-1 from a fixed 64-bit shift-register generator so that
-quadratic variation is exact per step and runs reproduce bit for bit.  The
-path loop runs on Python floats; IEEE arithmetic is the same on a Python
-float as on a numpy scalar, so the paths keep the bits of the earlier loop
-on numpy scalars.
+Both trees run one backward loop, ``_lattice``: nodes sigma_max * sqrt(dt)
+apart and no boundary, each taking the better continuation of the two band
+endpoints (exact for a reward linear in the variance), plus K's per-step
+``_k_step`` in ``tree_k_expectation``.  The tree's independence from the
+PDE solve lies in this lattice, not in the expression compiler, which
+evaluates phi for both.  Path innovations are +-1 from a fixed 64-bit
+shift-register generator so that quadratic variation is exact per step
+and runs reproduce bit for bit.  The path loop runs on Python floats; IEEE
+arithmetic is the same on a Python float as on a numpy scalar, so the
+paths keep the bits of the earlier loop on numpy scalars.
 """
 
 from __future__ import annotations
@@ -93,23 +96,35 @@ _HALF = np.array(0.5)  # 0-d arrays: numpy takes them per call faster than float
 _HALF.setflags(write=False)
 
 
-def _tree_step(
-    values: np.ndarray, c: np.ndarray, d: np.ndarray, cd: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One backward lattice step from ``values`` (n + 2 nodes) to n nodes.
+def _lattice(band: VolatilityBand, dt: float, steps: int, terminal, reward=None) -> float:
+    """Backward induction over ``steps`` steps of dt; returns the root value.
 
-    Returns (mid, d, c * d), writing the length-n buffers ``d`` and ``cd``
-    in place: d = avg - mid is the move term at the top band endpoint
-    (probability 1/2 each way) and c * d, with c = 2 p_low <= 1 a 0-d
-    array, the one at the bottom.  The continuation values at the two
-    endpoints are mid + d and mid + c * d.
+    The 2 steps + 1 end nodes xs, sigma_max * sqrt(dt) apart, take
+    ``terminal(xs)``; each step drops the two outer nodes.  With d = avg -
+    mid (avg the mean of a node's neighbours) a node continues to mid + d
+    at the top band end and mid + c d at the bottom, and takes the larger:
+    mid + max(d, c d) in place (rounding is monotone), or, with rewards
+    ``reward(i, xs) = (top, bottom)`` at forward step i,
+    max(top + (mid + d), bottom + (mid + c d)).
     """
-    mid = values[1:-1]
-    np.add(values[2:], values[:-2], out=d)
-    np.multiply(d, _HALF, out=d)
-    np.subtract(d, mid, out=d)
-    np.multiply(d, c, out=cd)
-    return mid, d, cd
+    dx = band.sigma_max * math.sqrt(dt)
+    xs = dx * np.arange(-steps, steps + 1)
+    values = np.array(terminal(xs), dtype=float)  # a copy: the lattice shrinks in place
+    c = np.array(2.0 * (band.sigma_min_sq / (2.0 * band.sigma_max_sq)))  # 2 p_low
+    d, cd = np.empty(2 * steps - 1), np.empty(2 * steps - 1)
+    for i in range(steps - 1, -1, -1):
+        mid, dn, cdn = values[1:-1], d[: 2 * i + 1], cd[: 2 * i + 1]
+        np.add(values[2:], values[:-2], out=dn)
+        np.multiply(dn, _HALF, out=dn)
+        np.subtract(dn, mid, out=dn)
+        np.multiply(dn, c, out=cdn)
+        if reward is None:
+            np.add(mid, np.maximum(dn, cdn, out=dn), out=mid)
+            values = mid
+        else:
+            top, bottom = reward(i, dx * np.arange(-i, i + 1))
+            values = np.maximum(top + (mid + dn), bottom + (mid + cdn))
+    return float(values[0])
 
 
 def tree_expectation(band: VolatilityBand, phi, t: float, steps: int) -> float:
@@ -117,23 +132,14 @@ def tree_expectation(band: VolatilityBand, phi, t: float, steps: int) -> float:
 
     Node spacing sigma_max * sqrt(dt); each backward step takes the larger
     of the two endpoint one-step expectations (move probability a * dt /
-    (2 dx^2), stay otherwise).  ``phi`` may be any callable on arrays.
+    (2 dx^2), stay otherwise).  ``phi`` may be any callable on arrays;
+    t must be finite and >= 0, and steps >= 1.
     """
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    dt = t / steps
-    dx = band.sigma_max * math.sqrt(dt)
-    xs = dx * np.arange(-steps, steps + 1)
-    values = np.array(phi(xs), dtype=float)  # a copy: the lattice shrinks in place
-    p_low = band.sigma_min_sq / (2.0 * band.sigma_max_sq)
-    c = np.array(2.0 * p_low)
-    d, cd = np.empty(2 * steps - 1), np.empty(2 * steps - 1)
-    for n in range(2 * steps - 1, 0, -2):
-        mid, dn, cdn = _tree_step(values, c, d[:n], cd[:n])
-        # max(mid + d, mid + c d) = mid + max(d, c d): rounding is monotone
-        np.add(mid, np.maximum(dn, cdn, out=dn), out=mid)
-        values = mid
-    return float(values[0])
+    return _lattice(band, t / steps, steps, phi)
 
 
 def simulate_path(
@@ -148,21 +154,24 @@ def simulate_path(
     Policies: ``const-low`` / ``const-high`` pin the control to a band
     endpoint, ``random`` flips it per step, ``markov`` plays the band
     endpoint that locally attains the worst case for the supplied
-    backward solution (sign of its eta at the current node).
+    backward solution (sign of its eta at the current node); it raises
+    ValueError unless ``grid`` has the solution's nt and horizon.
     """
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
-    if policy == "markov" and field is None:
-        raise ValueError("markov policy needs the backward solution")
+    if policy == "markov":
+        if field is None:
+            raise ValueError("markov policy needs the backward solution")
+        field._check_time_grid(grid.nt, grid.horizon)
+        # field.eta_forward(i, x) inlined on Python floats: a call costs about 15 us, some
+        # five times a whole step of this loop; the reference path test pins the two together
+        eta, field_nt = field.eta, field.grid.nt
+        x_min, dx, last = field.grid.x_min, field.grid.dx, field.grid.nx - 1
     rng = _Xorshift64Star(seed)
     nt = grid.nt
     low, high = band.sigma_min_sq, band.sigma_max_sq
     # each step is sqrt(a * dt) for a band end; the loop runs on Python floats
     low_step, high_step = math.sqrt(low * grid.dt), math.sqrt(high * grid.dt)
-    if policy == "markov":
-        # eta at forward step i and the node nearest x, as BsdeSolution.eta_forward reads it
-        eta, field_nt = field.eta, field.grid.nt
-        x_min, dx, last = field.grid.x_min, field.grid.dx, field.grid.nx - 1
     x = 0.0
     b, a, squares = [x], [], []
     for i in range(nt):
@@ -214,26 +223,15 @@ def tree_k_expectation(band: VolatilityBand, sol) -> float:
     """Worst-case expectation of the terminal K of a backward solution.
 
     Dynamic program on the same time grid as the solution, with the
-    per-step reward eta * a * dt - 2 G(eta) * dt read from the solution's
-    eta at the nearest node.  The supremum over controls of the mean of a
-    nonincreasing component is 0 in the limit; the tree value reports the
-    discrete counterpart (never positive).
+    per-step reward eta * a * dt - 2 G(eta) * dt of ``k_along_path`` at
+    the band ends a, eta read by ``sol.eta_forward``.  The supremum over
+    controls of the mean of a nonincreasing component is 0 in the limit;
+    the tree value reports the discrete counterpart (never positive).
     """
-    grid = sol.grid
-    nt, dt = grid.nt, grid.dt
-    dx_tree = band.sigma_max * math.sqrt(dt)
-    p_low = band.sigma_min_sq / (2.0 * band.sigma_max_sq)
-    c = np.array(2.0 * p_low)
-    values = np.zeros(2 * nt + 1)
-    d, cd = np.empty(2 * nt - 1), np.empty(2 * nt - 1)
-    for i in range(nt - 1, -1, -1):
-        eta = sol.eta[nt - i, grid.node_index(dx_tree * np.arange(-i, i + 1))]
-        mid, dn, cdn = _tree_step(values, c, d[: 2 * i + 1], cd[: 2 * i + 1])
-        values = np.maximum(
-            _k_step(band, eta, band.sigma_max_sq, dt) + (mid + dn),
-            _k_step(band, eta, band.sigma_min_sq, dt) + (mid + cdn),
-        )
-    return float(values[0])
+    dt, ends = sol.grid.dt, np.array([[band.sigma_max_sq], [band.sigma_min_sq]])
+    return _lattice(  # the reward rows are K's step at the top and the bottom band end
+        band, dt, sol.grid.nt, np.zeros_like, lambda i, xs: _k_step(band, sol.eta_forward(i, xs), ends, dt)
+    )
 
 
 def gauss_hermite_expectation(phi, variance: float) -> float:

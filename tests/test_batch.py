@@ -186,6 +186,17 @@ class TestFailuresNameTheirRow:
         err = failure_of(lambda: solve_g_heat_batch(band, phis, default_grid))
         assert isinstance(err, NonFiniteError) and (err.layer, err.row) == (0, 1)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_an_envelope_factor_that_is_not_finite_and_positive_is_refused(self, band, factor):
+        # sqrt(x) is NaN left of 0: the datum would fail at layer 0, so the check runs before the march
+        grid = make_grid(band, 0.5, nx=21)
+        gen, one, nan_left = generator("3*y", "0"), parse_scalar("1"), parse_scalar("sqrt(x)")
+        with pytest.raises(ValueError, match="envelope_factor"):
+            solve_gbsde(band, gen, one, grid, envelope_factor=factor)
+        for terminals in ([one, one], [one, nan_left]):
+            with pytest.raises(ValueError, match="envelope_factor"):
+                solve_gbsde_batch(band, gen, terminals, grid, envelope_factor=factor)
+
     @pytest.mark.parametrize("drivers", [("0", "0"), ("0*y", "0*z")])
     def test_an_infinite_envelope_still_raises_at_the_reference_layer(self, band, drivers):
         # max |datum| near the float limit makes the envelope inf: the finiteness test must stay

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gexpect import (
     BlowUpError,
@@ -326,8 +328,36 @@ class TestKAlongPath:
         with pytest.raises(ValueError):
             k_along_path(sol, path)
 
+    @pytest.mark.parametrize("horizon, nt", [(1.5, 80), (0.5, 28)])
+    def test_markov_policy_refuses_another_time_grid(self, band, coarse, horizon, nt):
+        # the markov loop read layer nt - i, which wrapped to -1, -2, ... past the field's last step
+        sol = solve_gbsde(band, zero_generator(), parse_scalar("sin(x)"), coarse)
+        assert coarse.nt == 56
+        with pytest.raises(ValueError, match="different time grids"):
+            simulate_path(band, "markov", replace(coarse, horizon=horizon, nt=nt), 1, field=sol)
+
+
+@pytest.fixture(scope="module")
+def eta_solution(band, coarse):
+    gen = GeneratorPair(parse_tri("-y"), parse_tri("0.2*y"), 1.0, check_samples=0)
+    return solve_gbsde(band, gen, parse_scalar("sin(3*x) + 0.1*x^2"), coarse)
+
 
 class TestEta:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 56), st.floats(-20.0, 20.0)), min_size=1, max_size=30),
+        step=st.integers(0, 56),
+    )
+    def test_eta_forward_on_arrays_has_the_scalar_bytes(self, eta_solution, pairs, step):
+        # x runs past the domain [-8.5, 8.5], where the lookup clamps to an end node
+        steps, xs = (np.array(column) for column in zip(*pairs))
+        scalars = [eta_solution.eta_forward(int(i), float(x)) for i, x in pairs]
+        assert all(type(value) is float for value in scalars)
+        assert eta_solution.eta_forward(steps, xs).tobytes() == np.array(scalars).tobytes()
+        row = [eta_solution.eta_forward(step, float(x)) for x in xs]
+        assert eta_solution.eta_forward(step, xs).tobytes() == np.array(row).tobytes()
+
     def test_eta_combines_f_and_curvature(self, band, grid):
         gen = GeneratorPair(parse_tri("0"), parse_tri("1"), 0.0)
         sol = solve_gbsde(band, gen, parse_scalar("x^2"), grid)

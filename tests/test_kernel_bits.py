@@ -43,7 +43,7 @@ from gexpect.expr import _BUILTINS, BinOp, Call, Lit, Neg, Pow, Var, _Jet
 from gexpect.gheat import _march, _reduce_last_axis
 from gexpect.oracle import LatticePath, _Xorshift64Star
 
-from conftest import CATALOG_TEXTS
+from conftest import CATALOG_TEXTS, grid_with_steps
 
 
 def reference_g(band, a):
@@ -193,6 +193,8 @@ class TestTreeStep:
         t=st.floats(0.01, 2.0),
         steps=st.integers(1, 300),
     )
+    @example(band=VolatilityBand(1.0, 2.0), text="x^2", scale=1.0, t=1.0, steps=1)  # the one-node end
+    @example(band=VolatilityBand(0.3, 1.2), text="sin(x)", scale=1e3, t=0.01, steps=1)
     def test_tree_expectation_matches_the_reference_loop(self, band, text, scale, t, steps):
         phi = scaled(text, scale, 0.0)
         dx = band.sigma_max * np.sqrt(t / steps)
@@ -210,8 +212,11 @@ class TestTreeStep:
         drivers=st.sampled_from([("0", "0"), ("-y", "0"), ("z", "0.5*z"), ("0", "-0.5*y")]),
         text=st.sampled_from(CATALOG_TEXTS),
     )
+    # horizon None: the grid of one step, where the loop starts at its one-node end
+    @example(band=VolatilityBand(1.0, 2.0), nx=7, horizon=None, drivers=("-y", "0"), text="x^2")
+    @example(band=VolatilityBand(0.5, 2.5), nx=21, horizon=None, drivers=("z", "0.5*z"), text="sin(x)")
     def test_tree_k_expectation_matches_the_reference_loop(self, band, nx, horizon, drivers, text):
-        grid = make_grid(band, horizon, nx=nx)
+        grid = grid_with_steps(band, nx, 1, 0.4) if horizon is None else make_grid(band, horizon, nx=nx)
         gen = GeneratorPair(parse_tri(drivers[0]), parse_tri(drivers[1]), 1.0, check_samples=0)
         sol = solve_gbsde(band, gen, parse_scalar(text), grid)
         nt, dt = grid.nt, grid.dt

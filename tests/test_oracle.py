@@ -65,6 +65,17 @@ class TestTreeExpectation:
         with pytest.raises(ValueError):
             tree_expectation(band, parse_scalar("x"), 1.0, 0)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+    def test_rejects_a_time_that_is_not_finite_and_nonnegative(self, band, t):
+        # NaN and inf returned nan, -1 a bare math domain error
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            tree_expectation(band, parse_scalar("x^2"), t, 10)
+
+    @pytest.mark.parametrize("steps", [1, 7])
+    def test_time_zero_is_phi_at_zero(self, band, steps):
+        phi = parse_scalar("exp(tanh(x)) + x^2")
+        assert tree_expectation(band, phi, 0.0, steps) == float(phi(0.0))
+
 
 class TestSimulatePath:
     def test_const_high_exact_quadratic_variation(self, band, pow2_grid):
