@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import SpaceTimeGrid, VolatilityBand, g_eval
 from .expr import EvalDomainError, ScalarFunction, TriFunction, parse_tri
-from .gheat import BlowUpError, FieldSolution, _derived, _stack
+from .gheat import BlowUpError, FieldSolution, _derived, _second_difference, _space_gradient, _stack
 
 __all__ = [
     "GeneratorPair",
@@ -44,9 +44,10 @@ _ZERO = parse_tri("0")
 class GeneratorPair:
     """Drivers g(t, y, z), f(t, y, z) with a declared Lipschitz bound in (y, z).
 
-    Construction spot-checks the bound on sampled difference quotients; with
-    ``h6`` set it also checks g(t, y, 0) = f(t, y, 0) = 0 on sampled points,
-    the condition under which the expectation preserves constants.
+    Construction spot-checks the bound on sampled difference quotients
+    (none when ``check_samples`` is 0); a set ``h6`` is always checked:
+    g(t, y, 0) = f(t, y, 0) = 0 on sampled points, the condition under which
+    the expectation preserves constants.
     """
 
     g: TriFunction
@@ -58,16 +59,15 @@ class GeneratorPair:
     def __post_init__(self) -> None:
         if self.lipschitz_L < 0:
             raise ValueError(f"lipschitz_L must be >= 0, got {self.lipschitz_L}")
-        if not self.check_samples:
-            return
-        tol = self.lipschitz_L * (1.0 + 1e-9) + 1e-12
-        for name, fn in (("g", self.g), ("f", self.f)):
-            worst = fn.max_difference_quotient(samples=self.check_samples)
-            if not worst <= tol:  # a NaN quotient fails too
-                raise ValueError(
-                    f"driver {name} shows difference quotient {worst:.6g} "
-                    f"above declared Lipschitz bound {self.lipschitz_L}"
-                )
+        if self.check_samples:
+            tol = self.lipschitz_L * (1.0 + 1e-9) + 1e-12
+            for name, fn in (("g", self.g), ("f", self.f)):
+                worst = fn.max_difference_quotient(samples=self.check_samples)
+                if not worst <= tol:  # a NaN quotient fails too
+                    raise ValueError(
+                        f"driver {name} shows difference quotient {worst:.6g} "
+                        f"above declared Lipschitz bound {self.lipschitz_L}"
+                    )
         if self.h6:
             rng = np.random.default_rng(4)
             t = rng.uniform(0.0, 1.0, 100)
@@ -82,15 +82,20 @@ def zero_generator() -> GeneratorPair:
     return GeneratorPair(_ZERO, _ZERO, 0.0, h6=True, check_samples=0)
 
 
+def _eta(f: TriFunction, t, y: np.ndarray, dx: float) -> np.ndarray:
+    """f(t, y, z) + 0.5 * D2 y along y's last axis, z the gradient; ``t`` is a number or a column of times."""
+    f_vals = f(t, y, _space_gradient(y, dx))
+    return np.broadcast_to(f_vals, y.shape) + 0.5 * _second_difference(y, dx * dx)
+
+
 class BsdeSolution:
     """Backward field with Y = u, Z = du/dx, and the variance density eta.
 
     Layer 0 holds the terminal datum (time label ``times[0]``); layer k is
-    k backward steps earlier.  ``eta[k] = f(times[k], u[k], z[k]) +
-    0.5 * curvature[k]``; like the field's ``u``, ``z`` and ``curvature``
-    it is built whole on first access and is read-only.  ``eta_layer(k)``
-    forms row k alone, from ``field.layer(k)``, as the field's ``z_layer``
-    and ``curvature_layer`` do.
+    k backward steps earlier.  ``eta[k] = f(times[k], u[k], z_layer(k)) +
+    0.5 * D2 u[k]`` is the whole table, built on first access from
+    ``field.u`` (with the gradient and D2 as temporaries) and read-only;
+    ``eta_layer(k)`` forms row k alone, from ``field.layer(k)``.
     """
 
     def __init__(self, field_solution: FieldSolution, gen: GeneratorPair, band: VolatilityBand):
@@ -106,25 +111,25 @@ class BsdeSolution:
     @_derived
     def eta(self) -> np.ndarray:
         """The variance density of every layer, shaped like ``field.u``."""
-        f_vals = self.gen.f(self.field.times[:, None], self.field.u, self.field.z)
-        return np.ascontiguousarray(np.broadcast_to(f_vals, self.field.u.shape) + 0.5 * self.field.curvature)
+        return _eta(self.gen.f, self.field.times[:, None], self.field.u, self.grid.dx)
 
     def eta_layer(self, k: int) -> np.ndarray:
         """Row k of ``eta``, from ``field.layer(k)`` alone."""
-        field = self.field
-        y = field.layer(k)
-        f_vals = self.gen.f(field.times[k], y, field.z_layer(k))
-        return np.broadcast_to(f_vals, y.shape) + 0.5 * field.curvature_layer(k)
+        return _eta(self.gen.f, self.field.times[k], self.field.layer(k), self.grid.dx)
 
     def y_at(self, s: float, x: float = 0.0) -> float:
         return self.field.value_at(s, x)
 
     def eta_forward(self, step, x):
-        """eta at forward time step * dt (0 <= step <= nt) and the node nearest x.
+        """eta at forward time step * dt and the node nearest x; a step outside [0, nt] is an IndexError.
 
         Arrays of steps and of x broadcast and give an array; two scalars give a float.
         """
         grid = self.grid
+        steps = np.asarray(step)
+        outside = steps[(steps < 0) | (steps > grid.nt)]
+        if outside.size:
+            raise IndexError(f"step {outside[0]} outside [0, {grid.nt}]")
         eta = self.eta[grid.nt - step, grid.node_index(x)]
         return eta if eta.ndim else float(eta)
 
@@ -248,12 +253,19 @@ def nonlinear_expectation(
     return value
 
 
+def _check_in_band(band: VolatilityBand, a) -> None:
+    """Raise ValueError naming the first entry of ``a`` outside the band, give or take 1e-12 (NaN is outside)."""
+    values, lo, hi = np.atleast_1d(a), band.sigma_min_sq, band.sigma_max_sq
+    outside = np.flatnonzero(~((lo - 1e-12 <= values) & (values <= hi + 1e-12)))
+    if outside.size:
+        i = int(outside[0])
+        where = f" at step {i}" if np.ndim(a) else ""
+        raise ValueError(f"variance density {values[i]}{where} outside band [{lo}, {hi}]")
+
+
 def k_increment(band: VolatilityBand, eta: float, a: float, dt: float) -> float:
     """One K step: eta * a * dt - 2 G(eta) * dt, never positive in the band."""
-    if not (band.sigma_min_sq - 1e-12 <= a <= band.sigma_max_sq + 1e-12):
-        raise ValueError(
-            f"variance density {a} outside band [{band.sigma_min_sq}, {band.sigma_max_sq}]"
-        )
+    _check_in_band(band, a)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     return float(_k_step(band, eta, a, dt))
@@ -268,9 +280,11 @@ def k_along_path(sol: BsdeSolution, path) -> np.ndarray:
     """Cumulative K along the path, nearest-node eta lookup; starts at 0.
 
     Each step uses the variance density the path actually realised, so the
-    series is nonincreasing up to rounding noise.
+    series is nonincreasing up to rounding noise.  A step whose density
+    lies outside the band raises ValueError, as in ``k_increment``.
     """
     nt = len(path.times) - 1
     sol._check_time_grid(nt, path.times[-1] - path.times[0])
+    _check_in_band(sol.band, path.a)
     dk = _k_step(sol.band, sol.eta_forward(np.arange(nt), path.b[:-1]), path.a, sol.grid.dt)
     return np.concatenate(([0.0], np.cumsum(dk)))

@@ -16,10 +16,9 @@ into preallocated arrays: the next checkpoint row of a stored field when
 the layer is one, or else one of two buffers that alternate.  A solved
 field keeps every floor(sqrt(nt))-th layer and the last two, and a read
 of any other layer re-marches from the checkpoint before it, which
-repeats the first march's bits.  The driver step calls the drivers' compiled
-closures and forms its terms in buffers allocated once per march, in the
-order of the allocating step it replaced, so its layers keep their bits;
-when neither driver reads z it forms no gradient.
+repeats the first march's bits.  A field gives its layers, the whole
+``u`` on request and one layer's gradient, but no whole gradient or
+curvature: ``gbsde`` forms eta from ``u`` or from one layer.
 
 ``solve_g_heat_batch`` (and ``gbsde.solve_gbsde_batch``) march a stack of
 data on one grid in one pass: the layers are (B, nx) arrays, every step is
@@ -277,7 +276,7 @@ def _derived(build):
 
 
 class FieldSolution:
-    """Space-time field u with derived gradient and curvature.
+    """Space-time field u, read by layer, with the space gradient of a layer.
 
     Layer 0 always holds the datum; ``times[k]`` is the time label of
     layer k (increasing for the forward heat solve, decreasing from the
@@ -288,10 +287,10 @@ class FieldSolution:
     numbers in all.  ``layer(k)`` returns any layer, re-marching the
     segment from the checkpoint before it with the band and drivers of the
     solve; the re-march gives the first march's bits, and reads at the end
-    time re-march nothing.  ``u``, ``z`` and ``curvature`` are the whole
-    (nt + 1, nx) fields, built on first access (``u`` by one more march)
-    and read-only.  ``FieldSolution(grid, u, times)`` wraps a whole field
-    ``u`` as stride 1.
+    time re-march nothing.  ``u`` is the whole (nt + 1, nx) field, built
+    on first access (by one more march) and read-only; no whole gradient or
+    curvature is kept.  ``FieldSolution(grid, u, times)`` wraps a whole
+    field ``u`` as stride 1.
     """
 
     def __init__(self, grid: SpaceTimeGrid, u: np.ndarray, times: np.ndarray):
@@ -302,7 +301,6 @@ class FieldSolution:
         # layer k * stride is row k of the checkpoints; a whole field is stride 1
         self._checkpoints, self._stride, self._u = u, 1, u
         self._ring, self._band, self._drivers = (), None, (None, None, False)
-        self._z = self._curvature = None
         self._segment = (-1, None)  # the last re-marched segment: its first layer and its rows
 
     @classmethod
@@ -381,23 +379,9 @@ class FieldSolution:
         self._march_on(0, u)
         return u
 
-    @_derived
-    def z(self) -> np.ndarray:
-        """Space gradient of every layer, shaped like ``u``."""
-        return _space_gradient(self.u, self.grid.dx)
-
-    @_derived
-    def curvature(self) -> np.ndarray:
-        """Second difference of every layer, shaped like ``u``."""
-        return _second_difference(self.u, self.grid.dx * self.grid.dx)
-
     def z_layer(self, k: int) -> np.ndarray:
-        """Row k of ``z``, from ``layer(k)`` alone."""
+        """Space gradient of layer k, from ``layer(k)`` alone."""
         return _space_gradient(self.layer(k), self.grid.dx)
-
-    def curvature_layer(self, k: int) -> np.ndarray:
-        """Row k of ``curvature``, from ``layer(k)`` alone."""
-        return _second_difference(self.layer(k), self.grid.dx * self.grid.dx)
 
     def layer_of(self, t: float) -> float:
         """Fractional layer index whose time label is t."""

@@ -224,9 +224,10 @@ def tree_k_expectation(band: VolatilityBand, sol) -> float:
 
     Dynamic program on the same time grid as the solution, with the
     per-step reward eta * a * dt - 2 G(eta) * dt of ``k_along_path`` at
-    the band ends a, eta read by ``sol.eta_forward``.  The supremum over
-    controls of the mean of a nonincreasing component is 0 in the limit;
-    the tree value reports the discrete counterpart (never positive).
+    the band ends a, eta read by ``sol.eta_forward``.  The value is exactly
+    0.0: at the band end that matches eta's sign the reward is exactly 0
+    in floating point (outside the subnormal range), so it shows only that
+    no control makes K's worst-case mean positive.
     """
     dt, ends = sol.grid.dt, np.array([[band.sigma_max_sq], [band.sigma_min_sq]])
     return _lattice(  # the reward rows are K's step at the top and the bottom band end

@@ -80,11 +80,11 @@ class TestCheckpointReads:
             layer = sol.field.layer(k)
             assert layer.tobytes() == reference.u[k].tobytes(), f"layer {k}"
             assert not layer.flags.writeable
+            assert sol.field.z_layer(k).tobytes() == reference.z_layer(k).tobytes(), f"z layer {k}"
         for s in probe_times(reference):
             for x in (0.0, -0.3, 1.0):
                 assert np.float64(sol.y_at(s, x)).tobytes() == np.float64(reference.value_at(s, x)).tobytes()
         assert sol.field.u.tobytes() == reference.u.tobytes()
-        assert sol.field.z.tobytes() == reference.z.tobytes()
         assert sol.eta.tobytes() == BsdeSolution(reference, gen, band).eta.tobytes()
         if drivers == ("0", "0"):  # the forward heat field is the zero-driver backward field
             heat = solve_g_heat(band, phi, grid)
@@ -145,12 +145,26 @@ class TestMemory:
                 tracemalloc.stop()
         assert peak < field_bytes / 4, f"peak {peak / 1e6:.1f} MB against {field_bytes / 1e6:.1f} MB per field"
 
+    def test_reading_eta_leaves_two_whole_fields(self, band):
+        # u, z, curvature and eta stayed resident after a read of eta: four fields, 31.7 MB
+        grid = make_grid(band, 1.0, nx=401)
+        field_bytes = (grid.nt + 1) * grid.nx * 8
+        gen = GeneratorPair(parse_tri("0.5*z"), parse_tri("0.1*y"), 1.0)
+        tracemalloc.start()
+        try:
+            sol = solve_gbsde(band, gen, parse_scalar("tanh(x)"), grid)
+            assert sol.eta.shape == (grid.nt + 1, grid.nx)
+            resident = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert resident < 2.5 * field_bytes, f"{resident / field_bytes:.2f} fields resident"
+
 
 class TestDerivedFieldsAreReadOnly:
     def test_assignment_raises(self, band):
         grid = grid_with_steps(band, 11, 20, 0.4)
         sol = solve_gbsde(band, GeneratorPair(parse_tri("-y"), parse_tri("0.1*y"), 1.0), parse_scalar("x^2"), grid)
-        for owner, name in ((sol.field, "u"), (sol.field, "z"), (sol.field, "curvature"), (sol, "eta")):
+        for owner, name in ((sol.field, "u"), (sol, "eta")):
             before = getattr(owner, name)
             with pytest.raises(AttributeError):
                 setattr(owner, name, np.zeros(3))
@@ -160,9 +174,12 @@ class TestDerivedFieldsAreReadOnly:
     def test_derived_fields_have_the_reference_bytes(self, band):
         grid = grid_with_steps(band, 15, 30, 0.45)
         field = solve_g_heat(band, parse_scalar("tanh(x)"), grid)
-        u = field.u
-        assert field.z.tobytes() == _space_gradient(u, grid.dx).tobytes()
-        assert field.curvature.tobytes() == _second_difference(u, grid.dx * grid.dx).tobytes()
+        sol, u = BsdeSolution(field, zero_generator(), band), field.u
+        z, half_d2 = _space_gradient(u, grid.dx), 0.0 + 0.5 * _second_difference(u, grid.dx * grid.dx)
+        for k in range(grid.nt + 1):
+            assert field.z_layer(k).tobytes() == z[k].tobytes(), f"z layer {k}"
+            assert sol.eta_layer(k).tobytes() == half_d2[k].tobytes(), f"eta layer {k}"
+        assert sol.eta.tobytes() == half_d2.tobytes()
 
 
 def csv_text(header, rows):
@@ -198,7 +215,7 @@ class TestCliRows:
             k = backward.nearest_layer(t)
             expected["gbsde"] += [
                 (backward.times[k], x, y, z, eta)
-                for x, y, z, eta in zip(grid.xs, backward.u[k], backward.z[k], bsde.eta[k])
+                for x, y, z, eta in zip(grid.xs, backward.u[k], backward.z_layer(k), bsde.eta[k])
             ]
         headers = {"gexp": ("t", "x", "u"), "gbsde": ("t", "x", "y", "z", "eta")}
         with tempfile.TemporaryDirectory() as tmp:

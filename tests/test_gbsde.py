@@ -10,6 +10,7 @@ from gexpect import (
     CflError,
     EvalDomainError,
     GeneratorPair,
+    LatticePath,
     NonFiniteError,
     SpaceTimeGrid,
     VolatilityBand,
@@ -24,6 +25,7 @@ from gexpect import (
     solve_gbsde,
     zero_generator,
 )
+from gexpect.gheat import _space_gradient
 
 from conftest import assert_series_nonincreasing
 
@@ -46,6 +48,12 @@ class TestGeneratorPair:
         with pytest.raises(ValueError, match="h6"):
             GeneratorPair(parse_tri("y"), parse_tri("0"), 1.0, h6=True)
 
+    def test_h6_is_checked_without_lipschitz_samples(self):
+        # check_samples = 0 skips only the Lipschitz sampling; g(t, y, 0) = 1 + y is not 0
+        with pytest.raises(ValueError, match="h6"):
+            GeneratorPair(parse_tri("1 + y"), parse_tri("0"), 1.0, h6=True, check_samples=0)
+        assert zero_generator().h6
+
     def test_nan_difference_quotient_rejected(self):
         # sqrt(y) is NaN for the sampled y < 0
         with pytest.raises(ValueError, match="Lipschitz"):
@@ -61,7 +69,7 @@ class TestSolveGbsde:
     def test_linear_terminal_zero_drivers(self, band, grid):
         sol = solve_gbsde(band, zero_generator(), parse_scalar("x"), grid)
         assert sol.y_at(0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(sol.field.z, 1.0, atol=1e-12)
+        assert np.allclose(_space_gradient(sol.field.u, grid.dx), 1.0, atol=1e-12)
         assert np.max(np.abs(sol.eta)) <= 1e-10
 
     def test_exponential_decay_closed_form(self, band, grid):
@@ -328,6 +336,20 @@ class TestKAlongPath:
         with pytest.raises(ValueError):
             k_along_path(sol, path)
 
+    @pytest.mark.parametrize("value", [5.0, 0.5, math.nan])
+    def test_a_density_outside_the_band_is_refused(self, band, coarse, value):
+        # unchecked, a = 5 at every step drives K up to +3.29 here, where k_increment refuses the same a
+        gen = GeneratorPair(parse_tri("-y"), parse_tri("0.2*y"), 1.0)
+        sol = solve_gbsde(band, gen, parse_scalar("x^2"), coarse)
+        path = simulate_path(band, "const-high", coarse, 5)
+        a = path.a.copy()
+        a[[7, 9]] = value
+        with pytest.raises(ValueError, match=f"variance density {value} at step 7 outside band"):
+            k_along_path(sol, LatticePath(path.times, path.b, a, path.qv))
+        with pytest.raises(ValueError, match=f"variance density {value} outside band"):
+            k_increment(band, 1.0, value, coarse.dt)
+        assert k_along_path(sol, path)[-1] <= 0.0  # the band end itself passes
+
     @pytest.mark.parametrize("horizon, nt", [(1.5, 80), (0.5, 28)])
     def test_markov_policy_refuses_another_time_grid(self, band, coarse, horizon, nt):
         # the markov loop read layer nt - i, which wrapped to -1, -2, ... past the field's last step
@@ -357,6 +379,15 @@ class TestEta:
         assert eta_solution.eta_forward(steps, xs).tobytes() == np.array(scalars).tobytes()
         row = [eta_solution.eta_forward(step, float(x)) for x in xs]
         assert eta_solution.eta_forward(step, xs).tobytes() == np.array(row).tobytes()
+
+    @pytest.mark.parametrize("step", [57, 113, -1])  # nt + 1, 2 nt + 1 and -1, with nt = 56
+    def test_a_step_outside_the_field_raises(self, eta_solution, step):
+        # numpy wrapped nt - step around: nt + 1 read the last layer and 2 nt + 1 the first
+        assert eta_solution.grid.nt == 56
+        with pytest.raises(IndexError, match=rf"step {step} outside \[0, 56\]"):
+            eta_solution.eta_forward(step, 0.3)
+        with pytest.raises(IndexError, match=rf"step {step} outside \[0, 56\]"):
+            eta_solution.eta_forward(np.array([0, 3, step, 56]), np.full(4, 0.3))
 
     def test_eta_combines_f_and_curvature(self, band, grid):
         gen = GeneratorPair(parse_tri("0"), parse_tri("1"), 0.0)
