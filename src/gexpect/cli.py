@@ -39,10 +39,12 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .core import DEFAULT_CFL_THETA, CflError, SpaceTimeGrid, VolatilityBand, cfl_time_steps, make_grid
-from .expr import EvalDomainError, ParseError, parse_scalar, parse_tri
+from .expr import EvalDomainError, parse_scalar, parse_tri
 from .gbsde import BlowUpError, GeneratorPair, solve_gbsde
 from .gheat import NonFiniteError, solve_g_heat, solve_g_heat_batch
 from .convexity import (
+    REPLIMIT_TOL,
+    WITNESS_TOL,
     check_g_convexity,
     jensen_experiment,
     representation_limit_check,
@@ -111,6 +113,14 @@ def _check_type(value, path: str, kind: str) -> None:
         raise ConfigError(path, f"expected {what}, got {value!r}")
 
 
+def _checked(path: str, call: Callable, *args, **kwargs):
+    """``call(*args, **kwargs)``, with a ValueError it raises refused as a ConfigError at ``path``."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 class _Command(NamedTuple):
     """What one command reads from its config besides ``band`` and ``params``."""
 
@@ -143,7 +153,7 @@ class ExperimentConfig:
         self.generator = self._generator(raw["generator"], spec.picard) if "generator" in raw else None
         _require(raw.get("functions", {}), "config.functions", dict.fromkeys(spec.functions, "string"))
         self.functions = {
-            name: self._parse(raw["functions"][name], f"config.functions.{name}", parse_scalar)
+            name: _checked(f"config.functions.{name}", parse_scalar, raw["functions"][name])
             for name in spec.functions
         }
         _require(raw["params"], "config.params", spec.params, spec.optional)
@@ -151,10 +161,7 @@ class ExperimentConfig:
 
     def _band(self, obj: dict) -> VolatilityBand:
         _require(obj, "config.band", {"sigma_min_sq": "number", "sigma_max_sq": "number"})
-        try:
-            return VolatilityBand(obj["sigma_min_sq"], obj["sigma_max_sq"])
-        except ValueError as exc:
-            raise ConfigError("config.band", str(exc)) from exc
+        return _checked("config.band", VolatilityBand, obj["sigma_min_sq"], obj["sigma_max_sq"])
 
     def _grid(self, obj: dict) -> SpaceTimeGrid:
         _require(
@@ -191,19 +198,9 @@ class ExperimentConfig:
             {"g": "string", "f": "string", "lipschitz_L": "number"},
             {"h6": "bool", "picard": "bool"} if picard else {"h6": "bool"},
         )
-        g = self._parse(obj["g"], "config.generator.g", parse_tri)
-        f = self._parse(obj["f"], "config.generator.f", parse_tri)
-        try:
-            return GeneratorPair(g, f, obj["lipschitz_L"], h6=obj.get("h6", False))
-        except ValueError as exc:
-            raise ConfigError("config.generator", str(exc)) from exc
-
-    @staticmethod
-    def _parse(text: str, path: str, parser):
-        try:
-            return parser(text)
-        except ParseError as exc:
-            raise ConfigError(path, str(exc)) from exc
+        g = _checked("config.generator.g", parse_tri, obj["g"])
+        f = _checked("config.generator.f", parse_tri, obj["f"])
+        return _checked("config.generator", GeneratorPair, g, f, obj["lipschitz_L"], h6=obj.get("h6", False))
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +208,10 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def _times(cfg: ExperimentConfig) -> list:
-    """The ``times`` parameter, each inside [0, horizon] of the grid."""
+    """The ``times`` parameter, each one a t that ``grid.check_interval(0, t)`` accepts."""
     times = cfg.params["times"]
     for t in times:
-        if not 0.0 <= t <= cfg.grid.horizon:
-            raise ConfigError("config.params.times", f"time {t} outside [0, {cfg.grid.horizon}]")
+        _checked("config.params.times", cfg.grid.check_interval, 0.0, t)
     return times
 
 
@@ -254,8 +250,7 @@ def _run_convexity(cfg: ExperimentConfig):
         cfg.functions["h"],
         tuple(cfg.params["y_range"]),
         tuple(cfg.params["z_range"]),
-        resolution=cfg.params.get("resolution", 33),
-        t=cfg.params.get("t", 0.0),
+        **{key: cfg.params[key] for key in ("resolution", "t") if key in cfg.params},  # the library's defaults
     )
     rows = report_obj.cells.reshape(-1, 4).tolist()
     report = {
@@ -263,7 +258,7 @@ def _run_convexity(cfg: ExperimentConfig):
         "min_gap": report_obj.min_gap,
         "witness_count": len(report_obj.witnesses),
         "witnesses": [list(w) for w in report_obj.witnesses[:100]],
-        "tolerance": 1e-9,
+        "tolerance": WITNESS_TOL,
     }
     return report, ("y", "z", "argmin_A", "inf_gap"), rows
 
@@ -272,8 +267,7 @@ def _run_jensen(cfg: ExperimentConfig):
     horizons = cfg.params["horizons"]
     s = cfg.params.get("s", 0.0)
     for tau in horizons:
-        if s + tau > cfg.grid.horizon + 1e-12:
-            raise ConfigError("config.params.horizons", f"s + {tau} exceeds grid horizon")
+        _checked("config.params.horizons", cfg.grid.check_interval, 0.0, s + tau)
     h, phi = cfg.functions["h"], cfg.functions["phi"]
     rows = []
     for tau in horizons:
@@ -292,10 +286,8 @@ def _run_jensen(cfg: ExperimentConfig):
 def _run_replimit(cfg: ExperimentConfig):
     eps_list = cfg.params["eps_list"]
     t = cfg.params.get("t", 0.0)
-    nx = cfg.params.get("nx", 201)
-    result = representation_limit_check(
-        cfg.band, cfg.generator, cfg.functions["terminal"], t, eps_list, nx=nx
-    )
+    nx = {"nx": cfg.params["nx"]} if "nx" in cfg.params else {}  # else the library's default
+    result = representation_limit_check(cfg.band, cfg.generator, cfg.functions["terminal"], t, eps_list, **nx)
     rows = [(eps, quotient, result["formula"], err) for eps, quotient, err in result["rows"]]
     report = {
         "formula": result["formula"],
@@ -303,7 +295,7 @@ def _run_replimit(cfg: ExperimentConfig):
         "decreasing": result["decreasing"],
         "final_ok": result["final_ok"],
         "passed": result["passed"],
-        "tolerance": {"final_rel_error": 0.05},
+        "tolerance": {"final_rel_error": REPLIMIT_TOL},
     }
     return report, ("eps", "quotient", "formula", "abs_error"), rows
 
@@ -311,7 +303,7 @@ def _run_replimit(cfg: ExperimentConfig):
 def _run_oracle_check(cfg: ExperimentConfig):
     texts = cfg.params["functions"]
     times = _times(cfg)
-    phis = [ExperimentConfig._parse(text, "config.params.functions", parse_scalar) for text in texts]
+    phis = [_checked("config.params.functions", parse_scalar, text) for text in texts]
     steps = cfg.params.get("steps", 2000)
     tolerance = cfg.params.get("tolerance", 5e-3)
     rows = []

@@ -18,6 +18,7 @@ the matching end-to-end expectation experiments:
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 WITNESS_TOL = 1e-9
+REPLIMIT_TOL = 0.05  # largest final error of the representation quotient, relative to 1 + |limit|
 
 
 def _gap(band: VolatilityBand, h1, h2, z, g_h, f_h, g_y, f_y, A):
@@ -82,8 +84,8 @@ def _reduce_mesh(band: VolatilityBand, gen: GeneratorPair, h: ScalarFunction, t:
     Both are (len(ys), len(zs)) arrays.  h's jets come from one
     ``h.eval2(ys)``, each driver runs once per argument set on the whole
     mesh, and each cell gets ``condition_gap``'s arithmetic at the
-    candidates (-2 f(y, z), 0, kink), keeping the first minimum.  A cell
-    whose gap is NaN raises EvalDomainError naming its (y, z).
+    candidates (-2 f(y, z), 0, kink), with the A that ``reduce_over_A``
+    names.  A cell whose gap is NaN raises EvalDomainError naming its (y, z).
     """
     hv, h1, h2 = (part[:, None] for part in h.eval2(ys))
     y, z = ys[:, None], zs[None, :]
@@ -95,8 +97,10 @@ def _reduce_mesh(band: VolatilityBand, gen: GeneratorPair, h: ScalarFunction, t:
         candidates = np.stack(np.broadcast_arrays(-2.0 * f_y, np.zeros(hz.shape), kink))
         gaps = _gap(band, h1, h2, z, g_h, f_h, g_y, f_y, candidates)
         gaps[2] = np.where(h1 != 0.0, gaps[2], np.inf)  # no kink when h' = 0
-        best = np.argmin(gaps, axis=0)
-        inf_gap, arg = np.choose(best, gaps), np.choose(best, candidates)
+        inf_gap = np.choose(np.argmin(gaps, axis=0), gaps)
+        # at inf_gap = -inf the bound is NaN, and only an equal gap is near
+        near = (gaps == inf_gap) | (gaps <= inf_gap + 1e-12 * (1.0 + np.abs(inf_gap)))
+        arg = np.choose(np.argmax(near, axis=0), candidates)
     # No tail of the gap in A slopes down, so the candidates hold the infimum:
     # as A -> +inf the slope G(h') - sigma_max_sq h' / 2 is exactly 0 for h' >= 0
     # (the same product twice) and >= 0 for h' < 0 by monotone rounding; as
@@ -122,7 +126,9 @@ def reduce_over_A(
     The gap is piecewise linear in A with at most two kinks (where either
     band branch switches), so the infimum lies at a kink: no tail slopes
     down, since G(h') - sigma_max_sq h' / 2 >= 0 and
-    -G(-h') - sigma_min_sq h' / 2 <= 0, in floating point too.  Raises
+    -G(-h') - sigma_min_sq h' / 2 <= 0, in floating point too.  The A is
+    the first of (-2 f(y, z), 0, kink) whose gap is within 1e-12 (1 + |inf|)
+    of the infimum, so gaps tied up to rounding give one A.  Raises
     EvalDomainError for a NaN gap.
     """
     inf_gap, arg = _reduce_mesh(band, gen, h, t, np.array([float(y)]), np.array([float(z)]))
@@ -216,13 +222,11 @@ def representation_quotient(
     eps: float,
     grid: SpaceTimeGrid,
 ) -> float:
-    """(E over [t, t + eps] of Phi(increment) - Phi(0)) / eps; t >= 0, eps > 0."""
+    """(E over [t, t + eps] of Phi(increment) - Phi(0)) / eps on ``grid.over(eps)``; t >= 0, eps > 0."""
     _check_start(t)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if abs(grid.horizon - eps) > 1e-12:
-        grid = grid.over(eps)
-    sol = solve_gbsde(band, gen, terminal, grid, t0=t)
+    sol = solve_gbsde(band, gen, terminal, grid.over(eps), t0=t)
     return (sol.y_at(t, 0.0) - float(terminal(0.0))) / eps
 
 
@@ -236,9 +240,9 @@ def representation_limit_check(
 ) -> dict:
     """Error table of the quotient against the closed-form limit.
 
-    Fits the convergence order by least squares on log error vs log eps;
-    passes when the errors decrease and the final error is at most 5% of
-    (1 + |limit|).
+    Fits the convergence order with ``statistics.linear_regression`` of log
+    error on log eps (errors floored at 1e-12 (1 + |limit|)); passes when
+    the errors decrease and the final error is at most REPLIMIT_TOL * (1 + |limit|).
     """
     eps_list = list(eps_list)
     if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])) or eps_list[-1] <= 0:
@@ -251,14 +255,11 @@ def representation_limit_check(
         rows.append((eps, quotient, abs(quotient - formula)))
     errors = [r[2] for r in rows]
     floor = 1e-12 * (1.0 + abs(formula))
-    logs = [(math.log(e), math.log(max(err, floor))) for e, err in zip(eps_list, errors)]
-    n = len(logs)
-    mx = sum(p[0] for p in logs) / n
-    my = sum(p[1] for p in logs) / n
-    denom = sum((p[0] - mx) ** 2 for p in logs)
-    order = sum((p[0] - mx) * (p[1] - my) for p in logs) / denom if denom else 0.0
+    order = statistics.linear_regression(
+        [math.log(e) for e in eps_list], [math.log(max(err, floor)) for err in errors]
+    ).slope
     decreasing = all(b <= a + floor for a, b in zip(errors, errors[1:]))
-    final_ok = errors[-1] <= 0.05 * (1.0 + abs(formula))
+    final_ok = errors[-1] <= REPLIMIT_TOL * (1.0 + abs(formula))
     return {
         "formula": formula,
         "rows": rows,

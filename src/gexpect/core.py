@@ -166,6 +166,11 @@ class SpaceTimeGrid:
         """The same x mesh over [0, span], in the fewest steps no longer than dt."""
         return replace(self, horizon=span, nt=sub_steps(span, self.dt))
 
+    def check_interval(self, s: float, t: float) -> None:
+        """Raise ValueError unless 0 <= s <= t <= horizon + 1e-12 (slack for a rounded t); NaN fails."""
+        if not (0.0 <= s <= t <= self.horizon + 1e-12):
+            raise ValueError(f"need 0 <= s <= t <= horizon, got s={s}, t={t}, horizon={self.horizon}")
+
     def check_cfl(self, band: VolatilityBand) -> None:
         """Raise CflError unless dt <= MAX_CFL_THETA * dx^2 / sigma_max_sq."""
         limit = MAX_CFL_THETA * self.dx * self.dx / band.sigma_max_sq

@@ -225,10 +225,7 @@ def _nonlinear_expectations(
     grid: SpaceTimeGrid,
 ) -> list[float]:
     """``nonlinear_expectation`` of each terminal, all in one march."""
-    if not (0.0 <= s <= t <= grid.horizon + 1e-12):
-        raise ValueError(
-            f"need 0 <= s <= t <= horizon, got s={s}, t={t}, horizon={grid.horizon}"
-        )
+    grid.check_interval(s, t)
     if t == s:
         return [float(terminal(0.0)) for terminal in terminals]
     sols = solve_gbsde_batch(band, gen, terminals, grid.over(t - s), t0=s)
@@ -247,7 +244,8 @@ def nonlinear_expectation(
 
     The sub-interval reuses the grid's spatial mesh and takes the fewest
     time steps no longer than the grid's, so the answer does not depend on
-    how much horizon the grid carries beyond t.
+    how much horizon the grid carries beyond t.  An (s, t) that
+    ``grid.check_interval`` refuses raises ValueError.
     """
     (value,) = _nonlinear_expectations(band, gen, [terminal], s, t, grid)
     return value

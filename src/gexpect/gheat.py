@@ -439,10 +439,10 @@ def g_expectation(
     """Sublinear expectation of phi under the band's law at time t.
 
     Value of the solved field at the node nearest x = 0, interpolated
-    linearly between the two bracketing time layers.
+    linearly between the two bracketing time layers.  A t that
+    ``grid.check_interval(0, t)`` refuses raises ValueError.
     """
-    if not (0.0 <= t <= grid.horizon + 1e-12):
-        raise ValueError(f"t = {t} outside [0, {grid.horizon}]")
+    grid.check_interval(0.0, t)
     field = solve_g_heat(band, phi, grid)
     return field.value_at(min(t, grid.horizon), 0.0)
 

@@ -143,6 +143,16 @@ class TestConfigErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("gexp", tmp_path / "nope.json", tmp_path / "out") == 1
 
+    def test_times_take_the_library_interval_rule(self, tmp_path, capsys):
+        # g_expectation accepts a time up to 1e-12 past the horizon, and so does the CLI
+        out = tmp_path / "out"
+        assert run("gexp", write_config(tmp_path, base_config(params={"times": [1.0 + 5e-13]})), out) == 0
+        assert json.loads((out / "gexp.report.json").read_text())["status"] == "ok"
+        late = tmp_path / "late"
+        assert run("gexp", write_config(tmp_path, base_config(params={"times": [1.0 + 1e-9]})), late) == 1
+        assert "config error at config.params.times: need 0 <= s <= t <= horizon" in capsys.readouterr().err
+        assert not (late / "gexp.report.json").exists()
+
     def test_missing_param_named(self, tmp_path, capsys):
         config = base_config(params={})
         path = write_config(tmp_path, config)
@@ -287,6 +297,14 @@ class TestConvexityCommand:
         report = json.loads((out / "convexity.report.json").read_text())
         assert report["results"]["verdict"] == "holds"
 
+    def test_library_default_resolution(self, tmp_path):
+        # without resolution the CLI passes none, and check_g_convexity's default of 33 applies
+        config = variant("convexity", "params")
+        del config["params"]["resolution"]
+        out = tmp_path / "out"
+        assert run("convexity", write_config(tmp_path, config), out) == 0
+        assert len((out / "convexity.data.csv").read_text().splitlines()) == 1 + 33 * 33
+
     def test_csv_rows_are_the_per_cell_infima(self, tmp_path):
         config = {
             "schema_version": 1,
@@ -342,6 +360,15 @@ class TestJensenCommand:
         # jets of phi and of the composition actually used are echoed
         assert report["results"]["phi_jet"] == pytest.approx([0.0, 1.0, 0.0])
         assert report["results"]["h_phi_jet"] == pytest.approx([1.0, 1.0, 1.0])
+
+
+    def test_negative_start_of_a_horizon_refused_before_any_solve(self, tmp_path, capsys):
+        # s + tau = -0.3 < 0: refused at the horizons, not by the solve of the first one
+        config = variant("jensen", "params", s=-0.5, horizons=[0.5, 0.2])
+        out = tmp_path / "out"
+        assert run("jensen", write_config(tmp_path, config), out) == 1
+        assert "config error at config.params.horizons: need 0 <= s <= t <= horizon" in capsys.readouterr().err
+        assert not (out / "jensen.report.json").exists()
 
 
 class TestReplimitCommand:

@@ -177,6 +177,14 @@ class TestSpaceTimeGrid:
         assert grid.xs[grid.center_index] == 0.0
         grid.check_cfl(band)
 
+    def test_check_interval_is_the_one_time_rule(self):
+        grid = SpaceTimeGrid(horizon=1.0, x_min=-2.0, x_max=2.0, nx=5, nt=100)
+        grid.check_interval(0.0, 1.0 + 5e-13)  # the horizon's slack
+        grid.check_interval(0.3, 0.3)
+        for s, t in ((0.0, 1.0 + 1e-9), (0.5, 0.4), (-0.1, 0.5), (math.nan, 0.5), (0.0, math.nan)):
+            with pytest.raises(ValueError, match=r"^need 0 <= s <= t <= horizon, got s="):
+                grid.check_interval(s, t)
+
     def test_make_grid_rejects_even_nx(self, band):
         # 400 nodes put 0 half-way between two of them; nothing bumps nx
         with pytest.raises(ValueError, match="x = 0 is not a grid node"):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gexpect import (
     CflError,
@@ -16,6 +17,30 @@ from gexpect import (
     solve_g_heat,
     tree_expectation,
 )
+from gexpect.gheat import _march
+
+
+def _clear(v):
+    """v, or 0 below 1e-100: with |data| in [1e-100, 1e100] no step nears overflow or the subnormals."""
+    return v if abs(v) >= 1e-100 else 0.0
+
+
+@st.composite
+def heat_marches(draw):
+    """A band (ratio up to 4), a make_grid grid with odd nx, and a finite datum on it."""
+    lo = draw(st.floats(0.05, 4.0))
+    band = VolatilityBand(lo, lo * draw(st.floats(1.0, 4.0)))
+    nx = 2 * draw(st.integers(1, 30)) + 1
+    grid = make_grid(band, draw(st.floats(0.01, 2.0)), nx=nx, theta=draw(st.floats(0.1, 0.5)))
+    values = st.floats(-1e100, 1e100, allow_subnormal=False).map(_clear)
+    return band, grid, np.array(draw(st.lists(values, min_size=nx, max_size=nx)))
+
+
+def _layers(band, grid, datum):
+    """The datum and every layer of its heat march, shape (nt + 1, nx)."""
+    out = np.empty((grid.nt + 1, grid.nx))
+    _march(band, grid.dx, grid.dt, grid.nt, datum, out=out)
+    return out
 
 
 class TestSolveGHeat:
@@ -59,6 +84,37 @@ class TestSolveGHeat:
         field = solve_g_heat(band, parse_scalar("x"), default_grid)
         with pytest.raises(ValueError):
             field.u[0, 0] = 1.0
+
+
+class TestSchemeGuarantees:
+    # scaling by 2^k and the range of the datum hold bit for bit; comparison holds up to rounding
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=heat_marches(), k=st.integers(-30, 30))
+    def test_a_power_of_two_scales_every_layer_exactly(self, case, k):
+        band, grid, phi = case
+        assert _layers(band, grid, 2.0**k * phi).tobytes() == (2.0**k * _layers(band, grid, phi)).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=heat_marches())
+    def test_every_layer_lies_in_the_range_of_the_datum(self, case):
+        band, grid, phi = case
+        u = _layers(band, grid, phi)
+        assert phi.min() <= u.min() and u.max() <= phi.max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=heat_marches(), data=st.data())
+    def test_ordered_data_give_ordered_layers(self, case, data):
+        # Not bit for bit: with data spanning 1e16 to 1e100, hypothesis found layers where the
+        # lower march exceeds the upper one by one or two ulps of the value.  With M = max|data|
+        # (which bounds every layer, as the test above checks), each rounded step lies within
+        # 5 ulp(M) of the exact step, which is monotone and commutes with constants, so the two
+        # marches part by at most 10 ulp(M) a layer.  The worst seen was 0.002 ulp(M) a layer.
+        band, grid, lower = case
+        rises = st.floats(0.0, 1e100, allow_subnormal=False).map(_clear)
+        upper = lower + np.array(data.draw(st.lists(rises, min_size=grid.nx, max_size=grid.nx)))
+        slack = 10.0 * np.arange(grid.nt + 1)[:, None] * np.spacing(max(np.abs(lower).max(), np.abs(upper).max()))
+        assert (_layers(band, grid, lower) <= _layers(band, grid, upper) + slack).all()
 
 
 class TestGExpectation:
