@@ -18,7 +18,6 @@ the matching end-to-end expectation experiments:
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,6 +254,7 @@ def representation_limit_check(
         rows.append((eps, quotient, abs(quotient - formula)))
     errors = [r[2] for r in rows]
     floor = 1e-12 * (1.0 + abs(formula))
+    import statistics  # here, not at the top: it loads decimal and fractions, 0.25 MB of RSS in every run
     order = statistics.linear_regression(
         [math.log(e) for e in eps_list], [math.log(max(err, floor)) for err in errors]
     ).slope

@@ -361,7 +361,6 @@ class TestJensenCommand:
         assert report["results"]["phi_jet"] == pytest.approx([0.0, 1.0, 0.0])
         assert report["results"]["h_phi_jet"] == pytest.approx([1.0, 1.0, 1.0])
 
-
     def test_negative_start_of_a_horizon_refused_before_any_solve(self, tmp_path, capsys):
         # s + tau = -0.3 < 0: refused at the horizons, not by the solve of the first one
         config = variant("jensen", "params", s=-0.5, horizons=[0.5, 0.2])
