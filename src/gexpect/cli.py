@@ -286,8 +286,10 @@ def _run_jensen(cfg: ExperimentConfig):
 def _run_replimit(cfg: ExperimentConfig):
     eps_list = cfg.params["eps_list"]
     t = cfg.params.get("t", 0.0)
-    nx = {"nx": cfg.params["nx"]} if "nx" in cfg.params else {}  # else the library's default
-    result = representation_limit_check(cfg.band, cfg.generator, cfg.functions["terminal"], t, eps_list, **nx)
+    result = representation_limit_check(
+        cfg.band, cfg.generator, cfg.functions["terminal"], t, eps_list,
+        **{key: cfg.params[key] for key in ("nx",) if key in cfg.params},  # the library's default
+    )
     rows = [(eps, quotient, result["formula"], err) for eps, quotient, err in result["rows"]]
     report = {
         "formula": result["formula"],
