@@ -51,6 +51,7 @@ from .oracle import (
     quadratic_variation,
     simulate_path,
     tree_expectation,
+    tree_expectation_batch,
     tree_k_expectation,
 )
 from .convexity import (

@@ -49,7 +49,7 @@ from .convexity import (
     jensen_experiment,
     representation_limit_check,
 )
-from .oracle import tree_expectation
+from .oracle import tree_expectation_batch
 
 __all__ = ["ConfigError", "ExperimentConfig", "run", "main"]
 
@@ -308,12 +308,13 @@ def _run_oracle_check(cfg: ExperimentConfig):
     phis = [_checked("config.params.functions", parse_scalar, text) for text in texts]
     steps = cfg.params.get("steps", 2000)
     tolerance = cfg.params.get("tolerance", 5e-3)
+    fields = solve_g_heat_batch(cfg.band, phis, cfg.grid)
+    trees = tree_expectation_batch(cfg.band, phis, times, steps).tolist()
     rows = []
     worst = 0.0
-    for text, phi, field in zip(texts, phis, solve_g_heat_batch(cfg.band, phis, cfg.grid)):
-        for t in times:
+    for text, field, tree_row in zip(texts, fields, trees):
+        for t, tree in zip(times, tree_row):
             pde = field.value_at(t, 0.0)
-            tree = tree_expectation(cfg.band, phi, t, steps)
             diff = abs(pde - tree)
             worst = max(worst, diff)
             rows.append((text, t, pde, tree, diff))
@@ -399,11 +400,26 @@ def run(command: str, config_path: str | Path, out_dir: str | Path | None = None
     }
     report_path.write_text(json.dumps(document, indent=2) + "\n")
     with data_path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+        _write_rows(handle, header, rows)
     return 0
+
+
+def _write_rows(handle, header: tuple[str, ...], rows: list) -> None:
+    """Write ``header`` and ``rows`` as CSV, numbers with 17 significant digits.
+
+    Rows of numbers only go out through one format string, a line at a
+    time: ``"%.17g" % x`` is ``format(float(x), ".17g")`` for every int,
+    float and numpy scalar.  Rows that hold a string (``oracle-check``'s
+    function text) go through ``csv.writer``, which quotes it where needed;
+    the first row says which kind a command's rows are.
+    """
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    if rows and any(isinstance(v, str) for v in rows[0]):
+        writer.writerows([v if isinstance(v, str) else _fmt(v) for v in row] for row in rows)
+    else:
+        line = ",".join(["%.17g"] * len(header)) + "\n"
+        handle.writelines(line % tuple(row) for row in rows)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,7 +5,10 @@ quadratic-variation and K-monotonicity experiments.
 Both trees run one backward loop, ``_lattice``: nodes sigma_max * sqrt(dt)
 apart and no boundary, each taking the better continuation of the two band
 endpoints (exact for a reward linear in the variance), plus K's per-step
-``_k_step`` in ``tree_k_expectation``.  The tree's independence from the
+``_k_step`` in ``tree_k_expectation``.  The step reads no dt, so
+``tree_expectation_batch`` marches trees of several functions and times on
+one band as the columns of one lattice, each with its own tree's bits;
+``tree_expectation`` is the stack of one.  The tree's independence from the
 PDE solve lies in this lattice, not in the expression compiler, which
 evaluates phi for both.  Path innovations are +-1 from a fixed 64-bit
 shift-register generator so that quadratic variation is exact per step
@@ -28,6 +31,7 @@ __all__ = [
     "LatticePath",
     "RNG_ALGORITHM",
     "tree_expectation",
+    "tree_expectation_batch",
     "simulate_path",
     "quadratic_variation",
     "mutual_variation",
@@ -96,22 +100,31 @@ _HALF = np.array(0.5)  # 0-d arrays: numpy takes them per call faster than float
 _HALF.setflags(write=False)
 
 
-def _lattice(band: VolatilityBand, dt: float, steps: int, terminal, reward=None) -> float:
-    """Backward induction over ``steps`` steps of dt; returns the root value.
+def _lattice(band: VolatilityBand, dts, steps: int, terminals, reward=None) -> np.ndarray:
+    """Backward induction of a stack of trees over ``steps`` steps; returns their root values.
 
-    The 2 steps + 1 end nodes xs, sigma_max * sqrt(dt) apart, take
-    ``terminal(xs)``; each step drops the two outer nodes.  With d = avg -
-    mid (avg the mean of a node's neighbours) a node continues to mid + d
-    at the top band end and mid + c d at the bottom, and takes the larger:
-    mid + max(d, c d) in place (rounding is monotone), or, with rewards
-    ``reward(i, xs) = (top, bottom)`` at forward step i,
-    max(top + (mid + d), bottom + (mid + c d)).
+    Column b of the (2 steps + 1, B) lattice (1-d for a stack of one) takes
+    ``terminals[b]`` at the end nodes, sigma_max * sqrt(dts[b]) apart; each
+    step drops the two outer nodes.  With d = avg - mid (avg the mean of a node's neighbours) a node
+    continues to mid + d at the top band end and mid + c d at the bottom,
+    and takes the larger: mid + max(d, c d) in place (rounding is monotone),
+    or, with rewards ``reward(i, xs) = (top, bottom)`` at forward step i for
+    a stack of one, max(top + (mid + d), bottom + (mid + c d)).  The step
+    reads no dt (c = sigma_min_sq / sigma_max_sq), so trees of one band and
+    one ``steps`` march as one recurrence; every operation is elementwise,
+    so each column keeps the bits of its own march.  Nodes run along axis 0
+    and the B columns of a node lie together: the working set stays that of
+    one tree B values wide, where a row per tree falls out of cache.
     """
-    dx = band.sigma_max * math.sqrt(dt)
-    xs = dx * np.arange(-steps, steps + 1)
-    values = np.array(terminal(xs), dtype=float)  # a copy: the lattice shrinks in place
+    dxs = [band.sigma_max * math.sqrt(dt) for dt in dts]
+    ks = np.arange(-steps, steps + 1)
+    # a stack of one marches on 1-d slices, which numpy takes per call faster than (n, 1) ones
+    width = (len(dxs),) if len(dxs) > 1 else ()
+    values = np.empty((2 * steps + 1, *width))  # the lattice shrinks in place
+    for b, (terminal, dx) in enumerate(zip(terminals, dxs)):
+        values.reshape(2 * steps + 1, -1)[:, b] = terminal(dx * ks)
     c = np.array(2.0 * (band.sigma_min_sq / (2.0 * band.sigma_max_sq)))  # 2 p_low
-    d, cd = np.empty(2 * steps - 1), np.empty(2 * steps - 1)
+    d, cd = np.empty((2 * steps - 1, *width)), np.empty((2 * steps - 1, *width))
     for i in range(steps - 1, -1, -1):
         mid, dn, cdn = values[1:-1], d[: 2 * i + 1], cd[: 2 * i + 1]
         np.add(values[2:], values[:-2], out=dn)
@@ -122,9 +135,33 @@ def _lattice(band: VolatilityBand, dt: float, steps: int, terminal, reward=None)
             np.add(mid, np.maximum(dn, cdn, out=dn), out=mid)
             values = mid
         else:
-            top, bottom = reward(i, dx * np.arange(-i, i + 1))
+            top, bottom = reward(i, dxs[0] * np.arange(-i, i + 1))  # a stack of one: a 1-d lattice
             values = np.maximum(top + (mid + dn), bottom + (mid + cdn))
-    return float(values[0])
+    return values.reshape(len(dxs)).copy()
+
+
+def tree_expectation_batch(band: VolatilityBand, phis, times, steps: int) -> np.ndarray:
+    """Worst-case expectations of each phi at each time, all trees in one lattice march.
+
+    Returns an array of shape (len(phis), len(times)) whose entry [i, j] has
+    the bits of ``tree_expectation(band, phis[i], times[j], steps)``: the
+    tree step reads no dt, which only sets where a terminal is sampled, so
+    every tree of the stack is a column of one ``_lattice`` march.  Every
+    time must be finite and >= 0, and steps >= 1; both are checked before
+    any phi is evaluated.  An empty ``phis`` or ``times`` raises ValueError.
+    """
+    if not len(phis):
+        raise ValueError("phis must hold at least one function")
+    if not len(times):
+        raise ValueError("times must hold at least one time")
+    for t in times:
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ValueError(f"t must be finite and >= 0, got {t}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    dts = [t / steps for t in times]
+    roots = _lattice(band, dts * len(phis), steps, [phi for phi in phis for _ in times])
+    return roots.reshape(len(phis), len(times))
 
 
 def tree_expectation(band: VolatilityBand, phi, t: float, steps: int) -> float:
@@ -133,13 +170,10 @@ def tree_expectation(band: VolatilityBand, phi, t: float, steps: int) -> float:
     Node spacing sigma_max * sqrt(dt); each backward step takes the larger
     of the two endpoint one-step expectations (move probability a * dt /
     (2 dx^2), stay otherwise).  ``phi`` may be any callable on arrays;
-    t must be finite and >= 0, and steps >= 1.
+    t must be finite and >= 0, and steps >= 1.  This is
+    ``tree_expectation_batch`` of one phi at one time.
     """
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    return _lattice(band, t / steps, steps, phi)
+    return float(tree_expectation_batch(band, [phi], [t], steps)[0, 0])
 
 
 def simulate_path(
@@ -230,9 +264,10 @@ def tree_k_expectation(band: VolatilityBand, sol) -> float:
     no control makes K's worst-case mean positive.
     """
     dt, ends = sol.grid.dt, np.array([[band.sigma_max_sq], [band.sigma_min_sq]])
-    return _lattice(  # the reward rows are K's step at the top and the bottom band end
-        band, dt, sol.grid.nt, np.zeros_like, lambda i, xs: _k_step(band, sol.eta_forward(i, xs), ends, dt)
+    (root,) = _lattice(  # the reward rows are K's step at the top and the bottom band end
+        band, [dt], sol.grid.nt, [np.zeros_like], lambda i, xs: _k_step(band, sol.eta_forward(i, xs), ends, dt)
     )
+    return float(root)
 
 
 def gauss_hermite_expectation(phi, variance: float) -> float:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from gexpect import (
     solve_g_heat,
     solve_gbsde,
 )
-from gexpect.cli import COMMANDS, ConfigError, ExperimentConfig, main, run
+from gexpect.cli import _COMMANDS, COMMANDS, ConfigError, ExperimentConfig, _write_rows, main, run
 
 
 def base_config(**overrides):
@@ -557,6 +559,46 @@ class TestNoTraceback:
         report = json.loads((out / "gbsde.report.json").read_text())
         assert report["status"] == "numerical-failure"
         assert report["diagnostic"].startswith("EvalDomainError: driver g is inf")
+
+
+def reference_csv(header, rows) -> str:
+    """The data.csv text of the writer that formatted each number on its own through csv.writer."""
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, str) else format(float(v), ".17g") for v in row])
+    return handle.getvalue()
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_data_csv_has_the_reference_writer_bytes(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert run(command, write_config(tmp_path, VALID[command]), out) == 0
+        _, header, rows = _COMMANDS[command].runner(ExperimentConfig(command, VALID[command]))
+        assert (out / f"{command}.data.csv").read_bytes() == reference_csv(header, rows).encode()
+
+    @pytest.mark.parametrize("text", [None, "max(x, 0)"])
+    def test_special_values_have_the_reference_bytes(self, text):
+        # gexp rows hold numpy float64 scalars; a row with a string takes csv.writer and its quoting
+        specials = [
+            float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
+            np.float64(0.1), np.float64(-0.0), np.float64("nan"), 1e300, 3, 2**60, np.int64(-7),
+        ]
+        rows = [tuple(specials[k:k + 3]) for k in range(len(specials) - 2)]
+        header = ("a", "b", "c")
+        if text is not None:
+            rows = [(text, *row) for row in rows]
+            header = ("function", *header)
+        handle = io.StringIO(newline="")
+        _write_rows(handle, header, rows)
+        assert handle.getvalue() == reference_csv(header, rows)
+
+    def test_no_rows_give_the_header_alone(self):
+        handle = io.StringIO(newline="")
+        _write_rows(handle, ("eps", "quotient"), [])
+        assert handle.getvalue() == "eps,quotient\n"
 
 
 class TestReadmeExample:

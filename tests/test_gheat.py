@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gexpect import (
     CflError,
@@ -101,6 +101,17 @@ class TestSchemeGuarantees:
         band, grid, phi = case
         u = _layers(band, grid, phi)
         assert phi.min() <= u.min() and u.max() <= phi.max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=heat_marches(), c=st.floats(-1e300, 1e300))
+    @example(case=(VolatilityBand(1.0, 2.0), make_grid(VolatilityBand(1.0, 2.0), 1.0, nx=5), None), c=-0.0)
+    @example(case=(VolatilityBand(1.0, 2.0), make_grid(VolatilityBand(1.0, 2.0), 1.0, nx=5), None), c=5e-324)
+    def test_a_constant_datum_stays_put_at_every_layer(self, case, c):
+        # -0.0 is the one exception: the first step adds +0.0 to it, so layers 1..nt are +0.0
+        band, grid, _ = case
+        expected = np.full((grid.nt + 1, grid.nx), c + 0.0)
+        expected[0] = c
+        assert _layers(band, grid, np.full(grid.nx, c)).tobytes() == expected.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(case=heat_marches(), data=st.data())

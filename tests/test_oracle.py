@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gexpect import (
     LatticePath,
@@ -12,7 +13,11 @@ from gexpect import (
     quadratic_variation,
     simulate_path,
     solve_g_heat,
+    solve_gbsde,
     tree_expectation,
+    tree_expectation_batch,
+    tree_k_expectation,
+    zero_generator,
 )
 
 from conftest import CATALOG_TEXTS
@@ -75,6 +80,79 @@ class TestTreeExpectation:
     def test_time_zero_is_phi_at_zero(self, band, steps):
         phi = parse_scalar("exp(tanh(x)) + x^2")
         assert tree_expectation(band, phi, 0.0, steps) == float(phi(0.0))
+
+
+bands = st.floats(0.05, 4.0).flatmap(lambda lo: st.floats(1.0, 4.0).map(lambda r: VolatilityBand(lo, lo * r)))
+tree_steps = st.one_of(st.sampled_from([1, 2]), st.integers(0, 249).map(lambda n: 2 * n + 1), st.integers(1, 500))
+# a constant, a bump-damped odd payoff and two catalogue payoffs
+TERMINALS = {text: parse_scalar(text) for text in ("2.5", "x * bump(x)", "x^2", "tanh(x)")}
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestTreeExpectationBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        band=bands,
+        steps=tree_steps,
+        texts=st.lists(st.sampled_from(sorted(TERMINALS)), min_size=1, max_size=3, unique=True),
+        times=st.lists(st.floats(0.0, 3.0), min_size=0, max_size=2).map(lambda ts: [0.0, *ts]),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_every_entry_has_the_single_tree_bits_in_any_column_order(self, band, steps, texts, times, order):
+        phis = [TERMINALS[text] for text in texts]
+        order.shuffle(times)
+        batch = tree_expectation_batch(band, phis, times, steps)
+        assert batch.shape == (len(phis), len(times))
+        for i, phi in enumerate(phis):
+            for j, t in enumerate(times):
+                assert _bits(batch[i, j]) == _bits(tree_expectation(band, phi, t, steps)), (texts[i], t)
+        rows, columns = list(range(len(phis))), list(range(len(times)))
+        order.shuffle(rows)
+        order.shuffle(columns)
+        shuffled = tree_expectation_batch(band, [phis[i] for i in rows], [times[j] for j in columns], steps)
+        assert shuffled.tobytes() == batch[np.ix_(rows, columns)].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(band=bands, c=st.floats(-1e300, 1e300), t=st.floats(0.0, 3.0), steps=st.integers(1, 300))
+    @example(band=VolatilityBand(1.0, 2.0), c=-0.0, t=1.0, steps=1)
+    @example(band=VolatilityBand(1.0, 2.0), c=5e-324, t=0.0, steps=3)
+    def test_a_constant_terminal_comes_back_bit_for_bit(self, band, c, t, steps):
+        # -0.0 is the one exception: the first step adds +0.0 to it, so the root is +0.0
+        value = tree_expectation(band, lambda xs: np.full_like(xs, c), t, steps)
+        assert _bits(value) == _bits(c + 0.0)
+
+    @pytest.mark.parametrize("text", ["x^2", "tanh(x)", "sin(x)"])
+    def test_k_expectation_stays_exactly_zero(self, band, text):
+        sol = solve_gbsde(band, zero_generator(), parse_scalar(text), make_grid(band, 1.0, nx=61))
+        assert _bits(tree_k_expectation(band, sol)) == _bits(0.0)
+
+    @pytest.mark.parametrize(
+        ("times", "steps", "message"),
+        [
+            ([0.5, float("nan")], 10, "t must be finite and >= 0, got nan"),
+            ([float("inf"), 0.5], 10, "t must be finite and >= 0, got inf"),
+            ([0.5, 1.0, -1e-300], 10, "t must be finite and >= 0, got -1e-300"),
+            ([0.5, 1.0], 0, "steps must be >= 1, got 0"),
+        ],
+    )
+    def test_every_time_and_steps_are_checked_before_any_phi_is_called(self, band, times, steps, message):
+        calls = []
+
+        def phi(xs):
+            calls.append(xs)
+            return xs * xs
+
+        with pytest.raises(ValueError, match=message):
+            tree_expectation_batch(band, [phi, phi], times, steps)
+        assert calls == []
+
+    @pytest.mark.parametrize(("phis", "times", "name"), [([], [1.0], "phis"), ([parse_scalar("x")], [], "times")])
+    def test_an_empty_list_is_refused_by_name(self, band, phis, times, name):
+        with pytest.raises(ValueError, match=f"^{name} must hold at least one"):
+            tree_expectation_batch(band, phis, times, 10)
 
 
 class TestSimulatePath:
