@@ -13,7 +13,13 @@ nodes, exact for affine tails).  With zero driver terms the kernel steps
 solver and the conditional reductions reuse the same kernel, so the
 recursions agree bit for bit when the drivers vanish.  Each step writes
 into preallocated arrays: the next checkpoint row of a stored field when
-the layer is one, or else one of two buffers that alternate.  A solved
+the layer is one, or else one of two buffers that alternate.  The stencil
+views a step reads (D2's three along the flattened layer, and the
+gradient's four when a driver reads z) are built once per buffer: for the
+datum and the two alternating buffers before the march, for a checkpoint
+row once it is written.  ``_d2_into`` and ``_gradient_into`` are the one
+form of each stencil, for the kernel and for the allocating
+``_second_difference`` and ``_space_gradient`` alike.  A solved
 field keeps every floor(sqrt(nt))-th layer and the last two, and a read
 of any other layer re-marches from the checkpoint before it, which
 repeats the first march's bits.  A field gives its layers, the whole
@@ -87,48 +93,54 @@ class GridResolutionError(ValueError):
     """Tabulated result too coarse to represent the payoff."""
 
 
-def _second_difference(u: np.ndarray, dx_sq, out: np.ndarray | None = None) -> np.ndarray:
-    """Three-point second difference along the last axis, zero at the ends.
+def _d2_into(lo, mid, hi, dx_sq, inner) -> None:
+    """The three-point second difference ((hi - 2 mid) + lo) / dx^2 into ``inner``.
 
-    ``dx_sq`` is the squared node spacing.  Without ``out`` the pass runs
-    row by row into a fresh array, so no value is formed across two rows.
-    With ``out`` (a C-contiguous array shaped like u whose end columns hold
-    zeros, as the kernel allocates it) the pass runs along the flattened
-    array, one contiguous sweep for a whole batch; the values it forms
-    across two rows land in the end columns, which are zeroed again.
-    Those values can overflow where no row does, so that form runs only
-    inside the kernel's error state.
+    ``lo``, ``mid`` and ``hi`` are the node's left neighbour, the node and
+    its right neighbour; 2 mid is formed exactly as mid + mid.  The kernel
+    passes views built once per layer buffer, the allocating form fresh ones.
     """
-    if out is None:
-        out = np.zeros(u.shape)
-        lo, mid, hi, inner = u[..., :-2], u[..., 1:-1], u[..., 2:], out[..., 1:-1]
-    else:
-        flat = u.reshape(-1)
-        lo, mid, hi, inner = flat[:-2], flat[1:-1], flat[2:], out.reshape(-1)[1:-1]
-    # (u[2:] - 2 u[1:-1]) + u[:-2], then / dx^2, with 2 u formed exactly as u + u
     np.add(mid, mid, out=inner)
     np.subtract(hi, inner, out=inner)
     np.add(inner, lo, out=inner)
     np.divide(inner, dx_sq, out=inner)
-    if inner.ndim < u.ndim:  # a flattened sweep over several rows
-        out[..., :: u.shape[-1] - 1] = 0.0
+
+
+def _gradient_views(u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The views of u that ``_gradient_into`` reads, row by row along the last axis."""
+    n = u.shape[-1]
+    # the central pair (u[2:], u[:-2]) and both ends' pair (u[1], u[n-1]), (u[0], u[n-2])
+    return u[..., 2:], u[..., :-2], u[..., 1 :: n - 2], u[..., : n - 1 : n - 2]
+
+
+def _gradient_into(views, dx, two_dx, inner, ends) -> None:
+    """Central differences into ``inner`` (z[1:-1]), one-sided ones into ``ends`` (z[0], z[n-1]).
+
+    ``views`` come from ``_gradient_views``; ``two_dx`` is 2 dx.
+    """
+    hi, lo, right, left = views
+    np.subtract(hi, lo, out=inner)
+    np.divide(inner, two_dx, out=inner)
+    # both ends in one pass: (u[1] - u[0], u[n-1] - u[n-2]) / dx
+    np.subtract(right, left, out=ends)
+    np.divide(ends, dx, out=ends)
+
+
+def _second_difference(u: np.ndarray, dx_sq) -> np.ndarray:
+    """Three-point second difference along the last axis into a fresh array, zero at the ends.
+
+    ``dx_sq`` is the squared node spacing.  The pass runs row by row, so no
+    value is formed across two rows.
+    """
+    out = np.zeros(u.shape)
+    _d2_into(u[..., :-2], u[..., 1:-1], u[..., 2:], dx_sq, out[..., 1:-1])
     return out
 
 
-def _space_gradient(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Central differences inside, one-sided at the two boundary nodes.
-
-    Written into ``out`` (an array shaped like u, not u itself) when given,
-    else into a fresh array.
-    """
-    z = np.empty_like(u) if out is None else out
-    n = u.shape[-1]
-    inner, ends = z[..., 1:-1], z[..., :: n - 1]
-    np.subtract(u[..., 2:], u[..., :-2], out=inner)
-    np.divide(inner, 2.0 * dx, out=inner)
-    # both ends in one pass: (u[1] - u[0], u[n-1] - u[n-2]) / dx
-    np.subtract(u[..., 1 :: n - 2], u[..., : n - 1 : n - 2], out=ends)
-    np.divide(ends, dx, out=ends)
+def _space_gradient(u: np.ndarray, dx: float) -> np.ndarray:
+    """Central differences inside, one-sided at the two boundary nodes, into a fresh array."""
+    z = np.empty_like(u)
+    _gradient_into(_gradient_views(u), dx, 2.0 * dx, z[..., 1:-1], z[..., :: u.shape[-1] - 1])
     return z
 
 
@@ -186,11 +198,13 @@ def _march(
     the gradient is not formed.  With ``out`` (shape
     (nt // stride + 1,) + datum.shape) the datum goes to out[0] and each
     layer k with k % stride == 0 straight into out[k // stride]; stride 1
-    stores every layer.  The other layers alternate between the two arrays
-    of ``ring`` (allocated per march when not given), layer k in
-    ring[k % 2], so after the march ``ring`` still holds the last two
-    layers that are not in ``out``.  The returned last layer is a row of
-    ``out`` or of ``ring``.
+    stores every layer.  The other layers alternate between the two
+    C-contiguous arrays of ``ring`` (allocated per march when not given),
+    layer k in ring[k % 2], so after the march ``ring`` still holds the
+    last two layers that are not in ``out``.  The returned last layer is a
+    row of ``out`` or of ``ring``.  The ring's views are built once, before
+    the march; a flattened view of a non-contiguous batch would be a stale
+    copy.
     """
     # a finite array has dot product 0 with zeros; inf * 0 and NaN give NaN
     zeros = np.zeros(datum.size)
@@ -209,45 +223,62 @@ def _march(
         ring = (np.empty(datum.shape), np.empty(datum.shape))
     if out is not None:
         out[0] = datum
+    reads_z = g_fn is not None and ("z" in g_fn.variables or "z" in f_fn.variables)
+
+    def stencil(u: np.ndarray) -> tuple:
+        """D2's (lo, mid, hi) along u flattened, then the gradient's views when a driver reads z."""
+        flat = u.reshape(-1)
+        return flat[:-2], flat[1:-1], flat[2:], _gradient_views(u) if reads_z else ()
+
+    # D2 sweeps a batch as one flattened row: the values it forms across two rows land in
+    # the end columns, which are zeroed again; they can overflow where no row does, so the
+    # sweep runs only inside the error state below
+    n = datum.shape[-1]
+    d2_inner, d2_ends = d2.reshape(-1)[1:-1], d2[..., :: n - 1] if datum.ndim > 1 else None
+    ring_stencils = (stencil(ring[0]), stencil(ring[1]))
     if g_fn is not None:
         g, f = g_fn._compiled, f_fn._compiled
-        reads_z = "z" in g_fn.variables or "z" in f_fn.variables
         grad, half_d2, arg, two_g = (np.empty(datum.shape) for _ in range(4))
+        grad_inner, grad_ends = grad[..., 1:-1], grad[..., :: n - 1]
+        grad_dx, two_dx = np.array(dx), np.array(2.0 * dx)
         predictor = np.empty(datum.shape) if picard else None
+        predictor_views = _gradient_views(predictor) if picard and reads_z else ()
 
-        def increment(env: dict, into: np.ndarray) -> np.ndarray:
-            """dt * (g + 2 G(f + D2 u / 2)) at ``env``, formed in the order of the allocating step."""
-            g_term, f_term = g(env), f(env)
-            np.add(f_term, half_d2, out=arg)
-            _g_into(half_max, half_min, arg, two_g, scratch)
-            np.multiply(two, two_g, out=two_g)
-            np.add(g_term, two_g, out=two_g)
-            return np.multiply(step, two_g, out=into)
-
-    layer = datum
+    # a layer's views are built once per buffer: the datum's and the ring's here, a checkpoint
+    # row's when it is written; the step calls the ufuncs on them in the allocating step's order
+    layer, (lo, mid, hi, gradient) = datum, stencil(datum)
     # the kernel names its own failures: an overflow or x/0 is a NonFiniteError, not a warning
     with np.errstate(all="ignore"):
         for k in range(1, nt + 1):
-            row = out[k // stride] if out is not None and k % stride == 0 else ring[k % 2]
-            _second_difference(layer, dx_sq, d2)
+            checkpoint = out is not None and k % stride == 0
+            row = out[k // stride] if checkpoint else ring[k % 2]
+            _d2_into(lo, mid, hi, dx_sq, d2_inner)
+            if d2_ends is not None:
+                d2_ends.fill(0.0)
             if g_fn is None:
                 # u + dt * G(D2 u): the driver step with zero terms, as 2 G(a / 2) = G(a)
                 _g_into(half_max, half_min, d2, row, scratch)
                 np.multiply(row, step, out=row)
             else:
-                t = layer_times[k]
                 np.multiply(half, d2, out=half_d2)
-                env = {"t": t, "y": layer}
-                if reads_z:
-                    env["z"] = _space_gradient(layer, dx, grad)
-                if picard:
-                    np.add(layer, increment(env, predictor), out=predictor)
-                    if np.vdot(predictor, zeros) != 0.0:
-                        _raise_failure(k, predictor, zeros, None)
-                    env = {"t": t, "y": predictor}
+                t, y, y_views = layer_times[k], layer, gradient
+                # dt * (g + 2 G(f + D2 u / 2)), into the Picard predictor first when there is one
+                for into in (predictor, row) if picard else (row,):
+                    env = {"t": t, "y": y}
                     if reads_z:
-                        env["z"] = _space_gradient(predictor, dx, grad)
-                increment(env, row)
+                        _gradient_into(y_views, grad_dx, two_dx, grad_inner, grad_ends)
+                        env["z"] = grad
+                    g_term, f_term = g(env), f(env)
+                    np.add(f_term, half_d2, out=arg)
+                    _g_into(half_max, half_min, arg, two_g, scratch)
+                    np.multiply(two, two_g, out=two_g)
+                    np.add(g_term, two_g, out=two_g)
+                    np.multiply(step, two_g, out=into)
+                    if into is predictor:  # the drivers are evaluated again at u + increment
+                        np.add(layer, predictor, out=predictor)
+                        if np.vdot(predictor, zeros) != 0.0:
+                            _raise_failure(k, predictor, zeros, None)
+                        y, y_views = predictor, predictor_views
             np.add(layer, row, out=row)
             if limits is not None:
                 # a NaN fails both comparisons and an infinity exceeds the finite bound
@@ -256,7 +287,7 @@ def _march(
                     _raise_failure(k, row, zeros, limits)
             elif np.vdot(row, zeros) != 0.0:
                 _raise_failure(k, row, zeros, None)
-            layer = row
+            layer, (lo, mid, hi, gradient) = row, stencil(row) if checkpoint else ring_stencils[k % 2]
     return layer
 
 
@@ -521,9 +552,10 @@ def conditional_g_expectation(
     Solves one heat problem per remaining increment, innermost first, on a
     ``make_grid`` grid with ``grid.nx`` nodes sized to each increment (so an
     even ``nx`` raises ValueError).  The returned table interpolates
-    psi(x_1, ..., x_i) multilinearly; a sparse re-solve probe estimates
-    the interpolation residual and raises GridResolutionError when it
-    exceeds ``residual_tol`` relative to the payoff scale.
+    psi(x_1, ..., x_i) multilinearly; three off-node probes, re-solved
+    together as one batch, estimate the interpolation residual, and
+    GridResolutionError is raised when it exceeds ``residual_tol``
+    relative to the payoff scale.
     """
     m = len(payoff.times)
     if not 1 <= i < m:
@@ -532,26 +564,28 @@ def conditional_g_expectation(
     grids = [make_grid(band, d, grid.nx, theta=theta) for d in payoff.increments]
     axes = [g.xs for g in grids]
 
-    def reduce_to(level: int, axis_list: Sequence[np.ndarray]) -> np.ndarray:
-        mesh = np.meshgrid(*axis_list, indexing="ij")
+    def reduce(mesh: Sequence[np.ndarray]) -> np.ndarray:
+        """The payoff on ``mesh`` (coordinate arrays of one shape) reduced over increments i+1..m."""
         values = np.asarray(payoff.fn(*mesh), dtype=float)
         values = np.broadcast_to(values, mesh[0].shape).copy()
-        for k in range(m - 1, level - 1, -1):
+        for k in range(m - 1, i - 1, -1):
             values = _reduce_last_axis(band, values, grids[k])
         return values
 
-    table_values = reduce_to(i, axes)
+    table_values = reduce(np.meshgrid(*axes, indexing="ij"))
     table = TabulatedFunction(axes[:i], table_values)
 
-    # Probe interpolation quality: re-solve at a few off-node points.
+    # Probe interpolation quality: re-solve at a few off-node points, all in one march.
     scale = 1.0 + float(np.max(np.abs(table_values)))
     rng = np.random.default_rng(7)
+    points = [[float(rng.uniform(a[1], a[-2])) for a in axes[:i]] for _ in range(3)]
+    # each probe's mesh has one node per conditioned axis; stacked along a leading batch
+    # axis, each probe stays a row of its own, with the bits of its single reduction
+    meshes = [np.meshgrid(*[np.array([p]) for p in point], *axes[i:], indexing="ij") for point in points]
+    exact = reduce([np.stack(coords) for coords in zip(*meshes)]).reshape(len(points))
     worst = 0.0
-    for _ in range(3):
-        point = [float(rng.uniform(a[1], a[-2])) for a in axes[:i]]
-        probe_axes = [np.array([p]) for p in point] + list(axes[i:])
-        exact = float(reduce_to(i, probe_axes).reshape(()))
-        worst = max(worst, abs(table(*point) - exact))
+    for point, value in zip(points, exact):
+        worst = max(worst, abs(table(*point) - float(value)))
     if worst > residual_tol * scale:
         raise GridResolutionError(
             f"interpolation residual {worst:.3e} exceeds {residual_tol} * scale {scale:.3e}; "

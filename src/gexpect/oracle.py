@@ -5,7 +5,10 @@ quadratic-variation and K-monotonicity experiments.
 Both trees run one backward loop, ``_lattice``: nodes sigma_max * sqrt(dt)
 apart and no boundary, each taking the better continuation of the two band
 endpoints (exact for a reward linear in the variance), plus K's per-step
-``_k_step`` in ``tree_k_expectation``.  The step reads no dt, so
+``_k_step`` in ``tree_k_expectation``.  Without a reward the loop builds
+its slice views once per block of ``_BLOCK`` steps: a block steps the
+window of its first step, and the outer nodes it updates beyond the
+shrinking cone are never read by the root.  The step reads no dt, so
 ``tree_expectation_batch`` marches trees of several functions and times on
 one band as the columns of one lattice, each with its own tree's bits;
 ``tree_expectation`` is the stack of one.  The tree's independence from the
@@ -98,16 +101,20 @@ class LatticePath:
 
 _HALF = np.array(0.5)  # 0-d arrays: numpy takes them per call faster than floats
 _HALF.setflags(write=False)
+# the reward-free lattice builds its views once per block of this many steps, not once per step
+_BLOCK = 32
+_BLOCK_BOUND = np.finfo(float).max / 4  # terminals this large or not finite march step by step
 
 
 def _lattice(band: VolatilityBand, dts, steps: int, terminals, reward=None) -> np.ndarray:
     """Backward induction of a stack of trees over ``steps`` steps; returns their root values.
 
     Column b of the (2 steps + 1, B) lattice (1-d for a stack of one) takes
-    ``terminals[b]`` at the end nodes, sigma_max * sqrt(dts[b]) apart; each
-    step drops the two outer nodes.  With d = avg - mid (avg the mean of a node's neighbours) a node
-    continues to mid + d at the top band end and mid + c d at the bottom,
-    and takes the larger: mid + max(d, c d) in place (rounding is monotone),
+    ``terminals[b]`` at the end nodes, sigma_max * sqrt(dts[b]) apart; step
+    i forms the 2 i + 1 nodes of the root's cone.  With d = avg - mid (avg
+    the mean of a node's neighbours) a node continues to mid + d at the top
+    band end and mid + c d at the bottom, and takes the larger:
+    mid + max(d, c d) in place (rounding is monotone),
     or, with rewards ``reward(i, xs) = (top, bottom)`` at forward step i for
     a stack of one, max(top + (mid + d), bottom + (mid + c d)).  The step
     reads no dt (c = sigma_min_sq / sigma_max_sq), so trees of one band and
@@ -120,24 +127,32 @@ def _lattice(band: VolatilityBand, dts, steps: int, terminals, reward=None) -> n
     ks = np.arange(-steps, steps + 1)
     # a stack of one marches on 1-d slices, which numpy takes per call faster than (n, 1) ones
     width = (len(dxs),) if len(dxs) > 1 else ()
-    values = np.empty((2 * steps + 1, *width))  # the lattice shrinks in place
+    values = np.empty((2 * steps + 1, *width))  # the lattice is stepped in place
     for b, (terminal, dx) in enumerate(zip(terminals, dxs)):
         values.reshape(2 * steps + 1, -1)[:, b] = terminal(dx * ks)
     c = np.array(2.0 * (band.sigma_min_sq / (2.0 * band.sigma_max_sq)))  # 2 p_low
     d, cd = np.empty((2 * steps - 1, *width)), np.empty((2 * steps - 1, *width))
-    for i in range(steps - 1, -1, -1):
-        mid, dn, cdn = values[1:-1], d[: 2 * i + 1], cd[: 2 * i + 1]
-        np.add(values[2:], values[:-2], out=dn)
-        np.multiply(dn, _HALF, out=dn)
-        np.subtract(dn, mid, out=dn)
-        np.multiply(dn, c, out=cdn)
-        if reward is None:
-            np.add(mid, np.maximum(dn, cdn, out=dn), out=mid)
-            values = mid
-        else:
-            top, bottom = reward(i, dxs[0] * np.arange(-i, i + 1))  # a stack of one: a 1-d lattice
-            values = np.maximum(top + (mid + dn), bottom + (mid + cdn))
-    return values.reshape(len(dxs)).copy()
+    # A block steps the window of its first step, so its later steps also update up to
+    # _BLOCK - 1 nodes per side outside the cone, which the root never reads.  Each value
+    # formed is a mean of terminal values up to rounding, so below _BLOCK_BOUND no step on
+    # those nodes overflows.  A lattice with a larger value, an infinity or a NaN (which
+    # compares False) marches step by step, forming only the cone: an infinite outer node
+    # stepped again would give inf - inf, a warning the cone alone does not raise.
+    block = _BLOCK if reward is None and np.max(np.abs(values)) <= _BLOCK_BOUND else 1
+    for first in range(steps - 1, -1, -block):  # the forward step i of the block's first step
+        window = values[steps - 1 - first : steps + 2 + first]  # the cone of that step
+        lo, mid, hi, dn, cdn = window[:-2], window[1:-1], window[2:], d[: 2 * first + 1], cd[: 2 * first + 1]
+        for i in range(first, max(first - block, -1), -1):
+            np.add(hi, lo, out=dn)
+            np.multiply(dn, _HALF, out=dn)
+            np.subtract(dn, mid, out=dn)
+            np.multiply(dn, c, out=cdn)
+            if reward is None:
+                np.add(mid, np.maximum(dn, cdn, out=dn), out=mid)
+            else:
+                top, bottom = reward(i, dxs[0] * np.arange(-i, i + 1))  # a stack of one: a 1-d lattice
+                np.maximum(top + (mid + dn), bottom + (mid + cdn), out=mid)
+    return values[steps : steps + 1].reshape(len(dxs)).copy()
 
 
 def tree_expectation_batch(band: VolatilityBand, phis, times, steps: int) -> np.ndarray:

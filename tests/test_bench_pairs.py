@@ -1,6 +1,8 @@
 """The verdicts of ``tools/bench_pairs.py`` on synthetic parent/change runs."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -112,3 +114,57 @@ def test_errored_runs_count_in_failed(errored, worse):
     assert failed[f"errored_{errored}"] == 1 and failed[f"attempted_{errored}"] == 900
     assert failed["parent"] == failed["change"] == 0
     assert failed["failed_share_worse"] is worse
+
+
+def fake_perfbench(calls, fail_tree=None):
+    """A stand-in for ``subprocess.run`` of perfbench.
+
+    Each metric reads 1.0; a run in the tree named ``fail_tree`` exits 1.
+    """
+
+    def fake(command, cwd, capture_output, text):
+        calls.append((Path(cwd).name, command[command.index("--trace") + 1], command[command.index("--seed") + 1]))
+        if Path(cwd).name == fail_tree:
+            stderr = "Traceback\nRuntimeError: worker exited with status 1\n"
+            return subprocess.CompletedProcess(command, 1, "", stderr)
+        trace = command[command.index("--trace") + 1]
+        names = ["gheat.us_per_layer.nx201", "oracle.tree_s"] if trace == "1" else list(SPEC)
+        metrics = {name: {"value": 1.0, "unit": "s"} for name in names}
+        line = {"correct": True, "attempted": 7, "failed": 0, "metrics": metrics}
+        return subprocess.CompletedProcess(command, 0, "perfbench header\n" + json.dumps(line) + "\n", "")
+
+    return fake
+
+
+def test_a_traced_run_per_side_keeps_its_layer_metrics_or_its_error(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_perfbench(calls, fail_tree="change"))
+    trees = {"parent": Path("parent"), "change": Path("change")}
+    traced = bench_pairs._traced(trees, "heat-oracle", 1751, 20)
+    assert calls == [("parent", "1", "1751"), ("change", "1", "1751")]
+    layers = {"gheat.us_per_layer.nx201": 1.0, "oracle.tree_s": 1.0}
+    assert traced == {
+        "seed": 1751,
+        "parent": {"attempted": 7, "failed": 0, "metrics": layers},
+        "change": {"error": ["RuntimeError: worker exited with status 1"]},
+    }
+
+
+def test_main_stores_each_workloads_traced_runs(monkeypatch, tmp_path):
+    # the pairs run --trace 0 on every seed, then one --trace 1 run per side on the first seed
+    calls = []
+    monkeypatch.setattr(bench_pairs, "_export", lambda rev, dest: rev)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_perfbench(calls, fail_tree="change"))
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "p", "--change", "c", "--pairs", "2", "--first-seed", "5", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    document = json.loads(out.read_text())
+    workloads = [w["name"] for w in json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())["workloads"]]
+    assert list(document["workloads"]) == workloads
+    for workload in workloads:
+        traced = document["workloads"][workload]["traced"]
+        assert traced["seed"] == 5
+        assert traced["parent"]["metrics"] == {"gheat.us_per_layer.nx201": 1.0, "oracle.tree_s": 1.0}
+        assert traced["change"] == {"error": ["RuntimeError: worker exited with status 1"]}
+    assert [c for c in calls if c[1] == "1"] == [("parent", "1", "5"), ("change", "1", "5")] * len(workloads)
+    assert len(calls) == len(workloads) * (2 * 2 + 2)

@@ -17,6 +17,7 @@ from gexpect import (
     solve_g_heat,
     tree_expectation,
 )
+from gexpect import gheat
 from gexpect.gheat import _march
 
 
@@ -257,6 +258,54 @@ class TestConditional:
         payoff = CylinderPayoff((0.5, 1.0), lambda x1, x2: np.sin(9.0 * x1) * 5.0 + x2)
         with pytest.raises(GridResolutionError):
             conditional_g_expectation(band, payoff, 1, grid, residual_tol=1e-4)
+
+    @pytest.mark.parametrize(
+        "times,i,fn",
+        [
+            ((0.5, 1.0), 1, lambda a, b: np.sin(3.0 * a) * b * b),
+            ((0.3, 0.6, 1.0), 1, lambda a, b, c: np.cos(a + b) + c * c),
+            ((0.3, 0.6, 1.0), 2, lambda a, b, c: a * b + np.tanh(c)),
+        ],
+    )
+    def test_probes_have_the_bits_of_their_single_reductions(self, band, monkeypatch, times, i, fn):
+        # the three probes march as one batch; each must have the bits of the march of its own
+        # (1, ..., 1, nx, ...) mesh, as it had when every probe was reduced alone
+        calls = []
+
+        def spy(band_, values, grid_):
+            reduced = reduce_last_axis(band_, values, grid_)
+            calls.append((values, grid_, reduced))
+            return reduced
+
+        reduce_last_axis = gheat._reduce_last_axis
+        monkeypatch.setattr(gheat, "_reduce_last_axis", spy)
+        payoff = CylinderPayoff(times, fn)
+        table = conditional_g_expectation(band, payoff, i, make_grid(band, 1.0, nx=81))
+        m = len(times)
+        assert len(calls) == 2 * (m - i)  # the table's reductions, then one batch for all probes
+        probe_calls = calls[m - i :]
+        assert probe_calls[0][0].shape[0] == 3
+        probes = probe_calls[-1][2].reshape(3)
+        tail = [grid_.xs for _, grid_, _ in reversed(probe_calls)]
+        rng = np.random.default_rng(7)
+        for b in range(3):
+            point = [float(rng.uniform(a[1], a[-2])) for a in table.axes]
+            mesh = np.meshgrid(*[np.array([p]) for p in point], *tail, indexing="ij")
+            values = np.broadcast_to(np.asarray(fn(*mesh), dtype=float), mesh[0].shape).copy()
+            for _, grid_, _ in probe_calls:
+                values = reduce_last_axis(band, values, grid_)
+            assert probes[b].tobytes() == values.reshape(()).tobytes(), f"probe {b}"
+
+    @pytest.mark.parametrize(
+        "times,i,fn",
+        [
+            ((0.5, 1.0), 1, lambda a, b: np.sin(30.0 * a) * 5.0 + b),
+            ((0.3, 0.6, 1.0), 2, lambda a, b, c: np.sin(30.0 * a * b) + c),
+        ],
+    )
+    def test_too_coarse_a_payoff_raises_at_the_default_tolerance(self, band, times, i, fn):
+        with pytest.raises(GridResolutionError, match="increase nx"):
+            conditional_g_expectation(band, CylinderPayoff(times, fn), i, make_grid(band, 1.0, nx=41))
 
     def test_non_finite_payoff_raises_at_layer_zero(self, band):
         grid = make_grid(band, 1.0, nx=201)

@@ -7,11 +7,12 @@ The references below are the earlier forms: the zero-driver layer
 scaled parts; the driver layer ``u + dt * (g + 2 G(f + D2 u / 2))``
 formed in fresh arrays, with the drivers evaluated by walking the AST and
 G from the halved band ends; the tree step that formed both endpoint
-continuations and took their maximum; the path loop on numpy scalars with
-a ``node_index`` lookup per ``markov`` step; and the AST walker.  The
-kernel now computes ``u + dt * G(D2 u)`` and the driver layer in
-preallocated buffers, the tree ``mid + max(d, c d)``, the path loop on
-Python floats, and each expression through a closure compiled once.
+continuations and took their maximum; the lattice loop that built its
+views at every step; the path loop on numpy scalars with a ``node_index``
+lookup per ``markov`` step; and the AST walker.  The kernel now computes
+``u + dt * G(D2 u)`` and the driver layer in preallocated buffers, the
+tree ``mid + max(d, c d)`` in blocks of steps, the path loop on Python
+floats, and each expression through a closure compiled once.
 These identities are exact outside the subnormal range, so the bytes must
 agree.
 """
@@ -34,14 +35,16 @@ from gexpect import (
     parse_tri,
     simulate_path,
     solve_g_heat,
+    solve_g_heat_batch,
     solve_gbsde,
+    solve_gbsde_batch,
     tree_expectation,
     tree_k_expectation,
     zero_generator,
 )
 from gexpect.expr import _BUILTINS, BinOp, Call, Lit, Neg, Pow, Var, _Jet
 from gexpect.gheat import _march, _reduce_last_axis
-from gexpect.oracle import LatticePath, _Xorshift64Star
+from gexpect.oracle import LatticePath, _lattice, _Xorshift64Star
 
 from conftest import CATALOG_TEXTS, grid_with_steps
 
@@ -65,6 +68,27 @@ def reference_tree_step(values, p_low):
     mid = values[1:-1]
     avg = 0.5 * (values[2:] + values[:-2])
     return mid + (avg - mid), mid + 2.0 * p_low * (avg - mid)
+
+
+def reference_lattice(band, dts, steps, terminals):
+    """Roots of the reward-free lattice loop that built its five views at every step."""
+    dxs = [band.sigma_max * math.sqrt(dt) for dt in dts]
+    ks = np.arange(-steps, steps + 1)
+    width = (len(dxs),) if len(dxs) > 1 else ()
+    values = np.empty((2 * steps + 1, *width))
+    for b, (terminal, dx) in enumerate(zip(terminals, dxs)):
+        values.reshape(2 * steps + 1, -1)[:, b] = terminal(dx * ks)
+    c, half = np.array(2.0 * (band.sigma_min_sq / (2.0 * band.sigma_max_sq))), np.array(0.5)
+    d, cd = np.empty((2 * steps - 1, *width)), np.empty((2 * steps - 1, *width))
+    for i in range(steps - 1, -1, -1):
+        mid, dn, cdn = values[1:-1], d[: 2 * i + 1], cd[: 2 * i + 1]
+        np.add(values[2:], values[:-2], out=dn)
+        np.multiply(dn, half, out=dn)
+        np.subtract(dn, mid, out=dn)
+        np.multiply(dn, c, out=cdn)
+        np.add(mid, np.maximum(dn, cdn, out=dn), out=mid)
+        values = mid
+    return values.reshape(len(dxs)).copy()
 
 
 def reference_k_step(band, eta, a, dt):
@@ -122,6 +146,32 @@ class TestZeroDriverMarch:
             values = np.stack([values, values[::-1]])
             expected = np.stack([expected, expected[::-1]])
         assert _reduce_last_axis(band, values, grid).tobytes() == expected.tobytes()
+
+    # s = 5: nt = 1, 2, s - 1, s, s + 1 and s^2 + 1, each with stride isqrt(nt)
+    @pytest.mark.parametrize("nt", [1, 2, 4, 5, 6, 26])
+    @pytest.mark.parametrize("drivers", [("0", "0"), ("0.5*z", "0.1*y")])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_checkpoints_and_ring_match_the_reference_layers(self, band, nt, drivers, batch):
+        # a solve keeps every stride-th layer in a checkpoint row and the last two others in
+        # the ring buffers; each stored layer must have the reference bytes, with no re-march
+        grid = grid_with_steps(band, 21, nt, 0.45)
+        phis = [parse_scalar(text) for text in ("sin(3*x)", "x^2", "tanh(x) - x^3")[:batch]]
+        if drivers == ("0", "0"):
+            fields = solve_g_heat_batch(band, phis, grid)
+            references = [reference_layers(band, grid, phi(grid.xs)) for phi in phis]
+        else:
+            gen, times = driver_pair(*drivers), backward_times(grid)
+            fields = [sol.field for sol in solve_gbsde_batch(band, gen, phis, grid, envelope_factor=1e300)]
+            references = [
+                reference_driver_layers(band, grid.dx, grid.dt, nt, phi(grid.xs), gen, times, False)
+                for phi in phis
+            ]
+        stride = max(1, math.isqrt(nt))
+        stored = sorted(set(range(0, nt + 1, stride)) | {nt - 1, nt})
+        for field, reference in zip(fields, references):
+            for k in stored:
+                assert field.layer(k).tobytes() == reference[k].tobytes(), f"layer {k}"
+            assert field._segment[0] == -1  # every read came from a checkpoint or the ring
 
     @pytest.mark.parametrize("text", ["1.7e308*tanh(x)", "-1.7e308*sin(x)", "1e308*(x^2 - 1)"])
     def test_overflow_raises_at_the_reference_layer(self, band, text):
@@ -203,6 +253,23 @@ class TestTreeStep:
         for _ in range(steps):
             values = np.maximum(*reference_tree_step(values, p_low))
         assert np.float64(tree_expectation(band, phi, t, steps)).tobytes() == values[0].tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 2, 31, 32, 33, 64, 65, 2000])
+    @pytest.mark.parametrize("times", [(1.0,), (0.3, 1.0, 2.5)])
+    def test_blocked_lattice_matches_the_per_step_loop(self, band, steps, times):
+        # a block updates up to 31 nodes per side outside the cone, which the root never reads;
+        # near the float limit, and with infinite end nodes, it must warn no more than the loop
+        # (the suite turns every RuntimeWarning into an error)
+        terminals = [parse_scalar(text) for text in CATALOG_TEXTS + ("1e307*tanh(x)", "8.95e307*tanh(x)")]
+        terminals.append(lambda x: np.where(np.abs(x) == np.abs(x).max(), np.inf, np.sin(x)))
+        dts = [t / steps for t in times]
+        for terminal in terminals:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                expected = reference_lattice(band, dts, steps, [terminal] * len(dts))
+            assert not caught
+            roots = _lattice(band, dts, steps, [terminal] * len(dts))
+            assert roots.tobytes() == expected.tobytes(), terminal
 
     @settings(max_examples=15, deadline=None)
     @given(

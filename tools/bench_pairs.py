@@ -15,7 +15,9 @@ each workload and end-to-end metric each side's median and quartiles,
 the change's pair wins and ties, and whether a gain is shown: the
 change wins at least nine tenths of all pairs run, errored ones
 included, and the medians differ by more than the parent's quartile
-spread.
+spread.  After a workload's pairs, one ``--trace 1`` run per side on the
+first seed gives its per-layer metrics, stored under the workload's
+``traced`` with that seed (an errored traced run is kept as its error).
 ``regressed`` marks a change median worse than the parent's by more than
 the metric's bound in ``BENCHMARK.json`` (relative to the parent
 median).  ``unresolved`` marks a metric whose parent quartile spread is
@@ -62,10 +64,11 @@ def _export(rev: str, dest: Path) -> str:
     return commit
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
+    """One perfbench run: its check counts and metric values, or the last line of its error."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -76,6 +79,11 @@ def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
         "failed": line["failed"],
         "metrics": {name: m["value"] for name, m in line["metrics"].items()},
     }
+
+
+def _traced(trees: dict, workload: str, seed: int, seconds: int) -> dict:
+    """One ``--trace 1`` run per side on ``seed``: the per-layer metrics, or the run's error."""
+    return {"seed": seed, **{side: _run(tree, workload, seed, seconds, trace=1) for side, tree in trees.items()}}
 
 
 def _side(values: list[float]) -> dict:
@@ -170,7 +178,9 @@ def main(argv: list[str] | None = None) -> int:
                     run[side] = _run(trees[side], workload, seed, seconds)
                 runs.append(run)
                 print(json.dumps({"workload": workload, **run}), flush=True)
-            document["workloads"][workload] = {"summary": _summary(runs, spec), "runs": runs}
+            traced = _traced(trees, workload, args.first_seed, seconds)
+            print(json.dumps({"workload": workload, "traced": traced}), flush=True)
+            document["workloads"][workload] = {"summary": _summary(runs, spec), "runs": runs, "traced": traced}
             args.out.write_text(json.dumps(document, indent=1) + "\n")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
