@@ -103,7 +103,7 @@ _HALF = np.array(0.5)  # 0-d arrays: numpy takes them per call faster than float
 _HALF.setflags(write=False)
 # the reward-free lattice builds its views once per block of this many steps, not once per step
 _BLOCK = 32
-_BLOCK_BOUND = np.finfo(float).max / 4  # terminals this large or not finite march step by step
+_BLOCK_BOUND = np.finfo(float).max / 4  # a lattice with a value above this, or not finite, steps singly
 
 
 def _lattice(band: VolatilityBand, dts, steps: int, terminals, reward=None) -> np.ndarray:
