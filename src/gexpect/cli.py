@@ -311,13 +311,13 @@ def _run_oracle_check(cfg: ExperimentConfig):
     fields = solve_g_heat_batch(cfg.band, phis, cfg.grid)
     trees = tree_expectation_batch(cfg.band, phis, times, steps).tolist()
     rows = []
-    worst = 0.0
     for text, field, tree_row in zip(texts, fields, trees):
         for t, tree in zip(times, tree_row):
             pde = field.value_at(t, 0.0)
-            diff = abs(pde - tree)
-            worst = max(worst, diff)
-            rows.append((text, t, pde, tree, diff))
+            rows.append((text, t, pde, tree, abs(pde - tree)))
+    diffs = [row[-1] for row in rows]
+    # a NaN difference fails the check and is the worst; max() would pass over it
+    worst = math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
     report = {
         "max_abs_diff": worst,
         "tolerance": tolerance,

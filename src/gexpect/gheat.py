@@ -35,8 +35,14 @@ row.  The blow-up envelope may hold one value per row.  A failure names
 its time layer and its row (0 for a single solve) as the fields ``layer``
 and ``row`` of ``NonFiniteError`` and ``BlowUpError``; the first failing
 layer raises, and within it a non-finite row wins over a row beyond its
-envelope.  A (finite) envelope's per-row maximum and minimum prove a
-layer finite too; only a march without one runs a separate finiteness test.
+envelope.  The tests are cheap: with an envelope each layer takes one sum
+of squares against the smallest row envelope's square, which proves the
+layer finite and inside every envelope, and only a layer that fails it
+takes the per-row test; without one, finiteness is tested at checkpoints
+(a non-finite node stays non-finite), and a test that fails re-marches
+from the datum with a test on every layer, which names the first failing
+layer and row.  A driver that is the literal 0 is neither evaluated nor
+added, which keeps the bits.
 Monotonicity under the CFL bound makes the scheme converge to the
 viscosity solution and gives discrete maximum/comparison principles.
 """
@@ -45,12 +51,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import DEFAULT_CFL_THETA, SpaceTimeGrid, VolatilityBand, _g_into, make_grid
-from .expr import ScalarFunction
+from .expr import Lit, ScalarFunction
 
 __all__ = [
     "FieldSolution",
@@ -64,6 +70,8 @@ __all__ = [
     "g_expectation",
     "conditional_g_expectation",
 ]
+
+_LITERAL_ZERO = Lit(0.0)
 
 
 class NonFiniteError(RuntimeError):
@@ -144,18 +152,23 @@ def _space_gradient(u: np.ndarray, dx: float) -> np.ndarray:
     return z
 
 
-def _raise_failure(k: int, layer: np.ndarray, zeros: np.ndarray, limits: np.ndarray | None) -> NoReturn:
-    """Raise the failure of layer k: NonFiniteError, else BlowUpError, each naming its first row.
+def _check(k: int, layer: np.ndarray, zeros: np.ndarray, limits: np.ndarray | None) -> None:
+    """Raise the failure of layer k, if any: NonFiniteError, else BlowUpError, each naming its first row.
 
     A row is one slice along the batch axes, counted in C order (0 for an
-    unbatched march); ``limits`` holds each row's envelope, or is None.
+    unbatched march); ``limits`` holds each row's envelope, or is None.  A
+    layer whose rows are finite and no larger in |value| than their
+    envelopes passes.
     """
     rows = layer.reshape(-1, layer.shape[-1])
     if np.vdot(layer, zeros) != 0.0:
         raise NonFiniteError(k, int(np.flatnonzero(~np.isfinite(rows).all(axis=-1))[0]))
-    peaks = np.max(np.abs(rows), axis=-1)
-    r = int(np.flatnonzero(peaks > limits)[0])
-    raise BlowUpError(k, float(peaks[r]), float(limits[r]), r)
+    if limits is not None:
+        peaks = np.max(np.abs(rows), axis=-1)
+        beyond = np.flatnonzero(peaks > limits)
+        if beyond.size:
+            r = int(beyond[0])
+            raise BlowUpError(k, float(peaks[r]), float(limits[r]), r)
 
 
 def _march(
@@ -186,33 +199,47 @@ def _march(
     that row's envelope raises BlowUpError naming the layer and the row.
     The first failing layer raises; within it a non-finite row wins over
     a row beyond its envelope, and of several rows the first is named.
-    Every envelope must be finite: the per-row maximum and minimum that
-    check it then also prove the rows finite (a NaN fails both comparisons
-    and an infinity exceeds the bound), so the separate finiteness test
-    runs only without an envelope, or on a layer that fails it.
+
+    The tests are cheap.  With an envelope (each one finite), every layer
+    takes one sum of squares: with m the smallest envelope, |x| > m gives
+    fl(x^2) >= fl(m^2), and a sum of non-negative terms never rounds below
+    its largest, so vdot(row, row) < m * m (inf where that overflows)
+    proves every row finite and inside its envelope; a NaN fails it too.
+    Only a layer that fails it takes the per-row test, which names the row
+    or passes it.  Without an envelope a non-finite node stays non-finite,
+    as each layer is the last plus an increment and inf + x is inf or NaN,
+    so finiteness is tested only at each row of ``out`` (every ``stride``-th
+    layer), every isqrt(nt)-th layer when ``out`` is None, and at layer nt;
+    a test that fails re-marches from the datum with a test on every
+    layer, which raises at the first failing layer and row.  The Picard
+    predictor is tested at every layer, as a driver may ignore it.
 
     ``g_fn`` and ``f_fn`` are TriFunctions; the kernel calls their compiled
     closures inside its error state, which ignores every floating-point
     condition, so a driver that divides by zero or overflows surfaces as a
-    NonFiniteError, never as a warning.  When neither driver reads ``z``
-    the gradient is not formed.  With ``out`` (shape
-    (nt // stride + 1,) + datum.shape) the datum goes to out[0] and each
-    layer k with k % stride == 0 straight into out[k // stride]; stride 1
-    stores every layer.  The other layers alternate between the two
-    C-contiguous arrays of ``ring`` (allocated per march when not given),
-    layer k in ring[k % 2], so after the march ``ring`` still holds the
-    last two layers that are not in ``out``.  The returned last layer is a
-    row of ``out`` or of ``ring``.  The ring's views are built once, before
-    the march; a flattened view of a non-contiguous batch would be a stale
-    copy.
+    NonFiniteError, never as a warning.  A driver that is the literal 0 is
+    neither evaluated nor added: 0 + a is a except at a = -0, which G maps
+    to +0 as it does +0, and 2 G(.) is never -0, so the bits stay.  When
+    neither driver reads ``z`` the gradient is not formed.  With ``out``
+    (shape (nt // stride + 1,) + datum.shape) the datum goes to out[0] and
+    each layer k with k % stride == 0 straight into out[k // stride];
+    stride 1 stores every layer.  The other layers alternate between the
+    two C-contiguous arrays of ``ring`` (allocated per march when not
+    given), layer k in ring[k % 2], so after the march ``ring`` still holds
+    the last two layers that are not in ``out``.  The returned last layer
+    is a row of ``out`` or of ``ring``.  The ring's views are built once,
+    before the march; a flattened view of a non-contiguous batch would be
+    a stale copy.
     """
     # a finite array has dot product 0 with zeros; inf * 0 and NaN give NaN
     zeros = np.zeros(datum.size)
     if np.vdot(datum, zeros) != 0.0:
-        _raise_failure(0, datum, zeros, None)
-    limits = None if envelope is None else np.broadcast_to(envelope, datum.shape[:-1]).reshape(-1)
-    floor = None if envelope is None else -envelope
-    single = datum.ndim == 1  # one row compares scalars, which `and` takes faster than .all()
+        _check(0, datum, zeros, None)
+    limits, bound_sq = None, None
+    if envelope is not None:
+        limits = np.broadcast_to(envelope, datum.shape[:-1]).reshape(-1)
+        smallest = max(float(np.min(limits, initial=np.inf)), 0.0)
+        bound_sq = smallest * smallest  # a Python float product overflows to inf, as it should here
     # 0-d arrays: numpy takes them per call faster than Python floats
     dx_sq, step, half_max, half_min, half, two = map(
         np.array, (dx * dx, dt, 0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq, 0.5, 2.0)
@@ -237,58 +264,76 @@ def _march(
     d2_inner, d2_ends = d2.reshape(-1)[1:-1], d2[..., :: n - 1] if datum.ndim > 1 else None
     ring_stencils = (stencil(ring[0]), stencil(ring[1]))
     if g_fn is not None:
-        g, f = g_fn._compiled, f_fn._compiled
-        grad, half_d2, arg, two_g = (np.empty(datum.shape) for _ in range(4))
+        # a literal-zero driver is None: it is not evaluated and its add is skipped
+        g, f = (None if fn.ast == _LITERAL_ZERO else fn._compiled for fn in (g_fn, f_fn))
+        grad, half_d2, two_g = (np.empty(datum.shape) for _ in range(3))
+        arg = half_d2 if f is None else np.empty(datum.shape)
         grad_inner, grad_ends = grad[..., 1:-1], grad[..., :: n - 1]
         grad_dx, two_dx = np.array(dx), np.array(2.0 * dx)
         predictor = np.empty(datum.shape) if picard else None
         predictor_views = _gradient_views(predictor) if picard and reads_z else ()
 
-    # a layer's views are built once per buffer: the datum's and the ring's here, a checkpoint
-    # row's when it is written; the step calls the ufuncs on them in the allocating step's order
-    layer, (lo, mid, hi, gradient) = datum, stencil(datum)
-    # the kernel names its own failures: an overflow or x/0 is a NonFiniteError, not a warning
-    with np.errstate(all="ignore"):
-        for k in range(1, nt + 1):
-            checkpoint = out is not None and k % stride == 0
-            row = out[k // stride] if checkpoint else ring[k % 2]
-            _d2_into(lo, mid, hi, dx_sq, d2_inner)
-            if d2_ends is not None:
-                d2_ends.fill(0.0)
-            if g_fn is None:
-                # u + dt * G(D2 u): the driver step with zero terms, as 2 G(a / 2) = G(a)
-                _g_into(half_max, half_min, d2, row, scratch)
-                np.multiply(row, step, out=row)
-            else:
-                np.multiply(half, d2, out=half_d2)
-                t, y, y_views = layer_times[k], layer, gradient
-                # dt * (g + 2 G(f + D2 u / 2)), into the Picard predictor first when there is one
-                for into in (predictor, row) if picard else (row,):
-                    env = {"t": t, "y": y}
-                    if reads_z:
-                        _gradient_into(y_views, grad_dx, two_dx, grad_inner, grad_ends)
-                        env["z"] = grad
-                    g_term, f_term = g(env), f(env)
-                    np.add(f_term, half_d2, out=arg)
-                    _g_into(half_max, half_min, arg, two_g, scratch)
-                    np.multiply(two, two_g, out=two_g)
-                    np.add(g_term, two_g, out=two_g)
-                    np.multiply(step, two_g, out=into)
-                    if into is predictor:  # the drivers are evaluated again at u + increment
-                        np.add(layer, predictor, out=predictor)
-                        if np.vdot(predictor, zeros) != 0.0:
-                            _raise_failure(k, predictor, zeros, None)
-                        y, y_views = predictor, predictor_views
-            np.add(layer, row, out=row)
-            if limits is not None:
-                # a NaN fails both comparisons and an infinity exceeds the finite bound
-                below, above = np.maximum.reduce(row, -1) <= envelope, np.minimum.reduce(row, -1) >= floor
-                if not (below and above if single else (below & above).all()):
-                    _raise_failure(k, row, zeros, limits)
-            elif np.vdot(row, zeros) != 0.0:
-                _raise_failure(k, row, zeros, None)
-            layer, (lo, mid, hi, gradient) = row, stencil(row) if checkpoint else ring_stencils[k % 2]
-    return layer
+    def sweep(every: int) -> np.ndarray | None:
+        """Layers 1..nt; without an envelope, finiteness is tested at k % every == 0 and at nt.
+
+        With ``every`` 1 a failed test raises; with a larger one the sweep
+        stops and returns None, as an untested earlier layer may have failed
+        first.
+        """
+        # a layer's views are built once per buffer: the datum's and the ring's above, a checkpoint
+        # row's when it is written; the step calls the ufuncs on them in the allocating step's order
+        layer, (lo, mid, hi, gradient) = datum, stencil(datum)
+        # the kernel names its own failures: an overflow or x/0 is a NonFiniteError, not a warning
+        with np.errstate(all="ignore"):
+            for k in range(1, nt + 1):
+                checkpoint = out is not None and k % stride == 0
+                row = out[k // stride] if checkpoint else ring[k % 2]
+                _d2_into(lo, mid, hi, dx_sq, d2_inner)
+                if d2_ends is not None:
+                    d2_ends.fill(0.0)
+                if g_fn is None:
+                    # u + dt * G(D2 u): the driver step with zero terms, as 2 G(a / 2) = G(a)
+                    _g_into(half_max, half_min, d2, row, scratch)
+                    np.multiply(row, step, out=row)
+                else:
+                    np.multiply(half, d2, out=half_d2)
+                    t, y, y_views = layer_times[k], layer, gradient
+                    # dt * (g + 2 G(f + D2 u / 2)), into the Picard predictor first when there is one
+                    for into in (predictor, row) if picard else (row,):
+                        env = {"t": t, "y": y}
+                        if reads_z:
+                            _gradient_into(y_views, grad_dx, two_dx, grad_inner, grad_ends)
+                            env["z"] = grad
+                        if f is not None:
+                            np.add(f(env), half_d2, out=arg)
+                        _g_into(half_max, half_min, arg, two_g, scratch)
+                        np.multiply(two, two_g, out=two_g)
+                        if g is not None:
+                            np.add(g(env), two_g, out=two_g)
+                        np.multiply(step, two_g, out=into)
+                        if into is predictor:  # the drivers are evaluated again at u + increment
+                            np.add(layer, predictor, out=predictor)
+                            if np.vdot(predictor, zeros) != 0.0:
+                                if every > 1:
+                                    return None
+                                _check(k, predictor, zeros, None)
+                            y, y_views = predictor, predictor_views
+                np.add(layer, row, out=row)
+                if limits is not None:
+                    if not np.vdot(row, row) < bound_sq:
+                        _check(k, row, zeros, limits)
+                elif (k % every == 0 or k == nt) and np.vdot(row, zeros) != 0.0:
+                    if every > 1:
+                        return None
+                    _check(k, row, zeros, None)
+                layer, (lo, mid, hi, gradient) = row, stencil(row) if checkpoint else ring_stencils[k % 2]
+        return layer
+
+    # an envelope tests every layer; otherwise the rows of out, or every isqrt(nt)-th layer
+    last = sweep(1 if limits is not None else stride if out is not None else max(1, math.isqrt(nt)))
+    # a failed test re-marches from the datum with a test on every layer, which raises at the
+    # first failing layer, as the march repeats its bits
+    return last if last is not None else sweep(1)
 
 
 def _derived(build):

@@ -7,6 +7,7 @@ and the ``gexp``/``gbsde`` data files must have the bytes of the march
 that stores every layer.
 """
 
+import gc
 import json
 import tempfile
 import tracemalloc
@@ -108,6 +109,24 @@ class TestCheckpointReads:
 
 
 class TestMemory:
+    @pytest.mark.parametrize("drivers", DRIVERS)
+    @pytest.mark.parametrize("envelope", [None, 1e6])
+    def test_a_march_frees_its_buffers_when_it_returns(self, band, drivers, envelope):
+        # a reference cycle would keep every buffer of a march alive until the cyclic collector
+        # ran: the marches of one heat-oracle pass peaked at twice their memory that way
+        grid = grid_with_steps(band, 21, 30, 0.4)
+        gen = generator(*drivers)
+        datum = np.stack([np.sin(grid.xs), np.cos(grid.xs)])
+        times = np.linspace(1.0, 0.0, grid.nt + 1)
+        gc.collect()
+        gc.disable()
+        try:
+            _march(band, grid.dx, grid.dt, grid.nt, datum, gen.g, gen.f, times, envelope=envelope)
+            _march(band, grid.dx, grid.dt, grid.nt, datum[0], out=np.empty((grid.nt + 1, grid.nx)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_an_nx801_heat_solve_and_two_reads_stay_small(self, band):
         # the stored field was (nt + 1) x 801 doubles, 63 MB; checkpoints and one segment are about 1.3 MB
         grid = make_grid(band, 1.0, nx=801)

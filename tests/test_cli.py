@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -416,6 +417,24 @@ class TestOracleCheckCommand:
         assert run("oracle-check", path, out) == 0
         report = json.loads((out / "oracle-check.report.json").read_text())
         assert report["results"]["passed"] is True
+
+    def test_a_nan_tree_fails_the_check(self, tmp_path):
+        # the lattice ends reach x = 60, where exp(x^2/4) overflows: the tree is NaN, and so is its
+        # difference from the PDE value, which must fail the check rather than be passed over
+        config = {
+            "schema_version": 1,
+            "band": {"sigma_min_sq": 1.0, "sigma_max_sq": 2.0},
+            "grid": {"horizon": 1.0, "half_width": 8.5, "nx": 201},
+            "params": {"functions": ["exp(x^2/4)"], "times": [0.9], "steps": 2000},
+        }
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):  # the tree's own overflow and inf - inf
+            assert run("oracle-check", path, out) == 0
+        results = json.loads((out / "oracle-check.report.json").read_text())["results"]
+        assert results["passed"] is False and math.isnan(results["max_abs_diff"])
+        _, row = (out / "oracle-check.data.csv").read_text().splitlines()
+        assert row.endswith(",nan,nan")
 
 
 GRID = {"horizon": 1.0, "half_width": 8.5, "nx": 201}

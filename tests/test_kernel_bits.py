@@ -547,3 +547,230 @@ class TestCompiledExpressions:
         assert fn._compiled(point) == reference_eval(fn.ast, point)
         assert fn(0.25, -1.5, 0.75) == float(np.broadcast_to(
             reference_eval(fn.ast, {k: np.array([v]) for k, v in point.items()}), (1,))[0])
+
+
+def first_non_finite(layers):
+    """(layer, row) of the first layer of a reference march that holds a NaN or infinity, or None."""
+    for k, u in enumerate(layers):
+        bad = ~np.isfinite(u.reshape(-1, u.shape[-1])).all(axis=-1)
+        if bad.any():
+            return k, int(np.flatnonzero(bad)[0])
+    return None
+
+
+def failure_of(march, error=NonFiniteError):
+    """(layer, row) of the ``error`` the march raises, or None when it returns."""
+    try:
+        march()
+    except error as err:
+        return err.layer, err.row
+    return None
+
+
+def stride_out(nt, shape):
+    """A checkpoint array at the stride a solve takes, and that stride."""
+    stride = max(1, math.isqrt(nt))
+    return np.empty((nt // stride + 1,) + shape), stride
+
+
+# c * tanh(x) with |c| up to the largest float: D2's mid + mid overflows beyond finfo.max / 2
+overflowing = st.floats(300.0, 308.23).map(lambda e: 10.0**e) | st.just(1.7e308)
+
+
+class TestFailureLayers:
+    """Finiteness is tested at checkpoints only; a failure re-marches and names the first layer and row."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        band=bands,
+        nx=odd_nx,
+        horizon=st.floats(0.05, 2.0),
+        scales=st.lists(overflowing, min_size=3, max_size=3),
+        signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=3, max_size=3),
+    )
+    @example(band=VolatilityBand(1.0, 2.0), nx=21, horizon=1.0, scales=[1e300, 1e300, 1.7e308], signs=[1, 1, -1])
+    def test_heat_solves_and_reductions_fail_at_the_reference_layer(self, band, nx, horizon, scales, signs):
+        grid = make_grid(band, horizon, nx=nx)
+        data = np.stack([s * c * np.tanh(grid.xs) for s, c in zip(signs, scales)])
+        phis = [scaled("tanh(x)", s * c, 0.0) for s, c in zip(signs, scales)]
+        for datum, count in ((data[0], 1), (data, 3)):
+            with np.errstate(all="ignore"):
+                expected = first_non_finite(reference_layers(band, grid, datum))
+            whole = np.empty((grid.nt + 1,) + datum.shape)  # the shape of a ``u`` re-march
+            got = {
+                "solve": failure_of(lambda: solve_g_heat_batch(band, phis[:count], grid)),
+                "u re-march": failure_of(lambda: _march(band, grid.dx, grid.dt, grid.nt, datum, out=whole)),
+                "reduction": failure_of(lambda: _reduce_last_axis(band, datum, grid)),
+            }
+            assert got == dict.fromkeys(got, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        band=bands,
+        nx=st.integers(3, 12).map(lambda n: 2 * n + 1),
+        horizon=st.floats(0.05, 2.0),
+        growth=st.sampled_from(["y", "3*y", "8*y"]),
+        f=st.sampled_from(["0", "0.1*y", "0.1*z"]),
+        scales=st.lists(st.floats(300.0, 308.23).map(lambda e: 10.0**e), min_size=3, max_size=3),
+        picard=st.booleans(),
+        batch=st.booleans(),
+    )
+    # nt 4 and 7 at stride 2: the first non-finite layer is 3, untested, and Picard's predictor
+    # fails at 4; or it is nt, after the last checkpoint
+    @example(band=VolatilityBand(1.0, 2.0), nx=15, horizon=1.0, growth="3*y", f="0",
+             scales=[10.0**306.9] * 3, picard=True, batch=False)
+    @example(band=VolatilityBand(1.0, 2.0), nx=21, horizon=1.0, growth="3*y", f="0",
+             scales=[10.0**306.9] * 3, picard=False, batch=True)
+    @example(band=VolatilityBand(1.0, 2.0), nx=21, horizon=1.0, growth="3*y", f="0",
+             scales=[10.0**306.4] * 3, picard=True, batch=False)
+    def test_growing_driver_marches_fail_at_the_reference_layer(
+        self, band, nx, horizon, growth, f, scales, picard, batch
+    ):
+        # no envelope: the driver grows each layer until it overflows, at a layer well past the first
+        grid = make_grid(band, horizon, nx=nx)
+        gen, times = driver_pair(growth, f), backward_times(grid)
+        data = np.stack([c * np.tanh(grid.xs + i) for i, c in enumerate(scales)])
+        datum = data if batch else data[0]
+        expected = first_non_finite(
+            reference_driver_layers(band, grid.dx, grid.dt, grid.nt, datum, gen, times, picard)
+        )
+        checkpoints, stride = stride_out(grid.nt, datum.shape)
+        for options in ({}, {"out": checkpoints, "stride": stride}, {"out": np.empty((grid.nt + 1,) + datum.shape)}):
+            got = failure_of(
+                lambda: _march(band, grid.dx, grid.dt, grid.nt, datum, gen.g, gen.f, times, picard, **options)
+            )
+            assert got == expected, options
+
+
+def growing_layers(band, grid, datum, picard=False, growth="y"):
+    """The reference layers of the driver g = ``growth``, a multiple of y: the largest |value| grows at every layer."""
+    gen = driver_pair(growth, "0")
+    return gen, reference_driver_layers(band, grid.dx, grid.dt, grid.nt, datum, gen, backward_times(grid), picard)
+
+
+def peaks_of(layer):
+    return np.max(np.abs(layer.reshape(-1, layer.shape[-1])), axis=-1)
+
+
+class TestEnvelope:
+    """The one sum-of-squares test per layer raises exactly where the per-row maximum exceeds its envelope."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        band=bands,
+        nx=st.integers(3, 12).map(lambda n: 2 * n + 1),
+        horizon=st.floats(0.05, 2.0),
+        scale=scales,
+        at=st.floats(0.0, 1.0),
+        stored=st.booleans(),
+    )
+    def test_an_envelope_just_below_a_layers_peak_raises_at_that_layer(self, band, nx, horizon, scale, at, stored):
+        grid = make_grid(band, horizon, nx=nx)
+        datum = scale * (2.0 + np.tanh(grid.xs))
+        gen, layers = growing_layers(band, grid, datum)
+        peaks = [float(np.max(np.abs(u))) for u in layers]
+        assert all(p < q for p, q in zip(peaks[1:], peaks[2:]))  # so the first layer beyond is k itself
+        k = 1 + min(int(at * grid.nt), grid.nt - 1)
+        times = backward_times(grid)
+
+        def march(envelope):
+            out, stride = stride_out(grid.nt, datum.shape) if stored else (None, 1)
+            return _march(band, grid.dx, grid.dt, grid.nt, datum, gen.g, gen.f, times, out=out,
+                          stride=stride, envelope=envelope)
+
+        below = float(np.nextafter(peaks[k], 0.0))
+        with pytest.raises(BlowUpError) as err:
+            march(below)
+        assert (err.value.layer, err.value.row) == (k, 0)
+        assert str(err.value) == f"|Y| = {peaks[k]:.6g} exceeded envelope {below:.6g} at time layer {k}"
+        # at the peak itself layer k passes: the next layer, or none, is the first beyond it
+        if k < grid.nt:
+            assert failure_of(lambda: march(peaks[k]), BlowUpError) == (k + 1, 0)
+        else:
+            assert march(peaks[k]).tobytes() == layers[-1].tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        band=bands,
+        nx=st.integers(3, 12).map(lambda n: 2 * n + 1),
+        horizon=st.floats(0.05, 2.0),
+        scales=st.lists(scales, min_size=3, max_size=3),
+        at=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        where=st.lists(st.sampled_from(["at", "below", "far"]), min_size=3, max_size=3),
+    )
+    # the rows inside their envelopes hold the largest squares: the layer's sum of squares stays below
+    # the largest envelope's square while row 1 is beyond its own
+    @example(band=VolatilityBand(1.0, 2.0), nx=9, horizon=1.0, scales=[1e3, 1.0, 1e2], at=[0.5] * 3,
+             where=["far", "below", "far"])
+    def test_per_row_envelopes_name_the_first_layer_and_row_beyond(self, band, nx, horizon, scales, at, where):
+        # each row's envelope is its own peak at a drawn layer, the float just below it, or far above
+        # its every layer
+        grid = make_grid(band, horizon, nx=nx)
+        data = np.stack([c * (2.0 + np.tanh(grid.xs - i)) for i, c in enumerate(scales)])
+        gen, layers = growing_layers(band, grid, data)
+        peaks = np.stack([peaks_of(u) for u in layers])
+        drawn = [peaks[1 + min(int(a * grid.nt), grid.nt - 1), r] for r, a in enumerate(at)]
+        envelope = np.array([
+            {"at": peak, "below": np.nextafter(peak, 0.0), "far": 1e3 * peaks[-1, r]}[w]
+            for r, (peak, w) in enumerate(zip(drawn, where))
+        ])
+        expected = next(
+            ((k, r) for k in range(1, grid.nt + 1) for r in range(3) if peaks[k, r] > envelope[r]), None
+        )
+        got = failure_of(
+            lambda: _march(band, grid.dx, grid.dt, grid.nt, data, gen.g, gen.f, backward_times(grid),
+                           envelope=envelope),
+            BlowUpError,
+        )
+        assert got == expected
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("picard", [False, True])
+    def test_an_envelope_clamped_to_the_largest_float(self, band, batch, picard):
+        # the squares of these layers overflow, so each layer takes the per-row test and passes it
+        # until the driver carries a row past the largest float
+        grid = make_grid(band, 1.0, nx=41)
+        data = np.stack([c * (2.0 + np.tanh(grid.xs)) for c in (1e300, 1e305, 3e304)])
+        datum = data if batch else data[1]
+        gen, layers = growing_layers(band, grid, datum, picard, growth="8*y")
+        expected = first_non_finite(layers)
+        assert expected is not None and expected[0] > 2
+        largest = np.finfo(float).max
+        envelope = np.full(3, largest) if batch else largest
+        ring = (np.empty(datum.shape), np.empty(datum.shape))
+        got = failure_of(
+            lambda: _march(band, grid.dx, grid.dt, grid.nt, datum, gen.g, gen.f, backward_times(grid), picard,
+                           envelope=envelope, ring=ring)
+        )
+        assert got == expected
+        # the layer before the failure, still in its ring buffer, is the reference's
+        k = expected[0]
+        assert ring[(k - 1) % 2].tobytes() == layers[k - 1].tobytes()
+
+
+# -0.0, +0.0, subnormals, the smallest normal and a few ordinary values
+SIGNED_TINY = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 2.2250738585072014e-308, -1e-300, 1.0, -2.0])
+
+
+class TestLiteralZeroDrivers:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        band=bands,
+        nx=st.integers(3, 15),
+        dx=st.floats(0.5, 4.0),
+        rows=st.integers(1, 3),
+        data=st.data(),
+        drivers=st.sampled_from([("0", "0"), ("0", "0.1*y"), ("-y", "0"), ("0", "z"), ("0.5*z", "0"), ("0", "-y")]),
+        picard=st.booleans(),
+    )
+    def test_a_literal_zero_driver_has_the_bits_of_its_add(self, band, nx, dx, rows, data, drivers, picard):
+        # the kernel neither evaluates nor adds a literal-zero driver; the reference adds 0.0
+        shape = (rows, nx) if rows > 1 else (nx,)
+        datum = np.array(data.draw(st.lists(SIGNED_TINY, min_size=rows * nx, max_size=rows * nx))).reshape(shape)
+        nt, dt = 6, 0.45 * dx * dx / band.sigma_max_sq
+        gen, times = driver_pair(*drivers), np.linspace(1.0, 0.0, 7)
+        out = np.empty((nt + 1,) + shape)
+        _march(band, dx, dt, nt, datum, gen.g, gen.f, times, picard, out=out)
+        reference = reference_driver_layers(band, dx, dt, nt, datum, gen, times, picard)
+        for k, layer in enumerate(reference):
+            assert out[k].tobytes() == layer.tobytes(), f"layer {k}"
