@@ -20,7 +20,7 @@ per side on the first seed give its per-layer metrics, stored under the
 workload's ``traced`` with that seed: every run (an errored one is kept
 as its error) and, for each side, each metric's median over the side's
 completed runs.  Traced span times are raw wall clock, so a single run
-swings with the host's load; the median of three steadies it.
+swings with the host's load; the median of three damps that.
 ``regressed`` marks a change median worse than the parent's by more than
 the metric's bound in ``BENCHMARK.json`` (relative to the parent
 median).  ``unresolved`` marks a metric whose parent quartile spread is
