@@ -316,12 +316,13 @@ def _run_oracle_check(cfg: ExperimentConfig):
             pde = field.value_at(t, 0.0)
             rows.append((text, t, pde, tree, abs(pde - tree)))
     diffs = [row[-1] for row in rows]
-    # a NaN difference fails the check and is the worst; max() would pass over it
-    worst = math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
+    # a NaN or infinite difference fails the check; max() would pass over a NaN, and the
+    # report writes the worst as null, since JSON has no NaN or infinity
+    worst = max(diffs, default=0.0) if all(map(math.isfinite, diffs)) else None
     report = {
         "max_abs_diff": worst,
         "tolerance": tolerance,
-        "passed": worst <= tolerance,
+        "passed": worst is not None and worst <= tolerance,
         "steps": steps,
     }
     return report, ("function", "t", "pde", "tree", "abs_diff"), rows

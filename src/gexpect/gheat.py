@@ -37,8 +37,9 @@ and ``row`` of ``NonFiniteError`` and ``BlowUpError``; the first failing
 layer raises, and within it a non-finite row wins over a row beyond its
 envelope.  The tests are cheap: with an envelope each layer takes one sum
 of squares against the smallest row envelope's square, which proves the
-layer finite and inside every envelope, and only a layer that fails it
-takes the per-row test; without one, finiteness is tested at checkpoints
+layer finite and inside every envelope, and from the first layer that
+fails it on, each layer takes the per-row maximum and minimum against
+its row's envelope instead; without one, finiteness is tested at checkpoints
 (a non-finite node stays non-finite), and a test that fails re-marches
 from the datum with a test on every layer, which names the first failing
 layer and row.  A driver that is the literal 0 is neither evaluated nor
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -152,23 +153,18 @@ def _space_gradient(u: np.ndarray, dx: float) -> np.ndarray:
     return z
 
 
-def _check(k: int, layer: np.ndarray, zeros: np.ndarray, limits: np.ndarray | None) -> None:
-    """Raise the failure of layer k, if any: NonFiniteError, else BlowUpError, each naming its first row.
+def _raise_failure(k: int, layer: np.ndarray, zeros: np.ndarray, limits: np.ndarray | None) -> NoReturn:
+    """Raise the failure of layer k: NonFiniteError, else BlowUpError, each naming its first row.
 
     A row is one slice along the batch axes, counted in C order (0 for an
-    unbatched march); ``limits`` holds each row's envelope, or is None.  A
-    layer whose rows are finite and no larger in |value| than their
-    envelopes passes.
+    unbatched march); ``limits`` holds each row's envelope, or is None.
     """
     rows = layer.reshape(-1, layer.shape[-1])
     if np.vdot(layer, zeros) != 0.0:
         raise NonFiniteError(k, int(np.flatnonzero(~np.isfinite(rows).all(axis=-1))[0]))
-    if limits is not None:
-        peaks = np.max(np.abs(rows), axis=-1)
-        beyond = np.flatnonzero(peaks > limits)
-        if beyond.size:
-            r = int(beyond[0])
-            raise BlowUpError(k, float(peaks[r]), float(limits[r]), r)
+    peaks = np.max(np.abs(rows), axis=-1)
+    r = int(np.flatnonzero(peaks > limits)[0])
+    raise BlowUpError(k, float(peaks[r]), float(limits[r]), r)
 
 
 def _march(
@@ -205,8 +201,13 @@ def _march(
     fl(x^2) >= fl(m^2), and a sum of non-negative terms never rounds below
     its largest, so vdot(row, row) < m * m (inf where that overflows)
     proves every row finite and inside its envelope; a NaN fails it too.
-    Only a layer that fails it takes the per-row test, which names the row
-    or passes it.  Without an envelope a non-finite node stays non-finite,
+    The test holds while the layer's squares sum to less than the smallest
+    envelope's square: bounded data of rows on one scale.  From the first
+    layer that fails it (rows of mixed scale, many nodes, or Y grown
+    toward its envelope) each layer takes each row's maximum and minimum
+    against that row's envelope instead, which a NaN fails and an infinity
+    exceeds, so such a march pays one sum of squares more than that test
+    alone.  Without an envelope a non-finite node stays non-finite,
     as each layer is the last plus an increment and inf + x is inf or NaN,
     so finiteness is tested only at each row of ``out`` (every ``stride``-th
     layer), every isqrt(nt)-th layer when ``out`` is None, and at layer nt;
@@ -234,12 +235,13 @@ def _march(
     # a finite array has dot product 0 with zeros; inf * 0 and NaN give NaN
     zeros = np.zeros(datum.size)
     if np.vdot(datum, zeros) != 0.0:
-        _check(0, datum, zeros, None)
-    limits, bound_sq = None, None
+        _raise_failure(0, datum, zeros, None)
+    limits = floor = bound_sq = None
     if envelope is not None:
-        limits = np.broadcast_to(envelope, datum.shape[:-1]).reshape(-1)
+        limits, floor = np.broadcast_to(envelope, datum.shape[:-1]).reshape(-1), -envelope
         smallest = max(float(np.min(limits, initial=np.inf)), 0.0)
         bound_sq = smallest * smallest  # a Python float product overflows to inf, as it should here
+    single = datum.ndim == 1  # one row compares scalars, which `and` takes faster than .all()
     # 0-d arrays: numpy takes them per call faster than Python floats
     dx_sq, step, half_max, half_min, half, two = map(
         np.array, (dx * dx, dt, 0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq, 0.5, 2.0)
@@ -283,6 +285,7 @@ def _march(
         # a layer's views are built once per buffer: the datum's and the ring's above, a checkpoint
         # row's when it is written; the step calls the ufuncs on them in the allocating step's order
         layer, (lo, mid, hi, gradient) = datum, stencil(datum)
+        by_sum = True  # the sum-of-squares test, until a layer fails it
         # the kernel names its own failures: an overflow or x/0 is a NonFiniteError, not a warning
         with np.errstate(all="ignore"):
             for k in range(1, nt + 1):
@@ -316,16 +319,23 @@ def _march(
                             if np.vdot(predictor, zeros) != 0.0:
                                 if every > 1:
                                     return None
-                                _check(k, predictor, zeros, None)
+                                _raise_failure(k, predictor, zeros, None)
                             y, y_views = predictor, predictor_views
                 np.add(layer, row, out=row)
-                if limits is not None:
-                    if not np.vdot(row, row) < bound_sq:
-                        _check(k, row, zeros, limits)
-                elif (k % every == 0 or k == nt) and np.vdot(row, zeros) != 0.0:
-                    if every > 1:
-                        return None
-                    _check(k, row, zeros, None)
+                if limits is None:
+                    if (k % every == 0 or k == nt) and np.vdot(row, zeros) != 0.0:
+                        if every > 1:
+                            return None
+                        _raise_failure(k, row, zeros, None)
+                elif not (by_sum and np.vdot(row, row) < bound_sq):
+                    # this layer and every later one take each row's largest and smallest value
+                    # against its own envelope: a NaN fails both comparisons and an infinity
+                    # exceeds the finite bound
+                    by_sum = False
+                    below = np.maximum.reduce(row, -1) <= envelope
+                    above = np.minimum.reduce(row, -1) >= floor
+                    if not (below and above if single else (below & above).all()):
+                        _raise_failure(k, row, zeros, limits)
                 layer, (lo, mid, hi, gradient) = row, stencil(row) if checkpoint else ring_stencils[k % 2]
         return layer
 

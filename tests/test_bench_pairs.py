@@ -116,11 +116,10 @@ def test_errored_runs_count_in_failed(errored, worse):
     assert failed["failed_share_worse"] is worse
 
 
-def fake_perfbench(calls, fail_tree=None, traced_values=None):
+def fake_perfbench(calls, fail_tree=None):
     """A stand-in for ``subprocess.run`` of perfbench.
 
-    Each metric reads 1.0, except that traced runs read the next value of
-    ``traced_values`` when given; a run in the tree named ``fail_tree`` exits 1.
+    Each metric reads 1.0; a run in the tree named ``fail_tree`` exits 1.
     """
 
     def fake(command, cwd, capture_output, text):
@@ -130,17 +129,11 @@ def fake_perfbench(calls, fail_tree=None, traced_values=None):
             return subprocess.CompletedProcess(command, 1, "", stderr)
         trace = command[command.index("--trace") + 1]
         names = ["gheat.us_per_layer.nx201", "oracle.tree_s"] if trace == "1" else list(SPEC)
-        value = next(traced_values) if trace == "1" and traced_values is not None else 1.0
-        metrics = {name: {"value": value, "unit": "s"} for name in names}
+        metrics = {name: {"value": 1.0, "unit": "s"} for name in names}
         line = {"correct": True, "attempted": 7, "failed": 0, "metrics": metrics}
         return subprocess.CompletedProcess(command, 0, "perfbench header\n" + json.dumps(line) + "\n", "")
 
     return fake
-
-
-LAYERS = ("gheat.us_per_layer.nx201", "oracle.tree_s")
-# the sides of the three traced runs, in call order: the first side alternates
-TRACED_ORDER = ["parent", "change", "change", "parent", "parent", "change"]
 
 
 def test_a_traced_run_per_side_keeps_its_layer_metrics_or_its_error(monkeypatch):
@@ -148,32 +141,17 @@ def test_a_traced_run_per_side_keeps_its_layer_metrics_or_its_error(monkeypatch)
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_perfbench(calls, fail_tree="change"))
     trees = {"parent": Path("parent"), "change": Path("change")}
     traced = bench_pairs._traced(trees, "heat-oracle", 1751, 20)
-    assert calls == [(side, "1", "1751") for side in TRACED_ORDER]
-    layers = dict.fromkeys(LAYERS, 1.0)
-    error = {"error": ["RuntimeError: worker exited with status 1"]}
+    assert calls == [("parent", "1", "1751"), ("change", "1", "1751")]
+    layers = {"gheat.us_per_layer.nx201": 1.0, "oracle.tree_s": 1.0}
     assert traced == {
         "seed": 1751,
-        "runs": [
-            {"first": first, "parent": {"attempted": 7, "failed": 0, "metrics": layers}, "change": error}
-            for first in ("parent", "change", "parent")
-        ],
-        "median": {"parent": layers, "change": {}},
+        "parent": {"attempted": 7, "failed": 0, "metrics": layers},
+        "change": {"error": ["RuntimeError: worker exited with status 1"]},
     }
 
 
-def test_traced_medians_are_each_sides_middle_run(monkeypatch):
-    # the runs read 5, 9, 1 for the parent and 2, 6, 4 for the change, in the calls' alternating order
-    calls = []
-    values = iter([5.0, 2.0, 6.0, 9.0, 1.0, 4.0])
-    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_perfbench(calls, traced_values=values))
-    traced = bench_pairs._traced({"parent": Path("parent"), "change": Path("change")}, "backward-paths", 3, 20)
-    per_side = {side: [run[side]["metrics"][LAYERS[0]] for run in traced["runs"]] for side in ("parent", "change")}
-    assert per_side == {"parent": [5.0, 9.0, 1.0], "change": [2.0, 6.0, 4.0]}
-    assert traced["median"] == {"parent": dict.fromkeys(LAYERS, 5.0), "change": dict.fromkeys(LAYERS, 4.0)}
-
-
 def test_main_stores_each_workloads_traced_runs(monkeypatch, tmp_path):
-    # the pairs run --trace 0 on every seed, then three --trace 1 runs per side on the first seed
+    # the pairs run --trace 0 on every seed, then one --trace 1 run per side on the first seed
     calls = []
     monkeypatch.setattr(bench_pairs, "_export", lambda rev, dest: rev)
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_perfbench(calls, fail_tree="change"))
@@ -185,10 +163,8 @@ def test_main_stores_each_workloads_traced_runs(monkeypatch, tmp_path):
     assert list(document["workloads"]) == workloads
     for workload in workloads:
         traced = document["workloads"][workload]["traced"]
-        assert traced["seed"] == 5 and len(traced["runs"]) == bench_pairs.TRACED_RUNS
-        for run in traced["runs"]:
-            assert run["parent"]["metrics"] == dict.fromkeys(LAYERS, 1.0)
-            assert run["change"] == {"error": ["RuntimeError: worker exited with status 1"]}
-        assert traced["median"] == {"parent": dict.fromkeys(LAYERS, 1.0), "change": {}}
-    assert [c for c in calls if c[1] == "1"] == [(side, "1", "5") for side in TRACED_ORDER] * len(workloads)
-    assert len(calls) == len(workloads) * (2 * 2 + 2 * bench_pairs.TRACED_RUNS)
+        assert traced["seed"] == 5
+        assert traced["parent"]["metrics"] == {"gheat.us_per_layer.nx201": 1.0, "oracle.tree_s": 1.0}
+        assert traced["change"] == {"error": ["RuntimeError: worker exited with status 1"]}
+    assert [c for c in calls if c[1] == "1"] == [("parent", "1", "5"), ("change", "1", "5")] * len(workloads)
+    assert len(calls) == len(workloads) * (2 * 2 + 2)

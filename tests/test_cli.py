@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -431,8 +430,10 @@ class TestOracleCheckCommand:
         out = tmp_path / "out"
         with pytest.warns(RuntimeWarning):  # the tree's own overflow and inf - inf
             assert run("oracle-check", path, out) == 0
-        results = json.loads((out / "oracle-check.report.json").read_text())["results"]
-        assert results["passed"] is False and math.isnan(results["max_abs_diff"])
+        # strict JSON: a bare NaN or Infinity token in the report fails the parse
+        text = (out / "oracle-check.report.json").read_text()
+        results = json.loads(text, parse_constant=lambda token: pytest.fail(f"{token} in the report"))["results"]
+        assert results["passed"] is False and results["max_abs_diff"] is None
         _, row = (out / "oracle-check.data.csv").read_text().splitlines()
         assert row.endswith(",nan,nan")
 

@@ -653,7 +653,21 @@ def peaks_of(layer):
 
 
 class TestEnvelope:
-    """The one sum-of-squares test per layer raises exactly where the per-row maximum exceeds its envelope."""
+    """The sum-of-squares test per layer, and the per-row test behind it, raise exactly where a row's maximum exceeds its envelope."""
+
+    @pytest.mark.parametrize("picard", [False, True])
+    def test_rows_of_mixed_scale_take_the_per_row_test_and_pass_it(self, band, picard):
+        # h(phi) = (10 tanh x)^2 beside phi = 10 tanh x: the first row's squares alone exceed the
+        # second row's envelope squared, so every layer fails the sum-of-squares test, and the
+        # per-row maximum and minimum, inside every envelope, let the march through with its bits
+        grid = make_grid(band, 1.0, nx=201)
+        data = np.stack([100.0 * np.tanh(grid.xs) ** 2, 10.0 * np.tanh(grid.xs)])
+        envelope = 50.0 * (np.max(np.abs(data), axis=-1) + 1.0)
+        assert np.vdot(data[0], data[0]) > envelope.min() ** 2
+        gen, times = driver_pair("-y", "0"), backward_times(grid)
+        expected = _march(band, grid.dx, grid.dt, grid.nt, data, gen.g, gen.f, times, picard)
+        got = _march(band, grid.dx, grid.dt, grid.nt, data, gen.g, gen.f, times, picard, envelope=envelope)
+        assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -19,6 +19,7 @@ from gexpect import (
     tree_k_expectation,
     zero_generator,
 )
+from gexpect.oracle import _empty_on_line
 
 from conftest import CATALOG_TEXTS
 
@@ -153,6 +154,15 @@ class TestTreeExpectationBatch:
     def test_an_empty_list_is_refused_by_name(self, band, phis, times, name):
         with pytest.raises(ValueError, match=f"^{name} must hold at least one"):
             tree_expectation_batch(band, phis, times, 10)
+
+
+class TestLineAlignedLattice:
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (7,), (3999,), (4001, 4), (5, 3)])
+    def test_each_lattice_array_starts_on_a_cache_line(self, shape):
+        for _ in range(8):  # numpy's allocator hands out different offsets from one call to the next
+            array = _empty_on_line(shape)
+            assert array.shape == shape and array.flags.c_contiguous and array.flags.writeable
+            assert array.__array_interface__["data"][0] % 64 == 0
 
 
 class TestSimulatePath:

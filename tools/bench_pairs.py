@@ -15,12 +15,9 @@ each workload and end-to-end metric each side's median and quartiles,
 the change's pair wins and ties, and whether a gain is shown: the
 change wins at least nine tenths of all pairs run, errored ones
 included, and the medians differ by more than the parent's quartile
-spread.  After a workload's pairs, three alternating ``--trace 1`` runs
-per side on the first seed give its per-layer metrics, stored under the
-workload's ``traced`` with that seed: every run (an errored one is kept
-as its error) and, for each side, each metric's median over the side's
-completed runs.  Traced span times are raw wall clock, so a single run
-swings with the host's load; the median of three damps that.
+spread.  After a workload's pairs, one ``--trace 1`` run per side on the
+first seed gives its per-layer metrics, stored under the workload's
+``traced`` with that seed (an errored traced run is kept as its error).
 ``regressed`` marks a change median worse than the parent's by more than
 the metric's bound in ``BENCHMARK.json`` (relative to the parent
 median).  ``unresolved`` marks a metric whose parent quartile spread is
@@ -84,29 +81,9 @@ def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> 
     }
 
 
-TRACED_RUNS = 3
-
-
 def _traced(trees: dict, workload: str, seed: int, seconds: int) -> dict:
-    """``TRACED_RUNS`` alternating ``--trace 1`` runs per side on ``seed``, and each side's metric medians.
-
-    The parent runs first in even runs and the change in odd ones, as in
-    the pairs.  A side's medians cover its completed runs; a metric missing
-    from some of them takes the median of the rest.
-    """
-    runs = []
-    for i in range(TRACED_RUNS):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        run = {"first": order[0]}
-        for side in order:
-            run[side] = _run(trees[side], workload, seed, seconds, trace=1)
-        runs.append(run)
-    medians = {}
-    for side in trees:
-        done = [r[side]["metrics"] for r in runs if "metrics" in r[side]]
-        names = dict.fromkeys(name for metrics in done for name in metrics)
-        medians[side] = {name: statistics.median(m[name] for m in done if name in m) for name in names}
-    return {"seed": seed, "runs": runs, "median": medians}
+    """One ``--trace 1`` run per side on ``seed``: the per-layer metrics, or the run's error."""
+    return {"seed": seed, **{side: _run(tree, workload, seed, seconds, trace=1) for side, tree in trees.items()}}
 
 
 def _side(values: list[float]) -> dict:
