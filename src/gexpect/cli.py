@@ -303,11 +303,13 @@ def _run_replimit(cfg: ExperimentConfig):
 
 
 def _run_oracle_check(cfg: ExperimentConfig):
+    tolerance = cfg.params.get("tolerance", 5e-3)
+    if tolerance < 0:  # no difference is below it, so every check would fail; no library call reads it
+        raise ConfigError("config.params.tolerance", f"must be >= 0, got {tolerance}")
     texts = cfg.params["functions"]
     times = _times(cfg)
     phis = [_checked("config.params.functions", parse_scalar, text) for text in texts]
     steps = cfg.params.get("steps", 2000)
-    tolerance = cfg.params.get("tolerance", 5e-3)
     fields = solve_g_heat_batch(cfg.band, phis, cfg.grid)
     trees = tree_expectation_batch(cfg.band, phis, times, steps).tolist()
     rows = []

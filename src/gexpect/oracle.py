@@ -5,10 +5,12 @@ quadratic-variation and K-monotonicity experiments.
 Both trees run one backward loop, ``_lattice``: nodes sigma_max * sqrt(dt)
 apart and no boundary, each taking the better continuation of the two band
 endpoints (exact for a reward linear in the variance), plus K's per-step
-``_k_step`` in ``tree_k_expectation``.  Without a reward the loop builds
-its slice views once per block of ``_BLOCK`` steps: a block steps the
-window of its first step, and the outer nodes it updates beyond the
-shrinking cone are never read by the root.  The step reads no dt, so
+``_k_step`` in ``tree_k_expectation``.  The loop builds its slice views
+once per block of ``_BLOCK`` steps: a block steps the window of its first
+step, and the outer nodes it updates beyond the shrinking cone are never
+read by the root.  It steps under ``np.errstate(all="ignore")``, as the
+heat march does, so it warns nothing; a root that is not finite comes back
+as it is.  The step reads no dt, so
 ``tree_expectation_batch`` marches trees of several functions and times on
 one band as the columns of one lattice, each with its own tree's bits;
 ``tree_expectation`` is the stack of one.  The tree's independence from the
@@ -101,9 +103,7 @@ class LatticePath:
 
 _HALF = np.array(0.5)  # 0-d arrays: numpy takes them per call faster than floats
 _HALF.setflags(write=False)
-# the reward-free lattice builds its views once per block of this many steps, not once per step
-_BLOCK = 32
-_BLOCK_BOUND = np.finfo(float).max / 4  # a lattice with a value above this, or not finite, steps singly
+_BLOCK = 32  # the lattice builds its views once per block of this many steps, not once per step
 _LINE = 64  # bytes in a cache line
 
 
@@ -123,11 +123,10 @@ def _empty_on_line(shape: tuple[int, ...]) -> np.ndarray:
 def _lattice(band: VolatilityBand, dts, steps: int, terminals, reward=None) -> np.ndarray:
     """Backward induction of a stack of trees over ``steps`` steps; returns their root values.
 
-    Column b of the (2 steps + 1, B) lattice (1-d for a stack of one) takes
-    ``terminals[b]`` at the end nodes, sigma_max * sqrt(dts[b]) apart; step
-    i forms the 2 i + 1 nodes of the root's cone.  With d = avg - mid (avg
-    the mean of a node's neighbours) a node continues to mid + d at the top
-    band end and mid + c d at the bottom, and takes the larger:
+    Column b of the (2 steps + 1, B) lattice takes ``terminals[b]`` at the
+    end nodes, sigma_max * sqrt(dts[b]) apart.  With d = avg - mid (avg the
+    mean of a node's neighbours) a node continues to mid + d at the top band
+    end and mid + c d at the bottom, and takes the larger:
     mid + max(d, c d) in place (rounding is monotone),
     or, with rewards ``reward(i, xs) = (top, bottom)`` at forward step i for
     a stack of one, max(top + (mid + d), bottom + (mid + c d)).  The step
@@ -136,37 +135,41 @@ def _lattice(band: VolatilityBand, dts, steps: int, terminals, reward=None) -> n
     so each column keeps the bits of its own march.  Nodes run along axis 0
     and the B columns of a node lie together: the working set stays that of
     one tree B values wide, where a row per tree falls out of cache.
+
+    The views are built once per block of ``_BLOCK`` steps: a block steps
+    the window of its first step's cone, and the reward reads that window's
+    nodes (``xs`` a column).  The up to ``_BLOCK - 1`` outer nodes per side
+    that its later steps update lie outside the root's cone and are never
+    read, so the root keeps the bits of a loop that forms only the cone.
+    The steps run under ``np.errstate(all="ignore")``, as the heat march
+    does: an outer node may overflow or form inf - inf unseen, and a
+    terminal that is not finite inside the cone gives a root that is not
+    finite, returned as it is.
     """
     dxs = [band.sigma_max * math.sqrt(dt) for dt in dts]
     ks = np.arange(-steps, steps + 1)
-    # a stack of one marches on 1-d slices, which numpy takes per call faster than (n, 1) ones
-    width = (len(dxs),) if len(dxs) > 1 else ()
-    values = _empty_on_line((2 * steps + 1, *width))  # the lattice is stepped in place
+    values = _empty_on_line((2 * steps + 1, len(dxs)))  # the lattice is stepped in place
     for b, (terminal, dx) in enumerate(zip(terminals, dxs)):
-        values.reshape(2 * steps + 1, -1)[:, b] = terminal(dx * ks)
+        values[:, b] = terminal(dx * ks)
+    xs = dxs[0] * ks[:, None]  # the reward's nodes, for a stack of one
     c = np.array(2.0 * (band.sigma_min_sq / (2.0 * band.sigma_max_sq)))  # 2 p_low
-    d, cd = _empty_on_line((2 * steps - 1, *width)), _empty_on_line((2 * steps - 1, *width))
-    # A block steps the window of its first step, so its later steps also update up to
-    # _BLOCK - 1 nodes per side outside the cone, which the root never reads.  Each value
-    # formed is a mean of terminal values up to rounding, so below _BLOCK_BOUND no step on
-    # those nodes overflows.  A lattice with a larger value, an infinity or a NaN (which
-    # compares False) marches step by step, forming only the cone: an infinite outer node
-    # stepped again would give inf - inf, a warning the cone alone does not raise.
-    block = _BLOCK if reward is None and np.max(np.abs(values)) <= _BLOCK_BOUND else 1
-    for first in range(steps - 1, -1, -block):  # the forward step i of the block's first step
-        window = values[steps - 1 - first : steps + 2 + first]  # the cone of that step
-        lo, mid, hi, dn, cdn = window[:-2], window[1:-1], window[2:], d[: 2 * first + 1], cd[: 2 * first + 1]
-        for i in range(first, max(first - block, -1), -1):
-            np.add(hi, lo, out=dn)
-            np.multiply(dn, _HALF, out=dn)
-            np.subtract(dn, mid, out=dn)
-            np.multiply(dn, c, out=cdn)
-            if reward is None:
-                np.add(mid, np.maximum(dn, cdn, out=dn), out=mid)
-            else:
-                top, bottom = reward(i, dxs[0] * np.arange(-i, i + 1))  # a stack of one: a 1-d lattice
-                np.maximum(top + (mid + dn), bottom + (mid + cdn), out=mid)
-    return values[steps : steps + 1].reshape(len(dxs)).copy()
+    d, cd = _empty_on_line((2 * steps - 1, len(dxs))), _empty_on_line((2 * steps - 1, len(dxs)))
+    with np.errstate(all="ignore"):
+        for first in range(steps - 1, -1, -_BLOCK):  # the forward step i of the block's first step
+            # the cone of that step, and the nodes of its mid for the reward
+            window, x = values[steps - 1 - first : steps + 2 + first], xs[steps - first : steps + 1 + first]
+            lo, mid, hi, dn, cdn = window[:-2], window[1:-1], window[2:], d[: 2 * first + 1], cd[: 2 * first + 1]
+            for i in range(first, max(first - _BLOCK, -1), -1):
+                np.add(hi, lo, out=dn)
+                np.multiply(dn, _HALF, out=dn)
+                np.subtract(dn, mid, out=dn)
+                np.multiply(dn, c, out=cdn)
+                if reward is None:
+                    np.add(mid, np.maximum(dn, cdn, out=dn), out=mid)
+                else:
+                    top, bottom = reward(i, x)
+                    np.maximum(top + (mid + dn), bottom + (mid + cdn), out=mid)
+    return values[steps].copy()
 
 
 def tree_expectation_batch(band: VolatilityBand, phis, times, steps: int) -> np.ndarray:
@@ -199,7 +202,9 @@ def tree_expectation(band: VolatilityBand, phi, t: float, steps: int) -> float:
     Node spacing sigma_max * sqrt(dt); each backward step takes the larger
     of the two endpoint one-step expectations (move probability a * dt /
     (2 dx^2), stay otherwise).  ``phi`` may be any callable on arrays;
-    t must be finite and >= 0, and steps >= 1.  This is
+    t must be finite and >= 0, and steps >= 1.  The lattice steps without
+    numpy warnings: a phi that is NaN or infinite at a node gives a value
+    that is not finite, returned as it is.  This is
     ``tree_expectation_batch`` of one phi at one time.
     """
     return float(tree_expectation_batch(band, [phi], [t], steps)[0, 0])
@@ -292,7 +297,7 @@ def tree_k_expectation(band: VolatilityBand, sol) -> float:
     in floating point (outside the subnormal range), so it shows only that
     no control makes K's worst-case mean positive.
     """
-    dt, ends = sol.grid.dt, np.array([[band.sigma_max_sq], [band.sigma_min_sq]])
+    dt, ends = sol.grid.dt, np.array([[[band.sigma_max_sq]], [[band.sigma_min_sq]]])
     (root,) = _lattice(  # the reward rows are K's step at the top and the bottom band end
         band, [dt], sol.grid.nt, [np.zeros_like], lambda i, xs: _k_step(band, sol.eta_forward(i, xs), ends, dt)
     )

@@ -417,6 +417,23 @@ class TestOracleCheckCommand:
         report = json.loads((out / "oracle-check.report.json").read_text())
         assert report["results"]["passed"] is True
 
+    @pytest.mark.parametrize("tolerance, status", [(-1, 1), (0, 0)])
+    def test_a_negative_tolerance_is_refused(self, tmp_path, capsys, tolerance, status):
+        config = {
+            "schema_version": 1,
+            "band": {"sigma_min_sq": 1.0, "sigma_max_sq": 2.0},
+            "grid": {"horizon": 1.0, "half_width": 8.5, "nx": 101},
+            "params": {"functions": ["x"], "times": [0.5], "steps": 100, "tolerance": tolerance},
+        }
+        out = tmp_path / "out"
+        assert run("oracle-check", write_config(tmp_path, config), out) == status
+        if status:
+            assert "config error at config.params.tolerance: must be >= 0, got -1" in capsys.readouterr().err
+            assert not (out / "oracle-check.report.json").exists()
+        else:
+            results = json.loads((out / "oracle-check.report.json").read_text())["results"]
+            assert results["tolerance"] == 0 and results["max_abs_diff"] is not None
+
     def test_a_nan_tree_fails_the_check(self, tmp_path):
         # the lattice ends reach x = 60, where exp(x^2/4) overflows: the tree is NaN, and so is its
         # difference from the PDE value, which must fail the check rather than be passed over
@@ -428,8 +445,7 @@ class TestOracleCheckCommand:
         }
         path = write_config(tmp_path, config)
         out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning):  # the tree's own overflow and inf - inf
-            assert run("oracle-check", path, out) == 0
+        assert run("oracle-check", path, out) == 0  # and warns nothing: the suite makes a RuntimeWarning an error
         # strict JSON: a bare NaN or Infinity token in the report fails the parse
         text = (out / "oracle-check.report.json").read_text()
         results = json.loads(text, parse_constant=lambda token: pytest.fail(f"{token} in the report"))["results"]

@@ -91,6 +91,19 @@ def reference_lattice(band, dts, steps, terminals):
     return values.reshape(len(dxs)).copy()
 
 
+def reference_reward_lattice(band, dt, steps, terminal, reward):
+    """Root of the per-step loop with a reward, forming only the cone: step i reads its 2 i + 1 nodes."""
+    dx = band.sigma_max * math.sqrt(dt)
+    values = terminal(dx * np.arange(-steps, steps + 1))
+    c = 2.0 * (band.sigma_min_sq / (2.0 * band.sigma_max_sq))
+    for i in range(steps - 1, -1, -1):
+        mid = values[1:-1]
+        d = (values[2:] + values[:-2]) * 0.5 - mid
+        top, bottom = reward(i, dx * np.arange(-i, i + 1))
+        values = np.maximum(top + (mid + d), bottom + (mid + d * c))
+    return values[0]
+
+
 def reference_k_step(band, eta, a, dt):
     return (eta * a - 2.0 * reference_g(band, eta)) * dt
 
@@ -258,7 +271,7 @@ class TestTreeStep:
     @pytest.mark.parametrize("times", [(1.0,), (0.3, 1.0, 2.5)])
     def test_blocked_lattice_matches_the_per_step_loop(self, band, steps, times):
         # a block updates up to 31 nodes per side outside the cone, which the root never reads;
-        # near the float limit, and with infinite end nodes, it must warn no more than the loop
+        # near the float limit, and with infinite end nodes, the lattice must not warn at all
         # (the suite turns every RuntimeWarning into an error)
         terminals = [parse_scalar(text) for text in CATALOG_TEXTS + ("1e307*tanh(x)", "8.95e307*tanh(x)")]
         terminals.append(lambda x: np.where(np.abs(x) == np.abs(x).max(), np.inf, np.sin(x)))
@@ -270,6 +283,28 @@ class TestTreeStep:
             assert not caught
             roots = _lattice(band, dts, steps, [terminal] * len(dts))
             assert roots.tobytes() == expected.tobytes(), terminal
+
+    @pytest.mark.parametrize("steps", [1, 2, 31, 32, 33, 64, 65, 200])
+    @pytest.mark.parametrize("cone_only", [False, True])
+    def test_rewarded_lattice_matches_the_per_step_loop(self, band, steps, cone_only):
+        # tree_k_expectation's reward leaves its root at exactly 0.0, so this reward moves the root,
+        # and read at the wrong step or on the wrong nodes gives other bits; the cone-only reward is
+        # NaN on the outer nodes a block steps, which must not reach the root
+        dt = 0.7 / steps
+        dx = band.sigma_max * math.sqrt(dt)
+
+        def reward(i, xs):
+            top, bottom = 0.01 * np.sin(xs + i), -0.01 * np.cos(3.0 * xs)
+            if cone_only:
+                inside = np.abs(xs) <= (i + 0.5) * dx
+                top, bottom = np.where(inside, top, np.nan), np.where(inside, bottom, np.nan)
+            return top, bottom
+
+        terminal = parse_scalar("tanh(x) + 0.1*x^2")
+        expected = reference_reward_lattice(band, dt, steps, terminal, reward)
+        assert np.isfinite(expected)
+        (root,) = _lattice(band, [dt], steps, [terminal], reward)
+        assert root.tobytes() == expected.tobytes()
 
     @settings(max_examples=15, deadline=None)
     @given(
