@@ -8,8 +8,10 @@ Each run writes ``<out>/<command>.report.json`` (inputs echo, results,
 tolerances, pass flag) and ``<out>/<command>.data.csv`` (one row per grid
 point / eps / scan cell, floats with 17 significant digits).  Exit status
 0 on success (verdicts are data, not failures), 1 on config errors, 2 on
-numerical failures.  ``_COMMANDS`` declares what each command reads
-besides ``band`` and ``params`` (optional params in brackets)::
+numerical failures, whose report gives the error's class, and the time
+layer and batch row where the march failed (null when it names none).
+``_COMMANDS`` declares what each command reads besides ``band`` and
+``params`` (optional params in brackets)::
 
     command       sections                    functions  params
     gexp          grid, functions             phi        times
@@ -387,6 +389,10 @@ def run(command: str, config_path: str | Path, out_dir: str | Path | None = None
             "config": raw,
             "status": "numerical-failure",
             "diagnostic": f"{type(exc).__name__}: {exc}",
+            "error": type(exc).__name__,
+            # NonFiniteError and BlowUpError name where the march failed; the others name no layer
+            "layer": getattr(exc, "layer", None),
+            "row": getattr(exc, "row", None),
         }
         report_path.write_text(json.dumps(failure, indent=2) + "\n")
         print(f"numerical failure: {exc}", file=sys.stderr)

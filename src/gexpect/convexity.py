@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, g_eval, make_grid
+from .core import SpaceTimeGrid, VolatilityBand, _check_time, g_eval, make_grid
 from .expr import EvalDomainError, ScalarFunction, parse_scalar
 from .gbsde import GeneratorPair, _nonlinear_expectations, solve_gbsde
 
@@ -162,12 +162,12 @@ def check_g_convexity(
     infimum over A falls below -1e-9 (the tolerance separating sign
     changes from rounding).  Witnesses come out in scan order, y-major,
     so the report does not depend on how the pass is evaluated.  A cell
-    whose gap is NaN raises EvalDomainError naming its (y, z); a negative
-    ``t`` raises ValueError.
+    whose gap is NaN raises EvalDomainError naming its (y, z); a ``t``
+    that is negative or not finite raises ValueError.
     """
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16, got {resolution}")
-    _check_start(t)
+    _check_time(t)
     ys = np.linspace(y_range[0], y_range[1], resolution)
     zs = np.linspace(z_range[0], z_range[1], resolution)
     inf_gap, arg = _reduce_mesh(band, gen, h, t, ys, zs)
@@ -195,20 +195,14 @@ def check_g_convexity(
 # Small-horizon representation of the expectation
 # ---------------------------------------------------------------------------
 
-def _check_start(t: float) -> None:
-    """The drivers are read from time t on; a negative t raises ValueError."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-
-
 def representation_formula(
     band: VolatilityBand, gen: GeneratorPair, terminal: ScalarFunction, t: float
 ) -> float:
     """Limit value g(t, Phi(0), Phi'(0)) + 2 G(f(t, Phi(0), Phi'(0)) + Phi''(0)/2).
 
-    A negative ``t`` raises ValueError.
+    A ``t`` that is negative or not finite raises ValueError.
     """
-    _check_start(t)
+    _check_time(t)
     v, d1, d2 = terminal.eval2(0.0)
     return float(gen.g(t, v, d1) + 2.0 * g_eval(band, gen.f(t, v, d1) + 0.5 * d2))
 
@@ -221,8 +215,8 @@ def representation_quotient(
     eps: float,
     grid: SpaceTimeGrid,
 ) -> float:
-    """(E over [t, t + eps] of Phi(increment) - Phi(0)) / eps on ``grid.over(eps)``; t >= 0, eps > 0."""
-    _check_start(t)
+    """(E over [t, t + eps] of Phi(increment) - Phi(0)) / eps on ``grid.over(eps)``; finite t >= 0, eps > 0."""
+    _check_time(t)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     sol = solve_gbsde(band, gen, terminal, grid.over(eps), t0=t)
@@ -246,7 +240,7 @@ def representation_limit_check(
     eps_list = list(eps_list)
     if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])) or eps_list[-1] <= 0:
         raise ValueError("eps_list must be positive and decreasing with at least 3 entries")
-    formula = representation_formula(band, gen, terminal, t)  # rejects a negative t
+    formula = representation_formula(band, gen, terminal, t)  # rejects a bad t before any solve
     rows = []
     for eps in eps_list:
         grid = make_grid(band, eps, nx=nx)

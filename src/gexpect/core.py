@@ -181,6 +181,12 @@ class SpaceTimeGrid:
             )
 
 
+def _check_time(t: float) -> None:
+    """Raise ValueError unless t is finite and >= 0: a time a driver or a tree may start from."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+
+
 def cfl_time_steps(
     band: VolatilityBand, horizon: float, dx: float, theta: float = DEFAULT_CFL_THETA
 ) -> int:

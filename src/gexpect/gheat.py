@@ -39,11 +39,11 @@ envelope.  The tests are cheap: with an envelope each layer takes one sum
 of squares against the smallest row envelope's square, which proves the
 layer finite and inside every envelope, and from the first layer that
 fails it on, each layer takes the per-row maximum and minimum against
-its row's envelope instead; without one, finiteness is tested at checkpoints
-(a non-finite node stays non-finite), and a test that fails re-marches
-from the datum with a test on every layer, which names the first failing
-layer and row.  A driver that is the literal 0 is neither evaluated nor
-added, which keeps the bits.
+its row's envelope instead; without one, finiteness is tested once, at
+the last layer (a non-finite node stays non-finite), and a test that
+fails re-marches from the datum with a test on every layer, which names
+the first failing layer and row.  A driver that is the literal 0 is
+neither evaluated nor added, which keeps the bits.
 Monotonicity under the CFL bound makes the scheme converge to the
 viscosity solution and gives discrete maximum/comparison principles.
 """
@@ -209,11 +209,11 @@ def _march(
     exceeds, so such a march pays one sum of squares more than that test
     alone.  Without an envelope a non-finite node stays non-finite,
     as each layer is the last plus an increment and inf + x is inf or NaN,
-    so finiteness is tested only at each row of ``out`` (every ``stride``-th
-    layer), every isqrt(nt)-th layer when ``out`` is None, and at layer nt;
-    a test that fails re-marches from the datum with a test on every
-    layer, which raises at the first failing layer and row.  The Picard
-    predictor is tested at every layer, as a driver may ignore it.
+    so finiteness is tested once, at layer nt, whatever ``out`` stores; a
+    test that fails re-marches from the datum with a test on every layer,
+    which raises at the first failing layer and row.  The Picard predictor
+    is tested at every layer, as a driver may map a non-finite predictor
+    to a finite value.
 
     ``g_fn`` and ``f_fn`` are TriFunctions; the kernel calls their compiled
     closures inside its error state, which ignores every floating-point
@@ -275,12 +275,12 @@ def _march(
         predictor = np.empty(datum.shape) if picard else None
         predictor_views = _gradient_views(predictor) if picard and reads_z else ()
 
-    def sweep(every: int) -> np.ndarray | None:
-        """Layers 1..nt; without an envelope, finiteness is tested at k % every == 0 and at nt.
+    def sweep(each: bool) -> np.ndarray | None:
+        """Layers 1..nt; with ``each`` every layer is tested, and a failed test raises.
 
-        With ``every`` 1 a failed test raises; with a larger one the sweep
-        stops and returns None, as an untested earlier layer may have failed
-        first.
+        Without ``each`` (a march without an envelope) only layer nt and the
+        Picard predictors are tested, and a failed test returns None, as an
+        untested earlier layer may have failed first.
         """
         # a layer's views are built once per buffer: the datum's and the ring's above, a checkpoint
         # row's when it is written; the step calls the ufuncs on them in the allocating step's order
@@ -317,15 +317,13 @@ def _march(
                         if into is predictor:  # the drivers are evaluated again at u + increment
                             np.add(layer, predictor, out=predictor)
                             if np.vdot(predictor, zeros) != 0.0:
-                                if every > 1:
+                                if not each:
                                     return None
                                 _raise_failure(k, predictor, zeros, None)
                             y, y_views = predictor, predictor_views
                 np.add(layer, row, out=row)
                 if limits is None:
-                    if (k % every == 0 or k == nt) and np.vdot(row, zeros) != 0.0:
-                        if every > 1:
-                            return None
+                    if each and np.vdot(row, zeros) != 0.0:
                         _raise_failure(k, row, zeros, None)
                 elif not (by_sum and np.vdot(row, row) < bound_sq):
                     # this layer and every later one take each row's largest and smallest value
@@ -337,13 +335,13 @@ def _march(
                     if not (below and above if single else (below & above).all()):
                         _raise_failure(k, row, zeros, limits)
                 layer, (lo, mid, hi, gradient) = row, stencil(row) if checkpoint else ring_stencils[k % 2]
-        return layer
+            # a non-finite node stays non-finite, so layer nt's test covers every layer before it
+            return layer if each or np.vdot(layer, zeros) == 0.0 else None
 
-    # an envelope tests every layer; otherwise the rows of out, or every isqrt(nt)-th layer
-    last = sweep(1 if limits is not None else stride if out is not None else max(1, math.isqrt(nt)))
-    # a failed test re-marches from the datum with a test on every layer, which raises at the
-    # first failing layer, as the march repeats its bits
-    return last if last is not None else sweep(1)
+    # an envelope tests every layer; a failed test re-marches from the datum with a test on
+    # every layer, which raises at the first failing layer, as the march repeats its bits
+    last = sweep(limits is not None)
+    return last if last is not None else sweep(True)
 
 
 def _derived(build):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand
+from .core import SpaceTimeGrid, VolatilityBand, _check_time
 from .gbsde import _k_step
 
 __all__ = [
@@ -187,8 +187,7 @@ def tree_expectation_batch(band: VolatilityBand, phis, times, steps: int) -> np.
     if not len(times):
         raise ValueError("times must hold at least one time")
     for t in times:
-        if not (math.isfinite(t) and t >= 0.0):
-            raise ValueError(f"t must be finite and >= 0, got {t}")
+        _check_time(t)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     dts = [t / steps for t in times]

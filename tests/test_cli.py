@@ -204,6 +204,39 @@ class TestNumericalFailure:
         assert report["diagnostic"].startswith("EvalDomainError")
         assert not (out / "convexity.data.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, config, failure",
+        [
+            ("gexp", base_config(functions={"phi": "x^2 + 1/0"}), ("NonFiniteError", 0, 0)),
+            # Y grows by e^40 over the horizon and leaves its envelope at layer 63 of 616
+            (
+                "gbsde",
+                base_config(
+                    generator={"g": "40*y", "f": "0", "lipschitz_L": 40.0}, functions={"terminal": "x^2"}
+                ),
+                ("BlowUpError", 63, 0),
+            ),
+            # exp(800) overflows in h's jets, outside any march: no layer or row
+            (
+                "convexity",
+                {
+                    "schema_version": 1,
+                    "band": {"sigma_min_sq": 1.0, "sigma_max_sq": 2.0},
+                    "generator": {"g": "0", "f": "0", "lipschitz_L": 0.0},
+                    "functions": {"h": "exp(x)"},
+                    "params": {"y_range": [0.0, 800.0], "z_range": [-1.0, 1.0], "resolution": 16},
+                },
+                ("EvalDomainError", None, None),
+            ),
+        ],
+    )
+    def test_a_failure_report_names_the_error_its_layer_and_row(self, tmp_path, command, config, failure):
+        out = tmp_path / "out"
+        assert run(command, write_config(tmp_path, config), out) == 2
+        report = json.loads((out / f"{command}.report.json").read_text())
+        assert (report["error"], report["layer"], report["row"]) == failure
+        assert report["diagnostic"].startswith(failure[0] + ": ")
+
 
 class TestGridNodeAtZero:
     def test_grid_without_a_node_at_zero_rejected(self, tmp_path, capsys):

@@ -373,12 +373,45 @@ class TestRepresentation:
         # the drivers would be read at negative times; the quotient used to return 1.9999999996
         term = parse_scalar("x^2")
         grid = make_grid(band, 0.01, nx=201)
-        with pytest.raises(ValueError, match="t must be >= 0"):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
             representation_quotient(band, zero_generator(), term, -1.0, 0.01, grid)
-        with pytest.raises(ValueError, match="t must be >= 0"):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
             representation_formula(band, zero_generator(), term, -1.0)
-        with pytest.raises(ValueError, match="t must be >= 0"):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
             representation_limit_check(band, zero_generator(), term, -1.0, [0.1, 0.05, 0.025])
+
+    @staticmethod
+    def time_calls(band, t):
+        """The four routines that read a start time t, each as a call of no arguments."""
+        # g = -t*y: a NaN t used to surface as an EvalDomainError naming a (y, z), not t
+        gen, term = GeneratorPair(parse_tri("-t*y"), parse_tri("0"), 1.0, check_samples=0), parse_scalar("x^2")
+        grid = make_grid(band, 0.01, nx=201)
+        return (
+            lambda: check_g_convexity(band, gen, term, (-1.0, 1.0), (-1.0, 1.0), 16, t=t),
+            lambda: representation_formula(band, gen, term, t),
+            lambda: representation_quotient(band, gen, term, t, 0.01, grid),
+            lambda: representation_limit_check(band, gen, term, t, [0.1, 0.05, 0.025]),
+        )
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+    def test_a_start_time_not_finite_or_negative_is_refused_before_any_solve(self, band, t, monkeypatch):
+        # a NaN or infinite t used to give "holds" from the scan, and replimit refused it only
+        # after solving, as a time outside the field's range
+        import gexpect.convexity as convexity
+
+        solved = []
+        monkeypatch.setattr(convexity, "solve_gbsde", lambda *args, **kwargs: solved.append(args))
+        monkeypatch.setattr(convexity, "_reduce_mesh", lambda *args: solved.append(args))
+        for call in self.time_calls(band, t):
+            with pytest.raises(ValueError, match=re.escape(f"t must be finite and >= 0, got {t}")):
+                call()
+        assert solved == []
+
+    def test_a_start_time_of_zero_is_accepted(self, band):
+        report, formula, quotient, check = (call() for call in self.time_calls(band, 0.0))
+        assert report.verdict in ("holds", "fails")
+        assert math.isfinite(formula) and math.isfinite(quotient)
+        assert check["formula"] == formula
 
 
 class TestJensen:

@@ -613,7 +613,7 @@ overflowing = st.floats(300.0, 308.23).map(lambda e: 10.0**e) | st.just(1.7e308)
 
 
 class TestFailureLayers:
-    """Finiteness is tested at checkpoints only; a failure re-marches and names the first layer and row."""
+    """Finiteness is tested at the last layer; a failure re-marches and names the first layer and row."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -669,6 +669,42 @@ class TestFailureLayers:
         expected = first_non_finite(
             reference_driver_layers(band, grid.dx, grid.dt, grid.nt, datum, gen, times, picard)
         )
+        checkpoints, stride = stride_out(grid.nt, datum.shape)
+        for options in ({}, {"out": checkpoints, "stride": stride}, {"out": np.empty((grid.nt + 1,) + datum.shape)}):
+            got = failure_of(
+                lambda: _march(band, grid.dx, grid.dt, grid.nt, datum, gen.g, gen.f, times, picard, **options)
+            )
+            assert got == expected, options
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        band=bands,
+        nx=st.integers(3, 12).map(lambda n: 2 * n + 1),
+        horizon=st.floats(0.05, 2.0),
+        g=st.sampled_from(["1/y", "tanh(y)", "exp(-(y^2))"]),
+        f=st.sampled_from(["0", "0.1*tanh(y)"]),
+        scales=st.lists(overflowing | st.floats(-1.0, 2.0).map(lambda e: 10.0**e), min_size=3, max_size=3),
+        picard=st.booleans(),
+        batch=st.booleans(),
+    )
+    # row 0 is odd, so 1/y is 1/0 at x = 0 and layer 1 is infinite there; 1/inf is the finite 0
+    @example(band=VolatilityBand(1.0, 2.0), nx=21, horizon=1.0, g="1/y", f="0",
+             scales=[1.0] * 3, picard=False, batch=True)
+    @example(band=VolatilityBand(1.0, 2.0), nx=21, horizon=1.0, g="1/y", f="0.1*tanh(y)",
+             scales=[1.0] * 3, picard=True, batch=False)
+    def test_a_non_finite_node_stays_so_under_drivers_finite_at_infinity(
+        self, band, nx, horizon, g, f, scales, picard, batch
+    ):
+        # the one test at layer nt rests on this: each layer is the last plus an increment, so a
+        # node that is not finite stays so, whatever the drivers give there
+        grid = make_grid(band, horizon, nx=nx)
+        gen, times = driver_pair(g, f), backward_times(grid)
+        data = np.stack([c * np.tanh(grid.xs + i) for i, c in enumerate(scales)])
+        datum = data if batch else data[0]
+        layers = reference_driver_layers(band, grid.dx, grid.dt, grid.nt, datum, gen, times, picard)
+        expected = first_non_finite(layers)
+        if expected is not None:
+            assert all(not np.isfinite(u).all() for u in layers[expected[0]:])
         checkpoints, stride = stride_out(grid.nt, datum.shape)
         for options in ({}, {"out": checkpoints, "stride": stride}, {"out": np.empty((grid.nt + 1,) + datum.shape)}):
             got = failure_of(
