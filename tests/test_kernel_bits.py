@@ -690,6 +690,8 @@ class TestFailureLayers:
     # row 0 is odd, so 1/y is 1/0 at x = 0 and layer 1 is infinite there; 1/inf is the finite 0
     @example(band=VolatilityBand(1.0, 2.0), nx=21, horizon=1.0, g="1/y", f="0",
              scales=[1.0] * 3, picard=False, batch=True)
+    # with Picard only the predictor is infinite at layer 1: the corrected layer reads g and f at
+    # that infinity, 0 and 0.1, and is finite, so the predictor's own test must name the layer
     @example(band=VolatilityBand(1.0, 2.0), nx=21, horizon=1.0, g="1/y", f="0.1*tanh(y)",
              scales=[1.0] * 3, picard=True, batch=False)
     def test_a_non_finite_node_stays_so_under_drivers_finite_at_infinity(
