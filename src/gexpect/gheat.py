@@ -44,6 +44,19 @@ the last layer (a non-finite node stays non-finite), and a test that
 fails re-marches from the datum with a test on every layer, which names
 the first failing layer and row.  A driver that is the literal 0 is
 neither evaluated nor added, which keeps the bits.
+
+``conditional_g_expectation`` returns a table that reduces an entry (the
+payoff with the first i coordinates fixed at a node, reduced over the
+other increments) the first time a read needs it: a read reduces its
+cell's unread 2^i corner entries in one march per increment and keeps
+them, ``values`` reduces the rest on first access, and the three residual
+probes march in one batch with the corner entries they read, whose
+1 + max|entry| is the residual check's scale.  Each entry is a row of its
+own, so it has the bits of the whole mesh reduced at once.  A NaN or
+infinity in the payoff raises at the call, at layer 0; a failure in a
+later layer raises at the read that reduces the entry, with ``row``
+counted within that read's batch.
+
 Monotonicity under the CFL bound makes the scheme converge to the
 viscosity solution and gives discrete maximum/comparison principles.
 """
@@ -547,6 +560,8 @@ class CylinderPayoff:
             raise ValueError(f"between 1 and 3 time points supported, got {len(self.times)}")
         prev = 0.0
         for t in self.times:
+            if not math.isfinite(t):
+                raise ValueError(f"time points must be finite, got {t} in {self.times}")
             if t <= prev:
                 raise ValueError(f"time points must be strictly increasing from 0, got {self.times}")
             prev = t
@@ -561,26 +576,104 @@ class CylinderPayoff:
         return tuple(out)
 
 
+def _axis(k: int, nodes) -> np.ndarray:
+    """Axis k of a table as an array: at least 2 nodes, strictly increasing and evenly spaced to rounding."""
+    axis = np.asarray(nodes)
+    if axis.ndim != 1 or len(axis) < 2:
+        raise ValueError(f"axis {k} needs a 1-d array of at least 2 nodes, got shape {axis.shape}")
+    steps = np.diff(axis)
+    # linspace places each node within an ulp or two of its exact place, so a step may miss the
+    # first by a few ulps of the largest |node|; a NaN fails both comparisons
+    slack = 16.0 * np.finfo(float).eps * max(abs(float(axis[0])), abs(float(axis[-1])))
+    if not (steps[0] > 0 and np.all(np.abs(steps - steps[0]) <= slack)):
+        raise ValueError(f"axis {k} is not strictly increasing and evenly spaced")
+    return axis
+
+
 class TabulatedFunction:
-    """Multilinear interpolant over per-axis node grids."""
+    """Multilinear interpolant over per-axis node grids.
+
+    Each axis needs at least 2 nodes, strictly increasing and evenly spaced
+    (to rounding).  A read interpolates the 2^d entries at the corners of
+    the cell that holds it, axis by axis.  ``values`` is the whole table,
+    read-only.  A table built by ``_on_demand`` (the one
+    ``conditional_g_expectation`` returns) reduces an entry the first time
+    a read needs it, and builds ``values`` on first access.
+    """
 
     def __init__(self, axes: Sequence[np.ndarray], values: np.ndarray):
-        self.axes = [np.asarray(a) for a in axes]
-        self.values = np.asarray(values)
-        if self.values.shape != tuple(len(a) for a in self.axes):
+        self.axes = [_axis(k, a) for k, a in enumerate(axes)]
+        values = np.asarray(values).view()
+        if values.shape != tuple(len(a) for a in self.axes):
             raise ValueError("table shape does not match axes")
+        values.setflags(write=False)
+        self._entries = self._values = values
+        self._unread = np.zeros(values.shape, dtype=bool)  # the entries not reduced yet
+        self._source = self._reduce = None
 
-    def __call__(self, *coords: float) -> float:
+    @classmethod
+    def _on_demand(cls, axes: Sequence[np.ndarray], source: np.ndarray, reduce) -> TabulatedFunction:
+        """A table whose entry at a node is ``reduce`` of ``source``'s row there, formed when first read.
+
+        ``source`` has the table's shape followed by a row's; ``reduce`` maps
+        a stack of rows to one value per row, each with the bits it gets alone.
+        """
+        entries = np.empty(source.shape[: len(axes)])
+        table = cls(axes, entries)
+        table._entries, table._values, table._unread = entries, None, np.ones(entries.shape, dtype=bool)
+        table._source, table._reduce = source, reduce
+        return table
+
+    def _cell(self, coords: Sequence[float]) -> tuple[tuple[slice, ...], list[float]]:
+        """The cell that holds ``coords``, as one slice of two nodes per axis, and each axis's weight."""
         if len(coords) != len(self.axes):
             raise ValueError(f"expected {len(self.axes)} coordinates, got {len(coords)}")
-        block = self.values
+        cell, weights = [], []
         for axis, x in zip(self.axes, coords):
             if not (axis[0] - 1e-12 <= x <= axis[-1] + 1e-12):
                 raise ValueError(f"coordinate {x} outside table range [{axis[0]}, {axis[-1]}]")
             pos = (x - axis[0]) / (axis[1] - axis[0])
             k = int(np.clip(math.floor(pos), 0, len(axis) - 2))
-            w = pos - k
-            block = (1.0 - w) * block[k] + w * block[k + 1]
+            cell.append(slice(k, k + 2))
+            weights.append(pos - k)
+        return tuple(cell), weights
+
+    def _fill(self, cells, extra: np.ndarray | None = None) -> np.ndarray:
+        """Reduce the unread entries of ``cells`` in one march, with ``extra``'s rows after them.
+
+        The entries go in C order; a failure names its row within this
+        batch and leaves the entries unread.  Returns ``extra``'s reductions.
+        Once every entry is reduced the table lets go of ``source``.
+        """
+        wanted = np.zeros_like(self._unread)
+        for cell in cells:
+            wanted[cell] = True
+        nodes = np.nonzero(wanted & self._unread)
+        rows = self._source[nodes]
+        if extra is not None:
+            rows = np.concatenate([rows, extra])
+        reduced = self._reduce(rows)
+        n = len(nodes[0])
+        self._entries[nodes] = reduced[:n]
+        self._unread[nodes] = False
+        if not self._unread.any():  # every entry is reduced: the rows are not needed again
+            self._source = self._reduce = None
+        return reduced[n:]
+
+    @_derived
+    def values(self) -> np.ndarray:
+        """The whole table, read-only; unread entries are reduced on first access, in one batch."""
+        if self._unread.any():
+            self._fill([...])
+        return self._entries
+
+    def __call__(self, *coords: float) -> float:
+        cell, weights = self._cell(coords)
+        if self._unread[cell].any():
+            self._fill([cell])
+        block = self._entries[cell]
+        for w in weights:
+            block = (1.0 - w) * block[0] + w * block[1]
         return float(block)
 
 
@@ -602,40 +695,57 @@ def conditional_g_expectation(
 ) -> TabulatedFunction:
     """Condition the cylinder payoff on the first i increments.
 
-    Solves one heat problem per remaining increment, innermost first, on a
-    ``make_grid`` grid with ``grid.nx`` nodes sized to each increment (so an
-    even ``nx`` raises ValueError).  The returned table interpolates
-    psi(x_1, ..., x_i) multilinearly; three off-node probes, re-solved
-    together as one batch, estimate the interpolation residual, and
-    GridResolutionError is raised when it exceeds ``residual_tol``
-    relative to the payoff scale.
+    Each remaining increment is a heat problem, innermost first, on a
+    ``make_grid`` grid with ``grid.nx`` nodes sized to that increment (so
+    an even ``nx`` raises ValueError).  The returned table interpolates
+    psi(x_1, ..., x_i) multilinearly.  Its entry at a node is the payoff
+    with the first i coordinates fixed there, reduced over the other
+    increments, and it is reduced the first time a read needs it: a read
+    reduces its cell's unread 2^i corner entries in one march per
+    increment and keeps them, and ``values`` reduces the rest on first
+    access.  Every entry has the bits of its own reduction.  The call
+    evaluates the payoff on the whole mesh, so a NaN or infinity there
+    raises NonFiniteError (layer 0) at once; a failure in a later layer
+    raises at the read that reduces the entry, with ``row`` counted within
+    that read's batch.  Three off-node probes, reduced in one batch with
+    the corner entries they interpolate from, estimate the interpolation
+    residual, and GridResolutionError is raised when it exceeds
+    ``residual_tol`` times the scale 1 + max|entry| over those corner
+    entries.  A NaN or negative ``residual_tol`` raises ValueError.
     """
     m = len(payoff.times)
     if not 1 <= i < m:
         raise ValueError(f"conditioning index must satisfy 1 <= i < {m}, got {i}")
+    if not residual_tol >= 0.0:
+        raise ValueError(f"residual_tol must be >= 0, got {residual_tol}")
     theta = min(grid.dt * band.sigma_max_sq / (grid.dx * grid.dx), DEFAULT_CFL_THETA)
     grids = [make_grid(band, d, grid.nx, theta=theta) for d in payoff.increments]
     axes = [g.xs for g in grids]
 
-    def reduce(mesh: Sequence[np.ndarray]) -> np.ndarray:
-        """The payoff on ``mesh`` (coordinate arrays of one shape) reduced over increments i+1..m."""
-        values = np.asarray(payoff.fn(*mesh), dtype=float)
-        values = np.broadcast_to(values, mesh[0].shape).copy()
+    def payoff_on(mesh: Sequence[np.ndarray]) -> np.ndarray:
+        """The payoff on ``mesh`` (coordinate arrays of one shape), broadcast to that shape."""
+        return np.broadcast_to(np.asarray(payoff.fn(*mesh), dtype=float), mesh[0].shape)
+
+    def reduce(rows: np.ndarray) -> np.ndarray:
+        """A stack of the payoff's rows over increments i+1..m, each reduced to one value."""
         for k in range(m - 1, i - 1, -1):
-            values = _reduce_last_axis(band, values, grids[k])
-        return values
+            rows = _reduce_last_axis(band, rows, grids[k])
+        return rows
 
-    table_values = reduce(np.meshgrid(*axes, indexing="ij"))
-    table = TabulatedFunction(axes[:i], table_values)
+    source = payoff_on(np.meshgrid(*axes, indexing="ij"))
+    if not np.isfinite(source).all():
+        _raise_failure(0, source, np.zeros(source.size), None)
+    table = TabulatedFunction._on_demand(axes[:i], source, reduce)
 
-    # Probe interpolation quality: re-solve at a few off-node points, all in one march.
-    scale = 1.0 + float(np.max(np.abs(table_values)))
+    # Probe interpolation quality: re-solve at a few off-node points, in one march with the
+    # corner entries they interpolate from; each probe's mesh has one node per conditioned axis
     rng = np.random.default_rng(7)
     points = [[float(rng.uniform(a[1], a[-2])) for a in axes[:i]] for _ in range(3)]
-    # each probe's mesh has one node per conditioned axis; stacked along a leading batch
-    # axis, each probe stays a row of its own, with the bits of its single reduction
     meshes = [np.meshgrid(*[np.array([p]) for p in point], *axes[i:], indexing="ij") for point in points]
-    exact = reduce([np.stack(coords) for coords in zip(*meshes)]).reshape(len(points))
+    probes = payoff_on([np.stack(coords) for coords in zip(*meshes)])
+    cells = [table._cell(point)[0] for point in points]
+    exact = table._fill(cells, probes.reshape(len(points), *source.shape[i:]))
+    scale = 1.0 + max(float(np.max(np.abs(table._entries[cell]))) for cell in cells)
     worst = 0.0
     for point, value in zip(points, exact):
         worst = max(worst, abs(table(*point) - float(value)))

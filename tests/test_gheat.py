@@ -8,6 +8,7 @@ from gexpect import (
     GridResolutionError,
     NonFiniteError,
     SpaceTimeGrid,
+    TabulatedFunction,
     VolatilityBand,
     conditional_g_expectation,
     g_expectation,
@@ -18,7 +19,8 @@ from gexpect import (
     tree_expectation,
 )
 from gexpect import gheat
-from gexpect.gheat import _march
+from gexpect.core import DEFAULT_CFL_THETA
+from gexpect.gheat import _march, _reduce_last_axis
 
 from conftest import CATALOG_TEXTS
 
@@ -289,8 +291,8 @@ class TestConditional:
         ],
     )
     def test_probes_have_the_bits_of_their_single_reductions(self, band, monkeypatch, times, i, fn):
-        # the three probes march as one batch; each must have the bits of the march of its own
-        # (1, ..., 1, nx, ...) mesh, as it had when every probe was reduced alone
+        # the three probes march as one batch, after the corner entries they read; each must have
+        # the bits of the march of its own (1, ..., 1, nx, ...) mesh, as when every probe was reduced alone
         calls = []
 
         def spy(band_, values, grid_):
@@ -303,19 +305,104 @@ class TestConditional:
         payoff = CylinderPayoff(times, fn)
         table = conditional_g_expectation(band, payoff, i, make_grid(band, 1.0, nx=81))
         m = len(times)
-        assert len(calls) == 2 * (m - i)  # the table's reductions, then one batch for all probes
-        probe_calls = calls[m - i :]
-        assert probe_calls[0][0].shape[0] == 3
-        probes = probe_calls[-1][2].reshape(3)
-        tail = [grid_.xs for _, grid_, _ in reversed(probe_calls)]
+        assert len(calls) == m - i  # one batch: the probes' corner entries, then the three probes
+        assert 3 < calls[0][0].shape[0] <= 3 + 3 * 2**i
+        probes = calls[-1][2][-3:]
+        tail = [grid_.xs for _, grid_, _ in reversed(calls)]
         rng = np.random.default_rng(7)
         for b in range(3):
             point = [float(rng.uniform(a[1], a[-2])) for a in table.axes]
             mesh = np.meshgrid(*[np.array([p]) for p in point], *tail, indexing="ij")
             values = np.broadcast_to(np.asarray(fn(*mesh), dtype=float), mesh[0].shape).copy()
-            for _, grid_, _ in probe_calls:
+            for _, grid_, _ in calls:
                 values = reduce_last_axis(band, values, grid_)
             assert probes[b].tobytes() == values.reshape(()).tobytes(), f"probe {b}"
+
+    @pytest.mark.parametrize("times,i", [((0.5, 1.0), 1), ((0.3, 0.6, 1.0), 1), ((0.3, 0.6, 1.0), 2)])
+    def test_a_read_reduces_at_most_its_corner_entries(self, band, monkeypatch, times, i):
+        calls = []
+
+        def spy(band_, values, grid_):
+            calls.append(values.shape)
+            return reduce_last_axis(band_, values, grid_)
+
+        reduce_last_axis = gheat._reduce_last_axis
+        monkeypatch.setattr(gheat, "_reduce_last_axis", spy)
+        payoff = CylinderPayoff(times, lambda *xs: np.cos(sum(xs)) + xs[-1] * xs[-1])
+        table = conditional_g_expectation(band, payoff, i, make_grid(band, 1.0, nx=41))
+        m = len(times)
+        rng = np.random.default_rng(3)
+        for _ in range(12):
+            point = [float(rng.uniform(a[0], a[-1])) for a in table.axes]
+            calls.clear()
+            table(*point)
+            assert len(calls) in (0, m - i)
+            if calls:
+                assert 1 <= calls[0][0] <= 2**i  # only the cell's unread corners
+            calls.clear()
+            table(*point)
+            assert calls == []  # kept: a second read reduces nothing
+        calls.clear()
+        table.values
+        table.values
+        assert len(calls) == m - i  # the rest in one batch, once
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from([((0.5, 1.0), 1), ((0.3, 0.6, 1.0), 1), ((0.3, 0.6, 1.0), 2)]),
+        nx=st.sampled_from([3, 5, 7, 9, 13]),
+        fn=st.sampled_from([
+            lambda *xs: sum(x * x for x in xs),
+            lambda *xs: np.sin(3.0 * xs[0]) * xs[-1] + np.tanh(xs[-1]),
+            lambda *xs: np.exp(-(xs[0] - xs[-1]) ** 2) * np.cos(xs[-1]),
+            lambda *xs: np.abs(xs[0] + 2.0 * xs[-1]) - xs[1],
+        ]),
+        reads=st.lists(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2), min_size=1, max_size=8),
+        at=st.integers(0, 8),
+    )
+    def test_reads_have_the_bits_of_the_whole_table(self, band, case, nx, fn, reads, at):
+        # the whole mesh reduced at once, as an eager table: every read, in any order, and the
+        # table's values must have its bits
+        times, i = case
+        grid = make_grid(band, 1.0, nx=nx)
+        payoff = CylinderPayoff(times, fn)
+        theta = min(grid.dt * band.sigma_max_sq / (grid.dx * grid.dx), DEFAULT_CFL_THETA)
+        grids = [make_grid(band, d, nx, theta=theta) for d in payoff.increments]
+        mesh = np.meshgrid(*[g.xs for g in grids], indexing="ij")
+        whole = np.broadcast_to(np.asarray(fn(*mesh), dtype=float), mesh[0].shape).copy()
+        for g in reversed(grids[i:]):
+            whole = _reduce_last_axis(band, whole, g)
+        eager = TabulatedFunction([g.xs for g in grids[:i]], whole)
+        table = conditional_g_expectation(band, payoff, i, grid, residual_tol=np.inf)
+        for k, fractions in enumerate(reads + [None]):
+            if k == min(at, len(reads)):
+                assert table.values.tobytes() == whole.tobytes()
+            if fractions is None:
+                break
+            point = [a[0] + u * (a[-1] - a[0]) for a, u in zip(table.axes, fractions)]
+            assert np.float64(table(*point)).tobytes() == np.float64(eager(*point)).tobytes()
+
+    def test_a_later_failure_raises_at_the_read_that_reduces_it(self, band):
+        # node j's row overflows at layer 1; no probe reads it, so only a read of its cell fails
+        times, grid = (0.5, 1.0), make_grid(band, 1.0, nx=41)
+        axis = conditional_g_expectation(band, CylinderPayoff(times, lambda a, b: a + b), 1, grid).axes[0]
+        rng = np.random.default_rng(7)
+        probed = set()
+        for _ in range(3):
+            k = int((float(rng.uniform(axis[1], axis[-2])) - axis[0]) // (axis[1] - axis[0]))
+            probed |= {k, k + 1}
+        j = next(j for j in range(1, len(axis)) if not {j - 1, j} & probed)
+        lo, hi = (axis[j - 1] + axis[j]) / 2, (axis[j] + axis[j + 1]) / 2
+        payoff = CylinderPayoff(times, lambda a, b: np.where((lo < a) & (a < hi), 1e308, a + b))
+        table = conditional_g_expectation(band, payoff, 1, grid)
+        with pytest.raises(NonFiniteError) as err:
+            table(axis[j - 1])
+        assert (err.value.layer, err.value.row) == (1, 1)  # node j is row 1 of the batch (j - 1, j)
+        assert table(axis[j + 2]) == pytest.approx(axis[j + 2], abs=1e-9)
+        with pytest.raises(NonFiniteError):
+            table(axis[j - 1])  # the failed entries stay unread
+        with pytest.raises(NonFiniteError):
+            table.values
 
     @pytest.mark.parametrize(
         "times,i,fn",
@@ -353,3 +440,57 @@ class TestConditional:
             CylinderPayoff((0.5, 0.5), lambda a, b: a)
         with pytest.raises(ValueError):
             CylinderPayoff((-0.5, 0.5), lambda a, b: a)
+
+    @pytest.mark.parametrize("times", [(0.5, np.inf), (np.nan, 1.0), (0.5, np.nan), (-np.inf, 1.0)])
+    def test_rejects_a_time_that_is_not_finite(self, times):
+        with pytest.raises(ValueError, match="time points must be finite"):
+            CylinderPayoff(times, lambda a, b: a)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-3, -np.inf])
+    def test_rejects_a_nan_or_negative_tolerance_before_any_march(self, band, monkeypatch, tol):
+        marches = []
+        monkeypatch.setattr(gheat, "_march", lambda *args, **kwargs: marches.append(args))
+        payoff = CylinderPayoff((0.5, 1.0), lambda x1, x2: np.sin(9.0 * x1) * 5.0 + x2)
+        with pytest.raises(ValueError, match="residual_tol must be >= 0"):
+            conditional_g_expectation(band, payoff, 1, make_grid(band, 1.0, nx=81), residual_tol=tol)
+        assert marches == []
+
+    def test_the_residual_scale_is_taken_over_the_probed_entries(self, band):
+        # the default tolerance rejects sin(9 x1) 5 + x2 at nx 81; a spike of 1e6 at the first
+        # node, which no probe reads, would let it pass under a scale taken over the whole table
+        grid = make_grid(band, 1.0, nx=81)
+        axis = conditional_g_expectation(band, CylinderPayoff((0.5, 1.0), lambda a, b: a + b), 1, grid).axes[0]
+        cut = (axis[0] + axis[1]) / 2
+        payoff = CylinderPayoff((0.5, 1.0), lambda x1, x2: np.where(x1 < cut, 1e6, np.sin(9.0 * x1) * 5.0) + x2)
+        with pytest.raises(GridResolutionError, match=r"scale \d\.\d+e\+00"):
+            conditional_g_expectation(band, payoff, 1, grid)
+
+
+class TestTabulatedFunction:
+    def test_interpolates_an_eager_table_multilinearly(self):
+        table = TabulatedFunction([[0.0, 1.0, 2.0], [-1.0, 1.0]], [[0.0, 2.0], [1.0, 3.0], [4.0, 6.0]])
+        assert table(0.5, 0.0) == 1.5
+        assert table(1.5, 1.0) == 4.5
+        assert not table.values.flags.writeable
+
+    @pytest.mark.parametrize(
+        "axes,values,problem",
+        [
+            ([[0.0, 1.0, 3.0]], [0.0, 1.0, 9.0], "axis 0 is not strictly increasing and evenly spaced"),
+            ([[0.0, 1.0], [2.0, 1.0, 0.0]], np.zeros((2, 3)), "axis 1 is not strictly increasing"),
+            ([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)), "axis 1 is not strictly increasing"),
+            ([[0.0, np.nan, 2.0]], np.zeros(3), "axis 0 is not strictly increasing"),
+            ([[0.0]], [1.0], "axis 0 needs a 1-d array of at least 2 nodes"),
+            ([[0.0, 1.0], []], np.zeros((2, 0)), "axis 1 needs a 1-d array of at least 2 nodes"),
+        ],
+    )
+    def test_refuses_an_axis_it_cannot_interpolate_on(self, axes, values, problem):
+        with pytest.raises(ValueError, match=problem):
+            TabulatedFunction(axes, values)
+
+    @pytest.mark.parametrize("nx", [3, 81, 201, 801])
+    @pytest.mark.parametrize("half_width", [1.0, 8.5, 1e6])
+    def test_accepts_every_grid_axis(self, band, nx, half_width):
+        xs = make_grid(band, 1.0, nx=nx, half_width=half_width).xs
+        table = TabulatedFunction([xs], 2.0 * xs)
+        assert table(xs[1]) == pytest.approx(2.0 * xs[1])
