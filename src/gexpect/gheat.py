@@ -639,7 +639,7 @@ class TabulatedFunction:
         return tuple(cell), weights
 
     def _fill(self, cells, extra: np.ndarray | None = None) -> np.ndarray:
-        """Reduce the unread entries of ``cells`` in one march, with ``extra``'s rows after them.
+        """Reduce the unread entries of ``cells`` in one batch, with ``extra``'s rows after them.
 
         The entries go in C order; a failure names its row within this
         batch and leaves the entries unread.  Returns ``extra``'s reductions.
