@@ -217,8 +217,8 @@ def representation_quotient(
 ) -> float:
     """(E over [t, t + eps] of Phi(increment) - Phi(0)) / eps on ``grid.over(eps)``; finite t >= 0, eps > 0."""
     _check_time(t)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     sol = solve_gbsde(band, gen, terminal, grid.over(eps), t0=t)
     return (sol.y_at(t, 0.0) - float(terminal(0.0))) / eps
 
@@ -238,8 +238,8 @@ def representation_limit_check(
     the errors decrease and the final error is at most REPLIMIT_TOL * (1 + |limit|).
     """
     eps_list = list(eps_list)
-    if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])) or eps_list[-1] <= 0:
-        raise ValueError("eps_list must be positive and decreasing with at least 3 entries")
+    if len(eps_list) < 3 or not all(math.inf > a > b > 0.0 for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_list must be finite, positive and decreasing with at least 3 entries")
     formula = representation_formula(band, gen, terminal, t)  # rejects a bad t before any solve
     rows = []
     for eps in eps_list:

@@ -38,15 +38,15 @@ class CflError(ValueError):
 
 @dataclass(frozen=True)
 class VolatilityBand:
-    """Interval of variances [sigma_min_sq, sigma_max_sq], both > 0."""
+    """Interval of variances [sigma_min_sq, sigma_max_sq], both > 0 and finite."""
 
     sigma_min_sq: float
     sigma_max_sq: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.sigma_min_sq <= self.sigma_max_sq):
+        if not (0.0 < self.sigma_min_sq <= self.sigma_max_sq < math.inf):
             raise ValueError(
-                f"band requires 0 < sigma_min_sq <= sigma_max_sq, "
+                f"band requires 0 < sigma_min_sq <= sigma_max_sq < inf, "
                 f"got ({self.sigma_min_sq}, {self.sigma_max_sq})"
             )
 
@@ -110,8 +110,9 @@ class SpaceTimeGrid:
     """Uniform grid on [0, horizon] x [x_min, x_max].
 
     ``nx`` counts nodes (spacing (x_max - x_min)/(nx - 1)); ``nt`` counts
-    time steps (spacing horizon/nt).  The domain must straddle 0 and x = 0
-    must be a node (to 1e-9 dx), since every value "at x = 0" reads it.
+    time steps (spacing horizon/nt).  The horizon, the two ends and the
+    spacing must be finite.  The domain must straddle 0 and x = 0 must be a
+    node (to 1e-9 dx), since every value "at x = 0" reads it.
     """
 
     horizon: float
@@ -128,6 +129,9 @@ class SpaceTimeGrid:
             raise ValueError(f"nx must be >= 3, got {self.nx}")
         if self.nt < 1:
             raise ValueError(f"nt must be >= 1, got {self.nt}")
+        for name in ("horizon", "x_min", "x_max", "dx"):  # dx overflows where x_max - x_min does
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.x_min < 0.0 < self.x_max):
             raise ValueError(f"domain must straddle 0, got [{self.x_min}, {self.x_max}]")
         nearest = self.x_min + self.center_index * self.dx

@@ -6,8 +6,9 @@ the value function obeys the fully nonlinear terminal-value problem
 
     -du/dt = g(t, u, du/dx) + 2 G(f(t, u, du/dx) + 0.5 * d2u/dx2)
 
-discretised with the same explicit kernel as the forward heat solve
-(bit-identical when g = f = 0).  The solution carries Y = u, Z = du/dx
+discretised with the same explicit kernel as the forward heat solve,
+which forms 2 G(f + D2 u / 2) as G(2 f + D2 u), so zero drivers give the
+heat solve's bits.  The solution carries Y = u, Z = du/dx
 and the variance density eta = f + 0.5 * d2u/dx2 whose band-worst
 increments make up the nonincreasing component K.
 """
@@ -57,8 +58,8 @@ class GeneratorPair:
     check_samples: int = field(default=1000, compare=False)
 
     def __post_init__(self) -> None:
-        if self.lipschitz_L < 0:
-            raise ValueError(f"lipschitz_L must be >= 0, got {self.lipschitz_L}")
+        if not 0.0 <= self.lipschitz_L < math.inf:
+            raise ValueError(f"lipschitz_L must be finite and >= 0, got {self.lipschitz_L}")
         if self.check_samples:
             tol = self.lipschitz_L * (1.0 + 1e-9) + 1e-12
             for name, fn in (("g", self.g), ("f", self.f)):
@@ -194,11 +195,7 @@ def solve_gbsde_batch(
     with np.errstate(over="ignore"):  # clamped, a bound is finite: a row inside it is finite too
         envelope = envelope_factor * (np.max(np.abs(data), axis=-1) + grid.horizon * origin_scale + 1.0)
     np.minimum(envelope, np.finfo(float).max, out=envelope)
-
-    # drivers that are the literal 0 take the forward heat step itself: the fields agree by construction
-    zero = gen.g == _ZERO and gen.f == _ZERO
-    drivers = () if zero else (gen.g, gen.f, picard)
-    fields = FieldSolution._solve(band, grid, data, times, drivers, envelope)
+    fields = FieldSolution._solve(band, grid, data, times, (gen.g, gen.f, picard), envelope)
     return [BsdeSolution(field, gen, band) for field in fields]
 
 
@@ -262,10 +259,10 @@ def _check_in_band(band: VolatilityBand, a) -> None:
 
 
 def k_increment(band: VolatilityBand, eta: float, a: float, dt: float) -> float:
-    """One K step: eta * a * dt - 2 G(eta) * dt, never positive in the band."""
+    """One K step: eta * a * dt - 2 G(eta) * dt, never positive in the band; dt finite and > 0."""
     _check_in_band(band, a)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     return float(_k_step(band, eta, a, dt))
 
 

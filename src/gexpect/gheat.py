@@ -4,16 +4,17 @@ expectation functionals built on it.
 
 The scheme marches whole layers::
 
-    u_next = u + dt * (g_term + 2 * G(f_term + 0.5 * D2 u))
+    u_next = u + dt * (g_term + G(2 * f_term + D2 u))
 
 with the three-point second difference D2 (zero at the two boundary
-nodes, exact for affine tails).  With zero driver terms the kernel steps
-``u + dt * G(D2 u)``, which has the bits of the driver step because
-2 G(a / 2) = G(a) exactly outside the subnormal range; the backward BSDE
-solver and the conditional reductions reuse the same kernel, so the
-recursions agree bit for bit when the drivers vanish.  Each step writes
-into preallocated arrays: the next checkpoint row of a stored field when
-the layer is one, or else one of two buffers that alternate.  The stencil
+nodes, exact for affine tails): the paper's g + 2 G(f + D2 u / 2) with
+the 2 taken inside G, with the same bits unless a term is subnormal or
+2 f or 2 f + D2 u overflows.  Without drivers the step is
+``u + dt * G(D2 u)``, the same arithmetic with nothing to add, so the heat
+solve, the backward solver and the conditional reductions agree bit for
+bit when the drivers are zero.  Each step writes into preallocated
+arrays: the next checkpoint row of a stored field when the layer is one,
+or else one of two buffers that alternate.  The stencil
 views a step reads (D2's three along the flattened layer, and the
 gradient's four when a driver reads z) are built once per buffer: for the
 datum and the two alternating buffers before the march, for a checkpoint
@@ -43,7 +44,8 @@ its row's envelope instead; without one, finiteness is tested once, at
 the last layer (a non-finite node stays non-finite), and a test that
 fails re-marches from the datum with a test on every layer, which names
 the first failing layer and row.  A driver that is the literal 0 is
-neither evaluated nor added, which keeps the bits.
+neither evaluated nor added, which keeps the bits, and a march whose two
+drivers are both the literal 0 takes the heat step itself.
 
 ``conditional_g_expectation`` returns a table that reduces an entry (the
 payoff with the first i coordinates fixed at a node, reduced over the
@@ -199,11 +201,12 @@ def _march(
 
     Space is the last axis; leading axes are a batch, and each slice along
     them (a row) marches on its own, with the bits it gets alone.  Layer k
-    is one step from layer k-1 with the drivers (zero when ``g_fn`` is None)
-    evaluated at ``layer_times[k]``.  ``picard`` corrects the driver
-    arguments once against the explicit predictor.  The datum, each layer
-    and each predictor must be finite, else NonFiniteError names the layer
-    and the row.  With ``envelope`` set (one value, or one per row shaped
+    is one step u + dt * (g + G(2 f + D2 u)) from layer k-1 with the drivers
+    evaluated at ``layer_times[k]``; without drivers (``g_fn`` None, or both
+    the literal 0) it is u + dt * G(D2 u), and the driver loop is skipped.
+    ``picard`` corrects the driver arguments once against the explicit
+    predictor.  The datum, each layer and each predictor must be finite,
+    else NonFiniteError names the layer and the row.  With ``envelope`` set (one value, or one per row shaped
     like the batch axes), a layer with a row whose largest |value| exceeds
     that row's envelope raises BlowUpError naming the layer and the row.
     The first failing layer raises; within it a non-finite row wins over
@@ -233,7 +236,7 @@ def _march(
     condition, so a driver that divides by zero or overflows surfaces as a
     NonFiniteError, never as a warning.  A driver that is the literal 0 is
     neither evaluated nor added: 0 + a is a except at a = -0, which G maps
-    to +0 as it does +0, and 2 G(.) is never -0, so the bits stay.  When
+    to +0 as it does +0, and G(.) is never -0, so the bits stay.  When
     neither driver reads ``z`` the gradient is not formed.  With ``out``
     (shape (nt // stride + 1,) + datum.shape) the datum goes to out[0] and
     each layer k with k % stride == 0 straight into out[k // stride];
@@ -256,8 +259,8 @@ def _march(
         bound_sq = smallest * smallest  # a Python float product overflows to inf, as it should here
     single = datum.ndim == 1  # one row compares scalars, which `and` takes faster than .all()
     # 0-d arrays: numpy takes them per call faster than Python floats
-    dx_sq, step, half_max, half_min, half, two = map(
-        np.array, (dx * dx, dt, 0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq, 0.5, 2.0)
+    dx_sq, step, half_max, half_min, two = map(
+        np.array, (dx * dx, dt, 0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq, 2.0)
     )
     d2 = np.zeros(datum.shape)
     scratch = np.empty(datum.shape)
@@ -265,7 +268,11 @@ def _march(
         ring = (np.empty(datum.shape), np.empty(datum.shape))
     if out is not None:
         out[0] = datum
-    reads_z = g_fn is not None and ("z" in g_fn.variables or "z" in f_fn.variables)
+    # a literal-zero driver is None: it is not evaluated and its add is skipped; with both None
+    # (or no drivers at all) the march takes the heat step u + dt * G(D2 u)
+    g, f = (None if fn is None or fn.ast == _LITERAL_ZERO else fn._compiled for fn in (g_fn, f_fn))
+    driven = g is not None or f is not None
+    reads_z = driven and ("z" in g_fn.variables or "z" in f_fn.variables)
 
     def stencil(u: np.ndarray) -> tuple:
         """D2's (lo, mid, hi) along u flattened, then the gradient's views when a driver reads z."""
@@ -278,11 +285,9 @@ def _march(
     n = datum.shape[-1]
     d2_inner, d2_ends = d2.reshape(-1)[1:-1], d2[..., :: n - 1] if datum.ndim > 1 else None
     ring_stencils = (stencil(ring[0]), stencil(ring[1]))
-    if g_fn is not None:
-        # a literal-zero driver is None: it is not evaluated and its add is skipped
-        g, f = (None if fn.ast == _LITERAL_ZERO else fn._compiled for fn in (g_fn, f_fn))
-        grad, half_d2, two_g = (np.empty(datum.shape) for _ in range(3))
-        arg = half_d2 if f is None else np.empty(datum.shape)
+    if driven:
+        grad = np.empty(datum.shape)
+        arg = d2 if f is None else np.empty(datum.shape)  # G's argument, 2 f + D2 u
         grad_inner, grad_ends = grad[..., 1:-1], grad[..., :: n - 1]
         grad_dx, two_dx = np.array(dx), np.array(2.0 * dx)
         predictor = np.empty(datum.shape) if picard else None
@@ -307,26 +312,24 @@ def _march(
                 _d2_into(lo, mid, hi, dx_sq, d2_inner)
                 if d2_ends is not None:
                     d2_ends.fill(0.0)
-                if g_fn is None:
-                    # u + dt * G(D2 u): the driver step with zero terms, as 2 G(a / 2) = G(a)
+                if not driven:
+                    # u + dt * G(D2 u): the driver step with nothing to add
                     _g_into(half_max, half_min, d2, row, scratch)
                     np.multiply(row, step, out=row)
                 else:
-                    np.multiply(half, d2, out=half_d2)
                     t, y, y_views = layer_times[k], layer, gradient
-                    # dt * (g + 2 G(f + D2 u / 2)), into the Picard predictor first when there is one
+                    # dt * (g + G(2 f + D2 u)), into the Picard predictor first when there is one
                     for into in (predictor, row) if picard else (row,):
                         env = {"t": t, "y": y}
                         if reads_z:
                             _gradient_into(y_views, grad_dx, two_dx, grad_inner, grad_ends)
                             env["z"] = grad
-                        if f is not None:
-                            np.add(f(env), half_d2, out=arg)
-                        _g_into(half_max, half_min, arg, two_g, scratch)
-                        np.multiply(two, two_g, out=two_g)
+                        if f is not None:  # 2 f is exact, so 2 f + D2 u rounds once, as f + D2 u / 2 does
+                            np.add(np.multiply(two, f(env), out=arg), d2, out=arg)
+                        _g_into(half_max, half_min, arg, into, scratch)
                         if g is not None:
-                            np.add(g(env), two_g, out=two_g)
-                        np.multiply(step, two_g, out=into)
+                            np.add(g(env), into, out=into)
+                        np.multiply(step, into, out=into)
                         if into is predictor:  # the drivers are evaluated again at u + increment
                             np.add(layer, predictor, out=predictor)
                             if np.vdot(predictor, zeros) != 0.0:
@@ -558,22 +561,15 @@ class CylinderPayoff:
     def __post_init__(self) -> None:
         if not 1 <= len(self.times) <= 3:
             raise ValueError(f"between 1 and 3 time points supported, got {len(self.times)}")
-        prev = 0.0
         for t in self.times:
             if not math.isfinite(t):
                 raise ValueError(f"time points must be finite, got {t} in {self.times}")
-            if t <= prev:
-                raise ValueError(f"time points must be strictly increasing from 0, got {self.times}")
-            prev = t
+        if not min(self.increments) > 0.0:  # distinct finite floats have a nonzero difference
+            raise ValueError(f"time points must be strictly increasing from 0, got {self.times}")
 
     @property
     def increments(self) -> tuple[float, ...]:
-        prev = 0.0
-        out = []
-        for t in self.times:
-            out.append(t - prev)
-            prev = t
-        return tuple(out)
+        return tuple(t - s for s, t in zip((0.0, *self.times), self.times))
 
 
 def _axis(k: int, nodes) -> np.ndarray:

@@ -304,7 +304,9 @@ def tree_k_expectation(band: VolatilityBand, sol) -> float:
 
 
 def gauss_hermite_expectation(phi, variance: float) -> float:
-    """Classical Gaussian expectation of phi with the given variance, by 80-point Gauss-Hermite."""
+    """Classical Gaussian expectation of phi at a finite variance >= 0, by 80-point Gauss-Hermite."""
+    if not 0.0 <= variance < math.inf:
+        raise ValueError(f"variance must be finite and >= 0, got {variance}")
     nodes, weights = np.polynomial.hermite.hermgauss(80)
     xs = math.sqrt(2.0 * variance) * nodes
     return float(np.sum(weights * np.asarray(phi(xs))) / math.sqrt(math.pi))

@@ -568,12 +568,20 @@ class TestCommandTable:
             ExperimentConfig("gexp", variant("gexp", "grid", nt=2000, theta=0.3))
         assert info.value.field == "config.grid.theta"
 
+    def test_x_min_without_x_max_rejected(self):
+        grid = {"horizon": 1.0, "nx": 201, "x_min": -8.5}
+        with pytest.raises(ConfigError, match="x_min and x_max go together") as info:
+            ExperimentConfig("gexp", {**VALID["gexp"], "grid": grid})
+        assert info.value.field == "config.grid.x_min"
+
 
 class TestNoTraceback:
     # each of these ended in a Python traceback, or ran, before the config was checked up front
     CASES = [
         ("gexp", "grid", {"nx": 1}, "config.grid"),
         ("gexp", "grid", {"theta": 0.9}, "config.grid"),
+        # the grid keeps its half_width beside these: a domain given twice
+        ("gexp", "grid", {"x_min": -8.5, "x_max": 8.5}, "config.grid.half_width"),
         ("convexity", "params", {"resolution": 8}, "config.params"),
         ("replimit", "params", {"eps_list": [0.1, 0.1, 0.05]}, "config.params"),
         ("oracle-check", "params", {"steps": 0}, "config.params"),
@@ -687,6 +695,11 @@ class TestMain:
     def test_unknown_command(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["explode", "--config", "x.json"])
+
+    def test_run_refuses_an_unknown_command(self, tmp_path, capsys):
+        assert run("explode", write_config(tmp_path, base_config()), tmp_path / "out") == 1
+        assert "unknown command 'explode'; choose from gexp" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_commands_registry(self):
         assert set(COMMANDS) == {"gexp", "gbsde", "convexity", "jensen", "replimit", "oracle-check"}

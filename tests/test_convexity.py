@@ -369,6 +369,18 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             representation_limit_check(band, zero_generator(), parse_scalar("x"), 0.0, [0.1, 0.2, 0.3])
 
+    @pytest.mark.parametrize("eps_list", [[0.1, math.nan, 0.025], [math.inf, 0.1, 0.05], [0.1, 0.05, math.nan]])
+    def test_rejects_an_eps_that_is_not_finite_before_any_solve(self, band, eps_list):
+        # a NaN passed the order checks and failed inside a solve as "horizon must be > 0, got nan"
+        with pytest.raises(ValueError, match="eps_list must be finite"):
+            representation_limit_check(band, zero_generator(), parse_scalar("x^2"), 0.0, eps_list)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.01, math.nan, math.inf])
+    def test_quotient_rejects_an_eps_that_is_not_finite_and_positive(self, band, eps):
+        grid = make_grid(band, 0.01, nx=201)
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            representation_quotient(band, zero_generator(), parse_scalar("x^2"), 0.0, eps, grid)
+
     def test_rejects_negative_start_time(self, band):
         # the drivers would be read at negative times; the quotient used to return 1.9999999996
         term = parse_scalar("x^2")

@@ -25,6 +25,12 @@ class TestVolatilityBand:
         with pytest.raises(ValueError):
             VolatilityBand(lo, hi)
 
+    @pytest.mark.parametrize("hi", [math.inf, math.nan])
+    def test_rejects_a_top_variance_that_is_not_finite(self, hi):
+        # an infinite top variance made the tree NaN and g_expectation fail in make_grid
+        with pytest.raises(ValueError, match="sigma_max_sq"):
+            VolatilityBand(1.0, hi)
+
 
 class TestGEval:
     def test_positive_branch(self, band):
@@ -103,6 +109,27 @@ class TestSpaceTimeGrid:
     def test_rejects_bad_grids(self, kwargs):
         with pytest.raises(ValueError):
             SpaceTimeGrid(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            (dict(horizon=math.inf, x_min=-2.0, x_max=2.0, nx=5, nt=1), "horizon must be finite"),
+            (dict(horizon=1.0, x_min=-math.inf, x_max=2.0, nx=5, nt=1), "x_min must be finite"),
+            (dict(horizon=1.0, x_min=-2.0, x_max=math.inf, nx=5, nt=1), "x_max must be finite"),
+            (dict(horizon=1.0, x_min=math.nan, x_max=2.0, nx=5, nt=1), "x_min must be finite"),
+            # each end is finite, but x_max - x_min overflows
+            (dict(horizon=1.0, x_min=-1e308, x_max=1e308, nx=201, nt=10), "dx must be finite"),
+        ],
+    )
+    def test_rejects_values_that_are_not_finite_by_name(self, kwargs, field):
+        # refused before the node-at-zero check, whose inf / inf would warn
+        with pytest.raises(ValueError, match=field):
+            SpaceTimeGrid(**kwargs)
+
+    @pytest.mark.parametrize("half_width,field", [(math.inf, "x_min must be finite"), (1e308, "dx must be finite")])
+    def test_make_grid_refuses_a_width_that_is_not_finite(self, band, half_width, field):
+        with pytest.raises(ValueError, match=field):
+            make_grid(band, 1.0, 201, half_width=half_width)
 
     def test_cfl_check(self, band):
         grid = SpaceTimeGrid(horizon=1.0, x_min=-8.5, x_max=8.5, nx=401, nt=10)

@@ -50,6 +50,15 @@ class TestParse:
         with pytest.raises(ParseError, match="unknown identifier"):
             parse_tri("y + q")
 
+    def test_parse_refuses_mixed_variables(self):
+        with pytest.raises(ParseError, match=r"mixes incompatible variables \['x', 'y'\]"):
+            parse("x + y")
+
+    def test_unexpected_character_named_at_its_offset(self):
+        with pytest.raises(ParseError, match="unexpected character '\\$'") as err:
+            parse_scalar("x $ 2")
+        assert err.value.offset == 2
+
     def test_negative_integer_power(self):
         fn = parse_scalar("x^(-2)")
         assert fn(2.0) == 0.25
@@ -203,6 +212,13 @@ class TestCombinators:
         phi = parse_scalar("tanh(x)")
         both = h.compose(phi)
         assert both(0.7) == pytest.approx(math.exp(math.tanh(0.7)))
+
+    def test_compose_through_a_binary_operator(self):
+        # every x of h, on both sides of the +, is replaced by phi
+        both = parse_scalar("x^2 + 3*x").compose(parse_scalar("tanh(x)"))
+        t = math.tanh(0.7)
+        assert both(0.7) == pytest.approx(t * t + 3.0 * t)
+        assert both(np.array([0.0]))[0] == 0.0
 
     def test_add_scale_shift(self):
         f = parse_scalar("x^2")

@@ -39,6 +39,12 @@ class TestGeneratorPair:
     def test_accepts_declared_bound(self):
         GeneratorPair(parse_tri("0.3*y + 0.2*z"), parse_tri("0.25*z"), 0.5)
 
+    @pytest.mark.parametrize("bound", [-1.0, math.inf, math.nan])
+    def test_rejects_a_bound_that_is_not_finite_and_nonnegative(self, bound):
+        # an infinite bound passed every spot check; a NaN one failed it with a misleading quotient
+        with pytest.raises(ValueError, match="lipschitz_L must be finite and >= 0"):
+            GeneratorPair(parse_tri("y"), parse_tri("0"), bound)
+
     def test_rejects_understated_bound(self):
         with pytest.raises(ValueError, match="Lipschitz"):
             GeneratorPair(parse_tri("3*y"), parse_tri("0"), 1.0)
@@ -84,6 +90,15 @@ class TestSolveGbsde:
         sol = solve_gbsde(band, gen, parse_scalar("0"), grid)
         assert sol.y_at(0.0, 0.0) == pytest.approx(2.0, abs=1e-6)
 
+    def test_a_source_beyond_half_the_largest_float_overflows_at_layer_one(self):
+        # the kernel forms G(2 f + D2 u): 2 f overflows where the paper's f + D2 u / 2 does not,
+        # so this solve, which gave Y0 = 5e307 in that form, stops at its first layer
+        band = VolatilityBand(0.25, 0.5)
+        gen = GeneratorPair(parse_tri("0"), parse_tri("1e308"), 0.0)
+        with pytest.raises(NonFiniteError) as err:
+            solve_gbsde(band, gen, parse_scalar("0"), make_grid(band, 1.0, nx=21))
+        assert err.value.layer == 1
+
     def test_constant_drift_separates(self, band, grid):
         # g = c shifts every layer by c * elapsed time on top of the pure
         # diffusion; the second difference ignores the shift, so the split
@@ -105,14 +120,20 @@ class TestSolveGbsde:
 
     def test_zero_valued_drivers_keep_the_heat_bytes(self, band, grid):
         # "0*y" and "0*z" are not the literal 0, so they take the driver step
-        # u + dt * (g + 2 G(f + D2 u / 2)); it must still give the heat bytes
-        gen = GeneratorPair(parse_tri("0*y"), parse_tri("0*z"), 0.0)
+        # u + dt * (g + G(2 f + D2 u)); it must still give the heat bytes, near-subnormal
+        # terminals included, where 2 G(a / 2) and G(a) may differ in the last bit
+        zero_valued = GeneratorPair(parse_tri("0*y"), parse_tri("0*z"), 0.0)
+        cases = [(band, grid, text) for text in ("tanh(x)", "-bump(x)", "-(x^2)")]
+        tiny = ("3e-308*tanh(5*x)", "-2e-308*sin(3*x)", "4e-308*exp(-(x^2))", "-5e-308*bump(2*x)")
+        for other in (band, VolatilityBand(0.25, 0.5), VolatilityBand(0.3, 1.7)):
+            cases += [(other, make_grid(other, 0.5, nx=21), text) for text in tiny]
         for picard in (False, True):
-            for text in ("tanh(x)", "-bump(x)", "-(x^2)"):
+            for band_, grid_, text in cases:
                 phi = parse_scalar(text)
-                heat = solve_g_heat(band, phi, grid)
-                sol = solve_gbsde(band, gen, phi, grid, picard=picard)
-                assert heat.u.tobytes() == sol.field.u.tobytes(), (text, picard)
+                heat = solve_g_heat(band_, phi, grid_)
+                for gen in (zero_generator(), zero_valued):
+                    sol = solve_gbsde(band_, gen, phi, grid_, picard=picard)
+                    assert heat.u.tobytes() == sol.field.u.tobytes(), (band_, text, picard, gen.g)
 
     def test_non_finite_terminal_raises_at_layer_zero(self, band, grid):
         with pytest.raises(NonFiniteError) as err:
@@ -282,6 +303,11 @@ class TestKIncrement:
             k_increment(band, 1.0, 3.0, 0.1)
         with pytest.raises(ValueError):
             k_increment(band, 1.0, 1.5, 0.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -0.1])
+    def test_rejects_a_step_that_is_not_finite_and_positive(self, band, dt):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            k_increment(band, 1.0, 1.5, dt)
 
 
 @pytest.fixture(scope="module")

@@ -85,6 +85,11 @@ class TestSolveGHeat:
         assert np.max(field.u) <= np.max(datum) + 1e-12
         assert np.min(field.u) >= np.min(datum) - 1e-12
 
+    def test_value_at_a_time_outside_the_field_is_refused(self, band):
+        field = solve_g_heat(band, parse_scalar("x^2"), make_grid(band, 0.5, nx=41))
+        with pytest.raises(ValueError, match="time 0.75 outside field range"):
+            field.value_at(0.75)
+
     def test_result_read_only(self, band, default_grid):
         field = solve_g_heat(band, parse_scalar("x"), default_grid)
         with pytest.raises(ValueError):
@@ -444,6 +449,10 @@ class TestConditional:
         with pytest.raises(ValueError):
             CylinderPayoff((-0.5, 0.5), lambda a, b: a)
 
+    def test_rejects_more_than_three_times(self):
+        with pytest.raises(ValueError, match="between 1 and 3 time points supported, got 4"):
+            CylinderPayoff((0.25, 0.5, 0.75, 1.0), lambda a, b, c, d: a)
+
     @pytest.mark.parametrize("times", [(0.5, np.inf), (np.nan, 1.0), (0.5, np.nan), (-np.inf, 1.0)])
     def test_rejects_a_time_that_is_not_finite(self, times):
         with pytest.raises(ValueError, match="time points must be finite"):
@@ -490,6 +499,13 @@ class TestTabulatedFunction:
     def test_refuses_an_axis_it_cannot_interpolate_on(self, axes, values, problem):
         with pytest.raises(ValueError, match=problem):
             TabulatedFunction(axes, values)
+
+    def test_refuses_a_read_it_cannot_place(self):
+        table = TabulatedFunction([[0.0, 1.0, 2.0], [-1.0, 1.0]], [[0.0, 2.0], [1.0, 3.0], [4.0, 6.0]])
+        with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+            table(0.5)
+        with pytest.raises(ValueError, match=r"coordinate 2\.5 outside table range \[0\.0, 2\.0\]"):
+            table(2.5, 0.0)
 
     @pytest.mark.parametrize("nx", [3, 81, 201, 801])
     @pytest.mark.parametrize("half_width", [1.0, 8.5, 1e6])

@@ -4,17 +4,20 @@ byte.
 
 The references below are the earlier forms: the zero-driver layer
 ``u + dt * (2 G(D2 u / 2))`` with G as half the difference of the two
-scaled parts; the driver layer ``u + dt * (g + 2 G(f + D2 u / 2))``
-formed in fresh arrays, with the drivers evaluated by walking the AST and
-G from the halved band ends; the tree step that formed both endpoint
-continuations and took their maximum; the lattice loop that built its
-views at every step; the path loop on numpy scalars with a ``node_index``
-lookup per ``markov`` step; and the AST walker.  The kernel now computes
-``u + dt * G(D2 u)`` and the driver layer in preallocated buffers, the
-tree ``mid + max(d, c d)`` in blocks of steps, the path loop on Python
-floats, and each expression through a closure compiled once.
-These identities are exact outside the subnormal range, so the bytes must
-agree.
+scaled parts; the driver layer in the paper's form
+``u + dt * (g + 2 G(f + D2 u / 2))`` formed in fresh arrays, with the
+drivers evaluated by walking the AST and G from the halved band ends; the
+tree step that formed both endpoint continuations and took their maximum;
+the lattice loop that built its views at every step; the path loop on
+numpy scalars with a ``node_index`` lookup per ``markov`` step; and the
+AST walker.  The kernel now computes ``u + dt * G(D2 u)`` and the driver
+layer ``u + dt * (g + G(2 f + D2 u))`` in preallocated buffers, the tree
+``mid + max(d, c d)`` in blocks of steps, the path loop on Python floats,
+and each expression through a closure compiled once.  These identities
+are exact outside the subnormal range (and, for the driver layer, where
+neither |2 f| nor |2 f + D2 u| overflows), so the bytes must agree.  On
+subnormal data the kernel is compared with its own form in fresh arrays,
+and the heat march with the march of zero-valued drivers.
 """
 
 import math
@@ -372,7 +375,17 @@ def reference_gradient(u, dx):
     return z
 
 
-def reference_driver_layers(band, dx, dt, nt, datum, gen, times, picard):
+def paper_increment(band, dt, g_term, f_term, d2):
+    """dt * (g + 2 G(f + D2 u / 2)), the paper's form."""
+    return dt * (g_term + 2.0 * reference_halved_g(band, f_term + 0.5 * d2))
+
+
+def kernel_increment(band, dt, g_term, f_term, d2):
+    """dt * (g + G(2 f + D2 u)), the kernel's form, which differs from the paper's only on subnormals and overflow."""
+    return dt * (g_term + reference_halved_g(band, 2.0 * f_term + d2))
+
+
+def reference_driver_layers(band, dx, dt, nt, datum, gen, times, picard, form=paper_increment):
     """Datum and every layer of the allocating driver march, drivers walked node by node."""
 
     def drivers(t, y, z):
@@ -380,7 +393,7 @@ def reference_driver_layers(band, dx, dt, nt, datum, gen, times, picard):
         return reference_eval(gen.g.ast, env), reference_eval(gen.f.ast, env)
 
     def increment(g_term, f_term, d2):
-        return dt * (g_term + 2.0 * reference_halved_g(band, f_term + 0.5 * d2))
+        return form(band, dt, g_term, f_term, d2)
 
     layers = [datum]
     with np.errstate(all="ignore"):
@@ -839,6 +852,12 @@ class TestEnvelope:
 SIGNED_TINY = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 2.2250738585072014e-308, -1e-300, 1.0, -2.0])
 
 
+def tiny_datum(data, rows, nx):
+    """A (rows, nx) datum drawn from SIGNED_TINY, or an (nx,) one for a single row."""
+    shape = (rows, nx) if rows > 1 else (nx,)
+    return np.array(data.draw(st.lists(SIGNED_TINY, min_size=rows * nx, max_size=rows * nx))).reshape(shape)
+
+
 class TestLiteralZeroDrivers:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -851,13 +870,36 @@ class TestLiteralZeroDrivers:
         picard=st.booleans(),
     )
     def test_a_literal_zero_driver_has_the_bits_of_its_add(self, band, nx, dx, rows, data, drivers, picard):
-        # the kernel neither evaluates nor adds a literal-zero driver; the reference adds 0.0
-        shape = (rows, nx) if rows > 1 else (nx,)
-        datum = np.array(data.draw(st.lists(SIGNED_TINY, min_size=rows * nx, max_size=rows * nx))).reshape(shape)
+        # the kernel neither evaluates nor adds a literal-zero driver; the reference, the kernel's
+        # own form u + dt * (g + G(2 f + D2 u)) in fresh arrays, adds 0.0
+        datum = tiny_datum(data, rows, nx)
         nt, dt = 6, 0.45 * dx * dx / band.sigma_max_sq
         gen, times = driver_pair(*drivers), np.linspace(1.0, 0.0, 7)
-        out = np.empty((nt + 1,) + shape)
+        out = np.empty((nt + 1,) + datum.shape)
         _march(band, dx, dt, nt, datum, gen.g, gen.f, times, picard, out=out)
-        reference = reference_driver_layers(band, dx, dt, nt, datum, gen, times, picard)
+        reference = reference_driver_layers(band, dx, dt, nt, datum, gen, times, picard, kernel_increment)
         for k, layer in enumerate(reference):
             assert out[k].tobytes() == layer.tobytes(), f"layer {k}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        band=bands,
+        nx=st.integers(3, 15),
+        dx=st.floats(0.5, 4.0),
+        rows=st.integers(1, 3),
+        data=st.data(),
+        picard=st.booleans(),
+    )
+    def test_zero_drivers_march_the_heat_bytes(self, band, nx, dx, rows, data, picard):
+        # the literal 0 takes the heat step itself, and 0*y, 0*z add signed zeros to G(D2 u),
+        # which G never makes -0: the heat bytes on subnormal data too
+        datum = tiny_datum(data, rows, nx)
+        nt, dt = 6, 0.45 * dx * dx / band.sigma_max_sq
+        times = np.linspace(1.0, 0.0, 7)
+        heat = np.empty((nt + 1,) + datum.shape)
+        _march(band, dx, dt, nt, datum, out=heat)
+        for drivers in (("0", "0"), ("0*y", "0*z")):
+            gen = driver_pair(*drivers)
+            out = np.empty_like(heat)
+            _march(band, dx, dt, nt, datum, gen.g, gen.f, times, picard, out=out)
+            assert out.tobytes() == heat.tobytes(), drivers

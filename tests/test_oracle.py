@@ -51,6 +51,15 @@ class TestTreeExpectation:
             quad = gauss_hermite_expectation(phi, 1.5)
             assert tree == pytest.approx(quad, abs=1e-3), text
 
+    @pytest.mark.parametrize("variance", [np.nan, np.inf, -1.0])
+    def test_quadrature_rejects_a_variance_that_is_not_finite_and_nonnegative(self, variance):
+        # NaN returned NaN, and -1 failed in a square root as "math domain error"
+        with pytest.raises(ValueError, match="variance must be finite and >= 0"):
+            gauss_hermite_expectation(parse_scalar("x^2"), variance)
+
+    def test_quadrature_at_variance_zero_is_phi_at_zero(self):
+        assert gauss_hermite_expectation(parse_scalar("cos(x) + 1"), 0.0) == pytest.approx(2.0, rel=1e-12)
+
     @settings(max_examples=200, deadline=None)
     @given(
         sigma_min_sq=st.floats(0.1, 2.0),
@@ -302,3 +311,7 @@ class TestLatticePathInvariants:
                 a=np.ones(3),
                 qv=np.zeros(3),
             )
+
+    def test_rejects_positions_of_another_length(self):
+        with pytest.raises(ValueError, match="times, b and qv must have equal length"):
+            LatticePath(times=np.linspace(0, 1, 3), b=np.zeros(4), a=np.ones(2), qv=np.zeros(3))
