@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, _check_time, g_eval, make_grid
+from .core import SpaceTimeGrid, VolatilityBand, _check_count, _check_time, g_eval, make_grid
 from .expr import EvalDomainError, ScalarFunction, parse_scalar
 from .gbsde import GeneratorPair, _nonlinear_expectations, solve_gbsde
 
@@ -163,11 +163,17 @@ def check_g_convexity(
     changes from rounding).  Witnesses come out in scan order, y-major,
     so the report does not depend on how the pass is evaluated.  A cell
     whose gap is NaN raises EvalDomainError naming its (y, z); a ``t``
-    that is negative or not finite raises ValueError.
+    that is negative or not finite, a range with an end that is NaN or
+    infinite, or a ``resolution`` that is a float or a bool raises
+    ValueError naming it, before any cell is evaluated.
     """
+    _check_count("resolution", resolution)
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16, got {resolution}")
     _check_time(t)
+    for name, ends in (("y_range", y_range), ("z_range", z_range)):
+        if not all(map(math.isfinite, ends)):
+            raise ValueError(f"{name} must have finite ends, got {tuple(ends)}")
     ys = np.linspace(y_range[0], y_range[1], resolution)
     zs = np.linspace(z_range[0], z_range[1], resolution)
     inf_gap, arg = _reduce_mesh(band, gen, h, t, ys, zs)

@@ -84,6 +84,9 @@ def g_eval(band: VolatilityBand, a):
 _ZERO = np.zeros(())  # a 0-d array: numpy takes it per call faster than the float 0.0
 _ZERO.setflags(write=False)
 _TINY = np.finfo(float).tiny  # the smallest normal float
+# the kernel's ufuncs, bound once; they take their output by position, which numpy parses
+# faster per call than the out= keyword (np.maximum keeps out=: a third positional is deprecated)
+_add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
 
 
 def _g_into(hi, lo, a, out=None, scratch=None):
@@ -100,9 +103,9 @@ def _g_into(hi, lo, a, out=None, scratch=None):
     (arrays shaped like a, distinct from each other and from a) the result
     is written into ``out`` and nothing is allocated.
     """
-    up = np.multiply(hi, a, out=out)
-    up = np.maximum(up, np.multiply(lo, a, out=scratch), out=out)
-    return np.add(up, _ZERO, out=out)
+    up = _multiply(hi, a, out)
+    up = np.maximum(up, _multiply(lo, a, scratch), out=out)
+    return _add(up, _ZERO, out)
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,8 @@ class SpaceTimeGrid:
     """Uniform grid on [0, horizon] x [x_min, x_max].
 
     ``nx`` counts nodes (spacing (x_max - x_min)/(nx - 1)); ``nt`` counts
-    time steps (spacing horizon/nt).  The horizon, the two ends and the
+    time steps (spacing horizon/nt); each is a Python or numpy integer, not
+    a float or a bool.  The horizon, the two ends and the
     spacing must be finite.  The domain must straddle 0 and x = 0 must be a
     node (to 1e-9 dx), since every value "at x = 0" reads it.
     """
@@ -125,6 +129,8 @@ class SpaceTimeGrid:
         # horizon first: a default domain derived from a bad horizon is empty
         if not (self.horizon > 0.0):
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
+        _check_count("nx", self.nx)
+        _check_count("nt", self.nt)
         if self.nx < 3:
             raise ValueError(f"nx must be >= 3, got {self.nx}")
         if self.nt < 1:
@@ -189,6 +195,12 @@ def _check_time(t: float) -> None:
     """Raise ValueError unless t is finite and >= 0: a time a driver or a tree may start from."""
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
+
+
+def _check_count(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless value is a Python or numpy integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def cfl_time_steps(

@@ -71,7 +71,17 @@ from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_CFL_THETA, SpaceTimeGrid, VolatilityBand, _g_into, make_grid
+from .core import (
+    DEFAULT_CFL_THETA,
+    SpaceTimeGrid,
+    VolatilityBand,
+    _add,
+    _divide,
+    _g_into,
+    _multiply,
+    _subtract,
+    make_grid,
+)
 from .expr import Lit, ScalarFunction
 
 __all__ = [
@@ -124,10 +134,10 @@ def _d2_into(lo, mid, hi, dx_sq, inner) -> None:
     its right neighbour; 2 mid is formed exactly as mid + mid.  The kernel
     passes views built once per layer buffer, the allocating form fresh ones.
     """
-    np.add(mid, mid, out=inner)
-    np.subtract(hi, inner, out=inner)
-    np.add(inner, lo, out=inner)
-    np.divide(inner, dx_sq, out=inner)
+    _add(mid, mid, inner)
+    _subtract(hi, inner, inner)
+    _add(inner, lo, inner)
+    _divide(inner, dx_sq, inner)
 
 
 def _gradient_views(u: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -143,11 +153,11 @@ def _gradient_into(views, dx, two_dx, inner, ends) -> None:
     ``views`` come from ``_gradient_views``; ``two_dx`` is 2 dx.
     """
     hi, lo, right, left = views
-    np.subtract(hi, lo, out=inner)
-    np.divide(inner, two_dx, out=inner)
+    _subtract(hi, lo, inner)
+    _divide(inner, two_dx, inner)
     # both ends in one pass: (u[1] - u[0], u[n-1] - u[n-2]) / dx
-    np.subtract(right, left, out=ends)
-    np.divide(ends, dx, out=ends)
+    _subtract(right, left, ends)
+    _divide(ends, dx, ends)
 
 
 def _second_difference(u: np.ndarray, dx_sq) -> np.ndarray:
@@ -315,7 +325,7 @@ def _march(
                 if not driven:
                     # u + dt * G(D2 u): the driver step with nothing to add
                     _g_into(half_max, half_min, d2, row, scratch)
-                    np.multiply(row, step, out=row)
+                    _multiply(row, step, row)
                 else:
                     t, y, y_views = layer_times[k], layer, gradient
                     # dt * (g + G(2 f + D2 u)), into the Picard predictor first when there is one
@@ -325,19 +335,19 @@ def _march(
                             _gradient_into(y_views, grad_dx, two_dx, grad_inner, grad_ends)
                             env["z"] = grad
                         if f is not None:  # 2 f is exact, so 2 f + D2 u rounds once, as f + D2 u / 2 does
-                            np.add(np.multiply(two, f(env), out=arg), d2, out=arg)
+                            _add(_multiply(two, f(env), arg), d2, arg)
                         _g_into(half_max, half_min, arg, into, scratch)
                         if g is not None:
-                            np.add(g(env), into, out=into)
-                        np.multiply(step, into, out=into)
+                            _add(g(env), into, into)
+                        _multiply(step, into, into)
                         if into is predictor:  # the drivers are evaluated again at u + increment
-                            np.add(layer, predictor, out=predictor)
+                            _add(layer, predictor, predictor)
                             if np.vdot(predictor, zeros) != 0.0:
                                 if not each:
                                     return None
                                 _raise_failure(k, predictor, zeros, None)
                             y, y_views = predictor, predictor_views
-                np.add(layer, row, out=row)
+                _add(layer, row, row)
                 if limits is None:
                     if each and np.vdot(row, zeros) != 0.0:
                         _raise_failure(k, row, zeros, None)

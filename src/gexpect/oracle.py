@@ -8,7 +8,11 @@ endpoints (exact for a reward linear in the variance), plus K's per-step
 ``_k_step`` in ``tree_k_expectation``.  The loop builds its slice views
 once per block of ``_BLOCK`` steps: a block steps the window of its first
 step, and the outer nodes it updates beyond the shrinking cone are never
-read by the root.  It steps under ``np.errstate(all="ignore")``, as the
+read by the root.  Every stack, one column or many, and the reward path
+step one flat view of the node-major lattice: a node's neighbours are
+contiguous 1-d runs B values away, and numpy's ufuncs take their outputs
+by position, which it parses faster per call than the ``out=`` keyword
+(``np.maximum`` keeps ``out=``).  It steps under ``np.errstate(all="ignore")``, as the
 heat march does, so it warns nothing; a root that is not finite comes back
 as it is.  The step reads no dt, so
 ``tree_expectation_batch`` marches trees of several functions and times on
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, _check_time
+from .core import SpaceTimeGrid, VolatilityBand, _add, _check_count, _check_time, _multiply, _subtract
 from .gbsde import _k_step
 
 __all__ = [
@@ -134,11 +138,14 @@ def _lattice(band: VolatilityBand, dts, steps: int, terminals, reward=None) -> n
     one ``steps`` march as one recurrence; every operation is elementwise,
     so each column keeps the bits of its own march.  Nodes run along axis 0
     and the B columns of a node lie together: the working set stays that of
-    one tree B values wide, where a row per tree falls out of cache.
+    one tree B values wide, where a row per tree falls out of cache.  The
+    loop steps the lattice as one flat array, so lo, mid and hi are 1-d runs
+    B values apart for every B, and the ufuncs take their outputs by
+    position; a stack of one steps 1-d views, not (n, 1) columns.
 
     The views are built once per block of ``_BLOCK`` steps: a block steps
     the window of its first step's cone, and the reward reads that window's
-    nodes (``xs`` a column).  The up to ``_BLOCK - 1`` outer nodes per side
+    nodes (``xs`` 1-d).  The up to ``_BLOCK - 1`` outer nodes per side
     that its later steps update lie outside the root's cone and are never
     read, so the root keeps the bits of a loop that forms only the cone.
     The steps run under ``np.errstate(all="ignore")``, as the heat march
@@ -147,25 +154,29 @@ def _lattice(band: VolatilityBand, dts, steps: int, terminals, reward=None) -> n
     finite, returned as it is.
     """
     dxs = [band.sigma_max * math.sqrt(dt) for dt in dts]
+    width = len(dxs)
     ks = np.arange(-steps, steps + 1)
-    values = _empty_on_line((2 * steps + 1, len(dxs)))  # the lattice is stepped in place
+    values = _empty_on_line((2 * steps + 1, width))  # the lattice is stepped in place
     for b, (terminal, dx) in enumerate(zip(terminals, dxs)):
         values[:, b] = terminal(dx * ks)
-    xs = dxs[0] * ks[:, None]  # the reward's nodes, for a stack of one
+    flat = values.reshape(-1)  # node-major: node k's B columns lie at [k B, (k + 1) B)
+    xs = dxs[0] * ks  # the reward's nodes, for a stack of one
     c = np.array(2.0 * (band.sigma_min_sq / (2.0 * band.sigma_max_sq)))  # 2 p_low
-    d, cd = _empty_on_line((2 * steps - 1, len(dxs))), _empty_on_line((2 * steps - 1, len(dxs)))
+    d, cd = _empty_on_line(((2 * steps - 1) * width,)), _empty_on_line(((2 * steps - 1) * width,))
     with np.errstate(all="ignore"):
         for first in range(steps - 1, -1, -_BLOCK):  # the forward step i of the block's first step
-            # the cone of that step, and the nodes of its mid for the reward
-            window, x = values[steps - 1 - first : steps + 2 + first], xs[steps - first : steps + 1 + first]
-            lo, mid, hi, dn, cdn = window[:-2], window[1:-1], window[2:], d[: 2 * first + 1], cd[: 2 * first + 1]
+            # the cone of that step (nodes steps - first .. steps + first and one each side), as
+            # three contiguous runs of the flat lattice B apart, and the nodes of its mid for the reward
+            start, n = (steps - 1 - first) * width, (2 * first + 1) * width
+            lo, mid, hi = (flat[at : at + n] for at in range(start, start + 3 * width, width))
+            dn, cdn, x = d[:n], cd[:n], xs[steps - first : steps + 1 + first]
             for i in range(first, max(first - _BLOCK, -1), -1):
-                np.add(hi, lo, out=dn)
-                np.multiply(dn, _HALF, out=dn)
-                np.subtract(dn, mid, out=dn)
-                np.multiply(dn, c, out=cdn)
+                _add(hi, lo, dn)
+                _multiply(dn, _HALF, dn)
+                _subtract(dn, mid, dn)
+                _multiply(dn, c, cdn)
                 if reward is None:
-                    np.add(mid, np.maximum(dn, cdn, out=dn), out=mid)
+                    _add(mid, np.maximum(dn, cdn, out=dn), mid)
                 else:
                     top, bottom = reward(i, x)
                     np.maximum(top + (mid + dn), bottom + (mid + cdn), out=mid)
@@ -180,7 +191,8 @@ def tree_expectation_batch(band: VolatilityBand, phis, times, steps: int) -> np.
     tree step reads no dt, which only sets where a terminal is sampled, so
     every tree of the stack is a column of one ``_lattice`` march.  Every
     time must be finite and >= 0, and steps >= 1; both are checked before
-    any phi is evaluated.  An empty ``phis`` or ``times`` raises ValueError.
+    any phi is evaluated; a ``steps`` that is a float or a bool raises
+    ValueError.  An empty ``phis`` or ``times`` raises ValueError.
     """
     if not len(phis):
         raise ValueError("phis must hold at least one function")
@@ -188,6 +200,7 @@ def tree_expectation_batch(band: VolatilityBand, phis, times, steps: int) -> np.
         raise ValueError("times must hold at least one time")
     for t in times:
         _check_time(t)
+    _check_count("steps", steps)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     dts = [t / steps for t in times]
@@ -222,8 +235,10 @@ def simulate_path(
     endpoint, ``random`` flips it per step, ``markov`` plays the band
     endpoint that locally attains the worst case for the supplied
     backward solution (sign of its eta at the current node); it raises
-    ValueError unless ``grid`` has the solution's nt and horizon.
+    ValueError unless ``grid`` has the solution's nt and horizon.  ``seed``
+    is a Python or numpy integer; a float or a bool raises ValueError.
     """
+    _check_count("seed", seed)
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
     if policy == "markov":
@@ -234,7 +249,7 @@ def simulate_path(
         # five times a whole step of this loop; the reference path test pins the two together
         eta, field_nt = field.eta, field.grid.nt
         x_min, dx, last = field.grid.x_min, field.grid.dx, field.grid.nx - 1
-    rng = _Xorshift64Star(seed)
+    rng = _Xorshift64Star(int(seed))  # the generator's 64-bit arithmetic needs a Python int
     nt = grid.nt
     low, high = band.sigma_min_sq, band.sigma_max_sq
     # each step is sqrt(a * dt) for a band end; the loop runs on Python floats
@@ -296,7 +311,7 @@ def tree_k_expectation(band: VolatilityBand, sol) -> float:
     in floating point (outside the subnormal range), so it shows only that
     no control makes K's worst-case mean positive.
     """
-    dt, ends = sol.grid.dt, np.array([[[band.sigma_max_sq]], [[band.sigma_min_sq]]])
+    dt, ends = sol.grid.dt, np.array([[band.sigma_max_sq], [band.sigma_min_sq]])
     (root,) = _lattice(  # the reward rows are K's step at the top and the bottom band end
         band, [dt], sol.grid.nt, [np.zeros_like], lambda i, xs: _k_step(band, sol.eta_forward(i, xs), ends, dt)
     )

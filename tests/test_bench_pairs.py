@@ -137,21 +137,33 @@ def fake_perfbench(calls, fail_tree=None):
 
 
 def test_a_traced_run_per_side_keeps_its_layer_metrics_or_its_error(monkeypatch):
+    # three traced runs per side, alternating which side runs first; each side keeps every run
+    # and each metric's median, min and max over its completed runs
     calls = []
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_perfbench(calls, fail_tree="change"))
     trees = {"parent": Path("parent"), "change": Path("change")}
     traced = bench_pairs._traced(trees, "heat-oracle", 1751, 20)
-    assert calls == [("parent", "1", "1751"), ("change", "1", "1751")]
+    assert [c[0] for c in calls] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert {c[1:] for c in calls} == {("1", "1751")}
     layers = {"gheat.us_per_layer.nx201": 1.0, "oracle.tree_s": 1.0}
-    assert traced == {
-        "seed": 1751,
-        "parent": {"attempted": 7, "failed": 0, "metrics": layers},
-        "change": {"error": ["RuntimeError: worker exited with status 1"]},
-    }
+    error = {"error": ["RuntimeError: worker exited with status 1"]}
+    assert traced["seed"] == 1751
+    assert [run["first"] for run in traced["runs"]] == ["parent", "change", "parent"]
+    for run in traced["runs"]:
+        assert run["parent"] == {"attempted": 7, "failed": 0, "metrics": layers}
+        assert run["change"] == error
+    spread = {"median": 1.0, "min": 1.0, "max": 1.0}
+    assert traced["parent"] == {"completed": 3, "metrics": {name: spread for name in layers}}
+    assert traced["change"] == {"completed": 0, "metrics": {}}
+
+
+def test_the_spread_of_traced_runs_is_their_median_min_and_max():
+    runs = [{"metrics": {"a": 3.0}}, {"error": ["exit 1"]}, {"metrics": {"a": 1.0}}, {"metrics": {"a": 2.0}}]
+    assert bench_pairs._spread(runs) == {"completed": 3, "metrics": {"a": {"median": 2.0, "min": 1.0, "max": 3.0}}}
 
 
 def test_main_stores_each_workloads_traced_runs(monkeypatch, tmp_path):
-    # the pairs run --trace 0 on every seed, then one --trace 1 run per side on the first seed
+    # the pairs run --trace 0 on every seed, then three --trace 1 runs per side on the first seed
     calls = []
     monkeypatch.setattr(bench_pairs, "_export", lambda rev, dest: rev)
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_perfbench(calls, fail_tree="change"))
@@ -161,10 +173,14 @@ def test_main_stores_each_workloads_traced_runs(monkeypatch, tmp_path):
     document = json.loads(out.read_text())
     workloads = [w["name"] for w in json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())["workloads"]]
     assert list(document["workloads"]) == workloads
+    spread = {"median": 1.0, "min": 1.0, "max": 1.0}
     for workload in workloads:
         traced = document["workloads"][workload]["traced"]
-        assert traced["seed"] == 5
-        assert traced["parent"]["metrics"] == {"gheat.us_per_layer.nx201": 1.0, "oracle.tree_s": 1.0}
-        assert traced["change"] == {"error": ["RuntimeError: worker exited with status 1"]}
-    assert [c for c in calls if c[1] == "1"] == [("parent", "1", "5"), ("change", "1", "5")] * len(workloads)
-    assert len(calls) == len(workloads) * (2 * 2 + 2)
+        assert traced["seed"] == 5 and len(traced["runs"]) == 3
+        assert traced["parent"] == {"completed": 3, "metrics": {"gheat.us_per_layer.nx201": spread, "oracle.tree_s": spread}}
+        assert traced["change"] == {"completed": 0, "metrics": {}}
+        assert all(run["change"] == {"error": ["RuntimeError: worker exited with status 1"]} for run in traced["runs"])
+    traced_order = [("parent", "1", "5"), ("change", "1", "5"), ("change", "1", "5"), ("parent", "1", "5")]
+    traced_order += traced_order[:2]
+    assert [c for c in calls if c[1] == "1"] == traced_order * len(workloads)
+    assert len(calls) == len(workloads) * (2 * 2 + 2 * 3)

@@ -243,6 +243,18 @@ class TestCheckGConvexity:
         with pytest.raises(ValueError):
             check_g_convexity(band, zero_generator(), parse_scalar("x"), (-1, 1), (-1, 1), resolution=8)
 
+    @pytest.mark.parametrize("resolution", [33.0, True, np.float64(33.0)])
+    def test_a_resolution_that_is_not_an_integer_is_refused_by_name(self, band, resolution):
+        with pytest.raises(ValueError, match=r"^resolution must be an integer, got "):
+            check_g_convexity(band, zero_generator(), parse_scalar("x"), (-1, 1), (-1, 1), resolution=resolution)
+
+    @pytest.mark.parametrize("which", ["y_range", "z_range"])
+    @pytest.mark.parametrize("ends", [(math.nan, 1.0), (-1.0, math.inf), (-math.inf, 1.0)])
+    def test_a_range_with_an_end_that_is_not_finite_is_refused_by_name(self, band, which, ends):
+        ranges = {"y_range": (-1.0, 1.0), "z_range": (-1.0, 1.0), which: ends}
+        with pytest.raises(ValueError, match=rf"^{which} must have finite ends, got "):
+            check_g_convexity(band, zero_generator(), parse_scalar("x^2"), **ranges)
+
     def test_nan_gap_raises_for_one_cell(self):
         # one cell raises as the whole scan does, naming the cell
         with pytest.raises(EvalDomainError, match=r"\(y, z\) = \(5e-324, 0.5\)"):

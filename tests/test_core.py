@@ -126,6 +126,18 @@ class TestSpaceTimeGrid:
         with pytest.raises(ValueError, match=field):
             SpaceTimeGrid(**kwargs)
 
+    @pytest.mark.parametrize("name", ["nx", "nt"])
+    @pytest.mark.parametrize("value", [21.0, True, np.float64(21.0)])
+    def test_a_count_that_is_not_an_integer_is_refused_by_name(self, name, value):
+        counts = {"nx": 21, "nt": 4, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            SpaceTimeGrid(horizon=1.0, x_min=-1.0, x_max=1.0, **counts)
+
+    def test_make_grid_refuses_a_float_nx_and_takes_a_numpy_integer(self, band):
+        with pytest.raises(ValueError, match=r"^nx must be an integer, got 21\.0$"):
+            make_grid(band, 1.0, nx=21.0)
+        assert make_grid(band, 1.0, nx=np.int64(21)) == make_grid(band, 1.0, nx=21)
+
     @pytest.mark.parametrize("half_width,field", [(math.inf, "x_min must be finite"), (1e308, "dx must be finite")])
     def test_make_grid_refuses_a_width_that_is_not_finite(self, band, half_width, field):
         with pytest.raises(ValueError, match=field):

@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gexpect import (
     BlowUpError,
@@ -286,6 +286,26 @@ class TestTreeStep:
             assert not caught
             roots = _lattice(band, dts, steps, [terminal] * len(dts))
             assert roots.tobytes() == expected.tobytes(), terminal
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        band=bands,
+        # the block edges, where a block's window and the next block's first step meet
+        steps=st.one_of(st.sampled_from([1, 31, 32, 33, 63, 64, 65]), st.integers(1, 300)),
+        columns=st.lists(
+            st.tuples(st.floats(0.01, 3.0), st.sampled_from(CATALOG_TEXTS)),
+            min_size=1, max_size=8, unique_by=lambda column: column[0],
+        ),
+    )
+    @example(band=VolatilityBand(1.0, 2.0), steps=1, columns=[(1.0, "x^2")])
+    @example(band=VolatilityBand(0.3, 1.2), steps=65, columns=[(0.1 * (k + 1), t) for k, t in enumerate(CATALOG_TEXTS)])
+    def test_flat_lattice_matches_the_per_step_loop_for_any_stack(self, band, steps, columns):
+        # the flat lattice steps every stack, one column or eight, as 1-d runs B values apart
+        dts = [t / steps for t, _ in columns]
+        assume(len(set(dts)) == len(dts))
+        terminals = [parse_scalar(text) for _, text in columns]
+        expected = reference_lattice(band, dts, steps, terminals)
+        assert _lattice(band, dts, steps, terminals).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("steps", [1, 2, 31, 32, 33, 64, 65, 200])
     @pytest.mark.parametrize("cone_only", [False, True])

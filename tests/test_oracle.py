@@ -176,6 +176,19 @@ class TestTreeExpectationBatch:
             tree_expectation_batch(band, [phi, phi], times, steps)
         assert calls == []
 
+    @pytest.mark.parametrize("steps", [2.0, True, np.float64(10.0)])
+    def test_a_steps_that_is_not_an_integer_is_refused_before_any_phi(self, band, steps):
+        calls = []
+        with pytest.raises(ValueError, match=r"^steps must be an integer, got "):
+            tree_expectation_batch(band, [lambda xs: calls.append(xs) or xs], [0.5], steps)
+        assert calls == []
+        with pytest.raises(ValueError, match=r"^steps must be an integer, got "):
+            tree_expectation(band, parse_scalar("x^2"), 1.0, steps)
+
+    def test_a_numpy_integer_steps_keeps_the_bits(self, band):
+        phi = parse_scalar("x^4")
+        assert tree_expectation(band, phi, 1.0, np.int64(40)) == tree_expectation(band, phi, 1.0, 40)
+
     @pytest.mark.parametrize(("phis", "times", "name"), [([], [1.0], "phis"), ([parse_scalar("x")], [], "times")])
     def test_an_empty_list_is_refused_by_name(self, band, phis, times, name):
         with pytest.raises(ValueError, match=f"^{name} must hold at least one"):
@@ -220,6 +233,16 @@ class TestSimulatePath:
     def test_unknown_policy_rejected(self, band, pow2_grid):
         with pytest.raises(ValueError):
             simulate_path(band, "clever", pow2_grid, 1)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True])
+    def test_a_seed_that_is_not_an_integer_is_refused_by_name(self, band, pow2_grid, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+            simulate_path(band, "random", pow2_grid, seed)
+
+    def test_a_numpy_integer_seed_is_the_python_seed(self, band, pow2_grid):
+        p1 = simulate_path(band, "random", pow2_grid, np.uint64(2**64 - 1))
+        p2 = simulate_path(band, "random", pow2_grid, 2**64 - 1)
+        assert p1.b.tobytes() == p2.b.tobytes() and p1.a.tobytes() == p2.a.tobytes()
 
     def test_markov_needs_field(self, band, pow2_grid):
         with pytest.raises(ValueError):

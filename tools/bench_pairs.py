@@ -15,9 +15,11 @@ each workload and end-to-end metric each side's median and quartiles,
 the change's pair wins and ties, and whether a gain is shown: the
 change wins at least nine tenths of all pairs run, errored ones
 included, and the medians differ by more than the parent's quartile
-spread.  After a workload's pairs, one ``--trace 1`` run per side on the
-first seed gives its per-layer metrics, stored under the workload's
-``traced`` with that seed (an errored traced run is kept as its error).
+spread.  After a workload's pairs, three ``--trace 1`` runs per side on
+the first seed, alternating which side runs first, give its per-layer
+metrics: the workload's ``traced`` keeps that seed, every run (an
+errored one as its error) and, for each side, each metric's median, min
+and max over its completed runs.
 ``regressed`` marks a change median worse than the parent's by more than
 the metric's bound in ``BENCHMARK.json`` (relative to the parent
 median).  ``unresolved`` marks a metric whose parent quartile spread is
@@ -48,6 +50,7 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
+_TRACED_RUNS = 3  # traced runs per side and workload
 
 
 def _git(*args: str) -> bytes:
@@ -82,8 +85,27 @@ def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> 
 
 
 def _traced(trees: dict, workload: str, seed: int, seconds: int) -> dict:
-    """One ``--trace 1`` run per side on ``seed``: the per-layer metrics, or the run's error."""
-    return {"seed": seed, **{side: _run(tree, workload, seed, seconds, trace=1) for side, tree in trees.items()}}
+    """``_TRACED_RUNS`` ``--trace 1`` runs per side on ``seed``, parent first in even ones.
+
+    One traced run carries the host's whole run-to-run noise, so each side
+    keeps every run and, per metric, the median, min and max of its
+    completed runs.
+    """
+    runs = []
+    for i in range(_TRACED_RUNS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        runs.append({"first": order[0], **{side: _run(trees[side], workload, seed, seconds, trace=1) for side in order}})
+    return {"seed": seed, "runs": runs, **{side: _spread([run[side] for run in runs]) for side in trees}}
+
+
+def _spread(runs: list[dict]) -> dict:
+    """Each metric's median, min and max over the completed runs, and the count of those runs."""
+    done = [run["metrics"] for run in runs if "metrics" in run]
+    spread = {}
+    for name in done[0] if done else ():
+        values = [metrics[name] for metrics in done if name in metrics]
+        spread[name] = {"median": statistics.median(values), "min": min(values), "max": max(values)}
+    return {"completed": len(done), "metrics": spread}
 
 
 def _side(values: list[float]) -> dict:
