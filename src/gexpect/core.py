@@ -114,9 +114,9 @@ class SpaceTimeGrid:
 
     ``nx`` counts nodes (spacing (x_max - x_min)/(nx - 1)); ``nt`` counts
     time steps (spacing horizon/nt); each is a Python or numpy integer, not
-    a float or a bool.  The horizon, the two ends and the
-    spacing must be finite.  The domain must straddle 0 and x = 0 must be a
-    node (to 1e-9 dx), since every value "at x = 0" reads it.
+    a float or a bool.  The horizon, the two ends and the spacing must be
+    finite.  The domain must straddle 0 and x = 0 must be a node (to 1e-9
+    dx), since every value "at x = 0" reads it.
     """
 
     horizon: float

@@ -20,7 +20,9 @@ gradient's four when a driver reads z) are built once per buffer: for the
 datum and the two alternating buffers before the march, for a checkpoint
 row once it is written.  ``_d2_into`` and ``_gradient_into`` are the one
 form of each stencil, for the kernel and for the allocating
-``_second_difference`` and ``_space_gradient`` alike.  A solved
+``_second_difference`` and ``_space_gradient`` alike.  The kernel's
+ufuncs take their outputs by position, which numpy parses faster per call
+than the ``out=`` keyword (``np.maximum`` keeps ``out=``).  A solved
 field keeps every floor(sqrt(nt))-th layer and the last two, and a read
 of any other layer re-marches from the checkpoint before it, which
 repeats the first march's bits.  A field gives its layers, the whole

@@ -10,12 +10,12 @@ once per block of ``_BLOCK`` steps: a block steps the window of its first
 step, and the outer nodes it updates beyond the shrinking cone are never
 read by the root.  Every stack, one column or many, and the reward path
 step one flat view of the node-major lattice: a node's neighbours are
-contiguous 1-d runs B values away, and numpy's ufuncs take their outputs
-by position, which it parses faster per call than the ``out=`` keyword
-(``np.maximum`` keeps ``out=``).  It steps under ``np.errstate(all="ignore")``, as the
-heat march does, so it warns nothing; a root that is not finite comes back
-as it is.  The step reads no dt, so
-``tree_expectation_batch`` marches trees of several functions and times on
+contiguous 1-d runs B values away, and the ufuncs take their outputs by
+position, which numpy parses faster per call than the ``out=`` keyword
+(``np.maximum`` keeps ``out=``).  The loop steps under
+``np.errstate(all="ignore")``, as the heat march does, so it warns
+nothing; a root that is not finite comes back as it is.  The step reads
+no dt, so ``tree_expectation_batch`` marches trees of several functions and times on
 one band as the columns of one lattice, each with its own tree's bits;
 ``tree_expectation`` is the stack of one.  The tree's independence from the
 PDE solve lies in this lattice, not in the expression compiler, which
