@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, _check_count, _check_time, g_eval, make_grid
+from .core import SpaceTimeGrid, VolatilityBand, _check_count, _check_nonnegative, _check_positive, g_eval, make_grid
 from .expr import EvalDomainError, ScalarFunction, parse_scalar
 from .gbsde import GeneratorPair, _nonlinear_expectations, solve_gbsde
 
@@ -138,7 +138,6 @@ def reduce_over_A(
 class ConvexityReport:
     verdict: str  # "holds" | "fails"
     witnesses: tuple[tuple[float, float, float, float], ...]  # (y, z, A, gap)
-    scanned: tuple[tuple[float, float, int], tuple[float, float, int]]
     min_gap: float
     cells: np.ndarray = field(compare=False, repr=False)  # read-only [y, z] -> (y, z, A, gap)
 
@@ -170,7 +169,7 @@ def check_g_convexity(
     _check_count("resolution", resolution)
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16, got {resolution}")
-    _check_time(t)
+    _check_nonnegative("t", t)
     for name, ends in (("y_range", y_range), ("z_range", z_range)):
         if not all(map(math.isfinite, ends)):
             raise ValueError(f"{name} must have finite ends, got {tuple(ends)}")
@@ -188,10 +187,6 @@ def check_g_convexity(
     return ConvexityReport(
         verdict=verdict,
         witnesses=witnesses,
-        scanned=(
-            (float(y_range[0]), float(y_range[1]), resolution),
-            (float(z_range[0]), float(z_range[1]), resolution),
-        ),
         min_gap=min_gap,
         cells=cells,
     )
@@ -208,7 +203,7 @@ def representation_formula(
 
     A ``t`` that is negative or not finite raises ValueError.
     """
-    _check_time(t)
+    _check_nonnegative("t", t)
     v, d1, d2 = terminal.eval2(0.0)
     return float(gen.g(t, v, d1) + 2.0 * g_eval(band, gen.f(t, v, d1) + 0.5 * d2))
 
@@ -222,9 +217,8 @@ def representation_quotient(
     grid: SpaceTimeGrid,
 ) -> float:
     """(E over [t, t + eps] of Phi(increment) - Phi(0)) / eps on ``grid.over(eps)``; finite t >= 0, eps > 0."""
-    _check_time(t)
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    _check_nonnegative("t", t)
+    _check_positive("eps", eps)
     sol = solve_gbsde(band, gen, terminal, grid.over(eps), t0=t)
     return (sol.y_at(t, 0.0) - float(terminal(0.0))) / eps
 

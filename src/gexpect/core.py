@@ -191,10 +191,16 @@ class SpaceTimeGrid:
             )
 
 
-def _check_time(t: float) -> None:
-    """Raise ValueError unless t is finite and >= 0: a time a driver or a tree may start from."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+def _check_positive(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless value is finite and > 0; NaN fails."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless value is finite and >= 0; NaN fails."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _check_count(name: str, value) -> None:

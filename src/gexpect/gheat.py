@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -78,6 +78,7 @@ from .core import (
     SpaceTimeGrid,
     VolatilityBand,
     _add,
+    _check_count,
     _divide,
     _g_into,
     _multiply,
@@ -180,16 +181,31 @@ def _space_gradient(u: np.ndarray, dx: float) -> np.ndarray:
     return z
 
 
-def _raise_failure(k: int, layer: np.ndarray, zeros: np.ndarray, limits: np.ndarray | None) -> NoReturn:
-    """Raise the failure of layer k: NonFiniteError, else BlowUpError, each naming its first row.
+_LARGEST = np.finfo(float).max
 
-    A row is one slice along the batch axes, counted in C order (0 for an
-    unbatched march); ``limits`` holds each row's envelope, or is None.
+
+def _check_rows(k: int, layer: np.ndarray, envelope=_LARGEST) -> None:
+    """Return if every row of layer k is finite and inside its envelope; else raise naming the first failing row.
+
+    A row is one slice along the last axis, counted in C order over the
+    leading axes (0 for a 1-d layer).  ``envelope`` is finite: one value,
+    or one per row shaped like the leading axes; the default, the largest
+    float, tests finiteness alone.  Each row's largest and smallest value
+    decide: a NaN fails every comparison and an infinity exceeds any
+    finite bound.  A layer with a row that is not finite raises
+    NonFiniteError naming the first such row, else BlowUpError naming the
+    first row beyond its envelope, with that row's largest |value|.
     """
-    rows = layer.reshape(-1, layer.shape[-1])
-    if np.vdot(layer, zeros) != 0.0:
-        raise NonFiniteError(k, int(np.flatnonzero(~np.isfinite(rows).all(axis=-1))[0]))
-    peaks = np.max(np.abs(rows), axis=-1)
+    top, bottom = np.maximum.reduce(layer, -1), np.minimum.reduce(layer, -1)
+    # one row's numpy scalars compare faster than any ufunc call takes; several rows, in one pass over their peaks
+    if (top <= envelope and bottom >= -envelope) if top.ndim == 0 else (np.maximum(top, -bottom) <= envelope).all():
+        return
+    top, bottom = top.reshape(-1), bottom.reshape(-1)
+    finite = np.isfinite(top) & np.isfinite(bottom)  # a NaN anywhere in a row makes its largest value NaN
+    if not finite.all():
+        raise NonFiniteError(k, int(np.flatnonzero(~finite)[0]))
+    peaks = np.maximum(top, -bottom)  # each row's largest |value|
+    limits = np.broadcast_to(envelope, layer.shape[:-1]).reshape(-1)
     r = int(np.flatnonzero(peaks > limits)[0])
     raise BlowUpError(k, float(peaks[r]), float(limits[r]), r)
 
@@ -218,11 +234,15 @@ def _march(
     the literal 0) it is u + dt * G(D2 u), and the driver loop is skipped.
     ``picard`` corrects the driver arguments once against the explicit
     predictor.  The datum, each layer and each predictor must be finite,
-    else NonFiniteError names the layer and the row.  With ``envelope`` set (one value, or one per row shaped
-    like the batch axes), a layer with a row whose largest |value| exceeds
-    that row's envelope raises BlowUpError naming the layer and the row.
-    The first failing layer raises; within it a non-finite row wins over
-    a row beyond its envelope, and of several rows the first is named.
+    else NonFiniteError names the layer and the row.  With ``envelope``
+    set (one value, or one per row shaped like the batch axes), a layer
+    with a row whose largest |value| exceeds that row's envelope raises
+    BlowUpError naming the layer and the row.  The first failing layer
+    raises; within it a non-finite row wins over a row beyond its
+    envelope, and of several rows the first is named.  One function,
+    ``_check_rows``, makes that decision from each row's largest and
+    smallest value and raises: for the datum, for a layer that fails the
+    sum of squares below, and to name a predictor that failed its test.
 
     The tests are cheap.  With an envelope (each one finite), every layer
     takes one sum of squares: with m the smallest envelope, |x| > m gives
@@ -232,16 +252,15 @@ def _march(
     The test holds while the layer's squares sum to less than the smallest
     envelope's square: bounded data of rows on one scale.  From the first
     layer that fails it (rows of mixed scale, many nodes, or Y grown
-    toward its envelope) each layer takes each row's maximum and minimum
-    against that row's envelope instead, which a NaN fails and an infinity
-    exceeds, so such a march pays one sum of squares more than that test
-    alone.  Without an envelope a non-finite node stays non-finite,
-    as each layer is the last plus an increment and inf + x is inf or NaN,
-    so finiteness is tested once, at layer nt, whatever ``out`` stores; a
-    test that fails re-marches from the datum with a test on every layer,
-    which raises at the first failing layer and row.  The Picard predictor
-    is tested at every layer, as a driver may map a non-finite predictor
-    to a finite value.
+    toward its envelope) each layer takes ``_check_rows`` instead, so such
+    a march pays one sum of squares more than that test alone.  Without
+    an envelope a non-finite node stays non-finite, as each layer is the
+    last plus an increment and inf + x is inf or NaN, so finiteness is
+    tested once, at layer nt, whatever ``out`` stores; a test that fails
+    re-marches from the datum with ``_check_rows`` on every layer, which
+    raises at the first failing layer and row.  The Picard predictor is
+    tested at every layer, as a driver may map a non-finite predictor to a
+    finite value.
 
     ``g_fn`` and ``f_fn`` are TriFunctions; the kernel calls their compiled
     closures inside its error state, which ignores every floating-point
@@ -260,16 +279,12 @@ def _march(
     before the march; a flattened view of a non-contiguous batch would be
     a stale copy.
     """
+    _check_rows(0, datum)
     # a finite array has dot product 0 with zeros; inf * 0 and NaN give NaN
     zeros = np.zeros(datum.size)
-    if np.vdot(datum, zeros) != 0.0:
-        _raise_failure(0, datum, zeros, None)
-    limits = floor = bound_sq = None
-    if envelope is not None:
-        limits, floor = np.broadcast_to(envelope, datum.shape[:-1]).reshape(-1), -envelope
-        smallest = max(float(np.min(limits, initial=np.inf)), 0.0)
+    if envelope is not None:  # bound_sq is read only when an envelope is set
+        smallest = max(float(np.min(envelope, initial=np.inf)), 0.0)
         bound_sq = smallest * smallest  # a Python float product overflows to inf, as it should here
-    single = datum.ndim == 1  # one row compares scalars, which `and` takes faster than .all()
     # 0-d arrays: numpy takes them per call faster than Python floats
     dx_sq, step, half_max, half_min, two = map(
         np.array, (dx * dx, dt, 0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq, 2.0)
@@ -347,28 +362,23 @@ def _march(
                             if np.vdot(predictor, zeros) != 0.0:
                                 if not each:
                                     return None
-                                _raise_failure(k, predictor, zeros, None)
+                                _check_rows(k, predictor)
                             y, y_views = predictor, predictor_views
                 _add(layer, row, row)
-                if limits is None:
-                    if each and np.vdot(row, zeros) != 0.0:
-                        _raise_failure(k, row, zeros, None)
+                if envelope is None:
+                    if each:  # a re-march: the first failing layer raises
+                        _check_rows(k, row)
                 elif not (by_sum and np.vdot(row, row) < bound_sq):
-                    # this layer and every later one take each row's largest and smallest value
-                    # against its own envelope: a NaN fails both comparisons and an infinity
-                    # exceeds the finite bound
+                    # this layer and every later one take the per-row test, which raises on failure
                     by_sum = False
-                    below = np.maximum.reduce(row, -1) <= envelope
-                    above = np.minimum.reduce(row, -1) >= floor
-                    if not (below and above if single else (below & above).all()):
-                        _raise_failure(k, row, zeros, limits)
+                    _check_rows(k, row, envelope)
                 layer, (lo, mid, hi, gradient) = row, stencil(row) if checkpoint else ring_stencils[k % 2]
             # a non-finite node stays non-finite, so layer nt's test covers every layer before it
             return layer if each or np.vdot(layer, zeros) == 0.0 else None
 
     # an envelope tests every layer; a failed test re-marches from the datum with a test on
     # every layer, which raises at the first failing layer, as the march repeats its bits
-    last = sweep(limits is not None)
+    last = sweep(envelope is not None)
     return last if last is not None else sweep(True)
 
 
@@ -719,8 +729,10 @@ def conditional_g_expectation(
     the corner entries they interpolate from, estimate the interpolation
     residual, and GridResolutionError is raised when it exceeds
     ``residual_tol`` times the scale 1 + max|entry| over those corner
-    entries.  A NaN or negative ``residual_tol`` raises ValueError.
+    entries.  A NaN or negative ``residual_tol``, or an ``i`` that is a
+    float or a bool, raises ValueError before any work.
     """
+    _check_count("i", i)
     m = len(payoff.times)
     if not 1 <= i < m:
         raise ValueError(f"conditioning index must satisfy 1 <= i < {m}, got {i}")
@@ -741,8 +753,7 @@ def conditional_g_expectation(
         return rows
 
     source = payoff_on(np.meshgrid(*axes, indexing="ij"))
-    if not np.isfinite(source).all():
-        _raise_failure(0, source, np.zeros(source.size), None)
+    _check_rows(0, source)
     table = TabulatedFunction._on_demand(axes[:i], source, reduce)
 
     # Probe interpolation quality: re-solve at a few off-node points, in one march with the

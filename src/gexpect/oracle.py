@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, _add, _check_count, _check_time, _multiply, _subtract
+from .core import SpaceTimeGrid, VolatilityBand, _add, _check_count, _check_nonnegative, _multiply, _subtract
 from .gbsde import _k_step
 
 __all__ = [
@@ -199,7 +199,7 @@ def tree_expectation_batch(band: VolatilityBand, phis, times, steps: int) -> np.
     if not len(times):
         raise ValueError("times must hold at least one time")
     for t in times:
-        _check_time(t)
+        _check_nonnegative("t", t)
     _check_count("steps", steps)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -235,7 +235,8 @@ def simulate_path(
     endpoint, ``random`` flips it per step, ``markov`` plays the band
     endpoint that locally attains the worst case for the supplied
     backward solution (sign of its eta at the current node); it raises
-    ValueError unless ``grid`` has the solution's nt and horizon.  ``seed``
+    ValueError unless ``grid`` has the solution's nt and horizon and
+    ``band`` is the solution's band.  ``seed``
     is a Python or numpy integer; a float or a bool raises ValueError.
     """
     _check_count("seed", seed)
@@ -245,6 +246,7 @@ def simulate_path(
         if field is None:
             raise ValueError("markov policy needs the backward solution")
         field._check_time_grid(grid.nt, grid.horizon)
+        field._check_band(band)
         # field.eta_forward(i, x) inlined on Python floats: a call costs about 15 us, some
         # five times a whole step of this loop; the reference path test pins the two together
         eta, field_nt = field.eta, field.grid.nt
@@ -309,8 +311,10 @@ def tree_k_expectation(band: VolatilityBand, sol) -> float:
     the band ends a, eta read by ``sol.eta_forward``.  The value is exactly
     0.0: at the band end that matches eta's sign the reward is exactly 0
     in floating point (outside the subnormal range), so it shows only that
-    no control makes K's worst-case mean positive.
+    no control makes K's worst-case mean positive.  A ``band`` other than
+    the solution's raises ValueError naming both.
     """
+    sol._check_band(band)
     dt, ends = sol.grid.dt, np.array([[band.sigma_max_sq], [band.sigma_min_sq]])
     (root,) = _lattice(  # the reward rows are K's step at the top and the bottom band end
         band, [dt], sol.grid.nt, [np.zeros_like], lambda i, xs: _k_step(band, sol.eta_forward(i, xs), ends, dt)
@@ -320,8 +324,7 @@ def tree_k_expectation(band: VolatilityBand, sol) -> float:
 
 def gauss_hermite_expectation(phi, variance: float) -> float:
     """Classical Gaussian expectation of phi at a finite variance >= 0, by 80-point Gauss-Hermite."""
-    if not 0.0 <= variance < math.inf:
-        raise ValueError(f"variance must be finite and >= 0, got {variance}")
+    _check_nonnegative("variance", variance)
     nodes, weights = np.polynomial.hermite.hermgauss(80)
     xs = math.sqrt(2.0 * variance) * nodes
     return float(np.sum(weights * np.asarray(phi(xs))) / math.sqrt(math.pi))

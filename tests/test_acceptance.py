@@ -219,7 +219,7 @@ def test_criterion_08_quantifier_elimination(band):
         ("0.3*y + 0.2*z", "0.25*z", 0.5),
         ("-abs_smooth(z)", "0", 1.0),
     )
-    gens = [GeneratorPair(parse_tri(g), parse_tri(f), L, check_samples=0) for g, f, L in gen_cases]
+    gens = [GeneratorPair(parse_tri(g), parse_tri(f), L) for g, f, L in gen_cases]
     rng = np.random.default_rng(42)
     names = list(h_fns)
     checked = 0
@@ -253,7 +253,7 @@ def test_criterion_09_characterization_end_to_end(band):
     holding = 0
     worst_gap = np.inf
     for name, (g_text, f_text, L) in gen_cases:
-        gen = GeneratorPair(parse_tri(g_text), parse_tri(f_text), L, check_samples=0)
+        gen = GeneratorPair(parse_tri(g_text), parse_tri(f_text), L)
         for h_text in h_texts:
             h = parse_scalar(h_text)
             report = check_g_convexity(band, gen, h, (-2, 2), (-2, 2), resolution=33)

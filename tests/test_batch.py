@@ -157,7 +157,7 @@ class TestFailuresNameTheirRow:
 
     def test_a_blow_up_row_raises_at_its_reference_layer_and_peak(self, band):
         grid = make_grid(band, 1.0, nx=101)
-        gen = GeneratorPair(parse_tri("3*y"), parse_tri("0"), 3.0, check_samples=0)
+        gen = GeneratorPair(parse_tri("3*y"), parse_tri("0"), 3.0)
         flat, one, two = parse_scalar("0*x"), parse_scalar("1"), parse_scalar("2")
         solve_gbsde(band, gen, flat, grid, envelope_factor=1.2)
         singles = {text: failure_of(lambda: solve_gbsde(band, gen, fn, grid, envelope_factor=1.2))

@@ -601,6 +601,9 @@ class TestNoTraceback:
         ("gbsde", "generator", {"g": "0", "f": "y*z/z", "h6": True}, "config.generator"),
         # an overflowing literal: OverflowError, then inf - inf in the spot check, a RuntimeWarning
         ("gbsde", "generator", {"g": "y + (1e200)^2"}, "config.generator"),
+        # a bool or a string where a number belongs
+        ("gexp", "grid", {"horizon": True}, "config.grid.horizon"),
+        ("gbsde", "generator", {"lipschitz_L": "1.0"}, "config.generator.lipschitz_L"),
     ]
 
     @pytest.mark.parametrize("command,section,entries,field", CASES)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gexpect import (
+    ConvexityReport,
     EvalDomainError,
     GeneratorPair,
     VolatilityBand,
@@ -41,7 +42,7 @@ GEN_CASES = (
 
 
 def _gen(g, f, L):
-    return GeneratorPair(parse_tri(g), parse_tri(f), L, check_samples=0)
+    return GeneratorPair(parse_tri(g), parse_tri(f), L)
 
 
 def _scalar_reduce(band, gen, h, t, y, z):
@@ -175,6 +176,11 @@ class TestReduceOverA:
 
 
 class TestCheckGConvexity:
+    @pytest.mark.parametrize("verdict,witnesses", [("holds", ((0.0, 1.0, 0.0, -1.0),)), ("fails", ())])
+    def test_a_report_refuses_a_verdict_its_witnesses_contradict(self, verdict, witnesses):
+        with pytest.raises(ValueError, match="verdict must say fails exactly when witnesses exist"):
+            ConvexityReport(verdict, witnesses, -1.0, np.zeros((16, 16, 4)))
+
     def test_identity_holds(self, band):
         report = check_g_convexity(
             band, zero_generator(), parse_scalar("x"), (-2, 2), (-2, 2), resolution=17
@@ -408,7 +414,7 @@ class TestRepresentation:
     def time_calls(band, t):
         """The four routines that read a start time t, each as a call of no arguments."""
         # g = -t*y: a NaN t used to surface as an EvalDomainError naming a (y, z), not t
-        gen, term = GeneratorPair(parse_tri("-t*y"), parse_tri("0"), 1.0, check_samples=0), parse_scalar("x^2")
+        gen, term = GeneratorPair(parse_tri("-t*y"), parse_tri("0"), 1.0), parse_scalar("x^2")
         grid = make_grid(band, 0.01, nx=201)
         return (
             lambda: check_g_convexity(band, gen, term, (-1.0, 1.0), (-1.0, 1.0), 16, t=t),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gexpect import CflError, SpaceTimeGrid, VolatilityBand, cfl_time_steps, g_eval, make_grid
-from gexpect.core import sub_steps
+from gexpect.core import _check_nonnegative, _check_positive, sub_steps
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 bands = st.tuples(
@@ -254,3 +254,24 @@ class TestSpaceTimeGrid:
     def test_make_grid_default_width(self, band):
         grid = make_grid(band, 1.0)
         assert grid.x_max == pytest.approx(6.0 * band.sigma_max)
+
+
+class TestNumberRules:
+    """The two rules every library number follows, each stated once in ``core``."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0])
+    def test_positive_refuses_by_name(self, value):
+        with pytest.raises(ValueError, match=f"^eps must be finite and > 0, got {value}$"):
+            _check_positive("eps", value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_nonnegative_refuses_by_name(self, value):
+        with pytest.raises(ValueError, match=f"^t must be finite and >= 0, got {value}$"):
+            _check_nonnegative("t", value)
+
+    @pytest.mark.parametrize("value", [5e-324, 1.0, 1e308, 3])
+    def test_a_finite_positive_number_passes_both(self, value):
+        _check_positive("eps", value)
+        _check_nonnegative("t", value)
+        _check_nonnegative("t", 0.0)
+        _check_nonnegative("t", -0.0)

@@ -107,7 +107,43 @@ class TestRoundTrip:
         assert fn.ast == again.ast
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.sampled_from(CATALOG_TEXTS),
+        number=st.sampled_from([-2.0, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 0.5, 3.0])
+        | st.floats(allow_nan=False, allow_infinity=False),
+        how=st.sampled_from(["scale", "shift"]),
+    )
+    @example(text="x", number=-2.0, how="scale")
+    @example(text="x^2", number=-0.0, how="scale")
+    @example(text="sin(x)", number=-0.0, how="shift")
+    def test_scaled_and_shifted_functions_round_trip(self, text, number, how):
+        # scale and shift build a negative number as the parser does, Neg(Lit(|v|)), -0.0 included
+        fn = getattr(parse_scalar(text), how)(number)
+        again = parse_scalar(fn.to_string())
+        assert again == fn
+        xs = np.linspace(-3.0, 3.0, 13)
+        assert again(xs).tobytes() == fn(xs).tobytes()
+
+    @pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])
+    def test_scale_and_shift_refuse_a_number_that_is_not_finite(self, number):
+        # it would print as an identifier the parser refuses
+        fn = parse_scalar("x")
+        with pytest.raises(ValueError, match=f"factor must be finite, got {number}"):
+            fn.scale(number)
+        with pytest.raises(ValueError, match=f"offset must be finite, got {number}"):
+            fn.shift(number)
+
+    def test_a_tri_function_round_trips(self):
+        fn = parse_tri("0.5*z/(1 + y^2) - t*y + -(z^2)")
+        again = parse_tri(fn.to_string())
+        assert again == fn and again.to_string() == fn.to_string()
+
+
 class TestEval2:
+    def test_zero_power_has_the_constant_jet(self):
+        assert parse_scalar("x^0").eval2(2.0) == (1.0, 0.0, 0.0)
+
     def test_polynomial_jet(self):
         assert parse_scalar("x^2").eval2(3.0) == (9.0, 6.0, 2.0)
 

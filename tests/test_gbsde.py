@@ -54,10 +54,10 @@ class TestGeneratorPair:
         with pytest.raises(ValueError, match="h6"):
             GeneratorPair(parse_tri("y"), parse_tri("0"), 1.0, h6=True)
 
-    def test_h6_is_checked_without_lipschitz_samples(self):
-        # check_samples = 0 skips only the Lipschitz sampling; g(t, y, 0) = 1 + y is not 0
+    def test_h6_is_checked_after_a_passing_lipschitz_check(self):
+        # 1 + y passes the Lipschitz check at 1, but g(t, y, 0) = 1 + y is not 0
         with pytest.raises(ValueError, match="h6"):
-            GeneratorPair(parse_tri("1 + y"), parse_tri("0"), 1.0, h6=True, check_samples=0)
+            GeneratorPair(parse_tri("1 + y"), parse_tri("0"), 1.0, h6=True)
         assert zero_generator().h6
 
     def test_nan_difference_quotient_rejected(self):
@@ -151,7 +151,7 @@ class TestSolveGbsde:
     )
     def test_driver_not_finite_at_the_origin_raises_before_marching(self, band, g, f, terminal, message):
         # the envelope reads the drivers at the origin; an infinite or NaN one would pass every layer
-        gen = GeneratorPair(parse_tri(g), parse_tri(f), 1e300, check_samples=0)
+        gen = GeneratorPair(parse_tri(g), parse_tri(f), 1e300)
         with pytest.raises(EvalDomainError, match=message):
             solve_gbsde(band, gen, parse_scalar(terminal), make_grid(band, 0.5, nx=101))
 
@@ -387,7 +387,7 @@ class TestKAlongPath:
 
 @pytest.fixture(scope="module")
 def eta_solution(band, coarse):
-    gen = GeneratorPair(parse_tri("-y"), parse_tri("0.2*y"), 1.0, check_samples=0)
+    gen = GeneratorPair(parse_tri("-y"), parse_tri("0.2*y"), 1.0)
     return solve_gbsde(band, gen, parse_scalar("sin(3*x) + 0.1*x^2"), coarse)
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gexpect import (
+    BlowUpError,
     CflError,
     CylinderPayoff,
     GridResolutionError,
@@ -20,7 +21,7 @@ from gexpect import (
 )
 from gexpect import gheat
 from gexpect.core import DEFAULT_CFL_THETA
-from gexpect.gheat import _march, _reduce_last_axis
+from gexpect.gheat import _check_rows, _march, _reduce_last_axis
 
 from conftest import CATALOG_TEXTS
 
@@ -443,6 +444,15 @@ class TestConditional:
         with pytest.raises(ValueError):
             conditional_g_expectation(band, payoff, 2, grid)
 
+    @pytest.mark.parametrize("i", [1.0, True])
+    def test_rejects_an_index_that_is_a_float_or_a_bool_before_any_work(self, band, i):
+        # 1.0 raised a bare slicing TypeError, and True was taken as 1
+        calls = []
+        payoff = CylinderPayoff((0.5, 1.0), lambda x1, x2: calls.append(x1) or x1 + x2)
+        with pytest.raises(ValueError, match=f"i must be an integer, got {i!r}"):
+            conditional_g_expectation(band, payoff, i, make_grid(band, 1.0, nx=81))
+        assert calls == []
+
     def test_rejects_bad_times(self):
         with pytest.raises(ValueError):
             CylinderPayoff((0.5, 0.5), lambda a, b: a)
@@ -500,6 +510,10 @@ class TestTabulatedFunction:
         with pytest.raises(ValueError, match=problem):
             TabulatedFunction(axes, values)
 
+    def test_refuses_values_whose_shape_does_not_match_its_axes(self):
+        with pytest.raises(ValueError, match="table shape does not match axes"):
+            TabulatedFunction([[0.0, 1.0, 2.0], [-1.0, 1.0]], np.zeros((2, 3)))
+
     def test_refuses_a_read_it_cannot_place(self):
         table = TabulatedFunction([[0.0, 1.0, 2.0], [-1.0, 1.0]], [[0.0, 2.0], [1.0, 3.0], [4.0, 6.0]])
         with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
@@ -513,3 +527,45 @@ class TestTabulatedFunction:
         xs = make_grid(band, 1.0, nx=nx, half_width=half_width).xs
         table = TabulatedFunction([xs], 2.0 * xs)
         assert table(xs[1]) == pytest.approx(2.0 * xs[1])
+
+
+class TestCheckRows:
+    """The one decision of which row of a layer fails: NonFiniteError first, then BlowUpError."""
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 7), (2, 3, 7)])
+    def test_a_finite_layer_inside_its_envelopes_passes(self, shape):
+        layer = np.linspace(-2.0, 3.0, int(np.prod(shape))).reshape(shape)
+        _check_rows(5, layer)
+        _check_rows(5, layer, 3.0)
+        _check_rows(5, layer, np.full(shape[:-1], 3.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape,row", [((7,), 0), ((3, 7), 2), ((2, 3, 7), 4)])
+    def test_the_first_non_finite_row_is_named_and_wins_over_a_blow_up(self, bad, shape, row):
+        layer = np.zeros(shape)
+        rows = layer.reshape(-1, shape[-1])
+        rows[row, 3] = bad
+        rows[-1, 6] = bad
+        rows[0, 1] = 1e6  # beyond the envelope, in a row before the non-finite one or in it
+        for envelopes in ((), (10.0,), (np.full(shape[:-1], 10.0),)):
+            with pytest.raises(NonFiniteError) as err:
+                _check_rows(5, layer, *envelopes)
+            assert (err.value.layer, err.value.row) == (5, row)
+
+    def test_the_first_row_beyond_its_own_envelope_is_named_with_its_peak(self):
+        # rows in C order over the leading axes; row 1 passes 2.0 but not its own envelope 1.5,
+        # row 4 goes below -5.0 against 4.0, and row 2 sits on its envelope, which is inside
+        layer = np.zeros((2, 3, 5))
+        rows = layer.reshape(-1, 5)
+        rows[1, 2], rows[2, 0], rows[4, 4] = 2.0, -3.0, -5.0
+        envelope = np.array([[1.0, 1.5, 3.0], [3.0, 4.0, 3.0]])
+        with pytest.raises(BlowUpError) as err:
+            _check_rows(7, layer, envelope)
+        assert (err.value.layer, err.value.row) == (7, 1)
+        assert str(err.value) == "|Y| = 2 exceeded envelope 1.5 at time layer 7"
+        rows[1, 2] = 0.0
+        with pytest.raises(BlowUpError, match=r"\|Y\| = 5 exceeded envelope 4 at time layer 7") as err:
+            _check_rows(7, layer, envelope)
+        assert err.value.row == 4
+        _check_rows(7, layer, envelope + 1.0)
+        _check_rows(7, layer)  # without an envelope a finite layer passes

@@ -49,7 +49,7 @@ from gexpect.expr import _BUILTINS, BinOp, Call, Lit, Neg, Pow, Var, _Jet
 from gexpect.gheat import _march, _reduce_last_axis
 from gexpect.oracle import LatticePath, _lattice, _Xorshift64Star
 
-from conftest import CATALOG_TEXTS, grid_with_steps
+from conftest import CATALOG_TEXTS, generator, grid_with_steps
 
 
 def reference_g(band, a):
@@ -176,7 +176,7 @@ class TestZeroDriverMarch:
             fields = solve_g_heat_batch(band, phis, grid)
             references = [reference_layers(band, grid, phi(grid.xs)) for phi in phis]
         else:
-            gen, times = driver_pair(*drivers), backward_times(grid)
+            gen, times = generator(*drivers), backward_times(grid)
             fields = [sol.field for sol in solve_gbsde_batch(band, gen, phis, grid, envelope_factor=1e300)]
             references = [
                 reference_driver_layers(band, grid.dx, grid.dt, nt, phi(grid.xs), gen, times, False)
@@ -342,7 +342,7 @@ class TestTreeStep:
     @example(band=VolatilityBand(0.5, 2.5), nx=21, horizon=None, drivers=("z", "0.5*z"), text="sin(x)")
     def test_tree_k_expectation_matches_the_reference_loop(self, band, nx, horizon, drivers, text):
         grid = grid_with_steps(band, nx, 1, 0.4) if horizon is None else make_grid(band, horizon, nx=nx)
-        gen = GeneratorPair(parse_tri(drivers[0]), parse_tri(drivers[1]), 1.0, check_samples=0)
+        gen = GeneratorPair(parse_tri(drivers[0]), parse_tri(drivers[1]), 1.0)
         sol = solve_gbsde(band, gen, parse_scalar(text), grid)
         nt, dt = grid.nt, grid.dt
         dx_tree = band.sigma_max * np.sqrt(dt)
@@ -453,10 +453,6 @@ DRIVER_CASES = (
 )
 
 
-def driver_pair(g, f):
-    return GeneratorPair(parse_tri(g), parse_tri(f), 1.0, check_samples=0)
-
-
 class TestDriverMarch:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -474,7 +470,7 @@ class TestDriverMarch:
         self, band, nx, horizon, theta, drivers, text, scale, picard, t0
     ):
         grid = make_grid(band, horizon, nx=nx, theta=theta)
-        gen, phi = driver_pair(*drivers), scaled(text, scale, 0.0)
+        gen, phi = generator(*drivers), scaled(text, scale, 0.0)
         reference = reference_driver_layers(
             band, grid.dx, grid.dt, grid.nt, phi(grid.xs), gen, backward_times(grid, t0), picard
         )
@@ -494,7 +490,7 @@ class TestDriverMarch:
     def test_batch_axis_matches_each_reference(self, band, nx, horizon, drivers, batch, picard):
         # the buffers take the datum's shape; every row must get its own march
         grid = make_grid(band, horizon, nx=nx)
-        gen, times = driver_pair(*drivers), backward_times(grid)
+        gen, times = generator(*drivers), backward_times(grid)
         data = np.stack([parse_scalar(text)(grid.xs) for text in batch])
         last = _march(band, grid.dx, grid.dt, grid.nt, data, gen.g, gen.f, times, picard)
         reference = reference_driver_layers(band, grid.dx, grid.dt, grid.nt, data, gen, times, picard)
@@ -511,7 +507,7 @@ class TestDriverMarch:
     def test_a_failing_driver_raises_at_the_reference_layer(self, band, driver, text, picard):
         # x/0 and overflow inside a driver: a NonFiniteError naming the layer, and no warning
         grid = make_grid(band, 0.5, nx=101)
-        gen, phi = driver_pair(driver, "0"), parse_scalar(text)
+        gen, phi = generator(driver, "0"), parse_scalar(text)
         reference = reference_driver_layers(
             band, grid.dx, grid.dt, grid.nt, phi(grid.xs), gen, backward_times(grid), picard
         )
@@ -525,7 +521,7 @@ class TestDriverMarch:
     @pytest.mark.parametrize("text", ["1", "-1", "tanh(x) - 2"])
     def test_blow_up_at_the_reference_layer_and_peak(self, band, text):
         grid = make_grid(band, 1.0, nx=101)
-        gen, phi = driver_pair("3*y", "0"), parse_scalar(text)
+        gen, phi = generator("3*y", "0"), parse_scalar(text)
         datum = phi(grid.xs)
         reference = reference_driver_layers(
             band, grid.dx, grid.dt, grid.nt, datum, gen, backward_times(grid), False
@@ -567,7 +563,7 @@ class TestPathLoop:
     def test_every_policy_and_seed_matches_the_reference_loop(self, half_width):
         band = VolatilityBand(0.7, 2.3)
         grid = make_grid(band, 0.5, nx=41, half_width=half_width)
-        sol = solve_gbsde(band, driver_pair("-y", "0.2*y"), parse_scalar("sin(3*x) + 0.1*x^2"), grid)
+        sol = solve_gbsde(band, generator("-y", "0.2*y"), parse_scalar("sin(3*x) + 0.1*x^2"), grid)
         for policy in ("const-low", "const-high", "random", "markov"):
             for seed in range(200):
                 path = simulate_path(band, policy, grid, seed, field=sol)
@@ -696,7 +692,7 @@ class TestFailureLayers:
     ):
         # no envelope: the driver grows each layer until it overflows, at a layer well past the first
         grid = make_grid(band, horizon, nx=nx)
-        gen, times = driver_pair(growth, f), backward_times(grid)
+        gen, times = generator(growth, f), backward_times(grid)
         data = np.stack([c * np.tanh(grid.xs + i) for i, c in enumerate(scales)])
         datum = data if batch else data[0]
         expected = first_non_finite(
@@ -733,7 +729,7 @@ class TestFailureLayers:
         # the one test at layer nt rests on this: each layer is the last plus an increment, so a
         # node that is not finite stays so, whatever the drivers give there
         grid = make_grid(band, horizon, nx=nx)
-        gen, times = driver_pair(g, f), backward_times(grid)
+        gen, times = generator(g, f), backward_times(grid)
         data = np.stack([c * np.tanh(grid.xs + i) for i, c in enumerate(scales)])
         datum = data if batch else data[0]
         layers = reference_driver_layers(band, grid.dx, grid.dt, grid.nt, datum, gen, times, picard)
@@ -750,7 +746,7 @@ class TestFailureLayers:
 
 def growing_layers(band, grid, datum, picard=False, growth="y"):
     """The reference layers of the driver g = ``growth``, a multiple of y: the largest |value| grows at every layer."""
-    gen = driver_pair(growth, "0")
+    gen = generator(growth, "0")
     return gen, reference_driver_layers(band, grid.dx, grid.dt, grid.nt, datum, gen, backward_times(grid), picard)
 
 
@@ -770,7 +766,7 @@ class TestEnvelope:
         data = np.stack([100.0 * np.tanh(grid.xs) ** 2, 10.0 * np.tanh(grid.xs)])
         envelope = 50.0 * (np.max(np.abs(data), axis=-1) + 1.0)
         assert np.vdot(data[0], data[0]) > envelope.min() ** 2
-        gen, times = driver_pair("-y", "0"), backward_times(grid)
+        gen, times = generator("-y", "0"), backward_times(grid)
         expected = _march(band, grid.dx, grid.dt, grid.nt, data, gen.g, gen.f, times, picard)
         got = _march(band, grid.dx, grid.dt, grid.nt, data, gen.g, gen.f, times, picard, envelope=envelope)
         assert got.tobytes() == expected.tobytes()
@@ -894,7 +890,7 @@ class TestLiteralZeroDrivers:
         # own form u + dt * (g + G(2 f + D2 u)) in fresh arrays, adds 0.0
         datum = tiny_datum(data, rows, nx)
         nt, dt = 6, 0.45 * dx * dx / band.sigma_max_sq
-        gen, times = driver_pair(*drivers), np.linspace(1.0, 0.0, 7)
+        gen, times = generator(*drivers), np.linspace(1.0, 0.0, 7)
         out = np.empty((nt + 1,) + datum.shape)
         _march(band, dx, dt, nt, datum, gen.g, gen.f, times, picard, out=out)
         reference = reference_driver_layers(band, dx, dt, nt, datum, gen, times, picard, kernel_increment)
@@ -919,7 +915,7 @@ class TestLiteralZeroDrivers:
         heat = np.empty((nt + 1,) + datum.shape)
         _march(band, dx, dt, nt, datum, out=heat)
         for drivers in (("0", "0"), ("0*y", "0*z")):
-            gen = driver_pair(*drivers)
+            gen = generator(*drivers)
             out = np.empty_like(heat)
             _march(band, dx, dt, nt, datum, gen.g, gen.f, times, picard, out=out)
             assert out.tobytes() == heat.tobytes(), drivers

@@ -156,6 +156,12 @@ class TestTreeExpectationBatch:
         sol = solve_gbsde(band, zero_generator(), parse_scalar(text), make_grid(band, 1.0, nx=61))
         assert _bits(tree_k_expectation(band, sol)) == _bits(0.0)
 
+    def test_a_k_tree_on_another_band_is_refused(self, band):
+        # the K tree read the solution's eta on the other band's lattice and returned 0.0
+        sol = solve_gbsde(band, zero_generator(), parse_scalar("x^2"), make_grid(band, 1.0, nx=61))
+        with pytest.raises(ValueError, match=r"band \[0\.5, 3\.0\] is not the solution's band \[1\.0, 2\.0\]"):
+            tree_k_expectation(VolatilityBand(0.5, 3.0), sol)
+
     @pytest.mark.parametrize(
         ("times", "steps", "message"),
         [
@@ -247,6 +253,13 @@ class TestSimulatePath:
     def test_markov_needs_field(self, band, pow2_grid):
         with pytest.raises(ValueError):
             simulate_path(band, "markov", pow2_grid, 1)
+
+    def test_a_markov_path_on_another_band_is_refused_at_the_call(self, band):
+        # the path was built, and only k_along_path refused its variance densities
+        grid = make_grid(band, 1.0, nx=61)
+        sol = solve_gbsde(band, zero_generator(), parse_scalar("x^2"), grid)
+        with pytest.raises(ValueError, match=r"band \[0\.5, 3\.0\] is not the solution's band \[1\.0, 2\.0\]"):
+            simulate_path(VolatilityBand(0.5, 3.0), "markov", grid, 1, field=sol)
 
     def test_path_arrays_read_only(self, band, pow2_grid):
         path = simulate_path(band, "random", pow2_grid, 4)
