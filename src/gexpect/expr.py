@@ -254,8 +254,8 @@ def _fold_integer(node: Node) -> int | None:
 
 # ---------------------------------------------------------------------------
 # Printing (round-trip stable: parse(to_string(ast)) == ast for every tree
-# the parser builds, whose literals carry no sign, a minus parsing as Neg;
-# ``scale`` and ``shift`` build their numbers the same way)
+# the parser builds from finite literals, which carry no sign, a minus
+# parsing as Neg; ``scale`` and ``shift`` build their numbers the same way)
 # ---------------------------------------------------------------------------
 
 def _to_string(node: Node, parent_prec: int = 0) -> str:

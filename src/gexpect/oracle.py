@@ -236,8 +236,8 @@ def simulate_path(
     endpoint that locally attains the worst case for the supplied
     backward solution (sign of its eta at the current node); it raises
     ValueError unless ``grid`` has the solution's nt and horizon and
-    ``band`` is the solution's band.  ``seed``
-    is a Python or numpy integer; a float or a bool raises ValueError.
+    ``band`` is the solution's band.  ``seed`` is a Python or numpy
+    integer; a float or a bool raises ValueError.
     """
     _check_count("seed", seed)
     if policy not in _POLICIES:

@@ -273,5 +273,7 @@ class TestNumberRules:
     def test_a_finite_positive_number_passes_both(self, value):
         _check_positive("eps", value)
         _check_nonnegative("t", value)
-        _check_nonnegative("t", 0.0)
-        _check_nonnegative("t", -0.0)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 0])
+    def test_zero_is_nonnegative(self, value):
+        _check_nonnegative("t", value)
