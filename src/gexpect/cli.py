@@ -22,8 +22,7 @@ layer and batch row where the march failed (null when it names none).
     oracle-check  grid                        -          functions, times, [steps, tolerance]
 
 A command accepts exactly these, plus the optional top-level key
-``out_dir``.  ``generator.picard`` applies to
-``gbsde`` only; ``grid`` takes ``nt`` or ``theta``, not both.  The config
+``out_dir``; ``grid`` takes ``nt`` or ``theta``, not both.  The config
 is checked before any solve, and every rejected input, a param value that
 a library routine refuses included, exits 1 naming its field, never with
 a traceback.
@@ -131,7 +130,6 @@ class _Command(NamedTuple):
     functions: tuple[str, ...]
     params: dict[str, str]  # required param -> kind
     optional: dict[str, str] = {}
-    picard: bool = False  # whether generator.picard drives the run
 
 
 class ExperimentConfig:
@@ -152,7 +150,7 @@ class ExperimentConfig:
         self.band = self._band(raw["band"])
         # a section is in raw exactly when the command uses it
         self.grid = self._grid(raw["grid"]) if "grid" in raw else None
-        self.generator = self._generator(raw["generator"], spec.picard) if "generator" in raw else None
+        self.generator = self._generator(raw["generator"]) if "generator" in raw else None
         _require(raw.get("functions", {}), "config.functions", dict.fromkeys(spec.functions, "string"))
         self.functions = {
             name: _checked(f"config.functions.{name}", parse_scalar, raw["functions"][name])
@@ -193,13 +191,8 @@ class ExperimentConfig:
             raise ConfigError("config.grid", str(exc)) from exc
         return grid
 
-    def _generator(self, obj: dict, picard: bool) -> GeneratorPair:
-        _require(
-            obj,
-            "config.generator",
-            {"g": "string", "f": "string", "lipschitz_L": "number"},
-            {"h6": "bool", "picard": "bool"} if picard else {"h6": "bool"},
-        )
+    def _generator(self, obj: dict) -> GeneratorPair:
+        _require(obj, "config.generator", {"g": "string", "f": "string", "lipschitz_L": "number"}, {"h6": "bool"})
         g = _checked("config.generator.g", parse_tri, obj["g"])
         f = _checked("config.generator.f", parse_tri, obj["f"])
         return _checked("config.generator", GeneratorPair, g, f, obj["lipschitz_L"], h6=obj.get("h6", False))
@@ -233,8 +226,7 @@ def _run_gexp(cfg: ExperimentConfig):
 
 def _run_gbsde(cfg: ExperimentConfig):
     times = _times(cfg)
-    picard = cfg.raw["generator"].get("picard", False)
-    sol = solve_gbsde(cfg.band, cfg.generator, cfg.functions["terminal"], cfg.grid, picard=picard)
+    sol = solve_gbsde(cfg.band, cfg.generator, cfg.functions["terminal"], cfg.grid)
     rows = []
     for t in times:
         k = sol.field.nearest_layer(t)
@@ -335,9 +327,7 @@ def _run_oracle_check(cfg: ExperimentConfig):
 _COMMANDS = {
     # runner, sections besides band and params, function names, params, optional params
     "gexp": _Command(_run_gexp, ("grid", "functions"), ("phi",), {"times": "number-list"}),
-    "gbsde": _Command(
-        _run_gbsde, ("grid", "generator", "functions"), ("terminal",), {"times": "number-list"}, picard=True
-    ),
+    "gbsde": _Command(_run_gbsde, ("grid", "generator", "functions"), ("terminal",), {"times": "number-list"}),
     "convexity": _Command(
         _run_convexity, ("generator", "functions"), ("h",),
         {"y_range": "number-pair", "z_range": "number-pair"}, {"resolution": "int", "t": "number"},

@@ -136,14 +136,14 @@ def reduce_over_A(
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    verdict: str  # "holds" | "fails"
     witnesses: tuple[tuple[float, float, float, float], ...]  # (y, z, A, gap)
     min_gap: float
     cells: np.ndarray = field(compare=False, repr=False)  # read-only [y, z] -> (y, z, A, gap)
 
-    def __post_init__(self) -> None:
-        if (self.verdict == "fails") != (len(self.witnesses) > 0):
-            raise ValueError("verdict must say fails exactly when witnesses exist")
+    @property
+    def verdict(self) -> str:
+        """"fails" when the scan found a witness, else "holds"."""
+        return "fails" if self.witnesses else "holds"
 
 
 def check_g_convexity(
@@ -183,13 +183,7 @@ def check_g_convexity(
     # First minimum in scan order, as a sequential min over the cells would pick.
     min_gap = float(gaps[np.argmin(gaps)])
     witnesses = tuple(map(tuple, cells[inf_gap < -WITNESS_TOL].tolist()))
-    verdict = "fails" if witnesses else "holds"
-    return ConvexityReport(
-        verdict=verdict,
-        witnesses=witnesses,
-        min_gap=min_gap,
-        cells=cells,
-    )
+    return ConvexityReport(witnesses=witnesses, min_gap=min_gap, cells=cells)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "CflError",
     "g_eval",
     "cfl_time_steps",
-    "sub_steps",
     "make_grid",
 ]
 

@@ -6,8 +6,14 @@ operators left-associative, parentheses allowed)::
     expr    := term (('+' | '-') term)*
     term    := unary (('*' | '/') unary)*
     unary   := '-' unary | power
-    power   := atom ('^' atom)*        # exponent must fold to an integer
+    power   := atom ('^' atom)*        # exponent must fold to an integer, |n| <= 2^53
     atom    := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
+
+A NUMBER must be finite: ``1e999`` is refused, as it would print as
+``inf``, which parses as an unknown identifier.  Beyond 2^53 every float is
+an integer, so ``is_integer`` cannot tell an integer literal there from any
+other, and such an exponent is refused too (``x^1e300`` would overflow its
+jet).
 
 Known functions: exp, tanh, sin, cos, sqrt, abs_smooth (smoothed absolute
 value, sqrt(x^2 + eps^2) with eps = 1e-8) and bump (C^2 plateau equal to 1
@@ -47,7 +53,6 @@ __all__ = [
     "parse",
     "parse_scalar",
     "parse_tri",
-    "ABS_SMOOTH_EPS",
 ]
 
 ABS_SMOOTH_EPS = 1e-8
@@ -215,9 +220,12 @@ class _Parser:
         if kind == "num":
             self.advance()
             try:
-                return Lit(float(text))
+                value = float(text)
             except ValueError:
                 raise ParseError(f"invalid number literal {text!r}", offset) from None
+            if not math.isfinite(value):
+                raise ParseError(f"number literal {text!r} is not finite", offset)
+            return Lit(value)
         if kind == "ident":
             self.advance()
             if self.peek()[0] == "(":
@@ -243,8 +251,11 @@ class _Parser:
         raise ParseError(f"expected a value, found {text or 'end of input'!r}", offset)
 
 
+_MAX_EXPONENT = 2.0**53  # beyond it every float is an integer
+
+
 def _fold_integer(node: Node) -> int | None:
-    if isinstance(node, Lit) and float(node.value).is_integer():
+    if isinstance(node, Lit) and float(node.value).is_integer() and abs(node.value) <= _MAX_EXPONENT:
         return int(node.value)
     if isinstance(node, Neg):
         inner = _fold_integer(node.operand)

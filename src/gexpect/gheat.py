@@ -12,54 +12,20 @@ the 2 taken inside G, with the same bits unless a term is subnormal or
 2 f or 2 f + D2 u overflows.  Without drivers the step is
 ``u + dt * G(D2 u)``, the same arithmetic with nothing to add, so the heat
 solve, the backward solver and the conditional reductions agree bit for
-bit when the drivers are zero.  Each step writes into preallocated
-arrays: the next checkpoint row of a stored field when the layer is one,
-or else one of two buffers that alternate.  The stencil
-views a step reads (D2's three along the flattened layer, and the
-gradient's four when a driver reads z) are built once per buffer: for the
-datum and the two alternating buffers before the march, for a checkpoint
-row once it is written.  ``_d2_into`` and ``_gradient_into`` are the one
-form of each stencil, for the kernel and for the allocating
-``_second_difference`` and ``_space_gradient`` alike.  The kernel's
-ufuncs take their outputs by position, which numpy parses faster per call
-than the ``out=`` keyword (``np.maximum`` keeps ``out=``).  A solved
-field keeps every floor(sqrt(nt))-th layer and the last two, and a read
-of any other layer re-marches from the checkpoint before it, which
-repeats the first march's bits.  A field gives its layers, the whole
-``u`` on request and one layer's gradient, but no whole gradient or
-curvature: ``gbsde`` forms eta from ``u`` or from one layer.
+bit when the drivers are zero.
 
-``solve_g_heat_batch`` (and ``gbsde.solve_gbsde_batch``) march a stack of
-data on one grid in one pass: the layers are (B, nx) arrays, every step is
-elementwise or confined to its row, so each row has the bits of its own
-solve, and each datum gets a field that keeps its row of the shared
-checkpoints.  ``solve_g_heat`` is the stack of one, marched as a single
-row.  The blow-up envelope may hold one value per row.  A failure names
-its time layer and its row (0 for a single solve) as the fields ``layer``
-and ``row`` of ``NonFiniteError`` and ``BlowUpError``; the first failing
-layer raises, and within it a non-finite row wins over a row beyond its
-envelope.  The tests are cheap: with an envelope each layer takes one sum
-of squares against the smallest row envelope's square, which proves the
-layer finite and inside every envelope, and from the first layer that
-fails it on, each layer takes the per-row maximum and minimum against
-its row's envelope instead; without one, finiteness is tested once, at
-the last layer (a non-finite node stays non-finite), and a test that
-fails re-marches from the datum with a test on every layer, which names
-the first failing layer and row.  A driver that is the literal 0 is
-neither evaluated nor added, which keeps the bits, and a march whose two
-drivers are both the literal 0 takes the heat step itself.
-
-``conditional_g_expectation`` returns a table that reduces an entry (the
-payoff with the first i coordinates fixed at a node, reduced over the
-other increments) the first time a read needs it: a read reduces its
-cell's unread 2^i corner entries in one march per increment and keeps
-them, ``values`` reduces the rest on first access, and the three residual
-probes march in one batch with the corner entries they read, whose
-1 + max|entry| is the residual check's scale.  Each entry is a row of its
-own, so it has the bits of the whole mesh reduced at once.  A NaN or
-infinity in the payoff raises at the call, at layer 0; a failure in a
-later layer raises at the read that reduces the entry, with ``row``
-counted within that read's batch.
+``_march`` is the one kernel: it advances every layer of every solve and
+tests each for finiteness and against the blow-up envelope; its docstring
+says how, and how a failure names its layer and row.  ``_d2_into`` and
+``_gradient_into`` are the one form of each stencil, for the kernel and
+for the allocating ``_second_difference`` and ``_space_gradient`` alike.
+``FieldSolution`` says which layers a solve keeps and how a read of any
+other re-marches them.  ``solve_g_heat_batch`` (and
+``gbsde.solve_gbsde_batch``) march a stack of data on one grid in one
+pass, each row with the bits of its own solve; ``solve_g_heat`` is the
+stack of one.  ``conditional_g_expectation`` returns a table that reduces
+an entry the first time a read needs it; its docstring says when a
+failure raises.
 
 Monotonicity under the CFL bound makes the scheme converge to the
 viscosity solution and gives discrete maximum/comparison principles.
@@ -197,8 +163,7 @@ def _check_rows(k: int, layer: np.ndarray, envelope=_LARGEST) -> None:
     first row beyond its envelope, with that row's largest |value|.
     """
     top, bottom = np.maximum.reduce(layer, -1), np.minimum.reduce(layer, -1)
-    # one row's numpy scalars compare faster than any ufunc call takes; several rows, in one pass over their peaks
-    if (top <= envelope and bottom >= -envelope) if top.ndim == 0 else (np.maximum(top, -bottom) <= envelope).all():
+    if (np.maximum(top, -bottom) <= envelope).all():
         return
     top, bottom = top.reshape(-1), bottom.reshape(-1)
     finite = np.isfinite(top) & np.isfinite(bottom)  # a NaN anywhere in a row makes its largest value NaN
@@ -244,20 +209,22 @@ def _march(
     smallest value and raises: for the datum, for a layer that fails the
     sum of squares below, and to name a predictor that failed its test.
 
-    The tests are cheap.  With an envelope (each one finite), every layer
-    takes one sum of squares: with m the smallest envelope, |x| > m gives
-    fl(x^2) >= fl(m^2), and a sum of non-negative terms never rounds below
-    its largest, so vdot(row, row) < m * m (inf where that overflows)
-    proves every row finite and inside its envelope; a NaN fails it too.
-    The test holds while the layer's squares sum to less than the smallest
-    envelope's square: bounded data of rows on one scale.  From the first
-    layer that fails it (rows of mixed scale, many nodes, or Y grown
-    toward its envelope) each layer takes ``_check_rows`` instead, so such
-    a march pays one sum of squares more than that test alone.  Without
-    an envelope a non-finite node stays non-finite, as each layer is the
+    The tests are cheap, and a tested layer takes one row test, with an
+    envelope or without.  It is one sum of squares: with m the smallest
+    envelope (each one finite; the largest float without an envelope),
+    |x| > m gives fl(x^2) >= fl(m^2), and a sum of non-negative terms never
+    rounds below its largest, so vdot(row, row) < m * m (inf where that
+    overflows) proves every row finite and inside its envelope; a NaN fails
+    it too.  The test holds while the layer's squares sum to less than the
+    smallest envelope's square: bounded data of rows on one scale.  From
+    the first layer that fails it (rows of mixed scale, many nodes, or Y
+    grown toward its envelope) each layer takes ``_check_rows`` instead,
+    which raises on a failing row, so such a march pays one sum of squares
+    more than that test alone.  With an envelope every layer is tested.
+    Without one a non-finite node stays non-finite, as each layer is the
     last plus an increment and inf + x is inf or NaN, so finiteness is
     tested once, at layer nt, whatever ``out`` stores; a test that fails
-    re-marches from the datum with ``_check_rows`` on every layer, which
+    re-marches from the datum with the row test on every layer, which
     raises at the first failing layer and row.  The Picard predictor is
     tested at every layer, as a driver may map a non-finite predictor to a
     finite value.
@@ -275,16 +242,21 @@ def _march(
     two C-contiguous arrays of ``ring`` (allocated per march when not
     given), layer k in ring[k % 2], so after the march ``ring`` still holds
     the last two layers that are not in ``out``.  The returned last layer
-    is a row of ``out`` or of ``ring``.  The ring's views are built once,
-    before the march; a flattened view of a non-contiguous batch would be
-    a stale copy.
+    is a row of ``out`` or of ``ring``.  The stencil views a step reads
+    (D2's three along the flattened layer, and the gradient's four when a
+    driver reads z) are built once per buffer: for the datum and the ring
+    before the march, for a checkpoint row once it is written; a flattened
+    view of a non-contiguous batch would be a stale copy.  The ufuncs take
+    their outputs by position, which numpy parses faster per call than the
+    ``out=`` keyword (``np.maximum`` keeps ``out=``).
     """
     _check_rows(0, datum)
     # a finite array has dot product 0 with zeros; inf * 0 and NaN give NaN
     zeros = np.zeros(datum.size)
-    if envelope is not None:  # bound_sq is read only when an envelope is set
-        smallest = max(float(np.min(envelope, initial=np.inf)), 0.0)
-        bound_sq = smallest * smallest  # a Python float product overflows to inf, as it should here
+    # without an envelope a tested layer is held to the largest float, whose square is inf
+    limit = _LARGEST if envelope is None else envelope
+    smallest = max(float(np.min(limit, initial=np.inf)), 0.0)
+    bound_sq = smallest * smallest  # a Python float product overflows to inf, as it should here
     # 0-d arrays: numpy takes them per call faster than Python floats
     dx_sq, step, half_max, half_min, two = map(
         np.array, (dx * dx, dt, 0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq, 2.0)
@@ -365,13 +337,10 @@ def _march(
                                 _check_rows(k, predictor)
                             y, y_views = predictor, predictor_views
                 _add(layer, row, row)
-                if envelope is None:
-                    if each:  # a re-march: the first failing layer raises
-                        _check_rows(k, row)
-                elif not (by_sum and np.vdot(row, row) < bound_sq):
+                if each and not (by_sum and np.vdot(row, row) < bound_sq):
                     # this layer and every later one take the per-row test, which raises on failure
                     by_sum = False
-                    _check_rows(k, row, envelope)
+                    _check_rows(k, row, limit)
                 layer, (lo, mid, hi, gradient) = row, stencil(row) if checkpoint else ring_stencils[k % 2]
             # a non-finite node stays non-finite, so layer nt's test covers every layer before it
             return layer if each or np.vdot(layer, zeros) == 0.0 else None

@@ -5,19 +5,11 @@ quadratic-variation and K-monotonicity experiments.
 Both trees run one backward loop, ``_lattice``: nodes sigma_max * sqrt(dt)
 apart and no boundary, each taking the better continuation of the two band
 endpoints (exact for a reward linear in the variance), plus K's per-step
-``_k_step`` in ``tree_k_expectation``.  The loop builds its slice views
-once per block of ``_BLOCK`` steps: a block steps the window of its first
-step, and the outer nodes it updates beyond the shrinking cone are never
-read by the root.  Every stack, one column or many, and the reward path
-step one flat view of the node-major lattice: a node's neighbours are
-contiguous 1-d runs B values away, and the ufuncs take their outputs by
-position, which numpy parses faster per call than the ``out=`` keyword
-(``np.maximum`` keeps ``out=``).  The loop steps under
-``np.errstate(all="ignore")``, as the heat march does, so it warns
-nothing; a root that is not finite comes back as it is.  The step reads
-no dt, so ``tree_expectation_batch`` marches trees of several functions and times on
-one band as the columns of one lattice, each with its own tree's bits;
-``tree_expectation`` is the stack of one.  The tree's independence from the
+``_k_step`` in ``tree_k_expectation``.  ``_lattice``'s docstring says how
+it steps and what it does with a terminal that is not finite.  The step
+reads no dt, so ``tree_expectation_batch`` marches trees of several
+functions and times on one band as the columns of one lattice, each with
+its own tree's bits; ``tree_expectation`` is the stack of one.  The tree's independence from the
 PDE solve lies in this lattice, not in the expression compiler, which
 evaluates phi for both.  Path innovations are +-1 from a fixed 64-bit
 shift-register generator so that quadratic variation is exact per step
@@ -68,16 +60,14 @@ class _Xorshift64Star:
         state = _splitmix64(seed & _MASK)
         self._state = state if state else 0x9E3779B97F4A7C15
 
-    def next_word(self) -> int:
+    def next_bit(self) -> int:
+        """The top bit of the next output word."""
         x = self._state
         x ^= (x >> 12)
         x ^= (x << 25) & _MASK
         x ^= (x >> 27)
         self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK
-
-    def next_bit(self) -> int:
-        return self.next_word() >> 63
+        return ((x * 0x2545F4914F6CDD1D) & _MASK) >> 63
 
 
 @dataclass(frozen=True)
@@ -141,7 +131,9 @@ def _lattice(band: VolatilityBand, dts, steps: int, terminals, reward=None) -> n
     one tree B values wide, where a row per tree falls out of cache.  The
     loop steps the lattice as one flat array, so lo, mid and hi are 1-d runs
     B values apart for every B, and the ufuncs take their outputs by
-    position; a stack of one steps 1-d views, not (n, 1) columns.
+    position, which numpy parses faster per call than the ``out=`` keyword
+    (``np.maximum`` keeps ``out=``); a stack of one steps 1-d views, not
+    (n, 1) columns.
 
     The views are built once per block of ``_BLOCK`` steps: a block steps
     the window of its first step's cone, and the reward reads that window's

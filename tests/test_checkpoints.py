@@ -207,8 +207,7 @@ def csv_text(header, rows):
 
 class TestCliRows:
     @pytest.mark.parametrize("nt", [1, 2, 16, 17, 20, 41])
-    @pytest.mark.parametrize("picard", [False, True])
-    def test_gexp_and_gbsde_rows_have_the_stride_one_bytes(self, band, nt, picard):
+    def test_gexp_and_gbsde_rows_have_the_stride_one_bytes(self, band, nt):
         grid = grid_with_steps(band, 21, nt, 0.4)
         times = [0.0, grid.horizon / 3.0, 0.5 * grid.horizon, grid.horizon]
         section = {"horizon": grid.horizon, "nx": grid.nx, "x_min": -1.0, "x_max": 1.0, "nt": nt}
@@ -217,7 +216,7 @@ class TestCliRows:
             "gexp": {**common, "functions": {"phi": "sin(3*x)"}, "params": {"times": times}},
             "gbsde": {
                 **common,
-                "generator": {"g": "0.5*z", "f": "0.1*y", "lipschitz_L": 1.0, "picard": picard},
+                "generator": {"g": "0.5*z", "f": "0.1*y", "lipschitz_L": 1.0},
                 "functions": {"terminal": "sin(3*x)"},
                 "params": {"times": times},
             },
@@ -225,7 +224,7 @@ class TestCliRows:
         phi = parse_scalar("sin(3*x)")
         heat = stride_one(band, grid, phi(grid.xs), zero_generator(), np.linspace(0.0, grid.horizon, nt + 1), False)
         gen = GeneratorPair(parse_tri("0.5*z"), parse_tri("0.1*y"), 1.0)
-        backward = stride_one(band, grid, phi(grid.xs), gen, grid.horizon - heat.times, picard)
+        backward = stride_one(band, grid, phi(grid.xs), gen, grid.horizon - heat.times, False)
         bsde = BsdeSolution(backward, gen, band)
         expected = {"gexp": [], "gbsde": []}
         for t in times:

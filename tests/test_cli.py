@@ -1,12 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import numpy as np
 
+import gexpect
 from gexpect import (
     GeneratorPair,
     VolatilityBand,
@@ -273,18 +277,6 @@ class TestGbsdeCommand:
         assert report["results"]["y_at_start"] == pytest.approx(0.3679, abs=1e-3)
         header = (out / "gbsde.data.csv").read_text().splitlines()[0]
         assert header == "t,x,y,z,eta"
-
-    def test_picard_flag_accepted(self, tmp_path):
-        config = base_config(
-            generator={"g": "-y", "f": "0", "lipschitz_L": 1.0, "picard": True},
-            functions={"terminal": "1"},
-            params={"times": [0.0]},
-        )
-        path = write_config(tmp_path, config)
-        out = tmp_path / "out"
-        assert run("gbsde", path, out) == 0
-        report = json.loads((out / "gbsde.report.json").read_text())
-        assert report["results"]["y_at_start"] == pytest.approx(0.3679, abs=1e-3)
 
     def test_out_dir_from_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -557,7 +549,7 @@ class TestCommandTable:
         assert run("convexity", write_config(tmp_path, config), tmp_path / "out") == 1
         assert "config.params.z_range" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["jensen", "replimit"])
+    @pytest.mark.parametrize("command", ["gbsde", "jensen", "replimit"])
     def test_picard_rejected_where_it_drives_nothing(self, command):
         with pytest.raises(ConfigError) as info:
             ExperimentConfig(command, variant(command, "generator", picard=True))
@@ -604,6 +596,8 @@ class TestNoTraceback:
         # a bool or a string where a number belongs
         ("gexp", "grid", {"horizon": True}, "config.grid.horizon"),
         ("gbsde", "generator", {"lipschitz_L": "1.0"}, "config.generator.lipschitz_L"),
+        # a literal that overflows (an exponent beyond 2^53 runs below, as a process)
+        ("convexity", "functions", {"h": "1e999*x"}, "config.functions.h"),
     ]
 
     @pytest.mark.parametrize("command,section,entries,field", CASES)
@@ -612,6 +606,18 @@ class TestNoTraceback:
         assert run(command, write_config(tmp_path, variant(command, section, **entries)), out) == 1
         assert f"config error at {field}: " in capsys.readouterr().err
         assert not (out / f"{command}.report.json").exists()
+
+    def test_huge_exponent_exits_1_without_a_traceback(self, tmp_path):
+        # the jet of x^1e300 formed a 301-digit int and raised OverflowError out of the CLI
+        path = write_config(tmp_path, variant("convexity", "functions", h="x^1e300"))
+        env = {**os.environ, "PYTHONPATH": str(Path(gexpect.__file__).parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-m", "gexpect.cli", "convexity", "--config", str(path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("config error at config.functions.h: power exponent must be an integer literal")
+        assert "Traceback" not in done.stderr
 
     def test_negative_horizon_with_default_domain(self, tmp_path, capsys):
         config = base_config(grid={"horizon": -1.0, "nx": 201})

@@ -176,10 +176,12 @@ class TestReduceOverA:
 
 
 class TestCheckGConvexity:
-    @pytest.mark.parametrize("verdict,witnesses", [("holds", ((0.0, 1.0, 0.0, -1.0),)), ("fails", ())])
-    def test_a_report_refuses_a_verdict_its_witnesses_contradict(self, verdict, witnesses):
-        with pytest.raises(ValueError, match="verdict must say fails exactly when witnesses exist"):
-            ConvexityReport(verdict, witnesses, -1.0, np.zeros((16, 16, 4)))
+    @pytest.mark.parametrize("witnesses,verdict", [(((0.0, 1.0, 0.0, -1.0),), "fails"), ((), "holds")])
+    def test_the_verdict_is_fails_exactly_when_witnesses_exist(self, witnesses, verdict):
+        report = ConvexityReport(witnesses, -1.0, np.zeros((16, 16, 4)))
+        assert report.verdict == verdict
+        with pytest.raises(AttributeError):
+            report.verdict = "holds" if verdict == "fails" else "fails"
 
     def test_identity_holds(self, band):
         report = check_g_convexity(

@@ -59,6 +59,25 @@ class TestParse:
             parse_scalar("x $ 2")
         assert err.value.offset == 2
 
+    @pytest.mark.parametrize("text,literal,offset", [("1e999*x", "1e999", 0), ("x + 2E308", "2E308", 4)])
+    def test_a_literal_that_is_not_finite_is_refused(self, text, literal, offset):
+        # it would print as inf, which parses as an unknown identifier
+        with pytest.raises(ParseError, match=f"number literal '{literal}' is not finite") as err:
+            parse_scalar(text)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("text", ["x^1e300", "x^(-1e300)", "x^9007199254740994", "x^1e16"])
+    def test_an_exponent_beyond_2_to_the_53_is_refused(self, text):
+        # beyond 2^53 every float is an integer; x^1e300 raised OverflowError in its jet
+        with pytest.raises(ParseError, match="power exponent must be an integer literal") as err:
+            parse_scalar(text)
+        assert err.value.offset == 1
+
+    def test_an_exponent_of_2_to_the_53_is_kept(self):
+        fn = parse_scalar("x^9007199254740992")
+        assert fn.ast.exponent == 2**53
+        assert fn.eval2(0.5) == (0.0, 0.0, 0.0)
+
     def test_negative_integer_power(self):
         fn = parse_scalar("x^(-2)")
         assert fn(2.0) == 0.25
