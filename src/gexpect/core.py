@@ -70,41 +70,35 @@ def g_eval(band: VolatilityBand, a):
     # For a < 0 the larger end's product may overflow where G does not; the
     # maximum discards it, so its warning says nothing.
     with np.errstate(over="ignore"):
-        g = _g_into(0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq, a)
+        g = _g_sup(0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq, a)
     small = np.abs(g) < _TINY
     if small.any():
         if np.ndim(g):  # g is a fresh array; the small entries alone are recomputed
-            g[small] = 0.5 * _g_into(band.sigma_max_sq, band.sigma_min_sq, np.asarray(a)[small])
+            g[small] = 0.5 * _g_sup(band.sigma_max_sq, band.sigma_min_sq, np.asarray(a)[small])
         else:
-            g = 0.5 * _g_into(band.sigma_max_sq, band.sigma_min_sq, a)
+            g = 0.5 * _g_sup(band.sigma_max_sq, band.sigma_min_sq, a)
     return g
 
 
-_ZERO = np.zeros(())  # a 0-d array: numpy takes it per call faster than the float 0.0
-_ZERO.setflags(write=False)
 _TINY = np.finfo(float).tiny  # the smallest normal float
 # the kernel's ufuncs, bound once; they take their output by position, which numpy parses
 # faster per call than the out= keyword (np.maximum keeps out=: a third positional is deprecated)
 _add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
 
 
-def _g_into(hi, lo, a, out=None, scratch=None):
+def _g_sup(hi, lo, a):
     """max(hi * a, lo * a) + 0, for band ends (or halved band ends) hi >= lo > 0.
 
-    The supremum over the band's two ends, which is G(a) itself when the
-    march passes the halved ends.  It has the bits of hi * a+ + lo * a-:
-    one of the two parts is zero, and adding +0 turns a -0 maximum (at
-    a = -0, or where lo * a underflows) into the +0 that sum gives.  For
-    a < 0, hi * a may overflow where the result does not.  Halving is
-    exact, so with the halved ends this has the bits of halving
-    sigma_max_sq * a+ - sigma_min_sq * a- wherever sigma_max_sq * |a| is
-    finite and the result is not subnormal.  With ``out`` and ``scratch``
-    (arrays shaped like a, distinct from each other and from a) the result
-    is written into ``out`` and nothing is allocated.
+    The supremum over the band's two ends, which is G(a) itself for the
+    halved ends.  It has the bits of hi * a+ + lo * a-: one of the two
+    parts is zero, and adding +0 turns a -0 maximum (at a = -0, or where
+    lo * a underflows) into the +0 that sum gives.  For a < 0, hi * a may
+    overflow where the result does not.  Halving is exact, so with the
+    halved ends this has the bits of halving sigma_max_sq * a+ -
+    sigma_min_sq * a- wherever sigma_max_sq * |a| is finite and the result
+    is not subnormal.
     """
-    up = _multiply(hi, a, out)
-    up = np.maximum(up, _multiply(lo, a, scratch), out=out)
-    return _add(up, _ZERO, out)
+    return np.maximum(_multiply(hi, a), _multiply(lo, a)) + 0.0
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ the value function obeys the fully nonlinear terminal-value problem
     -du/dt = g(t, u, du/dx) + 2 G(f(t, u, du/dx) + 0.5 * d2u/dx2)
 
 discretised with the same explicit kernel as the forward heat solve,
-which forms 2 G(f + D2 u / 2) as G(2 f + D2 u), so zero drivers give the
-heat solve's bits.  The solution carries Y = u, Z = du/dx
+which folds dt, dx^2 and the halving into its two band constants, so zero
+drivers give the heat solve's bits.  The solution carries Y = u, Z = du/dx
 and the variance density eta = f + 0.5 * d2u/dx2 whose band-worst
 increments make up the nonincreasing component K.
 """

@@ -4,15 +4,18 @@ expectation functionals built on it.
 
 The scheme marches whole layers::
 
-    u_next = u + dt * (g_term + G(2 * f_term + D2 u))
+    u_next = u + (max(a * D, b * D) + dt * g_term),  D = d + 2 dx^2 * f_term
 
-with the three-point second difference D2 (zero at the two boundary
-nodes, exact for affine tails): the paper's g + 2 G(f + D2 u / 2) with
-the 2 taken inside G, with the same bits unless a term is subnormal or
-2 f or 2 f + D2 u overflows.  Without drivers the step is
-``u + dt * G(D2 u)``, the same arithmetic with nothing to add, so the heat
-solve, the backward solver and the conditional reductions agree bit for
-bit when the drivers are zero.
+with d = (u[j+1] - 2 u[j]) + u[j-1] the undivided three-point second
+difference (zero at the two boundary nodes, exact for affine tails) and
+the constants a = dt sigma_max_sq / (2 dx^2), b = dt sigma_min_sq /
+(2 dx^2) folded once per march.  It is the paper's
+u + dt (g + 2 G(f + D2 u / 2)), with the division by dx^2, the product
+with dt and the halving of G folded into a and b, so its values differ
+from that form by a few ulps.  Without drivers the step is
+``u + max(a * d, b * d)``, the same arithmetic with nothing to add, so the
+heat solve, the backward solver and the conditional reductions agree bit
+for bit when the drivers are zero.
 
 ``_march`` is the one kernel: it advances every layer of every solve and
 tests each for finiteness and against the blow-up envelope; its docstring
@@ -46,7 +49,6 @@ from .core import (
     _add,
     _check_count,
     _divide,
-    _g_into,
     _multiply,
     _subtract,
     make_grid,
@@ -96,8 +98,8 @@ class GridResolutionError(ValueError):
     """Tabulated result too coarse to represent the payoff."""
 
 
-def _d2_into(lo, mid, hi, dx_sq, inner) -> None:
-    """The three-point second difference ((hi - 2 mid) + lo) / dx^2 into ``inner``.
+def _d2_into(lo, mid, hi, inner) -> None:
+    """The undivided three-point second difference (hi - 2 mid) + lo into ``inner``.
 
     ``lo``, ``mid`` and ``hi`` are the node's left neighbour, the node and
     its right neighbour; 2 mid is formed exactly as mid + mid.  The kernel
@@ -106,7 +108,6 @@ def _d2_into(lo, mid, hi, dx_sq, inner) -> None:
     _add(mid, mid, inner)
     _subtract(hi, inner, inner)
     _add(inner, lo, inner)
-    _divide(inner, dx_sq, inner)
 
 
 def _gradient_views(u: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -132,12 +133,13 @@ def _gradient_into(views, dx, two_dx, inner, ends) -> None:
 def _second_difference(u: np.ndarray, dx_sq) -> np.ndarray:
     """Three-point second difference along the last axis into a fresh array, zero at the ends.
 
-    ``dx_sq`` is the squared node spacing.  The pass runs row by row, so no
-    value is formed across two rows.
+    ``dx_sq`` is the squared node spacing, divided once after the undivided
+    difference.  The pass runs row by row, so no value is formed across two
+    rows.
     """
     out = np.zeros(u.shape)
-    _d2_into(u[..., :-2], u[..., 1:-1], u[..., 2:], dx_sq, out[..., 1:-1])
-    return out
+    _d2_into(u[..., :-2], u[..., 1:-1], u[..., 2:], out[..., 1:-1])
+    return _divide(out, dx_sq, out)
 
 
 def _space_gradient(u: np.ndarray, dx: float) -> np.ndarray:
@@ -194,11 +196,18 @@ def _march(
 
     Space is the last axis; leading axes are a batch, and each slice along
     them (a row) marches on its own, with the bits it gets alone.  Layer k
-    is one step u + dt * (g + G(2 f + D2 u)) from layer k-1 with the drivers
-    evaluated at ``layer_times[k]``; without drivers (``g_fn`` None, or both
-    the literal 0) it is u + dt * G(D2 u), and the driver loop is skipped.
-    ``picard`` corrects the driver arguments once against the explicit
-    predictor.  The datum, each layer and each predictor must be finite,
+    is one step u + (max(a D, b D) + dt g) from layer k-1, D = d + 2 dx^2 f,
+    with the drivers evaluated at ``layer_times[k]``; without drivers
+    (``g_fn`` None, or both the literal 0) it is u + max(a d, b d), and the
+    driver loop is skipped.  d is the undivided second difference and
+    a = dt sigma_max_sq / (2 dx^2), b = dt sigma_min_sq / (2 dx^2) and
+    2 dx^2 are formed once per march, so a heat layer takes seven numpy
+    calls.  ``picard`` corrects the driver arguments once against the
+    explicit predictor, which takes the same step.  Layer 1 adds its
+    increment to datum + 0.0, formed once, while out[0] keeps the datum
+    and the drivers read it as given: x + y is -0 only when both are -0,
+    so no later layer holds a -0, and the sign of a zero maximum or of a
+    zero-valued driver never reaches a layer.  The datum, each layer and each predictor must be finite,
     else NonFiniteError names the layer and the row.  With ``envelope``
     set (one value, or one per row shaped like the batch axes), a layer
     with a row whose largest |value| exceeds that row's envelope raises
@@ -233,8 +242,9 @@ def _march(
     closures inside its error state, which ignores every floating-point
     condition, so a driver that divides by zero or overflows surfaces as a
     NonFiniteError, never as a warning.  A driver that is the literal 0 is
-    neither evaluated nor added: 0 + a is a except at a = -0, which G maps
-    to +0 as it does +0, and G(.) is never -0, so the bits stay.  When
+    neither evaluated nor added: 0 + a is a except at a = -0, and a zero
+    increment leaves a layer that holds no -0 as it is, so the bits stay.
+    When
     neither driver reads ``z`` the gradient is not formed.  With ``out``
     (shape (nt // stride + 1,) + datum.shape) the datum goes to out[0] and
     each layer k with k % stride == 0 straight into out[k // stride];
@@ -243,7 +253,7 @@ def _march(
     given), layer k in ring[k % 2], so after the march ``ring`` still holds
     the last two layers that are not in ``out``.  The returned last layer
     is a row of ``out`` or of ``ring``.  The stencil views a step reads
-    (D2's three along the flattened layer, and the gradient's four when a
+    (d's three along the flattened layer, and the gradient's four when a
     driver reads z) are built once per buffer: for the datum and the ring
     before the march, for a checkpoint row once it is written; a flattened
     view of a non-contiguous batch would be a stale copy.  The ufuncs take
@@ -257,36 +267,37 @@ def _march(
     limit = _LARGEST if envelope is None else envelope
     smallest = max(float(np.min(limit, initial=np.inf)), 0.0)
     bound_sq = smallest * smallest  # a Python float product overflows to inf, as it should here
-    # 0-d arrays: numpy takes them per call faster than Python floats
-    dx_sq, step, half_max, half_min, two = map(
-        np.array, (dx * dx, dt, 0.5 * band.sigma_max_sq, 0.5 * band.sigma_min_sq, 2.0)
+    # the folded constants, 0-d arrays: numpy takes them per call faster than Python floats
+    two_dx_sq = 2.0 * dx * dx
+    a, b, two_dx_sq, dt = map(
+        np.array, (dt * band.sigma_max_sq / two_dx_sq, dt * band.sigma_min_sq / two_dx_sq, two_dx_sq, dt)
     )
-    d2 = np.zeros(datum.shape)
+    d = np.zeros(datum.shape)
     scratch = np.empty(datum.shape)
     if ring is None:
         ring = (np.empty(datum.shape), np.empty(datum.shape))
     if out is not None:
         out[0] = datum
     # a literal-zero driver is None: it is not evaluated and its add is skipped; with both None
-    # (or no drivers at all) the march takes the heat step u + dt * G(D2 u)
+    # (or no drivers at all) the march takes the heat step u + max(a d, b d)
     g, f = (None if fn is None or fn.ast == _LITERAL_ZERO else fn._compiled for fn in (g_fn, f_fn))
     driven = g is not None or f is not None
     reads_z = driven and ("z" in g_fn.variables or "z" in f_fn.variables)
 
     def stencil(u: np.ndarray) -> tuple:
-        """D2's (lo, mid, hi) along u flattened, then the gradient's views when a driver reads z."""
+        """d's (lo, mid, hi) along u flattened, then the gradient's views when a driver reads z."""
         flat = u.reshape(-1)
         return flat[:-2], flat[1:-1], flat[2:], _gradient_views(u) if reads_z else ()
 
-    # D2 sweeps a batch as one flattened row: the values it forms across two rows land in
+    # d sweeps a batch as one flattened row: the values it forms across two rows land in
     # the end columns, which are zeroed again; they can overflow where no row does, so the
     # sweep runs only inside the error state below
     n = datum.shape[-1]
-    d2_inner, d2_ends = d2.reshape(-1)[1:-1], d2[..., :: n - 1] if datum.ndim > 1 else None
+    d_inner, d_ends = d.reshape(-1)[1:-1], d[..., :: n - 1] if datum.ndim > 1 else None
     ring_stencils = (stencil(ring[0]), stencil(ring[1]))
     if driven:
         grad = np.empty(datum.shape)
-        arg = d2 if f is None else np.empty(datum.shape)  # G's argument, 2 f + D2 u
+        arg = d if f is None else np.empty(datum.shape)  # the maximum's argument, d + 2 dx^2 f
         grad_inner, grad_ends = grad[..., 1:-1], grad[..., :: n - 1]
         grad_dx, two_dx = np.array(dx), np.array(2.0 * dx)
         predictor = np.empty(datum.shape) if picard else None
@@ -302,46 +313,49 @@ def _march(
         # a layer's views are built once per buffer: the datum's and the ring's above, a checkpoint
         # row's when it is written; the step calls the ufuncs on them in the allocating step's order
         layer, (lo, mid, hi, gradient) = datum, stencil(datum)
+        base = datum + 0.0  # what layer 1 adds its increment to: the datum with no -0
         by_sum = True  # the sum-of-squares test, until a layer fails it
         # the kernel names its own failures: an overflow or x/0 is a NonFiniteError, not a warning
         with np.errstate(all="ignore"):
             for k in range(1, nt + 1):
                 checkpoint = out is not None and k % stride == 0
                 row = out[k // stride] if checkpoint else ring[k % 2]
-                _d2_into(lo, mid, hi, dx_sq, d2_inner)
-                if d2_ends is not None:
-                    d2_ends.fill(0.0)
+                _d2_into(lo, mid, hi, d_inner)
+                if d_ends is not None:
+                    d_ends.fill(0.0)
                 if not driven:
-                    # u + dt * G(D2 u): the driver step with nothing to add
-                    _g_into(half_max, half_min, d2, row, scratch)
-                    _multiply(row, step, row)
+                    # u + max(a d, b d): the driver step with nothing to add
+                    _multiply(a, d, row)
+                    np.maximum(row, _multiply(b, d, scratch), out=row)
+                    _add(base, row, row)
                 else:
                     t, y, y_views = layer_times[k], layer, gradient
-                    # dt * (g + G(2 f + D2 u)), into the Picard predictor first when there is one
+                    # (max(a D, b D) + dt g) + u with D = d + 2 dx^2 f, into the Picard predictor
+                    # first when there is one
                     for into in (predictor, row) if picard else (row,):
                         env = {"t": t, "y": y}
                         if reads_z:
                             _gradient_into(y_views, grad_dx, two_dx, grad_inner, grad_ends)
                             env["z"] = grad
-                        if f is not None:  # 2 f is exact, so 2 f + D2 u rounds once, as f + D2 u / 2 does
-                            _add(_multiply(two, f(env), arg), d2, arg)
-                        _g_into(half_max, half_min, arg, into, scratch)
+                        if f is not None:
+                            _add(d, _multiply(two_dx_sq, f(env), arg), arg)
+                        _multiply(a, arg, into)
+                        np.maximum(into, _multiply(b, arg, scratch), out=into)
                         if g is not None:
-                            _add(g(env), into, into)
-                        _multiply(step, into, into)
+                            _add(into, _multiply(dt, g(env), scratch), into)
+                        _add(into, base, into)
                         if into is predictor:  # the drivers are evaluated again at u + increment
-                            _add(layer, predictor, predictor)
                             if np.vdot(predictor, zeros) != 0.0:
                                 if not each:
                                     return None
                                 _check_rows(k, predictor)
                             y, y_views = predictor, predictor_views
-                _add(layer, row, row)
                 if each and not (by_sum and np.vdot(row, row) < bound_sq):
                     # this layer and every later one take the per-row test, which raises on failure
                     by_sum = False
                     _check_rows(k, row, limit)
                 layer, (lo, mid, hi, gradient) = row, stencil(row) if checkpoint else ring_stencils[k % 2]
+                base = row
             # a non-finite node stays non-finite, so layer nt's test covers every layer before it
             return layer if each or np.vdot(layer, zeros) == 0.0 else None
 

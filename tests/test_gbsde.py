@@ -90,13 +90,20 @@ class TestSolveGbsde:
         sol = solve_gbsde(band, gen, parse_scalar("0"), grid)
         assert sol.y_at(0.0, 0.0) == pytest.approx(2.0, abs=1e-6)
 
-    def test_a_source_beyond_half_the_largest_float_overflows_at_layer_one(self):
-        # the kernel forms G(2 f + D2 u): 2 f overflows where the paper's f + D2 u / 2 does not,
-        # so this solve, which gave Y0 = 5e307 in that form, stops at its first layer
+    def test_a_source_beyond_half_the_largest_float_gives_the_paper_value(self):
+        # the kernel forms d + 2 dx^2 f, and 2 dx^2 = 0.36 here, so f = 1e308 stays finite where
+        # 2 f would not: Y0 = 2 G(f) T = 5e307, the value of the paper's g + 2 G(f + D2 u / 2)
+        band = VolatilityBand(0.25, 0.5)
+        gen = GeneratorPair(parse_tri("0"), parse_tri("1e308"), 0.0)
+        sol = solve_gbsde(band, gen, parse_scalar("0"), make_grid(band, 1.0, nx=21))
+        assert sol.y_at(0.0, 0.0) == 5e307
+
+    def test_a_source_whose_2_dx_sq_multiple_overflows_raises_at_layer_one(self):
+        # dx = 4, so 2 dx^2 f = 32 f is infinite for f = 1e308, though the paper's Y0 is finite
         band = VolatilityBand(0.25, 0.5)
         gen = GeneratorPair(parse_tri("0"), parse_tri("1e308"), 0.0)
         with pytest.raises(NonFiniteError) as err:
-            solve_gbsde(band, gen, parse_scalar("0"), make_grid(band, 1.0, nx=21))
+            solve_gbsde(band, gen, parse_scalar("0"), make_grid(band, 1.0, nx=21, half_width=40.0))
         assert err.value.layer == 1
 
     def test_constant_drift_separates(self, band, grid):

@@ -1,23 +1,22 @@
 """The march kernel, G, the tree step, the path loop and the compiled
-expressions against reference copies of the code they replaced, byte for
-byte.
+expressions against reference copies of their arithmetic, byte for byte.
 
-The references below are the earlier forms: the zero-driver layer
-``u + dt * (2 G(D2 u / 2))`` with G as half the difference of the two
-scaled parts; the driver layer in the paper's form
-``u + dt * (g + 2 G(f + D2 u / 2))`` formed in fresh arrays, with the
-drivers evaluated by walking the AST and G from the halved band ends; the
-tree step that formed both endpoint continuations and took their maximum;
-the lattice loop that built its views at every step; the path loop on
-numpy scalars with a ``node_index`` lookup per ``markov`` step; and the
-AST walker.  The kernel now computes ``u + dt * G(D2 u)`` and the driver
-layer ``u + dt * (g + G(2 f + D2 u))`` in preallocated buffers, the tree
-``mid + max(d, c d)`` in blocks of steps, the path loop on Python floats,
-and each expression through a closure compiled once.  These identities
-are exact outside the subnormal range (and, for the driver layer, where
-neither |2 f| nor |2 f + D2 u| overflows), so the bytes must agree.  On
-subnormal data the kernel is compared with its own form in fresh arrays,
-and the heat march with the march of zero-valued drivers.
+The march references form each layer in fresh arrays with the kernel's
+folded constants a = dt sigma_max_sq / (2 dx^2), b = dt sigma_min_sq /
+(2 dx^2) and 2 dx^2: the zero-driver layer ``u + max(a d, b d)`` with d the
+undivided second difference, and the driver layer
+``u + (max(a D, b D) + dt g)`` with D = d + 2 dx^2 f, the drivers evaluated
+by walking the AST.  ``TestFoldDrift`` bounds the distance of that step
+from the paper's ``u + dt * (g + 2 G(f + D2 u / 2))``, the form the kernel
+matched before the fold.  The other references are the earlier forms of
+code that kept its bits: G as half the difference of the two scaled
+parts; the tree step that formed both endpoint continuations and took
+their maximum; the lattice loop that built its views at every step; the
+path loop on numpy scalars with a ``node_index`` lookup per ``markov``
+step; and the AST walker.  The tree now steps ``mid + max(d, c d)`` in
+blocks of steps, the path loop runs on Python floats, and each expression
+goes through a closure compiled once.  The heat march is also compared
+with the march of zero-valued drivers, on subnormal data too.
 """
 
 import math
@@ -56,14 +55,31 @@ def reference_g(band, a):
     return 0.5 * (band.sigma_max_sq * np.maximum(a, 0.0) - band.sigma_min_sq * np.maximum(-a, 0.0))
 
 
+def folded(band, dx, dt):
+    """The kernel's constants: a = dt sigma_max_sq / (2 dx^2), b = dt sigma_min_sq / (2 dx^2) and 2 dx^2."""
+    two_dx_sq = 2.0 * dx * dx
+    return dt * band.sigma_max_sq / two_dx_sq, dt * band.sigma_min_sq / two_dx_sq, two_dx_sq
+
+
+def undivided_d2(u):
+    """(hi - 2 mid) + lo along the last axis, zero at the two ends."""
+    d = np.zeros_like(u)
+    d[..., 1:-1] = u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]
+    return d
+
+
 def reference_layers(band, grid, datum):
-    """Datum and every layer of the allocating zero-driver march."""
+    """Datum and every layer of the allocating zero-driver march u + max(a d, b d).
+
+    Each layer adds its increment to u + 0.0, which is u itself after the
+    first layer, as no later layer holds a -0.
+    """
+    a, b, _ = folded(band, grid.dx, grid.dt)
     layers = [datum]
     for _ in range(grid.nt):
         u = layers[-1]
-        d2 = np.zeros_like(u)
-        d2[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / (grid.dx * grid.dx)
-        layers.append(u + grid.dt * (2.0 * reference_g(band, 0.5 * d2)))
+        d = undivided_d2(u)
+        layers.append((u + 0.0) + np.maximum(a * d, b * d))
     return layers
 
 
@@ -395,39 +411,44 @@ def reference_gradient(u, dx):
     return z
 
 
-def paper_increment(band, dt, g_term, f_term, d2):
-    """dt * (g + 2 G(f + D2 u / 2)), the paper's form."""
-    return dt * (g_term + 2.0 * reference_halved_g(band, f_term + 0.5 * d2))
+def paper_increment(band, dx, dt, g_term, f_term, d):
+    """dt * (g + 2 G(f + D2 u / 2)) with D2 u = d / dx^2, the paper's form."""
+    return dt * (g_term + 2.0 * reference_halved_g(band, f_term + 0.5 * (d / (dx * dx))))
 
 
-def kernel_increment(band, dt, g_term, f_term, d2):
-    """dt * (g + G(2 f + D2 u)), the kernel's form, which differs from the paper's only on subnormals and overflow."""
-    return dt * (g_term + reference_halved_g(band, 2.0 * f_term + d2))
+def kernel_increment(band, dx, dt, g_term, f_term, d):
+    """max(a D, b D) + dt g with D = d + 2 dx^2 f, the kernel's folded form of the paper's increment."""
+    a, b, two_dx_sq = folded(band, dx, dt)
+    big_d = d + two_dx_sq * f_term
+    return np.maximum(a * big_d, b * big_d) + dt * g_term
 
 
-def reference_driver_layers(band, dx, dt, nt, datum, gen, times, picard, form=paper_increment):
-    """Datum and every layer of the allocating driver march, drivers walked node by node."""
+def reference_driver_layers(band, dx, dt, nt, datum, gen, times, picard, form=kernel_increment):
+    """Datum and every layer of the allocating driver march, drivers walked node by node.
+
+    Each layer is (u + 0.0) + increment, as the kernel adds its increment
+    last; the drivers read u itself.
+    """
 
     def drivers(t, y, z):
         env = {"t": t, "y": y, "z": z}
         return reference_eval(gen.g.ast, env), reference_eval(gen.f.ast, env)
 
-    def increment(g_term, f_term, d2):
-        return form(band, dt, g_term, f_term, d2)
+    def step(u, g_term, f_term, d):
+        return (u + 0.0) + form(band, dx, dt, g_term, f_term, d)
 
     layers = [datum]
     with np.errstate(all="ignore"):
         for k in range(1, nt + 1):
             u = layers[-1]
-            d2 = np.zeros_like(u)
-            d2[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / (dx * dx)
+            d = undivided_d2(u)
             g_term, f_term = drivers(times[k], u, reference_gradient(u, dx))
             if picard:
-                predictor = u + increment(g_term, f_term, d2)
+                predictor = step(u, g_term, f_term, d)
                 if not np.isfinite(predictor).all():  # the march stops at a non-finite predictor
                     return layers + [predictor]
                 g_term, f_term = drivers(times[k], predictor, reference_gradient(predictor, dx))
-            layers.append(u + increment(g_term, f_term, d2))
+            layers.append(step(u, g_term, f_term, d))
     return layers
 
 
@@ -533,6 +554,29 @@ class TestDriverMarch:
             solve_gbsde(band, gen, phi, grid, envelope_factor=1.2)
         assert err.value.layer == first
         assert str(err.value) == f"|Y| = {peak:.6g} exceeded envelope {envelope:.6g} at time layer {first}"
+
+
+class TestFoldDrift:
+    """The folded step against the paper's form, which the kernel matched bit for bit before the fold."""
+
+    # the largest drift over these cases is 4 ulps of the largest |value| up to the layer (y, -0.5*y)
+    # and 2 for the others
+    @pytest.mark.parametrize("drivers", [("0", "0"), ("-y", "0.2*y"), ("0.5*z", "0.1*y"), ("y", "-0.5*y")])
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("nx", [21, 201])
+    def test_every_layer_stays_within_4_ulps_of_the_paper_form(self, band, drivers, wide, nx):
+        band = VolatilityBand(0.05, 4.0) if wide else band
+        grid = make_grid(band, 1.0, nx=nx)
+        gen, times = generator(*drivers), backward_times(grid)
+        for text in CATALOG_TEXTS:
+            datum = parse_scalar(text)(grid.xs)
+            out = np.empty((grid.nt + 1, nx))
+            _march(band, grid.dx, grid.dt, grid.nt, datum, gen.g, gen.f, times, out=out)
+            paper = reference_driver_layers(band, grid.dx, grid.dt, grid.nt, datum, gen, times, False, paper_increment)
+            peak = 0.0
+            for k, layer in enumerate(paper):
+                peak = max(peak, float(np.max(np.abs(layer))))
+                assert np.max(np.abs(out[k] - layer)) <= 4.0 * np.spacing(peak), (text, k)
 
 
 def reference_path(band, policy, grid, seed, field=None):
