@@ -207,16 +207,17 @@ def _march(
     increment to datum + 0.0, formed once, while out[0] keeps the datum
     and the drivers read it as given: x + y is -0 only when both are -0,
     so no later layer holds a -0, and the sign of a zero maximum or of a
-    zero-valued driver never reaches a layer.  The datum, each layer and each predictor must be finite,
-    else NonFiniteError names the layer and the row.  With ``envelope``
-    set (one value, or one per row shaped like the batch axes), a layer
-    with a row whose largest |value| exceeds that row's envelope raises
-    BlowUpError naming the layer and the row.  The first failing layer
-    raises; within it a non-finite row wins over a row beyond its
-    envelope, and of several rows the first is named.  One function,
-    ``_check_rows``, makes that decision from each row's largest and
-    smallest value and raises: for the datum, for a layer that fails the
-    sum of squares below, and to name a predictor that failed its test.
+    zero-valued driver never reaches a layer.  The datum, each layer and
+    each predictor must be finite, else NonFiniteError names the layer and
+    the row.  With ``envelope`` set (one value, or one per row shaped
+    like the batch axes), a layer with a row whose largest |value| exceeds
+    that row's envelope raises BlowUpError naming the layer and the row.
+    The first failing layer raises; within it a non-finite row wins over
+    a row beyond its envelope, and of several rows the first is named.
+    One function, ``_check_rows``, makes that decision from each row's
+    largest and smallest value and raises: for the datum, for a layer
+    that fails the sum of squares below, and to name a predictor that
+    failed its test.
 
     The tests are cheap, and a tested layer takes one row test, with an
     envelope or without.  It is one sum of squares: with m the smallest
