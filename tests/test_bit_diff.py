@@ -45,19 +45,22 @@ def test_a_one_ulp_change_is_reported_there_and_only_there(tmp_path):
         "kept/array: identical",
         "kept/sum: identical",
         "kept/text: identical",
-        "moved/scale: largest |change - parent| 1.39e-17, 1 ulps",
+        "moved/scale: largest |change - parent| 1.39e-17 = 1 ulp(max|parent|)",
         "family kept/array: 1 of 1 identical, 0 differ otherwise",
         "family kept/sum: 1 of 1 identical, 0 differ otherwise",
         "family kept/text: 1 of 1 identical, 0 differ otherwise",
-        "family moved/scale: 0 of 1 identical, largest |change - parent| 1.39e-17, 1 ulps, 0 differ otherwise",
+        "family moved/scale: 0 of 1 identical, largest |change - parent| 1.39e-17, largest 1 ulp(max|parent|), "
+        "0 differ otherwise",
         "3 of 4 outputs identical",
     ]
 
 
 def test_distances():
     assert bit_diff.distance(np.array([1.0, -0.0]), np.array([1.0, -0.0])) is None
-    assert bit_diff.distance(np.array([-0.0]), np.array([0.0])) == (0.0, 1)  # one double apart
-    assert bit_diff.distance(np.array([-5e-324]), np.array([5e-324])) == (1e-323, 3)
+    assert bit_diff.distance(np.array([-0.0]), np.array([0.0])) == (0.0, 0.0)  # other bytes, no distance
+    assert bit_diff.distance(np.array([-5e-324]), np.array([5e-324])) == (1e-323, 2.0)
+    # in ulps of the largest |value|: a drift near zero reads small beside the output's scale
+    assert bit_diff.distance(np.array([1e-20, 1024.0]), np.array([2e-20, 1024.0])) == (1e-20, 1e-20 / 2.0**-42)
     assert bit_diff.distance(np.array([1.0, np.nan]), np.array([1.0, 2.0]))[0] == np.inf
     assert bit_diff.distance(np.array([1.0]), np.array([1.0, 2.0])) == "differs: float64[1] -> float64[2]"
     assert bit_diff.distance("a", "b") == "differs" and bit_diff.distance("a", "a") is None

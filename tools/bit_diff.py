@@ -7,10 +7,12 @@ under ``$TMPDIR``.  ``tools/bit_manifest.py`` of this checkout then runs
 once per side, each in a fresh Python process with that side's ``src``
 first on ``sys.path`` and its export as the working directory, and hands
 back every output it names.  For each output the tool prints one line:
-``identical`` when the two sides have the same bytes; for numbers that
-differ, the largest absolute distance and the largest distance in ulps
-(the count of doubles between two values, so -0 and +0 are 1 apart);
-``differs`` for text, a shape or a dtype that differs; and ``only in``
+``identical`` when the two sides have the same bytes; for doubles that
+differ, the largest absolute distance and that distance in ulps of the
+parent output's largest finite |value| (so values near zero do not read
+as millions of ulps, and a -0 that became +0 reads as 0 ulps without
+being identical); ``differs`` for text, a shape or a dtype that differs;
+and ``only in``
 for an output one side lacks.  One line per family of outputs (the name
 up to its second "/") then gives its count, how many are identical and
 its largest drift, and the last line counts the identical outputs.
@@ -45,7 +47,6 @@ for name, value in runpy.run_path(sys.argv[1])["outputs"]():
 with open(sys.argv[2], "wb") as handle:
     pickle.dump(outputs, handle)
 """
-_SIGN = np.uint64(1 << 63)
 
 
 def _export(repo: Path, rev: str, dest: Path) -> str:
@@ -66,14 +67,8 @@ def _outputs(tree: Path, manifest: Path, scratch: Path) -> dict:
         return pickle.load(handle)
 
 
-def _ordered(x: np.ndarray) -> np.ndarray:
-    """Each double as an unsigned integer in the doubles' order: neighbours differ by 1."""
-    bits = x.view(np.uint64)
-    return np.where(bits & _SIGN, ~bits, bits | _SIGN)
-
-
 def distance(parent, change):
-    """None when the bytes agree; for doubles that differ, (largest |change - parent|, largest ulps); else why they differ."""
+    """None when the bytes agree; for doubles that differ, (largest |change - parent|, it in ulp(max|parent|)); else why."""
     if isinstance(parent, str) or isinstance(change, str):
         return None if parent == change else "differs"
     parent, change = np.asarray(parent), np.asarray(change)
@@ -86,14 +81,15 @@ def distance(parent, change):
     with np.errstate(all="ignore"):
         gap = np.where(parent == change, 0.0, np.abs(change - parent))
     gap[np.isnan(gap)] = np.inf  # one side NaN, or both but with other bits
-    a, b = _ordered(parent.reshape(-1)), _ordered(change.reshape(-1))
-    return float(np.max(gap)), int(np.max(np.where(a > b, a - b, b - a)))
+    largest = float(np.max(gap))
+    scale = float(np.max(np.abs(parent[np.isfinite(parent)]), initial=0.0))
+    return largest, largest / float(np.spacing(scale))
 
 
 def _verdict(d) -> str:
     if d is None:
         return "identical"
-    return d if isinstance(d, str) else f"largest |change - parent| {d[0]:.3g}, {d[1]} ulps"
+    return d if isinstance(d, str) else f"largest |change - parent| {d[0]:.3g} = {d[1]:.3g} ulp(max|parent|)"
 
 
 def diff(repo: Path, parent: str, change: str, manifest: Path = MANIFEST) -> list[str]:
@@ -112,7 +108,7 @@ def diff(repo: Path, parent: str, change: str, manifest: Path = MANIFEST) -> lis
         shutil.rmtree(scratch, ignore_errors=True)
     before, after = results["parent"], results["change"]
     lines = [f"parent {commits['parent']}", f"change {commits['change']}"]
-    families: dict[str, list] = {}  # family -> [outputs, identical, largest |drift|, largest ulps, other]
+    families: dict[str, list] = {}  # family -> [outputs, identical, largest |drift|, in ulps, other]
     names = sorted(before.keys() | after.keys())
     for name in names:
         if name not in after or name not in before:
@@ -120,7 +116,7 @@ def diff(repo: Path, parent: str, change: str, manifest: Path = MANIFEST) -> lis
         else:
             d = distance(before[name], after[name])
         lines.append(f"{name}: {_verdict(d)}")
-        family = families.setdefault("/".join(name.split("/")[:2]), [0, 0, 0.0, 0, 0])
+        family = families.setdefault("/".join(name.split("/")[:2]), [0, 0, 0.0, 0.0, 0])
         family[0] += 1
         if d is None:
             family[1] += 1
@@ -129,7 +125,7 @@ def diff(repo: Path, parent: str, change: str, manifest: Path = MANIFEST) -> lis
         else:
             family[2], family[3] = max(family[2], d[0]), max(family[3], d[1])
     for name, (count, same, gap, ulps, other) in families.items():
-        drift = f", largest |change - parent| {gap:.3g}, {ulps} ulps" if same + other < count else ""
+        drift = f", largest |change - parent| {gap:.3g}, largest {ulps:.3g} ulp(max|parent|)" if same + other < count else ""
         lines.append(f"family {name}: {same} of {count} identical{drift}, {other} differ otherwise")
     identical = sum(family[1] for family in families.values())
     lines.append(f"{identical} of {len(names)} outputs identical")

@@ -259,9 +259,10 @@ CONFIGS = {
     "replimit": {"generator": GENERATOR, "functions": {"terminal": "x^2 + 1"}, "params": {"eps_list": [0.1, 0.05, 0.025]}},
     "oracle-check": {"grid": GRID, "params": {"functions": ["x^2", "tanh(x)"], "times": [0.5, 1.0], "steps": 800}},
 }
+# Y grows by e^40 over the horizon and leaves its envelope: a numerical-failure report
 FAILING = ("gbsde", {
-    "grid": {"horizon": 1.0, "nx": 101}, "generator": {"g": "3*y", "f": "0", "lipschitz_L": 3.0},
-    "functions": {"terminal": "tanh(x) - 2"}, "params": {"times": [0.0]},
+    "grid": GRID, "generator": {"g": "40*y", "f": "0", "lipschitz_L": 40.0},
+    "functions": {"terminal": "x^2"}, "params": {"times": [0.0]},
 })
 
 
