@@ -62,7 +62,10 @@ def _outputs(tree: Path, manifest: Path, scratch: Path) -> dict:
     """Every output of ``manifest`` run on ``tree``'s sources in a fresh process."""
     pickled = scratch / f"{tree.name}.pickle"
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    subprocess.run([sys.executable, "-c", _RUNNER, str(manifest), str(pickled)], cwd=tree, env=env, check=True)
+    command = [sys.executable, "-c", _RUNNER, str(manifest), str(pickled)]
+    proc = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode:  # what a run prints, the CLI's failure messages included, is shown only then
+        raise RuntimeError(f"the manifest failed on the {tree.name}:\n{proc.stderr}")
     with pickled.open("rb") as handle:
         return pickle.load(handle)
 

@@ -1,7 +1,7 @@
 """The outputs that ``tools/bit_diff.py`` compares between two commits.
 
 ``outputs()`` yields ``(name, value)`` pairs, each value a number, an
-array, a string, or a sequence, dict or dataclass of those; ``bit_diff``
+array, a string, or a sequence or dict of those; ``bit_diff``
 runs it once per commit, in a fresh process with that commit's ``src``
 first on ``sys.path`` and the commit's checkout as the working directory.
 It reaches the library through its public names only, so it runs on any
@@ -27,7 +27,6 @@ commit that has them.  The families:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import re
@@ -63,10 +62,7 @@ def _grids(band):
 
 def _parts(name, value):
     """``value`` as (name, leaf) pairs: numbers and arrays as arrays, text as text."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        for f in dataclasses.fields(value):
-            yield from _parts(f"{name}/{f.name}", getattr(value, f.name))
-    elif isinstance(value, dict):
+    if isinstance(value, dict):
         for key, item in value.items():
             yield from _parts(f"{name}/{key}", item)
     elif isinstance(value, str):
@@ -231,8 +227,8 @@ def _convexity():
     for gname, gen in gens.items():
         for h in ("exp(x)", "-(x^2)", "tanh(x)"):
             report = gx.check_g_convexity(band, gen, gx.parse_scalar(h), (-2.0, 2.0), (-2.0, 2.0), 33)
-            yield from _parts(f"convexity/scan/{gname}/{h}", report)
-            yield f"convexity/scan/{gname}/{h}/verdict", report.verdict
+            for part in ("witnesses", "min_gap", "cells", "verdict"):
+                yield f"convexity/scan/{gname}/{h}/{part}", getattr(report, part)
         grid = gx.make_grid(band, 1.0, nx=101)
         result = gx.jensen_experiment(band, gen, gx.parse_scalar("x^2"), gx.parse_scalar("tanh(x)"), 0.0, 1.0, grid)
         yield f"convexity/jensen/{gname}", result
