@@ -245,8 +245,7 @@ def _march(
     NonFiniteError, never as a warning.  A driver that is the literal 0 is
     neither evaluated nor added: 0 + a is a except at a = -0, and a zero
     increment leaves a layer that holds no -0 as it is, so the bits stay.
-    When
-    neither driver reads ``z`` the gradient is not formed.  With ``out``
+    When neither driver reads ``z`` the gradient is not formed.  With ``out``
     (shape (nt // stride + 1,) + datum.shape) the datum goes to out[0] and
     each layer k with k % stride == 0 straight into out[k // stride];
     stride 1 stores every layer.  The other layers alternate between the
