@@ -202,6 +202,52 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
+
+
+def _splitmix64(seed: int) -> int:
+    """The first splitmix64 output of the 64-bit state ``seed``, on Python ints."""
+    z = (seed + _GOLDEN) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _splitmix64_stream(seed: int, n: int) -> np.ndarray:
+    """The first n splitmix64 outputs of the state ``seed``, as a uint64 array.
+
+    Output k is ``_splitmix64(seed + k * golden)``: the stream is counter
+    based, so it is formed on a uint64 array at once.  Every operation
+    acts on an array, where numpy wraps modulo 2^64 silently (numpy
+    scalars warn on a wrap).
+    """
+    u64 = np.uint64
+    z = np.arange(n, dtype=u64)
+    z *= u64(_GOLDEN)
+    z += u64((seed + _GOLDEN) & _MASK)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> u64(shift)
+        z *= u64(factor)
+    z ^= z >> u64(31)
+    return z
+
+
+def _uniforms(seed: int, shape, low, high) -> np.ndarray:
+    """Floats in [low, high) from the splitmix64 stream of ``seed``, in C order over ``shape``.
+
+    Each is the top 53 bits of one output scaled to [0, 1), then to the
+    box; ``low`` and ``high`` broadcast against ``shape`` (an int or a
+    tuple).  A value that the scaling rounds up to ``high`` is taken one
+    ulp below it.
+    """
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    unit = (_splitmix64_stream(seed, math.prod(shape)) >> np.uint64(11)).astype(float) * 2.0**-53
+    low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+    values = low + (high - low) * unit.reshape(shape)
+    return np.minimum(values, np.nextafter(high, low))
+
+
 def cfl_time_steps(
     band: VolatilityBand, horizon: float, dx: float, theta: float = DEFAULT_CFL_THETA
 ) -> int:

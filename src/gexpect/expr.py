@@ -45,6 +45,8 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .core import _uniforms
+
 __all__ = [
     "ParseError",
     "EvalDomainError",
@@ -572,15 +574,15 @@ class TriFunction:
         return _to_string(self.ast)
 
     def max_difference_quotient(self) -> float:
-        """Largest |df| / (|dy| + |dz|) over one fixed draw of 1000 pairs (seed 20240).
+        """Largest |df| / (|dy| + |dz|) over one fixed draw of 1000 pairs.
 
         The pairs lie in t in [0, 1] and y, z in [-10, 10], and share their
-        t; the smallest |dy| + |dz| of the draw is 0.38.  A NaN value makes
-        the quotient NaN.
+        t.  They are the first 5000 values of the package's splitmix64
+        stream of seed 20240 (``core._uniforms``): the 1000 t, then y1, z1,
+        y2 and z2, 1000 each.  The smallest |dy| + |dz| of the draw is
+        0.53.  A NaN value makes the quotient NaN.
         """
-        rng = np.random.default_rng(20240)
-        t = rng.uniform(0.0, 1.0, 1000)
-        y1, z1, y2, z2 = (rng.uniform(-10.0, 10.0, 1000) for _ in range(4))
+        t, y1, z1, y2, z2 = _uniforms(20240, (5, 1000), [[0.0]] + [[-10.0]] * 4, [[1.0]] + [[10.0]] * 4)
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the bound check
             df = np.broadcast_to(np.abs(np.asarray(self(t, y1, z1)) - np.asarray(self(t, y2, z2))), t.shape)
         return float(np.max(df / (np.abs(y1 - y2) + np.abs(z1 - z2))))

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, _check_nonnegative, _check_positive, g_eval
+from .core import SpaceTimeGrid, VolatilityBand, _check_nonnegative, _check_positive, _uniforms, g_eval
 from .expr import EvalDomainError, ScalarFunction, TriFunction, parse_tri
 from .gheat import BlowUpError, FieldSolution, _derived, _second_difference, _space_gradient, _stack
 
@@ -68,9 +68,7 @@ class GeneratorPair:
                     f"above declared Lipschitz bound {self.lipschitz_L}"
                 )
         if self.h6:
-            rng = np.random.default_rng(4)
-            t = rng.uniform(0.0, 1.0, 100)
-            y = rng.uniform(-10.0, 10.0, 100)
+            t, y = _uniforms(4, (2, 100), [[0.0], [-10.0]], [[1.0], [10.0]])
             for name, fn in (("g", self.g), ("f", self.f)):
                 vals = np.broadcast_to(np.asarray(fn(t, y, 0.0)), t.shape)
                 if not np.max(np.abs(vals)) <= 1e-12:  # a NaN value fails too

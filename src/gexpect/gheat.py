@@ -51,6 +51,7 @@ from .core import (
     _divide,
     _multiply,
     _subtract,
+    _uniforms,
     make_grid,
 )
 from .expr import Lit, ScalarFunction
@@ -687,6 +688,16 @@ def _reduce_last_axis(band: VolatilityBand, values: np.ndarray, grid: SpaceTimeG
     return _march(band, grid.dx, grid.dt, grid.nt, values)[..., grid.center_index]
 
 
+def _probe_points(axes: Sequence[np.ndarray]) -> list[list[float]]:
+    """The three residual probes of a table on ``axes``, each coordinate in [a[1], a[-2]) of its axis a.
+
+    They are the first 3 len(axes) values of the splitmix64 stream of
+    seed 7 (``core._uniforms``), probe by probe.
+    """
+    lows, highs = [a[1] for a in axes], [a[-2] for a in axes]
+    return _uniforms(7, (3, len(axes)), lows, highs).tolist()
+
+
 def conditional_g_expectation(
     band: VolatilityBand,
     payoff: CylinderPayoff,
@@ -708,8 +719,10 @@ def conditional_g_expectation(
     evaluates the payoff on the whole mesh, so a NaN or infinity there
     raises NonFiniteError (layer 0) at once; a failure in a later layer
     raises at the read that reduces the entry, with ``row`` counted within
-    that read's batch.  Three off-node probes, reduced in one batch with
-    the corner entries they interpolate from, estimate the interpolation
+    that read's batch.  Three off-node probes, drawn by ``_probe_points``
+    from the package's splitmix64 stream (seed 7) with each coordinate in
+    [a[1], a[-2]) of its axis a, are reduced in one batch with the corner
+    entries they interpolate from; they estimate the interpolation
     residual, and GridResolutionError is raised when it exceeds
     ``residual_tol`` times the scale 1 + max|entry| over those corner
     entries.  A NaN or negative ``residual_tol``, or an ``i`` that is a
@@ -741,8 +754,7 @@ def conditional_g_expectation(
 
     # Probe interpolation quality: re-solve at a few off-node points, in one march with the
     # corner entries they interpolate from; each probe's mesh has one node per conditioned axis
-    rng = np.random.default_rng(7)
-    points = [[float(rng.uniform(a[1], a[-2])) for a in axes[:i]] for _ in range(3)]
+    points = _probe_points(axes[:i])
     meshes = [np.meshgrid(*[np.array([p]) for p in point], *axes[i:], indexing="ij") for point in points]
     probes = payoff_on([np.stack(coords) for coords in zip(*meshes)])
     cells = [table._cell(point)[0] for point in points]

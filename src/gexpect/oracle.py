@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, _add, _check_count, _check_nonnegative, _multiply, _subtract
+from .core import SpaceTimeGrid, VolatilityBand, _MASK, _add, _check_count, _check_nonnegative, _multiply, _splitmix64, _subtract
 from .gbsde import _k_step
 
 __all__ = [
@@ -42,15 +42,7 @@ __all__ = [
 
 RNG_ALGORITHM = "splitmix64+xorshift64star-v1"
 
-_MASK = (1 << 64) - 1
 _POLICIES = ("const-low", "const-high", "random", "markov")
-
-
-def _splitmix64(seed: int) -> int:
-    z = (seed + 0x9E3779B97F4A7C15) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
 
 
 class _Xorshift64Star:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gexpect import CflError, SpaceTimeGrid, VolatilityBand, cfl_time_steps, g_eval, make_grid
-from gexpect.core import _check_nonnegative, _check_positive, sub_steps
+from gexpect import core
+from gexpect.core import _check_nonnegative, _check_positive, _splitmix64, _splitmix64_stream, _uniforms, sub_steps
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 bands = st.tuples(
@@ -277,3 +278,43 @@ class TestNumberRules:
     @pytest.mark.parametrize("value", [0.0, -0.0, 0])
     def test_zero_is_nonnegative(self, value):
         _check_nonnegative("t", value)
+
+
+class TestStream:
+    """The package's one generator family: splitmix64 on Python ints and on uint64 arrays."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 20240, 2**64 - 1])
+    def test_the_array_stream_is_the_scalar_one(self, seed):
+        stream = _splitmix64_stream(seed, 1000)
+        assert stream.dtype == np.uint64
+        state = seed
+        for k, word in enumerate(stream):
+            assert int(word) == _splitmix64(state), f"output {k}"
+            state = (state + 0x9E3779B97F4A7C15) & (2**64 - 1)
+
+    def test_first_outputs_are_pinned(self):
+        # the reference splitmix64 outputs of state 0
+        assert [int(v) for v in _splitmix64_stream(0, 3)] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert [float(v).hex() for v in _uniforms(20240, 3, 0.0, 1.0)] == [
+            "0x1.924d4cf0bfcdcp-2", "0x1.67f97d4d94753p-1", "0x1.033351e549a0dp-1",
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 4, 7, 20240, 2**64 - 1])
+    @pytest.mark.parametrize("low,high", [(0.0, 1.0), (-10.0, 10.0), (-8.3, -8.2), (1e-300, 2e-300)])
+    def test_values_lie_in_the_box(self, seed, low, high):
+        values = _uniforms(seed, 1000, low, high)
+        assert values.shape == (1000,)
+        assert np.all((low <= values) & (values < high))
+
+    def test_the_boxes_broadcast_over_the_shape(self):
+        # C order: row 0 takes the stream's first 100 values, row 1 the next 100, each in its own box
+        values = _uniforms(4, (2, 100), [[0.0], [-10.0]], [[1.0], [10.0]])
+        assert values.shape == (2, 100)
+        assert values[0].tobytes() == _uniforms(4, 200, 0.0, 1.0)[:100].tobytes()
+        assert values[1].tobytes() == _uniforms(4, 200, -10.0, 10.0)[100:].tobytes()
+
+    def test_a_value_rounded_up_to_high_is_taken_below_it(self, monkeypatch):
+        # the largest word scales to 1 - 2^-53, and 1 + 2 * (1 - 2^-53) = 3 - 2^-52 rounds to 3, an even tie
+        monkeypatch.setattr(core, "_splitmix64_stream", lambda seed, n: np.full(n, 2**64 - 1, dtype=np.uint64))
+        assert _uniforms(0, 2, 1.0, 3.0).tolist() == [3.0 - 2.0**-51] * 2
+        assert _uniforms(0, 1, 0.0, 1.0).tolist() == [1.0 - 2.0**-53]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gexpect import EvalDomainError, ParseError, parse, parse_scalar, parse_tri
+from gexpect import EvalDomainError, ParseError, expr, parse, parse_scalar, parse_tri
 from gexpect.expr import ScalarFunction, TriFunction
 
 from conftest import CATALOG_TEXTS, fd_derivatives
@@ -299,6 +299,22 @@ class TestTriFunction:
 
     def test_difference_quotient_constant(self):
         assert parse_tri("3").max_difference_quotient() == 0.0
+
+    def test_the_quotients_draw_is_the_one_its_docstring_states(self, monkeypatch):
+        draws = []
+
+        def spy(*args):
+            draws.append(uniforms(*args))
+            return draws[-1]
+
+        uniforms = expr._uniforms
+        monkeypatch.setattr(expr, "_uniforms", spy)
+        parse_tri("y").max_difference_quotient()
+        ((t, y1, z1, y2, z2),) = draws
+        assert t.shape == (1000,) and np.all((0.0 <= t) & (t < 1.0))
+        for v in (y1, z1, y2, z2):
+            assert np.all((-10.0 <= v) & (v < 10.0))
+        assert round(float(np.min(np.abs(y1 - y2) + np.abs(z1 - z2))), 2) == 0.53
 
     @pytest.mark.parametrize(
         "text,point",

@@ -315,9 +315,7 @@ class TestConditional:
         assert 3 < calls[0][0].shape[0] <= 3 + 3 * 2**i
         probes = calls[-1][2][-3:]
         tail = [grid_.xs for _, grid_, _ in reversed(calls)]
-        rng = np.random.default_rng(7)
-        for b in range(3):
-            point = [float(rng.uniform(a[1], a[-2])) for a in table.axes]
+        for b, point in enumerate(gheat._probe_points(table.axes)):
             mesh = np.meshgrid(*[np.array([p]) for p in point], *tail, indexing="ij")
             values = np.broadcast_to(np.asarray(fn(*mesh), dtype=float), mesh[0].shape).copy()
             for _, grid_, _ in calls:
@@ -395,10 +393,9 @@ class TestConditional:
         # node j's row overflows at layer 1; no probe reads it, so only a read of its cell fails
         times, grid = (0.5, 1.0), make_grid(band, 1.0, nx=41)
         axis = conditional_g_expectation(band, CylinderPayoff(times, lambda a, b: a + b), 1, grid).axes[0]
-        rng = np.random.default_rng(7)
         probed = set()
-        for _ in range(3):
-            k = int((float(rng.uniform(axis[1], axis[-2])) - axis[0]) // (axis[1] - axis[0]))
+        for (x,) in gheat._probe_points([axis]):
+            k = int((x - axis[0]) // (axis[1] - axis[0]))
             probed |= {k, k + 1}
         j = next(j for j in range(1, len(axis)) if not {j - 1, j} & probed)
         lo, hi = (axis[j - 1] + axis[j]) / 2, (axis[j] + axis[j + 1]) / 2
