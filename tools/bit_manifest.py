@@ -20,6 +20,9 @@ commit that has them.  The families:
 - ``tree/``: tree, batch and K-tree roots;
 - ``paths/``: seeded paths of every policy and their K series;
 - ``convexity/``: scan cells and verdicts, Jensen and replimit results;
+- ``draws/``: ``max_difference_quotient`` of every driver the manifest
+  builds, and the refusal of a pair declared below its sampled quotient:
+  what the Lipschitz spot check's fixed draw decides;
 - ``cli/``: every ``report.json`` and ``data.csv`` of the six commands on
   README-style configs and on the benchmark workloads' CLI configs, each
   file as its numbers and its text with the numbers taken out.
@@ -262,6 +265,14 @@ FAILING = ("gbsde", {
 })
 
 
+def _draws():
+    texts = [text for pair in DRIVERS for text in pair] + [GENERATOR["g"], FAILING[1]["generator"]["g"]]
+    for text in dict.fromkeys(texts):
+        yield f"draws/quotient/{text}", gx.parse_tri(text).max_difference_quotient()
+    steep = lambda: gx.GeneratorPair(gx.parse_tri("tanh(20*z)"), gx.parse_tri("0"), 0.5)  # slope 20, sampled below 1
+    yield "draws/refusal/tanh(20*z) at 0.5", _failure(steep)
+
+
 def _cli_files(name, command, config, out):
     """The exit code and every file of one CLI run, each file as numbers and text."""
     yield f"{name}/exit", run_cli(command, config, out)
@@ -295,6 +306,6 @@ def _cli():
 
 def outputs():
     """Every output, family by family, as (name, value) pairs."""
-    for family in (_heat, _gbsde, _identity, _failures, _conditional, _trees, _paths, _convexity, _cli):
+    for family in (_heat, _gbsde, _identity, _failures, _conditional, _trees, _paths, _convexity, _draws, _cli):
         for name, value in family():
             yield from _parts(name, value)
