@@ -241,8 +241,7 @@ def _uniforms(seed: int, shape, low, high) -> np.ndarray:
     tuple).  A value that the scaling rounds up to ``high`` is taken one
     ulp below it.
     """
-    shape = (shape,) if isinstance(shape, int) else tuple(shape)
-    unit = (_splitmix64_stream(seed, math.prod(shape)) >> np.uint64(11)).astype(float) * 2.0**-53
+    unit = (_splitmix64_stream(seed, int(np.prod(shape))) >> np.uint64(11)).astype(float) * 2.0**-53
     low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
     values = low + (high - low) * unit.reshape(shape)
     return np.minimum(values, np.nextafter(high, low))
