@@ -39,7 +39,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .core import DEFAULT_CFL_THETA, CflError, SpaceTimeGrid, VolatilityBand, cfl_time_steps, make_grid
+from .core import CflError, SpaceTimeGrid, VolatilityBand, cfl_time_steps, make_grid
 from .expr import EvalDomainError, parse_scalar, parse_tri
 from .gbsde import BlowUpError, GeneratorPair, solve_gbsde
 from .gheat import NonFiniteError, solve_g_heat, solve_g_heat_batch
@@ -137,8 +137,6 @@ class ExperimentConfig:
 
     def __init__(self, command: str, raw: dict):
         spec = _COMMANDS[command]
-        self.command = command
-        self.raw = raw
         required = {"schema_version": "int", "band": "object", "params": "object"}
         required.update(dict.fromkeys(spec.sections, "object"))
         _require(raw, "config", required, {"out_dir": "string"})
@@ -176,14 +174,14 @@ class ExperimentConfig:
             raise ConfigError("config.grid.theta", "give either nt or theta")
         if ("x_min" in obj) != ("x_max" in obj):
             raise ConfigError("config.grid.x_min", "x_min and x_max go together")
-        theta = obj.get("theta", DEFAULT_CFL_THETA)
+        theta = {"theta": obj["theta"]} if "theta" in obj else {}  # absent: the library's default
         try:
             if "x_min" in obj:
                 # nt = 1 stands in until the grid has checked horizon and nx, which dx needs
                 grid = SpaceTimeGrid(obj["horizon"], obj["x_min"], obj["x_max"], obj["nx"], nt=1)
-                grid = replace(grid, nt=cfl_time_steps(self.band, grid.horizon, grid.dx, theta))
+                grid = replace(grid, nt=cfl_time_steps(self.band, grid.horizon, grid.dx, **theta))
             else:
-                grid = make_grid(self.band, obj["horizon"], obj["nx"], obj.get("half_width"), theta)
+                grid = make_grid(self.band, obj["horizon"], obj["nx"], obj.get("half_width"), **theta)
             if "nt" in obj:
                 grid = replace(grid, nt=obj["nt"])
             grid.check_cfl(self.band)

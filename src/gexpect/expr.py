@@ -9,6 +9,11 @@ operators left-associative, parentheses allowed)::
     power   := atom ('^' atom)*        # exponent must fold to an integer, |n| <= 2^53
     atom    := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
 
+The two binary levels, ``expr`` and ``term``, come from one table,
+``_BINARY``, of each operator's precedence and operation: one
+precedence-climbing method parses them, and the printer and the compiler
+read the same table.
+
 A NUMBER must be finite: ``1e999`` is refused, as it would print as
 ``inf``, which parses as an unknown identifier.  Beyond 2^53 every float is
 an integer, so ``is_integer`` cannot tell an integer literal there from any
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -113,7 +118,12 @@ class Call:
     arg: Node
 
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+# binary operator -> (precedence, operation): the parser's levels, the printer's
+# parentheses and the compiled operation all read this one table
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul), "/": (2, operator.truediv)}
+
+# node type -> the fields that hold its child nodes, for the tree walkers
+_CHILDREN = {Lit: (), Var: (), Neg: ("operand",), BinOp: ("left", "right"), Pow: ("base",), Call: ("arg",)}
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +171,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -180,24 +189,18 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Node:
-        node = self.expr()
+        node = self.binary()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Node:
+    def binary(self, min_prec: int = 1) -> Node:
+        """The binary levels of ``_BINARY`` from ``min_prec`` up, left-associative, over ``unary``."""
         node = self.unary()
-        while self.peek()[0] in ("*", "/"):
+        while (prec := _BINARY.get(self.peek()[0], (0,))[0]) >= min_prec:
             op = self.advance()[0]
-            node = BinOp(op, node, self.unary())
+            node = BinOp(op, node, self.binary(prec + 1))
         return node
 
     def unary(self) -> Node:
@@ -232,10 +235,10 @@ class _Parser:
             self.advance()
             if self.peek()[0] == "(":
                 self.advance()
-                args = [self.expr()]
+                args = [self.binary()]
                 while self.peek()[0] == ",":
                     self.advance()
-                    args.append(self.expr())
+                    args.append(self.binary())
                 self.expect(")")
                 if text not in _BUILTINS:
                     raise ParseError(f"unknown function {text!r}", offset)
@@ -247,7 +250,7 @@ class _Parser:
             return Var(text)
         if kind == "(":
             self.advance()
-            node = self.expr()
+            node = self.binary()
             self.expect(")")
             return node
         raise ParseError(f"expected a value, found {text or 'end of input'!r}", offset)
@@ -281,7 +284,7 @@ def _to_string(node: Node, parent_prec: int = 0) -> str:
         text = f"-{inner}"
         return f"({text})" if parent_prec > 3 else text
     if isinstance(node, BinOp):
-        prec = _PRECEDENCE[node.op]
+        prec = _BINARY[node.op][0]
         left = _to_string(node.left, prec)
         # Right operand gets a strictly higher context so left-associativity survives.
         right = _to_string(node.right, prec + 1)
@@ -394,8 +397,6 @@ _BUILTINS = {
     "bump": (_bump, _bump_derivatives),
 }
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
 
 def _compile(node: Node):
     """Closure ``fn(env)`` evaluating ``node`` under ``env``, whose values may be floats, arrays or jets.
@@ -414,7 +415,7 @@ def _compile(node: Node):
         operand = _compile(node.operand)
         return lambda env: -operand(env)
     if isinstance(node, BinOp):
-        op, left, right = _BINARY[node.op], _compile(node.left), _compile(node.right)
+        (_, op), left, right = _BINARY[node.op], _compile(node.left), _compile(node.right)
         return lambda env: op(left(env), right(env))
     if isinstance(node, Pow):
         base, n = _compile(node.base), node.exponent
@@ -451,29 +452,16 @@ def _finite(values: np.ndarray, xs: np.ndarray, what: str) -> np.ndarray:
 def _free_variables(node: Node) -> set[str]:
     if isinstance(node, Var):
         return {node.name}
-    if isinstance(node, Neg):
-        return _free_variables(node.operand)
-    if isinstance(node, BinOp):
-        return _free_variables(node.left) | _free_variables(node.right)
-    if isinstance(node, Pow):
-        return _free_variables(node.base)
-    if isinstance(node, Call):
-        return _free_variables(node.arg)
-    return set()
+    names = set()
+    for name in _CHILDREN[type(node)]:
+        names |= _free_variables(getattr(node, name))
+    return names
 
 
 def _substitute(node: Node, replacement: dict[str, Node]) -> Node:
     if isinstance(node, Var):
         return replacement.get(node.name, node)
-    if isinstance(node, Neg):
-        return Neg(_substitute(node.operand, replacement))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _substitute(node.left, replacement), _substitute(node.right, replacement))
-    if isinstance(node, Pow):
-        return Pow(_substitute(node.base, replacement), node.exponent)
-    if isinstance(node, Call):
-        return Call(node.func, _substitute(node.arg, replacement))
-    return node
+    return replace(node, **{name: _substitute(getattr(node, name), replacement) for name in _CHILDREN[type(node)]})
 
 
 def _number(name: str, value: float) -> Node:
@@ -550,20 +538,27 @@ class TriFunction:
     _compiled: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "variables", frozenset(_free_variables(self.ast)))
         object.__setattr__(self, "_compiled", _compile(self.ast))
+        object.__setattr__(self, "variables", frozenset(_free_variables(self.ast)))
 
     def __call__(self, t, y, z):
-        """Array like the arguments; for numbers, a float that must be finite (else EvalDomainError).
+        """For arrays, the broadcast of the variables the expression reads; for numbers, a finite float.
 
-        Numbers take part as 1-element arrays: NaN or infinity where Python floats would raise.
+        An array call returns a new array shaped as the broadcast of the
+        arguments the expression reads, not of all three (a constant gives a
+        numpy float), so a caller that needs every argument's shape
+        broadcasts the result itself.  A call on three numbers returns a
+        float, and raises EvalDomainError where it is not finite.  Numbers
+        take part as 1-element arrays: NaN or infinity where Python floats
+        would raise.
         """
         point = np.ndim(t) == np.ndim(y) == np.ndim(z) == 0
         t, y, z = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (t, y, z))
         with np.errstate(all="ignore"):
             result = self._compiled({"t": t, "y": y, "z": z})
         if not point:
-            return result
+            # a bare variable compiles to its argument, which may be the caller's own array
+            return result.copy() if any(result is v for v in (t, y, z)) else result
         value = float(np.broadcast_to(result, (1,))[0])
         if not np.isfinite(value):
             at = ", ".join(repr(float(v[0])) for v in (t, y, z))

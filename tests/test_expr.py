@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gexpect import EvalDomainError, ParseError, expr, parse, parse_scalar, parse_tri
-from gexpect.expr import ScalarFunction, TriFunction
+from gexpect.expr import BinOp, Call, Lit, Neg, Pow, ScalarFunction, TriFunction, Var
 
 from conftest import CATALOG_TEXTS, fd_derivatives
 
@@ -124,6 +124,22 @@ class TestRoundTrip:
         fn = parse_scalar(text)
         again = parse_scalar(fn.to_string())
         assert fn.ast == again.ast
+
+    @given(st.recursive(
+        st.just(Var("x")) | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(Lit),
+        lambda sub: st.one_of(
+            sub.map(Neg),
+            st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+            st.builds(Pow, sub, st.integers(min_value=-6, max_value=6)),
+            st.builds(Call, st.sampled_from(sorted(expr._BUILTINS)), sub),
+        ),
+        max_leaves=12,
+    ))
+    @example(BinOp("-", BinOp("-", Var("x"), Lit(1.0)), BinOp("*", Lit(2.0), BinOp("/", Var("x"), Lit(3.0)))))
+    @example(BinOp("/", Neg(Pow(Var("x"), 2)), BinOp("+", Var("x"), Neg(Lit(1.0)))))
+    def test_printed_trees_parse_back(self, tree):
+        # the printer leaves out every parenthesis the operator table makes redundant
+        assert parse_scalar(expr._to_string(tree)).ast == tree
 
 
     @settings(max_examples=200, deadline=None)
@@ -330,6 +346,21 @@ class TestTriFunction:
         # the parent raised ZeroDivisionError, OverflowError and returned inf
         with pytest.raises(EvalDomainError, match=r"inf at \(t, y, z\) = "):
             parse_tri(text)(*point)
+
+    @pytest.mark.parametrize("name", ["t", "y", "z"])
+    def test_an_array_call_returns_a_new_array(self, name):
+        # a bare variable compiles to its argument, so the call must copy it, not hand back the caller's array
+        args = {"t": 0.0, "y": 0.0, "z": 0.0, name: np.arange(3.0)}
+        out = parse_tri(name)(*args.values())
+        assert not np.shares_memory(out, args[name])
+        out[0] = 7.0
+        assert args[name].tolist() == [0.0, 1.0, 2.0]
+
+    def test_an_array_call_has_the_shape_of_the_variables_read(self):
+        ts, ys = np.zeros(4), np.arange(3.0)
+        assert parse_tri("y + 1")(ts, ys, 0.0).shape == (3,)
+        assert parse_tri("t*y")(ts[:, None], ys, 0.0).shape == (4, 3)
+        assert np.ndim(parse_tri("3")(ts, ys, 0.0)) == 0
 
     def test_arrays_keep_non_finite_entries(self):
         out = parse_tri("1/y")(0.0, np.array([0.0, 2.0]), 0.0)
