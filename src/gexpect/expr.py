@@ -542,15 +542,14 @@ class TriFunction:
         object.__setattr__(self, "variables", frozenset(_free_variables(self.ast)))
 
     def __call__(self, t, y, z):
-        """For arrays, the broadcast of the variables the expression reads; for numbers, a finite float.
+        """For arrays, a new array shaped as the variables the expression reads; for numbers, a finite float.
 
-        An array call returns a new array shaped as the broadcast of the
-        arguments the expression reads, not of all three (a constant gives a
-        numpy float), so a caller that needs every argument's shape
-        broadcasts the result itself.  A call on three numbers returns a
-        float, and raises EvalDomainError where it is not finite.  Numbers
-        take part as 1-element arrays: NaN or infinity where Python floats
-        would raise.
+        The shape is the broadcast of the arguments read, not of all three:
+        ``y + 1`` has the shape of ``y`` and a constant gives a numpy float,
+        so a caller that needs every argument's shape broadcasts the result.
+        A call on three numbers raises EvalDomainError where the value is not
+        finite.  Numbers take part as 1-element arrays: NaN or infinity where
+        Python floats would raise.
         """
         point = np.ndim(t) == np.ndim(y) == np.ndim(z) == 0
         t, y, z = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (t, y, z))
