@@ -6,7 +6,10 @@ One JSON config per run, one command per invocation::
 
 Each run writes ``<out>/<command>.report.json`` (inputs echo, results,
 tolerances, pass flag) and ``<out>/<command>.data.csv`` (one row per grid
-point / eps / scan cell, floats with 17 significant digits).  Exit status
+point / eps / scan cell, floats with 17 significant digits).  A command
+with a mesh (``gexp``, ``gbsde``: reported time by x; ``convexity``: y by
+z) hands the writer its axes and one array per further column, and each
+axis value is formatted once, for every row it heads.  Exit status
 0 on success (verdicts are data, not failures), 1 on config errors, 2 on
 numerical failures, whose report gives the error's class, and the time
 layer and batch row where the march failed (null when it names none).
@@ -37,7 +40,9 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .core import CflError, SpaceTimeGrid, VolatilityBand, cfl_time_steps, make_grid
 from .expr import EvalDomainError, parse_scalar, parse_tri
@@ -197,8 +202,15 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Command bodies: return (report dict, csv header, csv rows)
+# Command bodies: return (report dict, csv header, csv table)
 # ---------------------------------------------------------------------------
+
+class _Table(NamedTuple):
+    """The rows of a data.csv: see ``_write_rows``."""
+
+    columns: Sequence
+    axes: Sequence = ()
+
 
 def _times(cfg: ExperimentConfig) -> list:
     """The ``times`` parameter, each one a t that ``grid.check_interval(0, t)`` accepts."""
@@ -211,28 +223,20 @@ def _times(cfg: ExperimentConfig) -> list:
 def _run_gexp(cfg: ExperimentConfig):
     times = _times(cfg)
     field = solve_g_heat(cfg.band, cfg.functions["phi"], cfg.grid)
-    values = {}
-    rows = []
-    for t in times:
-        values[_fmt(t)] = field.value_at(t, 0.0)
-        k = field.nearest_layer(t)
-        for x, u in zip(cfg.grid.xs, field.layer(k)):
-            rows.append((field.times[k], x, u))
+    values = {_fmt(t): field.value_at(t, 0.0) for t in times}
+    ks = [field.nearest_layer(t) for t in times]
+    u = np.stack([field.layer(k) for k in ks])
     report = {"values_at_zero": values}
-    return report, ("t", "x", "u"), rows
+    return report, ("t", "x", "u"), _Table((u,), (field.times[ks], cfg.grid.xs))
 
 
 def _run_gbsde(cfg: ExperimentConfig):
     times = _times(cfg)
     sol = solve_gbsde(cfg.band, cfg.generator, cfg.functions["terminal"], cfg.grid)
-    rows = []
-    for t in times:
-        k = sol.field.nearest_layer(t)
-        columns = sol.field.layer(k), sol.field.z_layer(k), sol.eta_layer(k)
-        for x, y, z, eta in zip(cfg.grid.xs, *columns):
-            rows.append((sol.field.times[k], x, y, z, eta))
+    ks = [sol.field.nearest_layer(t) for t in times]
+    columns = [np.stack(column) for column in zip(*map(sol.yz_eta_layer, ks))]
     report = {"y_at_start": sol.y_at(0.0, 0.0), "horizon": cfg.grid.horizon}
-    return report, ("t", "x", "y", "z", "eta"), rows
+    return report, ("t", "x", "y", "z", "eta"), _Table(columns, (sol.field.times[ks], cfg.grid.xs))
 
 
 def _run_convexity(cfg: ExperimentConfig):
@@ -244,7 +248,8 @@ def _run_convexity(cfg: ExperimentConfig):
         tuple(cfg.params["z_range"]),
         **{key: cfg.params[key] for key in ("resolution", "t") if key in cfg.params},  # the library's defaults
     )
-    rows = report_obj.cells.reshape(-1, 4).tolist()
+    cells = report_obj.cells  # cells[i, j] is (ys[i], zs[j], argmin_A, inf_gap)
+    ys, zs = cells[:, 0, 0], cells[0, :, 1]
     report = {
         "verdict": report_obj.verdict,
         "min_gap": report_obj.min_gap,
@@ -252,7 +257,7 @@ def _run_convexity(cfg: ExperimentConfig):
         "witnesses": [list(w) for w in report_obj.witnesses[:100]],
         "tolerance": WITNESS_TOL,
     }
-    return report, ("y", "z", "argmin_A", "inf_gap"), rows
+    return report, ("y", "z", "argmin_A", "inf_gap"), _Table((cells[..., 2], cells[..., 3]), (ys, zs))
 
 
 def _run_jensen(cfg: ExperimentConfig):
@@ -272,7 +277,7 @@ def _run_jensen(cfg: ExperimentConfig):
         "phi_jet": list(phi.eval2(0.0)),
         "h_phi_jet": list(h.compose(phi).eval2(0.0)),
     }
-    return report, ("horizon", "lhs", "rhs", "gap"), rows
+    return report, ("horizon", "lhs", "rhs", "gap"), _Table(list(zip(*rows)))
 
 
 def _run_replimit(cfg: ExperimentConfig):
@@ -291,7 +296,7 @@ def _run_replimit(cfg: ExperimentConfig):
         "passed": result["passed"],
         "tolerance": {"final_rel_error": REPLIMIT_TOL},
     }
-    return report, ("eps", "quotient", "formula", "abs_error"), rows
+    return report, ("eps", "quotient", "formula", "abs_error"), _Table(list(zip(*rows)))
 
 
 def _run_oracle_check(cfg: ExperimentConfig):
@@ -319,7 +324,7 @@ def _run_oracle_check(cfg: ExperimentConfig):
         "passed": worst is not None and worst <= tolerance,
         "steps": steps,
     }
-    return report, ("function", "t", "pde", "tree", "abs_diff"), rows
+    return report, ("function", "t", "pde", "tree", "abs_diff"), _Table(list(zip(*rows)))
 
 
 _COMMANDS = {
@@ -366,7 +371,7 @@ def run(command: str, config_path: str | Path, out_dir: str | Path | None = None
     report_path = out / f"{command}.report.json"
     data_path = out / f"{command}.data.csv"
     try:
-        report, header, rows = _COMMANDS[command].runner(cfg)
+        report, header, table = _COMMANDS[command].runner(cfg)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -397,26 +402,51 @@ def run(command: str, config_path: str | Path, out_dir: str | Path | None = None
     }
     report_path.write_text(json.dumps(document, indent=2) + "\n")
     with data_path.open("w", newline="") as handle:
-        _write_rows(handle, header, rows)
+        _write_rows(handle, header, *table)
     return 0
 
 
-def _write_rows(handle, header: tuple[str, ...], rows: list) -> None:
-    """Write ``header`` and ``rows`` as CSV, numbers with 17 significant digits.
+_CHUNK_ROWS = 256  # rows formatted by one format string and written at once
 
-    Rows of numbers only go out through one format string, a line at a
-    time: ``"%.17g" % x`` is ``format(float(x), ".17g")`` for every int,
-    float and numpy scalar.  Rows that hold a string (``oracle-check``'s
-    function text) go through ``csv.writer``, which quotes it where needed;
-    the first row says which kind a command's rows are.
+
+def _write_rows(handle, header: tuple[str, ...], columns: Sequence, axes: Sequence = ()) -> None:
+    """Write ``header`` and the rows of ``axes`` and ``columns`` as CSV, numbers with 17 significant digits.
+
+    The rows run over the outer product of the ``axes`` in C order, and
+    each row is its axis values followed by one value of every column; a
+    column holds one value per row, as a sequence or as an array shaped
+    like the product.  With no axes the columns alone give the rows.
+    Each axis value is formatted once and its text reused in every row it
+    heads.  Column values go out through ``"%.17g"``, which is
+    ``format(float(x), ".17g")`` for every int, float and numpy scalar,
+    ``_CHUNK_ROWS`` rows to one format string and one write, so no list
+    of all the lines is built.  When a column holds text (``oracle-check``'s
+    function), each row's columns go through ``csv.writer`` instead, which
+    quotes the text where needed; an axis value's text never needs quoting.
     """
+    columns = [np.ravel(column) for column in columns]
+    heads = [""]
+    for axis in axes:
+        texts = [_fmt(v) + "," for v in axis]
+        heads = [head + text for head in heads for text in texts]
+    if not axes:
+        heads *= columns[0].size if columns else 0
+    if any(column.size != len(heads) for column in columns):
+        raise ValueError(f"every column needs one value per row, {len(heads)} in all")
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
-    if rows and any(isinstance(v, str) for v in rows[0]):
-        writer.writerows([v if isinstance(v, str) else _fmt(v) for v in row] for row in rows)
-    else:
-        line = ",".join(["%.17g"] * len(header)) + "\n"
-        handle.writelines(line % tuple(row) for row in rows)
+    if any(column.dtype.kind == "U" for column in columns):
+        for head, row in zip(heads, zip(*[column.tolist() for column in columns])):
+            handle.write(head)
+            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+    elif heads:
+        width = len(columns)
+        line = ",".join(["%.17g"] * width) + "\n"
+        values = np.stack(columns, axis=-1).ravel().tolist()  # row by row
+        for start in range(0, len(heads), _CHUNK_ROWS):
+            chunk = heads[start:start + _CHUNK_ROWS]
+            text = line.join(chunk) + line  # each head, then its row's format
+            handle.write(text % tuple(values[start * width:(start + len(chunk)) * width]))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -173,6 +173,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.variables: set[str] = set()  # the names of the Var nodes built so far
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -247,6 +248,7 @@ class _Parser:
                         f"function {text!r} takes 1 argument, got {len(args)}", offset
                     )
                 return Call(text, args[0])
+            self.variables.add(text)
             return Var(text)
         if kind == "(":
             self.advance()
@@ -584,13 +586,13 @@ class TriFunction:
 
 def parse_scalar(text: str) -> ScalarFunction:
     """Parse an expression over ``x``."""
-    ast = _parse_checked(text, allowed={"x"})
+    ast, _ = _parse_checked(text, allowed={"x"})
     return ScalarFunction(ast)
 
 
 def parse_tri(text: str) -> TriFunction:
     """Parse an expression over ``t``, ``y``, ``z``."""
-    ast = _parse_checked(text, allowed={"t", "y", "z"})
+    ast, _ = _parse_checked(text, allowed={"t", "y", "z"})
     return TriFunction(ast)
 
 
@@ -601,8 +603,7 @@ def parse(text: str):
     subset of ``{t, y, z}`` become :class:`TriFunction`.  Constants default
     to :class:`ScalarFunction`.
     """
-    ast = _parse_checked(text, allowed=None)
-    names = _free_variables(ast)
+    ast, names = _parse_checked(text, allowed=None)
     if names <= {"x"}:
         return ScalarFunction(ast)
     if names <= {"t", "y", "z"}:
@@ -610,17 +611,18 @@ def parse(text: str):
     raise ParseError(f"expression mixes incompatible variables {sorted(names)}", 0)
 
 
-def _parse_checked(text: str, allowed: set[str] | None) -> Node:
+def _parse_checked(text: str, allowed: set[str] | None) -> tuple[Node, set[str]]:
+    """The tree of ``text`` and the names of its variables, which the parser collects as it builds the tree."""
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    ast = _Parser(text).parse()
+    parser = _Parser(text)
+    ast = parser.parse()
     if allowed is not None:
-        unknown = _free_variables(ast) - allowed
+        unknown = parser.variables - allowed
         if unknown:
             raise ParseError(
                 f"unknown identifier {sorted(unknown)[0]!r} "
                 f"(allowed: {sorted(allowed)})",
                 0,
             )
-    return ast
-
+    return ast, parser.variables

@@ -82,10 +82,9 @@ def zero_generator() -> GeneratorPair:
     return GeneratorPair(_ZERO, _ZERO, 0.0, h6=True)
 
 
-def _eta(f: TriFunction, t, y: np.ndarray, dx: float) -> np.ndarray:
-    """f(t, y, z) + 0.5 * D2 y along y's last axis, z the gradient; ``t`` is a number or a column of times."""
-    f_vals = f(t, y, _space_gradient(y, dx))
-    return np.broadcast_to(f_vals, y.shape) + 0.5 * _second_difference(y, dx * dx)
+def _eta(f: TriFunction, t, y: np.ndarray, z: np.ndarray, dx: float) -> np.ndarray:
+    """f(t, y, z) + 0.5 * D2 y along y's last axis, z y's gradient; ``t`` is a number or a column of times."""
+    return np.broadcast_to(f(t, y, z), y.shape) + 0.5 * _second_difference(y, dx * dx)
 
 
 class BsdeSolution:
@@ -95,7 +94,8 @@ class BsdeSolution:
     k backward steps earlier.  ``eta[k] = f(times[k], u[k], z_layer(k)) +
     0.5 * D2 u[k]`` is the whole table, built on first access from
     ``field.u`` (with the gradient and D2 as temporaries) and read-only;
-    ``eta_layer(k)`` forms row k alone, from ``field.layer(k)``.
+    ``eta_layer(k)`` forms row k alone, from ``field.layer(k)``, and
+    ``yz_eta_layer(k)`` returns Y, Z and eta of layer k from one gradient.
     """
 
     def __init__(self, field_solution: FieldSolution, gen: GeneratorPair, band: VolatilityBand):
@@ -111,11 +111,18 @@ class BsdeSolution:
     @_derived
     def eta(self) -> np.ndarray:
         """The variance density of every layer, shaped like ``field.u``."""
-        return _eta(self.gen.f, self.field.times[:, None], self.field.u, self.grid.dx)
+        u, dx = self.field.u, self.grid.dx
+        return _eta(self.gen.f, self.field.times[:, None], u, _space_gradient(u, dx), dx)
 
     def eta_layer(self, k: int) -> np.ndarray:
         """Row k of ``eta``, from ``field.layer(k)`` alone."""
-        return _eta(self.gen.f, self.field.times[k], self.field.layer(k), self.grid.dx)
+        return self.yz_eta_layer(k)[2]
+
+    def yz_eta_layer(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``field.layer(k)``, ``field.z_layer(k)`` and ``eta_layer(k)``, the gradient formed once."""
+        y, dx = self.field.layer(k), self.grid.dx
+        z = _space_gradient(y, dx)
+        return y, z, _eta(self.gen.f, self.field.times[k], y, z, dx)
 
     def y_at(self, s: float, x: float = 0.0) -> float:
         return self.field.value_at(s, x)

@@ -65,3 +65,16 @@ def test_distances():
     assert bit_diff.distance(np.array([1.0]), np.array([1.0, 2.0])) == "differs: float64[1] -> float64[2]"
     assert bit_diff.distance("a", "b") == "differs" and bit_diff.distance("a", "a") is None
     assert bit_diff.distance(np.array([1]), np.array([2])) == "differs"
+
+
+def test_a_number_written_in_another_format_changes_its_digits_only():
+    path = _PATH.parent / "bit_manifest.py"
+    spec = importlib.util.spec_from_file_location("bit_manifest", path)
+    manifest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(manifest)
+    parent = dict(manifest._file_parts("f", "y,z\n1,-0.5\nnan,2e-3\n"))
+    change = dict(manifest._file_parts("f", "y,z\n1.0,-0.5\nnan,2e-3\n"))
+    assert sorted(parent) == ["f/digits", "f/numbers", "f/text"]
+    assert bit_diff.distance(parent["f/numbers"], change["f/numbers"]) is None
+    assert bit_diff.distance(parent["f/text"], change["f/text"]) is None
+    assert bit_diff.distance(parent["f/digits"], change["f/digits"]) == "differs"

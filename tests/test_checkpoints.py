@@ -198,6 +198,8 @@ class TestDerivedFieldsAreReadOnly:
         for k in range(grid.nt + 1):
             assert field.z_layer(k).tobytes() == z[k].tobytes(), f"z layer {k}"
             assert sol.eta_layer(k).tobytes() == half_d2[k].tobytes(), f"eta layer {k}"
+            triple = sol.yz_eta_layer(k)
+            assert [a.tobytes() for a in triple] == [u[k].tobytes(), z[k].tobytes(), half_d2[k].tobytes()], k
         assert sol.eta.tobytes() == half_d2.tobytes()
 
 

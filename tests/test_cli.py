@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
@@ -14,6 +16,7 @@ import gexpect
 from gexpect import (
     GeneratorPair,
     VolatilityBand,
+    check_g_convexity,
     parse_scalar,
     parse_tri,
     reduce_over_A,
@@ -657,13 +660,72 @@ def reference_csv(header, rows) -> str:
     return handle.getvalue()
 
 
+def table_rows(columns, axes=()):
+    """The rows a runner's table stands for: each point of the axes' product in C order, then each column's value."""
+    points = list(itertools.product(*axes)) if axes else [()] * (len(columns[0]) if columns else 0)
+    flat = [column.ravel() if isinstance(column, np.ndarray) else column for column in columns]
+    return [(*point, *values) for point, values in zip(points, zip(*flat), strict=True)]
+
+
+# every finite float, and the values whose text is special: signed zero, NaN, infinities, subnormals, extremes
+csv_numbers = st.floats() | st.sampled_from([
+    -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+])
+
+
 class TestCsvWriter:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_data_csv_has_the_reference_writer_bytes(self, tmp_path, command):
         out = tmp_path / "out"
         assert run(command, write_config(tmp_path, VALID[command]), out) == 0
-        _, header, rows = _COMMANDS[command].runner(ExperimentConfig(command, VALID[command]))
+        _, header, table = _COMMANDS[command].runner(ExperimentConfig(command, VALID[command]))
+        rows = table_rows(*table)
         assert (out / f"{command}.data.csv").read_bytes() == reference_csv(header, rows).encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 5), max_size=2).flatmap(lambda shape: st.tuples(
+            st.tuples(*[st.lists(csv_numbers, min_size=n, max_size=n) for n in shape]),
+            st.lists(
+                st.lists(csv_numbers, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))),
+                min_size=1, max_size=3,
+            ) if shape else st.integers(0, 5).flatmap(lambda n: st.lists(
+                st.lists(csv_numbers, min_size=n, max_size=n), min_size=1, max_size=3,
+            )),
+        )),
+        st.booleans(),
+    )
+    def test_axes_and_columns_have_the_bytes_of_their_rows(self, table, as_arrays):
+        axes, columns = table
+        if as_arrays:  # a column as an array shaped like the axes' product, an axis as an array
+            shape = tuple(map(len, axes)) or (len(columns[0]),)
+            columns = [np.array(column, dtype=float).reshape(shape) for column in columns]
+            axes = [np.array(axis, dtype=float) for axis in axes]
+        header = tuple(f"c{i}" for i in range(len(axes) + len(columns)))
+        handle = io.StringIO(newline="")
+        _write_rows(handle, header, columns, axes)
+        assert handle.getvalue() == reference_csv(header, table_rows(columns, axes))
+
+    def test_convexity_scan_at_resolution_129_has_the_bytes_of_its_cells(self, tmp_path):
+        # the benchmark's convexity CLI pair: tanh(x) under the "mixed" generator; the z = 0 column
+        # of the mesh has A = -2 f = -0.0, which the file writes as -0
+        config = {
+            "schema_version": 1,
+            "band": {"sigma_min_sq": 1.0, "sigma_max_sq": 2.0},
+            "generator": {"g": "0.3*y + 0.2*z", "f": "0.25*z", "lipschitz_L": 0.5},
+            "functions": {"h": "tanh(x)"},
+            "params": {"y_range": [-2.1, 1.9], "z_range": [-2.0, 2.0], "resolution": 129},
+        }
+        out = tmp_path / "out"
+        assert run("convexity", write_config(tmp_path, config), out) == 0
+        gen = GeneratorPair(parse_tri("0.3*y + 0.2*z"), parse_tri("0.25*z"), 0.5)
+        report = check_g_convexity(
+            VolatilityBand(1.0, 2.0), gen, parse_scalar("tanh(x)"), (-2.1, 1.9), (-2.0, 2.0), 129
+        )
+        expected = reference_csv(("y", "z", "argmin_A", "inf_gap"), report.cells.reshape(-1, 4).tolist())
+        assert "\n-2.1000000000000001,0,-0," in expected
+        assert (out / "convexity.data.csv").read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("text", [None, "max(x, 0)"])
     def test_special_values_have_the_reference_bytes(self, text):
@@ -678,7 +740,7 @@ class TestCsvWriter:
             rows = [(text, *row) for row in rows]
             header = ("function", *header)
         handle = io.StringIO(newline="")
-        _write_rows(handle, header, rows)
+        _write_rows(handle, header, list(zip(*rows)))
         assert handle.getvalue() == reference_csv(header, rows)
 
     def test_no_rows_give_the_header_alone(self):

@@ -50,6 +50,21 @@ class TestParse:
         with pytest.raises(ParseError, match="unknown identifier"):
             parse_tri("y + q")
 
+    def test_unknown_identifier_names_the_first_in_sorted_order_at_offset_0(self):
+        with pytest.raises(ParseError) as err:
+            parse_tri("w*y + exp(q)")
+        assert str(err.value).startswith("unknown identifier 'q' (allowed: ['t', 'y', 'z'])")
+        assert err.value.offset == 0
+
+    @pytest.mark.parametrize("parser", [parse, parse_tri])
+    def test_a_parse_walks_the_tree_for_its_variables_once(self, monkeypatch, parser):
+        visits = []
+        walk = expr._free_variables
+        monkeypatch.setattr(expr, "_free_variables", lambda node: visits.append(node) or walk(node))
+        fn = parser("y + sin(z)")  # four nodes
+        assert fn.variables == {"y", "z"}
+        assert len(visits) <= 4
+
     def test_parse_refuses_mixed_variables(self):
         with pytest.raises(ParseError, match=r"mixes incompatible variables \['x', 'y'\]"):
             parse("x + y")

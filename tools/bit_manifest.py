@@ -25,7 +25,9 @@ commit that has them.  The families:
   what the Lipschitz spot check's fixed draw decides;
 - ``cli/``: every ``report.json`` and ``data.csv`` of the six commands on
   README-style configs and on the benchmark workloads' CLI configs, each
-  file as its numbers and its text with the numbers taken out.
+  file as its numbers (``numbers``), its number tokens exactly as written,
+  compared as text (``digits``: ``1`` and ``1.0`` differ there though
+  their values tie), and its text with the numbers taken out (``text``).
 """
 
 from __future__ import annotations
@@ -273,13 +275,19 @@ def _draws():
     yield "draws/refusal/tanh(20*z) at 0.5", _failure(steep)
 
 
+def _file_parts(name, text):
+    """One written file as its numbers' values, its number tokens as written, and its text around them."""
+    tokens = _NUMBER.findall(text)
+    yield f"{name}/numbers", np.array([float(token) for token in tokens])
+    yield f"{name}/digits", "\n".join(tokens)
+    yield f"{name}/text", _NUMBER.sub("#", text)
+
+
 def _cli_files(name, command, config, out):
-    """The exit code and every file of one CLI run, each file as numbers and text."""
+    """The exit code and every file of one CLI run, each file as ``_file_parts``."""
     yield f"{name}/exit", run_cli(command, config, out)
     for path in sorted(out.glob(f"{command}.*")):
-        text = path.read_text()
-        yield f"{name}/{path.name}/numbers", np.array([float(m) for m in _NUMBER.findall(text)])
-        yield f"{name}/{path.name}/text", _NUMBER.sub("#", text)
+        yield from _file_parts(f"{name}/{path.name}", path.read_text())
 
 
 def _cli():
