@@ -8,8 +8,10 @@ Each run writes ``<out>/<command>.report.json`` (inputs echo, results,
 tolerances, pass flag) and ``<out>/<command>.data.csv`` (one row per grid
 point / eps / scan cell, floats with 17 significant digits).  A command
 with a mesh (``gexp``, ``gbsde``: reported time by x; ``convexity``: y by
-z) hands the writer its axes and one array per further column, and each
-axis value is formatted once, for every row it heads.  Exit status
+z; ``oracle-check``: function by t) hands the writer its axes and one
+array of numbers per further column, and each axis value is formatted
+once, a function text quoted by csv's rule, for every row it heads.
+``jensen`` and ``replimit`` hand over columns alone.  Exit status
 0 on success (verdicts are data, not failures), 1 on config errors, 2 on
 numerical failures, whose report gives the error's class, and the time
 layer and batch row where the march failed (null when it names none).
@@ -28,13 +30,15 @@ A command accepts exactly these, plus the optional top-level key
 ``out_dir``; ``grid`` takes ``nt`` or ``theta``, not both.  The config
 is checked before any solve, and every rejected input, a param value that
 a library routine refuses included, exits 1 naming its field, never with
-a traceback.
+a traceback.  So does an output directory that cannot be made: it is
+named ``--out`` or ``config.out_dir``, by where it came from.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -266,18 +270,16 @@ def _run_jensen(cfg: ExperimentConfig):
     for tau in horizons:
         _checked("config.params.horizons", cfg.grid.check_interval, 0.0, s + tau)
     h, phi = cfg.functions["h"], cfg.functions["phi"]
-    rows = []
-    for tau in horizons:
-        lhs, rhs, gap = jensen_experiment(cfg.band, cfg.generator, h, phi, s, s + tau, cfg.grid)
-        rows.append((tau, lhs, rhs, gap))
+    results = [jensen_experiment(cfg.band, cfg.generator, h, phi, s, s + tau, cfg.grid) for tau in horizons]
+    lhs, rhs, gaps = zip(*results)
     report = {
-        "gaps": {_fmt(r[0]): r[3] for r in rows},
-        "min_gap": min(r[3] for r in rows),
+        "gaps": {_fmt(tau): gap for tau, gap in zip(horizons, gaps)},
+        "min_gap": min(gaps),
         # jets at 0 actually used by the experiment (phi and the composition)
         "phi_jet": list(phi.eval2(0.0)),
         "h_phi_jet": list(h.compose(phi).eval2(0.0)),
     }
-    return report, ("horizon", "lhs", "rhs", "gap"), _Table(list(zip(*rows)))
+    return report, ("horizon", "lhs", "rhs", "gap"), _Table((horizons, lhs, rhs, gaps))
 
 
 def _run_replimit(cfg: ExperimentConfig):
@@ -287,7 +289,7 @@ def _run_replimit(cfg: ExperimentConfig):
         cfg.band, cfg.generator, cfg.functions["terminal"], t, eps_list,
         **{key: cfg.params[key] for key in ("nx",) if key in cfg.params},  # the library's default
     )
-    rows = [(eps, quotient, result["formula"], err) for eps, quotient, err in result["rows"]]
+    eps, quotients, errors = zip(*result["rows"])
     report = {
         "formula": result["formula"],
         "order": result["order"],
@@ -296,7 +298,8 @@ def _run_replimit(cfg: ExperimentConfig):
         "passed": result["passed"],
         "tolerance": {"final_rel_error": REPLIMIT_TOL},
     }
-    return report, ("eps", "quotient", "formula", "abs_error"), _Table(list(zip(*rows)))
+    columns = (eps, quotients, [result["formula"]] * len(eps), errors)
+    return report, ("eps", "quotient", "formula", "abs_error"), _Table(columns)
 
 
 def _run_oracle_check(cfg: ExperimentConfig):
@@ -308,23 +311,19 @@ def _run_oracle_check(cfg: ExperimentConfig):
     phis = [_checked("config.params.functions", parse_scalar, text) for text in texts]
     steps = cfg.params.get("steps", 2000)
     fields = solve_g_heat_batch(cfg.band, phis, cfg.grid)
-    trees = tree_expectation_batch(cfg.band, phis, times, steps).tolist()
-    rows = []
-    for text, field, tree_row in zip(texts, fields, trees):
-        for t, tree in zip(times, tree_row):
-            pde = field.value_at(t, 0.0)
-            rows.append((text, t, pde, tree, abs(pde - tree)))
-    diffs = [row[-1] for row in rows]
-    # a NaN or infinite difference fails the check; max() would pass over a NaN, and the
-    # report writes the worst as null, since JSON has no NaN or infinity
-    worst = max(diffs, default=0.0) if all(map(math.isfinite, diffs)) else None
+    pde = np.array([[field.value_at(t, 0.0) for t in times] for field in fields])
+    tree = tree_expectation_batch(cfg.band, phis, times, steps)
+    diffs = np.abs(pde - tree)
+    # a NaN or infinite difference fails the check, and the report writes the worst as null,
+    # since JSON has no NaN or infinity
+    worst = float(diffs.max()) if np.isfinite(diffs).all() else None
     report = {
         "max_abs_diff": worst,
         "tolerance": tolerance,
         "passed": worst is not None and worst <= tolerance,
         "steps": steps,
     }
-    return report, ("function", "t", "pde", "tree", "abs_diff"), _Table(list(zip(*rows)))
+    return report, ("function", "t", "pde", "tree", "abs_diff"), _Table((pde, tree, diffs), (texts, times))
 
 
 _COMMANDS = {
@@ -361,49 +360,39 @@ def run(command: str, config_path: str | Path, out_dir: str | Path | None = None
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error at config: cannot read {config_path}: {exc}", file=sys.stderr)
         return 1
+    document = {"schema_version": SCHEMA_VERSION, "command": command, "config": raw}
     try:
         cfg = ExperimentConfig(command, raw)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    out = Path(out_dir) if out_dir is not None else Path(raw.get("out_dir", "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / f"{command}.report.json"
-    data_path = out / f"{command}.data.csv"
-    try:
+        out = _output_dir(raw, out_dir)
         report, header, table = _COMMANDS[command].runner(cfg)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except _NUMERICAL_ERRORS as exc:
-        failure = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "config": raw,
-            "status": "numerical-failure",
-            "diagnostic": f"{type(exc).__name__}: {exc}",
-            "error": type(exc).__name__,
-            # NonFiniteError and BlowUpError name where the march failed; the others name no layer
-            "layer": getattr(exc, "layer", None),
-            "row": getattr(exc, "row", None),
-        }
-        report_path.write_text(json.dumps(failure, indent=2) + "\n")
+        error = type(exc).__name__
+        # NonFiniteError and BlowUpError name where the march failed; the others name no layer
+        document.update(status="numerical-failure", diagnostic=f"{error}: {exc}", error=error,
+                        layer=getattr(exc, "layer", None), row=getattr(exc, "row", None))
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:  # a library routine refused a param value (resolution < 16, ...)
         print(str(ConfigError("config.params", str(exc))), file=sys.stderr)
         return 1
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": raw,
-        "status": "ok",
-        "results": report,
-    }
-    report_path.write_text(json.dumps(document, indent=2) + "\n")
-    with data_path.open("w", newline="") as handle:
-        _write_rows(handle, header, *table)
-    return 0
+    else:
+        document.update(status="ok", results=report)
+        with (out / f"{command}.data.csv").open("w", newline="") as handle:
+            _write_rows(handle, header, *table)
+    (out / f"{command}.report.json").write_text(json.dumps(document, indent=2) + "\n")
+    return 0 if document["status"] == "ok" else 2
+
+
+def _output_dir(raw: dict, out_dir: str | Path | None) -> Path:
+    """The output directory, made: ``out_dir`` (``--out``), else the config's ``out_dir``, else ``out``."""
+    field, path = ("--out", out_dir) if out_dir is not None else ("config.out_dir", raw.get("out_dir", "out"))
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, a path under a file, no permission
+        raise ConfigError(field, f"cannot make the output directory: {exc}") from exc
+    return Path(path)
 
 
 _CHUNK_ROWS = 256  # rows formatted by one format string and written at once
@@ -414,32 +403,26 @@ def _write_rows(handle, header: tuple[str, ...], columns: Sequence, axes: Sequen
 
     The rows run over the outer product of the ``axes`` in C order, and
     each row is its axis values followed by one value of every column; a
-    column holds one value per row, as a sequence or as an array shaped
+    column holds one number per row, as a sequence or as an array shaped
     like the product.  With no axes the columns alone give the rows.
-    Each axis value is formatted once and its text reused in every row it
-    heads.  Column values go out through ``"%.17g"``, which is
+    Each axis value, a number or a text (``oracle-check``'s rows are
+    function by t), is formatted or quoted once and reused in every row
+    it heads.  Column values go out through ``"%.17g"``, which is
     ``format(float(x), ".17g")`` for every int, float and numpy scalar,
     ``_CHUNK_ROWS`` rows to one format string and one write, so no list
-    of all the lines is built.  When a column holds text (``oracle-check``'s
-    function), each row's columns go through ``csv.writer`` instead, which
-    quotes the text where needed; an axis value's text never needs quoting.
+    of all the lines is built.
     """
     columns = [np.ravel(column) for column in columns]
     heads = [""]
     for axis in axes:
-        texts = [_fmt(v) + "," for v in axis]
+        texts = list(map(_lead, axis))
         heads = [head + text for head in heads for text in texts]
     if not axes:
         heads *= columns[0].size if columns else 0
     if any(column.size != len(heads) for column in columns):
         raise ValueError(f"every column needs one value per row, {len(heads)} in all")
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    if any(column.dtype.kind == "U" for column in columns):
-        for head, row in zip(heads, zip(*[column.tolist() for column in columns])):
-            handle.write(head)
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
-    elif heads:
+    handle.write(",".join(header) + "\n")
+    if heads:
         width = len(columns)
         line = ",".join(["%.17g"] * width) + "\n"
         values = np.stack(columns, axis=-1).ravel().tolist()  # row by row
@@ -447,6 +430,16 @@ def _write_rows(handle, header: tuple[str, ...], columns: Sequence, axes: Sequen
             chunk = heads[start:start + _CHUNK_ROWS]
             text = line.join(chunk) + line  # each head, then its row's format
             handle.write(text % tuple(values[start * width:(start + len(chunk)) * width]))
+
+
+def _lead(value) -> str:
+    """An axis value as it opens a row: a number with 17 significant digits, or text as csv quotes it; then a comma."""
+    if not isinstance(value, str):
+        return _fmt(value) + ","
+    line = io.StringIO()
+    # csv's quoting rule reads the line terminator; a second, empty field keeps a lone "" unquoted
+    csv.writer(line, lineterminator="\n").writerow([value, ""])
+    return line.getvalue()[:-1]
 
 
 def main(argv: list[str] | None = None) -> int:

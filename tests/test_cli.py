@@ -245,6 +245,38 @@ class TestNumericalFailure:
         assert report["diagnostic"].startswith(failure[0] + ": ")
 
 
+class TestReportDocument:
+    @pytest.mark.parametrize(
+        "phi, status, keys",
+        [
+            ("x^2", 0, ["schema_version", "command", "config", "status", "results"]),
+            (
+                "x^2 + 1/0", 2,
+                ["schema_version", "command", "config", "status", "diagnostic", "error", "layer", "row"],
+            ),
+        ],
+    )
+    def test_a_report_keeps_its_key_order(self, tmp_path, phi, status, keys):
+        out = tmp_path / "out"
+        assert run("gexp", write_config(tmp_path, base_config(functions={"phi": phi})), out) == status
+        assert list(json.loads((out / "gexp.report.json").read_text())) == keys
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("under", [False, True])
+    @pytest.mark.parametrize("field", ["--out", "config.out_dir"])
+    def test_a_directory_that_cannot_be_made_exits_1_naming_its_field(self, tmp_path, capsys, field, under):
+        # an existing file raised FileExistsError, and a path under a file NotADirectoryError, out of the CLI
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        target = str(afile / "out" if under else afile)
+        config = base_config(out_dir=target) if field == "config.out_dir" else base_config()
+        argv = ["gexp", "--config", str(write_config(tmp_path, config))]
+        assert main(argv + ["--out", target] if field == "--out" else argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error at {field}: cannot make the output directory: ")
+        assert afile.read_text() == "kept"
+
+
 class TestGridNodeAtZero:
     def test_grid_without_a_node_at_zero_rejected(self, tmp_path, capsys):
         # dx = 8/99: the nearest node sits 0.0101 from 0, which "x = 0" used to read
@@ -729,19 +761,39 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("text", [None, "max(x, 0)"])
     def test_special_values_have_the_reference_bytes(self, text):
-        # gexp rows hold numpy float64 scalars; a row with a string takes csv.writer and its quoting
+        # gexp rows hold numpy float64 scalars; a text axis value is quoted by csv's rule
         specials = [
             float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -2.2250738585072014e-308,
             np.float64(0.1), np.float64(-0.0), np.float64("nan"), 1e300, 3, 2**60, np.int64(-7),
         ]
         rows = [tuple(specials[k:k + 3]) for k in range(len(specials) - 2)]
         header = ("a", "b", "c")
-        if text is not None:
+        columns, axes = list(zip(*rows)), ()
+        if text is not None:  # the text heads every row, as oracle-check's function does, and "a" is the t axis
             rows = [(text, *row) for row in rows]
             header = ("function", *header)
+            columns, axes = columns[1:], ([text], columns[0])
         handle = io.StringIO(newline="")
-        _write_rows(handle, header, list(zip(*rows)))
+        _write_rows(handle, header, columns, axes)
         assert handle.getvalue() == reference_csv(header, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(
+            st.lists(st.text(st.sampled_from(',"\n\r xé€') | st.characters(), max_size=6), max_size=4),
+            st.lists(csv_numbers, max_size=4),
+        ).flatmap(lambda axes: st.tuples(st.just(axes), st.lists(
+            st.lists(csv_numbers, min_size=len(axes[0]) * len(axes[1]), max_size=len(axes[0]) * len(axes[1])),
+            min_size=1, max_size=3,
+        ))),
+    )
+    def test_a_text_axis_has_the_bytes_of_csv_quoting(self, table):
+        # oracle-check's table: function texts by times, then numeric columns
+        axes, columns = table
+        header = tuple(f"c{i}" for i in range(2 + len(columns)))
+        handle = io.StringIO(newline="")
+        _write_rows(handle, header, columns, axes)
+        assert handle.getvalue() == reference_csv(header, table_rows(columns, axes))
 
     def test_no_rows_give_the_header_alone(self):
         handle = io.StringIO(newline="")

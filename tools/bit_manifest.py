@@ -24,7 +24,8 @@ commit that has them.  The families:
   builds, and the refusal of a pair declared below its sampled quotient:
   what the Lipschitz spot check's fixed draw decides;
 - ``cli/``: every ``report.json`` and ``data.csv`` of the six commands on
-  README-style configs and on the benchmark workloads' CLI configs, each
+  README-style configs (``oracle-check`` also on function texts that
+  csv must quote) and on the benchmark workloads' CLI configs, each
   file as its numbers (``numbers``), its number tokens exactly as written,
   compared as text (``digits``: ``1`` and ``1.0`` differ there though
   their values tie), and its text with the numbers taken out (``text``).
@@ -260,6 +261,10 @@ CONFIGS = {
     "replimit": {"generator": GENERATOR, "functions": {"terminal": "x^2 + 1"}, "params": {"eps_list": [0.1, 0.05, 0.025]}},
     "oracle-check": {"grid": GRID, "params": {"functions": ["x^2", "tanh(x)"], "times": [0.5, 1.0], "steps": 800}},
 }
+# function texts that csv quotes ("\n") or writes bare ("\r" on Python 3.11), which the parser reads as spaces
+QUOTED = ("oracle-check", {
+    "grid": GRID, "params": {"functions": ["x^2\n+ 1", " tanh(x)\r"], "times": [0.5, 1.0], "steps": 800},
+})
 # Y grows by e^40 over the horizon and leaves its envelope: a numerical-failure report
 FAILING = ("gbsde", {
     "grid": GRID, "generator": {"g": "40*y", "f": "0", "lipschitz_L": 40.0},
@@ -294,7 +299,7 @@ def _cli():
     with tempfile.TemporaryDirectory(prefix="bit_manifest-") as scratch:
         root = Path(scratch)
         runs = [(f"cli/{command}", command, body) for command, body in CONFIGS.items()]
-        runs.append(("cli/gbsde-failing", *FAILING))
+        runs += [("cli/oracle-check-quoted", *QUOTED), ("cli/gbsde-failing", *FAILING)]
         for name, command, body in runs:
             config = root / f"{name.replace('/', '_')}.json"
             config.write_text(json.dumps({"schema_version": 1, "band": BAND, **body}))
