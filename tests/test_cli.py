@@ -780,7 +780,9 @@ class TestCsvWriter:
     @settings(max_examples=200, deadline=None)
     @given(
         st.tuples(
-            st.lists(st.text(st.sampled_from(',"\n\r xé€') | st.characters(), max_size=6), max_size=4),
+            # no NUL: Python 3.10's csv refuses it in any field, and the parser in any function text
+            st.lists(st.text(st.sampled_from(',"\n\r xé€') | st.characters(exclude_characters="\0"), max_size=6),
+                     max_size=4),
             st.lists(csv_numbers, max_size=4),
         ).flatmap(lambda axes: st.tuples(st.just(axes), st.lists(
             st.lists(csv_numbers, min_size=len(axes[0]) * len(axes[1]), max_size=len(axes[0]) * len(axes[1])),
