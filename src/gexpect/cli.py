@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CflError, SpaceTimeGrid, VolatilityBand, cfl_time_steps, make_grid
+from .core import DEFAULT_CFL_THETA, CflError, SpaceTimeGrid, VolatilityBand, _cfl_grid, make_grid
 from .expr import EvalDomainError, parse_scalar, parse_tri
 from .gbsde import BlowUpError, GeneratorPair, solve_gbsde
 from .gheat import NonFiniteError, solve_g_heat, solve_g_heat_batch
@@ -183,14 +183,12 @@ class ExperimentConfig:
             raise ConfigError("config.grid.theta", "give either nt or theta")
         if ("x_min" in obj) != ("x_max" in obj):
             raise ConfigError("config.grid.x_min", "x_min and x_max go together")
-        theta = {"theta": obj["theta"]} if "theta" in obj else {}  # absent: the library's default
+        theta = obj.get("theta", DEFAULT_CFL_THETA)
         try:
             if "x_min" in obj:
-                # nt = 1 stands in until the grid has checked horizon and nx, which dx needs
-                grid = SpaceTimeGrid(obj["horizon"], obj["x_min"], obj["x_max"], obj["nx"], nt=1)
-                grid = replace(grid, nt=cfl_time_steps(self.band, grid.horizon, grid.dx, **theta))
+                grid = _cfl_grid(self.band, obj["horizon"], obj["x_min"], obj["x_max"], obj["nx"], theta)
             else:
-                grid = make_grid(self.band, obj["horizon"], obj["nx"], obj.get("half_width"), **theta)
+                grid = make_grid(self.band, obj["horizon"], obj["nx"], obj.get("half_width"), theta)
             if "nt" in obj:
                 grid = replace(grid, nt=obj["nt"])
             grid.check_cfl(self.band)
@@ -206,21 +204,17 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Command bodies: return (report dict, csv header, csv table)
+# Command bodies: return (report dict, csv header, csv columns, csv axes); see _write_rows
 # ---------------------------------------------------------------------------
 
-class _Table(NamedTuple):
-    """The rows of a data.csv: see ``_write_rows``."""
+def _times(cfg: ExperimentConfig, key: str = "times", offset=0) -> list:
+    """The ``key`` parameter, each entry a t for which ``grid.check_interval(0, offset + t)`` passes.
 
-    columns: Sequence
-    axes: Sequence = ()
-
-
-def _times(cfg: ExperimentConfig) -> list:
-    """The ``times`` parameter, each one a t that ``grid.check_interval(0, t)`` accepts."""
-    times = cfg.params["times"]
+    The int offset 0 leaves a t's type, so a refusal prints it as the config wrote it.
+    """
+    times = cfg.params[key]
     for t in times:
-        _checked("config.params.times", cfg.grid.check_interval, 0.0, t)
+        _checked(f"config.params.{key}", cfg.grid.check_interval, 0.0, offset + t)
     return times
 
 
@@ -231,7 +225,7 @@ def _run_gexp(cfg: ExperimentConfig):
     ks = [field.nearest_layer(t) for t in times]
     u = np.stack([field.layer(k) for k in ks])
     report = {"values_at_zero": values}
-    return report, ("t", "x", "u"), _Table((u,), (field.times[ks], cfg.grid.xs))
+    return report, ("t", "x", "u"), (u,), (field.times[ks], cfg.grid.xs)
 
 
 def _run_gbsde(cfg: ExperimentConfig):
@@ -240,7 +234,7 @@ def _run_gbsde(cfg: ExperimentConfig):
     ks = [sol.field.nearest_layer(t) for t in times]
     columns = [np.stack(column) for column in zip(*map(sol.yz_eta_layer, ks))]
     report = {"y_at_start": sol.y_at(0.0, 0.0), "horizon": cfg.grid.horizon}
-    return report, ("t", "x", "y", "z", "eta"), _Table(columns, (sol.field.times[ks], cfg.grid.xs))
+    return report, ("t", "x", "y", "z", "eta"), columns, (sol.field.times[ks], cfg.grid.xs)
 
 
 def _run_convexity(cfg: ExperimentConfig):
@@ -261,14 +255,12 @@ def _run_convexity(cfg: ExperimentConfig):
         "witnesses": [list(w) for w in report_obj.witnesses[:100]],
         "tolerance": WITNESS_TOL,
     }
-    return report, ("y", "z", "argmin_A", "inf_gap"), _Table((cells[..., 2], cells[..., 3]), (ys, zs))
+    return report, ("y", "z", "argmin_A", "inf_gap"), (cells[..., 2], cells[..., 3]), (ys, zs)
 
 
 def _run_jensen(cfg: ExperimentConfig):
-    horizons = cfg.params["horizons"]
     s = cfg.params.get("s", 0.0)
-    for tau in horizons:
-        _checked("config.params.horizons", cfg.grid.check_interval, 0.0, s + tau)
+    horizons = _times(cfg, "horizons", s)
     h, phi = cfg.functions["h"], cfg.functions["phi"]
     results = [jensen_experiment(cfg.band, cfg.generator, h, phi, s, s + tau, cfg.grid) for tau in horizons]
     lhs, rhs, gaps = zip(*results)
@@ -279,7 +271,7 @@ def _run_jensen(cfg: ExperimentConfig):
         "phi_jet": list(phi.eval2(0.0)),
         "h_phi_jet": list(h.compose(phi).eval2(0.0)),
     }
-    return report, ("horizon", "lhs", "rhs", "gap"), _Table((horizons, lhs, rhs, gaps))
+    return report, ("horizon", "lhs", "rhs", "gap"), (horizons, lhs, rhs, gaps), ()
 
 
 def _run_replimit(cfg: ExperimentConfig):
@@ -299,7 +291,7 @@ def _run_replimit(cfg: ExperimentConfig):
         "tolerance": {"final_rel_error": REPLIMIT_TOL},
     }
     columns = (eps, quotients, [result["formula"]] * len(eps), errors)
-    return report, ("eps", "quotient", "formula", "abs_error"), _Table(columns)
+    return report, ("eps", "quotient", "formula", "abs_error"), columns, ()
 
 
 def _run_oracle_check(cfg: ExperimentConfig):
@@ -323,7 +315,7 @@ def _run_oracle_check(cfg: ExperimentConfig):
         "passed": worst is not None and worst <= tolerance,
         "steps": steps,
     }
-    return report, ("function", "t", "pde", "tree", "abs_diff"), _Table((pde, tree, diffs), (texts, times))
+    return report, ("function", "t", "pde", "tree", "abs_diff"), (pde, tree, diffs), (texts, times)
 
 
 _COMMANDS = {
@@ -364,7 +356,7 @@ def run(command: str, config_path: str | Path, out_dir: str | Path | None = None
     try:
         cfg = ExperimentConfig(command, raw)
         out = _output_dir(raw, out_dir)
-        report, header, table = _COMMANDS[command].runner(cfg)
+        report, header, columns, axes = _COMMANDS[command].runner(cfg)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -380,7 +372,7 @@ def run(command: str, config_path: str | Path, out_dir: str | Path | None = None
     else:
         document.update(status="ok", results=report)
         with (out / f"{command}.data.csv").open("w", newline="") as handle:
-            _write_rows(handle, header, *table)
+            _write_rows(handle, header, columns, axes)
     (out / f"{command}.report.json").write_text(json.dumps(document, indent=2) + "\n")
     return 0 if document["status"] == "ok" else 2
 
@@ -433,13 +425,16 @@ def _write_rows(handle, header: tuple[str, ...], columns: Sequence, axes: Sequen
 
 
 def _lead(value) -> str:
-    """An axis value as it opens a row: a number with 17 significant digits, or text as csv quotes it; then a comma."""
+    """An axis value as it opens a row, then a comma: a number with 17 significant digits, or text as csv quotes it.
+
+    The text enters the row format, so each ``%`` in it is written ``%%``.
+    """
     if not isinstance(value, str):
         return _fmt(value) + ","
     line = io.StringIO()
     # csv's quoting rule reads the line terminator; a second, empty field keeps a lone "" unquoted
     csv.writer(line, lineterminator="\n").writerow([value, ""])
-    return line.getvalue()[:-1]
+    return line.getvalue()[:-1].replace("%", "%%")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -166,9 +166,7 @@ def check_g_convexity(
     infinite, or a ``resolution`` that is a float or a bool raises
     ValueError naming it, before any cell is evaluated.
     """
-    _check_count("resolution", resolution)
-    if resolution < 16:
-        raise ValueError(f"resolution must be >= 16, got {resolution}")
+    _check_count("resolution", resolution, 16)
     _check_nonnegative("t", t)
     for name, ends in (("y_range", y_range), ("z_range", z_range)):
         if not all(map(math.isfinite, ends)):

@@ -122,12 +122,8 @@ class SpaceTimeGrid:
         # horizon first: a default domain derived from a bad horizon is empty
         if not (self.horizon > 0.0):
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
-        _check_count("nx", self.nx)
-        _check_count("nt", self.nt)
-        if self.nx < 3:
-            raise ValueError(f"nx must be >= 3, got {self.nx}")
-        if self.nt < 1:
-            raise ValueError(f"nt must be >= 1, got {self.nt}")
+        _check_count("nx", self.nx, 3)
+        _check_count("nt", self.nt, 1)
         for name in ("horizon", "x_min", "x_max", "dx"):  # dx overflows where x_max - x_min does
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -196,10 +192,15 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-def _check_count(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless value is a Python or numpy integer; a bool is not one."""
+def _check_count(name: str, value, least: int | None = None) -> None:
+    """Raise ValueError naming ``name`` unless value is a Python or numpy integer, and >= ``least`` if given.
+
+    A bool is not an integer here; the type is checked before the floor.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 _MASK = (1 << 64) - 1
@@ -276,6 +277,11 @@ def make_grid(
     """
     if half_width is None:  # empty for a horizon <= 0, which the grid rejects by its horizon
         half_width = 6.0 * band.sigma_max * math.sqrt(max(horizon, 0.0))
+    return _cfl_grid(band, horizon, -half_width, half_width, nx, theta)
+
+
+def _cfl_grid(band: VolatilityBand, horizon: float, x_min: float, x_max: float, nx: int, theta: float) -> SpaceTimeGrid:
+    """The grid on [x_min, x_max] with ``nx`` nodes and CFL-matched nt."""
     # nt = 1 stands in until the grid has checked horizon and nx, which dx needs
-    grid = SpaceTimeGrid(horizon=horizon, x_min=-half_width, x_max=half_width, nx=nx, nt=1)
+    grid = SpaceTimeGrid(horizon=horizon, x_min=x_min, x_max=x_max, nx=nx, nt=1)
     return replace(grid, nt=cfl_time_steps(band, horizon, grid.dx, theta))

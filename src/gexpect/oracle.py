@@ -184,9 +184,7 @@ def tree_expectation_batch(band: VolatilityBand, phis, times, steps: int) -> np.
         raise ValueError("times must hold at least one time")
     for t in times:
         _check_nonnegative("t", t)
-    _check_count("steps", steps)
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    _check_count("steps", steps, 1)
     dts = [t / steps for t in times]
     roots = _lattice(band, dts * len(phis), steps, [phi for phi in phis for _ in times])
     return roots.reshape(len(phis), len(times))

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,3 +85,19 @@ def generator(g, f):
     if (g, f) == ("0", "0"):
         return zero_generator()
     return SimpleNamespace(g=parse_tri(g), f=parse_tri(f))
+
+
+def affine_exponential(band, a, b, d, e, k, s):
+    """The exact solution of the drivers g = a*y + b*z, f = d*y + e*z on the datum s*exp(k*x), s = +-1.
+
+    Y_t(x) = s*exp(k*x + c*(T - t)) with q = k^2 + 2d + 2e*k, c = a + b*k + var*q/2,
+    and var the band's upper end when s*q >= 0, its lower end otherwise: u_x = k*u and
+    u_xx = k^2*u, and u keeps its sign, so G keeps one branch everywhere.  A linear
+    G-BSDE has an explicit solution (Hu, Ji, Peng & Song 2014, SPA 124); this is that
+    solution on exponential data.  Returns q, var, c and Y as a function of (tau, x),
+    tau = T - t the time to maturity.
+    """
+    q = k * k + 2.0 * d + 2.0 * e * k
+    var = band.sigma_max_sq if s * q >= 0.0 else band.sigma_min_sq
+    c = a + b * k + 0.5 * var * q
+    return SimpleNamespace(q=q, var=var, c=c, value=lambda tau, x=0.0: s * math.exp(k * x + c * tau))

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import numpy as np
 
@@ -711,7 +711,7 @@ class TestCsvWriter:
     def test_data_csv_has_the_reference_writer_bytes(self, tmp_path, command):
         out = tmp_path / "out"
         assert run(command, write_config(tmp_path, VALID[command]), out) == 0
-        _, header, table = _COMMANDS[command].runner(ExperimentConfig(command, VALID[command]))
+        _, header, *table = _COMMANDS[command].runner(ExperimentConfig(command, VALID[command]))
         rows = table_rows(*table)
         assert (out / f"{command}.data.csv").read_bytes() == reference_csv(header, rows).encode()
 
@@ -789,6 +789,10 @@ class TestCsvWriter:
             min_size=1, max_size=3,
         ))),
     )
+    # a "%" in a text is no conversion of the row format: each of these raised or lost a "%"
+    @example(((["%"], [0.0]), [[0.0]]))
+    @example(((["%%"], [0.0]), [[0.0]]))
+    @example(((["100%", "a%sb"], [0.5, 1.0]), [[1.0, 2.0, 3.0, 4.0]]))
     def test_a_text_axis_has_the_bytes_of_csv_quoting(self, table):
         # oracle-check's table: function texts by times, then numeric columns
         axes, columns = table

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gexpect import CflError, SpaceTimeGrid, VolatilityBand, cfl_time_steps, g_eval, make_grid
+from gexpect import (
+    CflError,
+    SpaceTimeGrid,
+    VolatilityBand,
+    cfl_time_steps,
+    check_g_convexity,
+    g_eval,
+    make_grid,
+    parse_scalar,
+    tree_expectation_batch,
+    zero_generator,
+)
 from gexpect import core
 from gexpect.core import _check_nonnegative, _check_positive, _splitmix64, _splitmix64_stream, _uniforms, sub_steps
 
@@ -255,6 +266,22 @@ class TestSpaceTimeGrid:
     def test_make_grid_default_width(self, band):
         grid = make_grid(band, 1.0)
         assert grid.x_max == pytest.approx(6.0 * band.sigma_max)
+
+def _with_count(name, value):
+    """The call that reads the count ``name``, given ``value`` for it."""
+    band = VolatilityBand(1.0, 2.0)
+    if name in ("nx", "nt"):
+        return SpaceTimeGrid(horizon=1.0, x_min=-1.0, x_max=1.0, **{"nx": 21, "nt": 4, name: value})
+    if name == "steps":
+        return tree_expectation_batch(band, [parse_scalar("x^2")], [0.5], value)
+    return check_g_convexity(band, zero_generator(), parse_scalar("x"), (-1, 1), (-1, 1), resolution=value)
+
+
+@pytest.mark.parametrize("name,least", [("nx", 3), ("nt", 1), ("steps", 1), ("resolution", 16)])
+def test_a_count_below_its_floor_is_refused_by_name_and_the_floor_passes(name, least):
+    with pytest.raises(ValueError, match=rf"^{name} must be >= {least}, got {least - 1}$"):
+        _with_count(name, least - 1)
+    _with_count(name, least)
 
 
 class TestNumberRules:

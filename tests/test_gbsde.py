@@ -25,9 +25,10 @@ from gexpect import (
     solve_gbsde,
     zero_generator,
 )
+from gexpect.core import DEFAULT_CFL_THETA
 from gexpect.gheat import _space_gradient
 
-from conftest import assert_series_nonincreasing
+from conftest import affine_exponential, assert_series_nonincreasing, generator
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +215,41 @@ class TestSolveGbsde:
         bad = SpaceTimeGrid(horizon=1.0, x_min=-8.5, x_max=8.5, nx=401, nt=50)
         with pytest.raises(CflError):
             solve_gbsde(band, zero_generator(), parse_scalar("x"), bad)
+
+
+class TestAffineExponential:
+    # The bounds keep the step monotone at nx 101: dx <= 0.17, so the cell Peclet number
+    # dx (|b| / sigma_min_sq + |e|) <= 0.13, and dt (|a| + sigma_max_sq |d|) <= 0.01 beside the
+    # CFL fraction 0.45.  They keep the domain truncation below 3e-8 of Y at nx 401 (the
+    # largest over the corners of the box), some 1 % of the smallest grid error whose ratio
+    # is checked: the worst-case law's centre stays within 1.5 of make_grid's 6 deviations.
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sigma_min_sq=st.floats(0.5, 1.0), spread=st.floats(1.0, 2.0), horizon=st.floats(0.5, 1.0),
+        a=st.floats(-0.5, 0.5), b=st.floats(-0.25, 0.25), d=st.floats(-0.5, 0.5), e=st.floats(-0.25, 0.25),
+        k=st.floats(-0.5, 0.5), s=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_the_error_falls_fourfold_per_halving_of_dx(self, sigma_min_sq, spread, horizon, a, b, d, e, k, s):
+        band = VolatilityBand(sigma_min_sq, sigma_min_sq * spread)
+        exact = affine_exponential(band, a, b, d, e, k, s)
+        gen = generator(f"({a!r})*y + ({b!r})*z", f"({d!r})*y + ({e!r})*z")
+        datum = parse_scalar(f"({s!r})*exp(({k!r})*x)")
+        y0 = exact.value(horizon)
+        errors = [
+            solve_gbsde(band, gen, datum, make_grid(band, horizon, nx=nx)).y_at(0.0, 0.0) - y0 for nx in (101, 201, 401)
+        ]
+        assert abs(errors[2]) <= 1.5e-3 * abs(y0)
+        # the leading relative error over dx^2, in parts: the central differences of exp(k x) are
+        # k (1 + k^2 dx^2 / 6) and k^2 (1 + k^2 dx^2 / 12), and Euler's step adds -c^2 dt / 2
+        parts = horizon * np.array([
+            b * k**3 / 6, exact.var * (k**4 / 24 + e * k**3 / 6), -DEFAULT_CFL_THETA * exact.c**2 / (2 * band.sigma_max_sq)
+        ])
+        # the ratio is 4 where that term dominates: not where its parts cancel, where it is small
+        # beside the truncation, or where q is so near 0 that the grids take different G branches
+        leading = abs(parts.sum())
+        if leading >= max(1e-3, 0.1 * np.abs(parts).sum()) and abs(exact.q) >= 0.01:
+            assert 3.8 <= errors[0] / errors[1] <= 4.2
+            assert 3.8 <= errors[1] / errors[2] <= 4.2
 
 
 class TestStepCondition:

@@ -25,10 +25,12 @@ commit that has them.  The families:
   what the Lipschitz spot check's fixed draw decides;
 - ``cli/``: every ``report.json`` and ``data.csv`` of the six commands on
   README-style configs (``oracle-check`` also on function texts that
-  csv must quote) and on the benchmark workloads' CLI configs, each
-  file as its numbers (``numbers``), its number tokens exactly as written,
-  compared as text (``digits``: ``1`` and ``1.0`` differ there though
-  their values tie), and its text with the numbers taken out (``text``).
+  csv must quote, ``gexp`` also on a grid given by ``x_min``/``x_max``
+  and ``theta``, ``jensen`` also from s > 0) and on the benchmark
+  workloads' CLI configs, each file as its numbers (``numbers``), its
+  number tokens exactly as written, compared as text (``digits``: ``1``
+  and ``1.0`` differ there though their values tie), and its text with
+  the numbers taken out (``text``).
 """
 
 from __future__ import annotations
@@ -265,6 +267,13 @@ CONFIGS = {
 QUOTED = ("oracle-check", {
     "grid": GRID, "params": {"functions": ["x^2\n+ 1", " tanh(x)\r"], "times": [0.5, 1.0], "steps": 800},
 })
+# a grid given by its ends and a CFL fraction, which make_grid does not build
+ENDS = ("gexp", {
+    "grid": {"horizon": 1.0, "x_min": -6.0, "x_max": 9.0, "nx": 151, "theta": 0.3},
+    "functions": {"phi": "x^2"}, "params": {"times": [0.0, 0.5, 1.0]},
+})
+# horizons from s > 0, each checked against the grid's horizon from s
+LATE = ("jensen", {**CONFIGS["jensen"], "params": {"horizons": [0.25, 0.5], "s": 0.5}})
 # Y grows by e^40 over the horizon and leaves its envelope: a numerical-failure report
 FAILING = ("gbsde", {
     "grid": GRID, "generator": {"g": "40*y", "f": "0", "lipschitz_L": 40.0},
@@ -300,6 +309,7 @@ def _cli():
         root = Path(scratch)
         runs = [(f"cli/{command}", command, body) for command, body in CONFIGS.items()]
         runs += [("cli/oracle-check-quoted", *QUOTED), ("cli/gbsde-failing", *FAILING)]
+        runs += [("cli/gexp-ends", *ENDS), ("cli/jensen-late", *LATE)]
         for name, command, body in runs:
             config = root / f"{name.replace('/', '_')}.json"
             config.write_text(json.dumps({"schema_version": 1, "band": BAND, **body}))
