@@ -267,25 +267,9 @@ class TestSpaceTimeGrid:
         grid = make_grid(band, 1.0)
         assert grid.x_max == pytest.approx(6.0 * band.sigma_max)
 
-def _with_count(name, value):
-    """The call that reads the count ``name``, given ``value`` for it."""
-    band = VolatilityBand(1.0, 2.0)
-    if name in ("nx", "nt"):
-        return SpaceTimeGrid(horizon=1.0, x_min=-1.0, x_max=1.0, **{"nx": 21, "nt": 4, name: value})
-    if name == "steps":
-        return tree_expectation_batch(band, [parse_scalar("x^2")], [0.5], value)
-    return check_g_convexity(band, zero_generator(), parse_scalar("x"), (-1, 1), (-1, 1), resolution=value)
-
-
-@pytest.mark.parametrize("name,least", [("nx", 3), ("nt", 1), ("steps", 1), ("resolution", 16)])
-def test_a_count_below_its_floor_is_refused_by_name_and_the_floor_passes(name, least):
-    with pytest.raises(ValueError, match=rf"^{name} must be >= {least}, got {least - 1}$"):
-        _with_count(name, least - 1)
-    _with_count(name, least)
-
 
 class TestNumberRules:
-    """The two rules every library number follows, each stated once in ``core``."""
+    """The rules every library number and count follows, each stated once in ``core``."""
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0])
     def test_positive_refuses_by_name(self, value):
@@ -305,6 +289,18 @@ class TestNumberRules:
     @pytest.mark.parametrize("value", [0.0, -0.0, 0])
     def test_zero_is_nonnegative(self, value):
         _check_nonnegative("t", value)
+
+    @pytest.mark.parametrize("name,least", [("nx", 3), ("nt", 1), ("steps", 1), ("resolution", 16)])
+    def test_a_count_below_its_floor_is_refused_by_name_and_the_floor_passes(self, band, name, least):
+        with_count = {
+            "nx": lambda n: SpaceTimeGrid(1.0, -1.0, 1.0, n, 4),
+            "nt": lambda n: SpaceTimeGrid(1.0, -1.0, 1.0, 21, n),
+            "steps": lambda n: tree_expectation_batch(band, [parse_scalar("x^2")], [0.5], n),
+            "resolution": lambda n: check_g_convexity(band, zero_generator(), parse_scalar("x"), (-1, 1), (-1, 1), n),
+        }[name]
+        with pytest.raises(ValueError, match=rf"^{name} must be >= {least}, got {least - 1}$"):
+            with_count(least - 1)
+        with_count(least)
 
 
 class TestStream:
