@@ -222,7 +222,8 @@ class TestAffineExponential:
     # dx (|b| / sigma_min_sq + |e|) <= 0.13, and dt (|a| + sigma_max_sq |d|) <= 0.01 beside the
     # CFL fraction 0.45.  They keep the domain truncation below 3e-8 of Y at nx 401 (the
     # largest over the corners of the box), some 1 % of the smallest grid error whose ratio
-    # is checked: the worst-case law's centre stays within 1.5 of make_grid's 6 deviations.
+    # is checked: the worst-case law's centre stays within 1.5 standard deviations of 0, and
+    # make_grid's half width is 6.
     @settings(max_examples=30, deadline=None)
     @given(
         sigma_min_sq=st.floats(0.5, 1.0), spread=st.floats(1.0, 2.0), horizon=st.floats(0.5, 1.0),
