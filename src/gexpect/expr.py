@@ -576,10 +576,11 @@ class TriFunction:
         t.  They are the first 5000 values of the package's splitmix64
         stream of seed 20240 (``core._uniforms``): the 1000 t, then y1, z1,
         y2 and z2, 1000 each.  The smallest |dy| + |dz| of the draw is
-        0.53.  A NaN value makes the quotient NaN.
+        0.53.  A NaN value makes the quotient NaN, and a difference that
+        overflows makes it infinite; neither warns.
         """
         t, y1, z1, y2, z2 = _uniforms(20240, (5, 1000), [[0.0]] + [[-10.0]] * 4, [[1.0]] + [[10.0]] * 4)
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the bound check
+        with np.errstate(invalid="ignore", over="ignore"):  # a NaN or infinite quotient fails the bound check
             df = np.broadcast_to(np.abs(np.asarray(self(t, y1, z1)) - np.asarray(self(t, y2, z2))), t.shape)
         return float(np.max(df / (np.abs(y1 - y2) + np.abs(z1 - z2))))
 

@@ -181,14 +181,16 @@ def solve_gbsde_batch(
     positive datum negative, and with ``picard`` u <- 13 u, which raises
     BlowUpError at layer 2.
 
-    Raises ValueError unless ``envelope_factor`` is finite and > 0,
-    CflError for unstable grids, EvalDomainError when a driver is NaN or
-    infinite at the origin, NonFiniteError for a NaN or infinite layer,
+    Raises ValueError, before any work, unless ``t0`` is finite and >= 0
+    and ``envelope_factor`` is finite and > 0; CflError for unstable
+    grids, EvalDomainError when a driver is NaN or infinite at the
+    origin, NonFiniteError for a NaN or infinite layer,
     and BlowUpError when |Y| of a datum escapes its envelope
     ``envelope_factor * (max|terminal| + horizon * sup |drivers at the
     origin| + 1)``, clamped to the largest float; both errors name the
     time layer and the datum's row.
     """
+    _check_nonnegative("t0", t0)
     _check_positive("envelope_factor", envelope_factor)
     grid.check_cfl(band)
     data = _stack(terminals, grid)

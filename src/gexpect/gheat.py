@@ -396,11 +396,13 @@ class FieldSolution:
     time re-march nothing.  ``u`` is the whole (nt + 1, nx) field, built
     on first access (by one more march) and read-only; no whole gradient or
     curvature is kept.  ``FieldSolution(grid, u, times)`` wraps a whole
-    field ``u`` as stride 1.
+    field ``u`` as stride 1, keeping read-only views of ``u`` and
+    ``times``; the caller's arrays stay writable.
     """
 
     def __init__(self, grid: SpaceTimeGrid, u: np.ndarray, times: np.ndarray):
         self.grid = grid
+        u, times = u.view(), times.view()
         u.setflags(write=False)
         times.setflags(write=False)
         self.times = times
@@ -502,7 +504,7 @@ class FieldSolution:
         return int(np.clip(round(self.layer_of(t)), 0, self.grid.nt))
 
     def value_at(self, t: float, x: float = 0.0) -> float:
-        """u at the node nearest x, linearly interpolated in time."""
+        """u at the node nearest x, linearly interpolated in time; a t within 1e-12 past an end reads that end."""
         j = self.grid.node_index(x)
         pos = self.layer_of(t)
         k = int(np.clip(math.floor(pos), 0, self.grid.nt - 1))
@@ -550,12 +552,15 @@ def g_expectation(
     """
     grid.check_interval(0.0, t)
     field = solve_g_heat(band, phi, grid)
-    return field.value_at(min(t, grid.horizon), 0.0)
+    return field.value_at(t, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Conditional expectations of cylinder payoffs
 # ---------------------------------------------------------------------------
+
+RESIDUAL_TOL = 0.05  # largest interpolation residual of a conditional table, relative to its probed scale
+
 
 @dataclass(frozen=True)
 class CylinderPayoff:
@@ -703,7 +708,6 @@ def conditional_g_expectation(
     payoff: CylinderPayoff,
     i: int,
     grid: SpaceTimeGrid,
-    residual_tol: float = 0.05,
 ) -> TabulatedFunction:
     """Condition the cylinder payoff on the first i increments.
 
@@ -724,16 +728,14 @@ def conditional_g_expectation(
     [a[1], a[-2]) of its axis a, are reduced in one batch with the corner
     entries they interpolate from; they estimate the interpolation
     residual, and GridResolutionError is raised when it exceeds
-    ``residual_tol`` times the scale 1 + max|entry| over those corner
-    entries.  A NaN or negative ``residual_tol``, or an ``i`` that is a
-    float or a bool, raises ValueError before any work.
+    ``RESIDUAL_TOL`` times the scale 1 + max|entry| over those corner
+    entries.  An ``i`` that is a float or a bool raises ValueError before
+    any work.
     """
     _check_count("i", i)
     m = len(payoff.times)
     if not 1 <= i < m:
         raise ValueError(f"conditioning index must satisfy 1 <= i < {m}, got {i}")
-    if not residual_tol >= 0.0:
-        raise ValueError(f"residual_tol must be >= 0, got {residual_tol}")
     theta = min(grid.dt * band.sigma_max_sq / (grid.dx * grid.dx), DEFAULT_CFL_THETA)
     grids = [make_grid(band, d, grid.nx, theta=theta) for d in payoff.increments]
     axes = [g.xs for g in grids]
@@ -763,9 +765,9 @@ def conditional_g_expectation(
     worst = 0.0
     for point, value in zip(points, exact):
         worst = max(worst, abs(table(*point) - float(value)))
-    if worst > residual_tol * scale:
+    if worst > RESIDUAL_TOL * scale:
         raise GridResolutionError(
-            f"interpolation residual {worst:.3e} exceeds {residual_tol} * scale {scale:.3e}; "
+            f"interpolation residual {worst:.3e} exceeds {RESIDUAL_TOL} * scale {scale:.3e}; "
             f"increase nx"
         )
     return table

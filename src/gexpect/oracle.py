@@ -83,8 +83,10 @@ class LatticePath:
             raise ValueError("a must have one entry per step")
         if self.qv[0] != 0.0 or np.any(np.diff(self.qv) < 0.0):
             raise ValueError("qv must be nondecreasing from 0")
-        for arr in (self.times, self.b, self.a, self.qv):
-            arr.setflags(write=False)
+        for name in ("times", "b", "a", "qv"):  # read-only views: the caller's arrays stay writable
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
 
 _HALF = np.array(0.5)  # 0-d arrays: numpy takes them per call faster than floats

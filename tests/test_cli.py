@@ -345,6 +345,25 @@ class TestConvexityCommand:
         assert rows[0] == "y,z,argmin_A,inf_gap"
         assert len(rows) == 1 + 17 * 17
 
+    def test_an_infinite_gap_is_null_in_the_report_and_inf_in_the_csv(self, tmp_path):
+        # g(t, h(y), .) overflows, so every cell's gap is -inf; the report wrote -Infinity, which
+        # strict JSON readers refuse
+        config = {
+            "schema_version": 1,
+            "band": {"sigma_min_sq": 1.0, "sigma_max_sq": 2.0},
+            "generator": {"g": "-1e300*y", "f": "0", "lipschitz_L": 1e300},
+            "functions": {"h": "x + 1e10"},
+            "params": {"y_range": [0.5, 0.95], "z_range": [-1.0, 1.0], "resolution": 16},
+        }
+        out = tmp_path / "out"
+        assert run("convexity", write_config(tmp_path, config), out) == 0
+        text = (out / "convexity.report.json").read_text()
+        results = json.loads(text, parse_constant=lambda token: pytest.fail(f"{token} in the report"))["results"]
+        assert results["verdict"] == "fails" and results["min_gap"] is None
+        assert results["witness_count"] == 16 * 16 and all(w[3] is None for w in results["witnesses"])
+        _, row, *_ = (out / "convexity.data.csv").read_text().splitlines()
+        assert row.endswith(",-inf")
+
     def test_holding_transform(self, tmp_path):
         config = {
             "schema_version": 1,
@@ -628,6 +647,8 @@ class TestNoTraceback:
         ("gbsde", "generator", {"g": "0", "f": "y*z/z", "h6": True}, "config.generator"),
         # an overflowing literal: OverflowError, then inf - inf in the spot check, a RuntimeWarning
         ("gbsde", "generator", {"g": "y + (1e200)^2"}, "config.generator"),
+        # a difference of the spot check that overflows: a RuntimeWarning, then an infinite quotient
+        ("gbsde", "generator", {"g": "-1e308*y", "lipschitz_L": 1e308}, "config.generator"),
         # a bool or a string where a number belongs
         ("gexp", "grid", {"horizon": True}, "config.grid.horizon"),
         ("gbsde", "generator", {"lipschitz_L": "1.0"}, "config.generator.lipschitz_L"),

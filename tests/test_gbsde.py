@@ -23,8 +23,10 @@ from gexpect import (
     simulate_path,
     solve_g_heat,
     solve_gbsde,
+    solve_gbsde_batch,
     zero_generator,
 )
+from gexpect import gheat
 from gexpect.core import DEFAULT_CFL_THETA
 from gexpect.gheat import _space_gradient
 
@@ -162,6 +164,19 @@ class TestSolveGbsde:
         gen = GeneratorPair(parse_tri(g), parse_tri(f), 1e300)
         with pytest.raises(EvalDomainError, match=message):
             solve_gbsde(band, gen, parse_scalar(terminal), make_grid(band, 0.5, nx=101))
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -1.0])
+    def test_a_start_time_not_finite_or_negative_is_refused_before_any_march(self, band, monkeypatch, t0):
+        # a NaN t0 labelled every layer NaN, and inf and -1 ran as well
+        marches = []
+        monkeypatch.setattr(gheat, "_march", lambda *args, **kwargs: marches.append(args))
+        gen, terminal, grid = generator("-y", "0.2*y"), parse_scalar("x^2"), make_grid(band, 0.5, nx=41)
+        message = f"t0 must be finite and >= 0, got {t0}"
+        with pytest.raises(ValueError, match=message):
+            solve_gbsde(band, gen, terminal, grid, t0=t0)
+        with pytest.raises(ValueError, match=message):
+            solve_gbsde_batch(band, gen, [terminal, terminal], grid, t0=t0)
+        assert marches == []
 
     def test_maximum_principle_under_h6(self, band, grid):
         # compactly supported terminal keeps its extrema off the boundary,

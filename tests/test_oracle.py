@@ -351,3 +351,9 @@ class TestLatticePathInvariants:
     def test_rejects_positions_of_another_length(self):
         with pytest.raises(ValueError, match="times, b and qv must have equal length"):
             LatticePath(times=np.linspace(0, 1, 3), b=np.zeros(4), a=np.ones(2), qv=np.zeros(3))
+
+    def test_freezes_views_not_the_callers_arrays(self):
+        arrays = {"times": np.linspace(0, 1, 3), "b": np.zeros(3), "a": np.ones(2), "qv": np.zeros(3)}
+        path = LatticePath(**arrays)
+        for name, array in arrays.items():
+            assert array.flags.writeable and not getattr(path, name).flags.writeable, name

@@ -26,7 +26,8 @@ commit that has them.  The families:
 - ``cli/``: every ``report.json`` and ``data.csv`` of the six commands on
   README-style configs (``oracle-check`` also on function texts that
   csv must quote, ``gexp`` also on a grid given by ``x_min``/``x_max``
-  and ``theta``, ``jensen`` also from s > 0) and on the benchmark
+  and ``theta``, ``jensen`` also from s > 0, ``convexity`` also on a
+  scan whose every gap overflows to -inf) and on the benchmark
   workloads' CLI configs, each file as its numbers (``numbers``), its
   number tokens exactly as written, compared as text (``digits``: ``1``
   and ``1.0`` differ there though their values tie), and its text with
@@ -272,6 +273,11 @@ ENDS = ("gexp", {
     "grid": {"horizon": 1.0, "x_min": -6.0, "x_max": 9.0, "nx": 151, "theta": 0.3},
     "functions": {"phi": "x^2"}, "params": {"times": [0.0, 0.5, 1.0]},
 })
+# g(t, h(y), .) overflows at every cell: each gap is -inf, null in the report and -inf in the csv
+INFINITE = ("convexity", {
+    "generator": {"g": "-1e300*y", "f": "0", "lipschitz_L": 1e300}, "functions": {"h": "x + 1e10"},
+    "params": {"y_range": [0.5, 0.95], "z_range": [-1.0, 1.0], "resolution": 16},
+})
 # horizons from s > 0, each checked against the grid's horizon from s
 LATE = ("jensen", {**CONFIGS["jensen"], "params": {"horizons": [0.25, 0.5], "s": 0.5}})
 # Y grows by e^40 over the horizon and leaves its envelope: a numerical-failure report
@@ -309,7 +315,7 @@ def _cli():
         root = Path(scratch)
         runs = [(f"cli/{command}", command, body) for command, body in CONFIGS.items()]
         runs += [("cli/oracle-check-quoted", *QUOTED), ("cli/gbsde-failing", *FAILING)]
-        runs += [("cli/gexp-ends", *ENDS), ("cli/jensen-late", *LATE)]
+        runs += [("cli/gexp-ends", *ENDS), ("cli/jensen-late", *LATE), ("cli/convexity-infinite", *INFINITE)]
         for name, command, body in runs:
             config = root / f"{name.replace('/', '_')}.json"
             config.write_text(json.dumps({"schema_version": 1, "band": BAND, **body}))
