@@ -253,7 +253,7 @@ def _run_convexity(cfg: ExperimentConfig):
         "verdict": report_obj.verdict,
         "min_gap": report_obj.min_gap,
         "witness_count": len(report_obj.witnesses),
-        "witnesses": [list(w) for w in report_obj.witnesses[:100]],
+        "witnesses": report_obj.witnesses[:100].tolist(),
         "tolerance": WITNESS_TOL,
     }
     return report, ("y", "z", "argmin_A", "inf_gap"), (cells[..., 2], cells[..., 3]), (ys, zs)
@@ -402,8 +402,8 @@ def _write_rows(handle, header: tuple[str, ...], columns: Sequence, axes: Sequen
     function by t), is formatted or quoted once and reused in every row
     it heads.  Column values go out through ``"%.17g"``, which is
     ``format(float(x), ".17g")`` for every int, float and numpy scalar,
-    ``_CHUNK_ROWS`` rows to one format string and one write, so no list
-    of all the lines is built.
+    ``_CHUNK_ROWS`` rows to one format string, one list of Python numbers
+    and one write, so no list of all the lines or all the numbers is built.
     """
     columns = [np.ravel(column) for column in columns]
     heads = [""]
@@ -418,11 +418,11 @@ def _write_rows(handle, header: tuple[str, ...], columns: Sequence, axes: Sequen
     if heads:
         width = len(columns)
         line = ",".join(["%.17g"] * width) + "\n"
-        values = np.stack(columns, axis=-1).ravel().tolist()  # row by row
+        values = np.stack(columns, axis=-1)  # row by row
         for start in range(0, len(heads), _CHUNK_ROWS):
             chunk = heads[start:start + _CHUNK_ROWS]
             text = line.join(chunk) + line  # each head, then its row's format
-            handle.write(text % tuple(values[start * width:(start + len(chunk)) * width]))
+            handle.write(text % tuple(values[start:start + _CHUNK_ROWS].ravel().tolist()))
 
 
 def _lead(value) -> str:

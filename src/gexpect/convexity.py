@@ -134,16 +134,23 @@ def reduce_over_A(
     return float(inf_gap[0, 0]), float(arg[0, 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexityReport:
-    witnesses: tuple[tuple[float, float, float, float], ...]  # (y, z, A, gap)
+    """A scan's witnesses, its smallest gap and its cells.
+
+    ``witnesses`` is a read-only float64 array of shape (k, 4), one
+    (y, z, A, gap) row per failing cell in scan order (y-major).  A
+    report equals only itself: its arrays have no value equality.
+    """
+
+    witnesses: np.ndarray  # read-only (k, 4): (y, z, A, gap)
     min_gap: float
-    cells: np.ndarray = field(compare=False, repr=False)  # read-only [y, z] -> (y, z, A, gap)
+    cells: np.ndarray = field(repr=False)  # read-only [y, z] -> (y, z, A, gap)
 
     @property
     def verdict(self) -> str:
         """"fails" when the scan found a witness, else "holds"."""
-        return "fails" if self.witnesses else "holds"
+        return "fails" if len(self.witnesses) else "holds"
 
 
 def check_g_convexity(
@@ -159,7 +166,8 @@ def check_g_convexity(
 
     The whole box is one array pass.  A cell is a witness when its
     infimum over A falls below -1e-9 (the tolerance separating sign
-    changes from rounding).  Witnesses come out in scan order, y-major,
+    changes from rounding).  The witnesses are those cells' rows of
+    ``cells``, one read-only (k, 4) float64 array in scan order, y-major,
     so the report does not depend on how the pass is evaluated.  A cell
     whose gap is NaN raises EvalDomainError naming its (y, z); a ``t``
     that is negative or not finite, a range with an end that is NaN or
@@ -180,7 +188,8 @@ def check_g_convexity(
     gaps = inf_gap.ravel()
     # First minimum in scan order, as a sequential min over the cells would pick.
     min_gap = float(gaps[np.argmin(gaps)])
-    witnesses = tuple(map(tuple, cells[inf_gap < -WITNESS_TOL].tolist()))
+    witnesses = cells[inf_gap < -WITNESS_TOL]  # a copy, rows in scan order
+    witnesses.setflags(write=False)
     return ConvexityReport(witnesses=witnesses, min_gap=min_gap, cells=cells)
 
 

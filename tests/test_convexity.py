@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,7 +177,7 @@ class TestReduceOverA:
 
 
 class TestCheckGConvexity:
-    @pytest.mark.parametrize("witnesses,verdict", [(((0.0, 1.0, 0.0, -1.0),), "fails"), ((), "holds")])
+    @pytest.mark.parametrize("witnesses,verdict", [(np.array([[0.0, 1.0, 0.0, -1.0]]), "fails"), (np.empty((0, 4)), "holds")])
     def test_the_verdict_is_fails_exactly_when_witnesses_exist(self, witnesses, verdict):
         report = ConvexityReport(witnesses, -1.0, np.zeros((16, 16, 4)))
         assert report.verdict == verdict
@@ -189,7 +190,25 @@ class TestCheckGConvexity:
         )
         assert report.verdict == "holds"
         assert report.min_gap == 0.0
-        assert report.witnesses == ()
+        assert report.witnesses.shape == (0, 4)
+
+    def test_a_report_equals_itself_and_not_an_equal_scan(self, band):
+        scan = lambda: check_g_convexity(band, zero_generator(), parse_scalar("-(x^2)"), (-2, 2), (-2, 2), resolution=17)
+        report, again = scan(), scan()
+        assert np.array_equal(report.witnesses, again.witnesses) and report.min_gap == again.min_gap
+        assert report == report and report != again
+
+    def test_a_129_square_scan_stays_small(self, band):
+        # the witnesses were 16 512 tuples of four floats, 2.8 MB, and the scan peaked at 5.4 MB
+        h = parse_scalar("-(x^2)")
+        tracemalloc.start()
+        try:
+            report = check_g_convexity(band, zero_generator(), h, (-2, 2), (-2, 2), resolution=129)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.witnesses) == 16512
+        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_concave_square_fails_near_unit_slope(self, band):
         report = check_g_convexity(
@@ -315,13 +334,15 @@ class TestCheckGConvexity:
         assert np.array_equal(cells[..., 1], np.broadcast_to(zs[None, :], loop.shape[:2]))
         assert np.array_equal(cells[..., 3], loop[..., 0])
         assert np.array_equal(cells[..., 2], loop[..., 1])
-        witnesses = tuple(
+        witnesses = [
             (float(y), float(z), float(a), float(gap))
             for y, row in zip(ys, loop)
             for z, (gap, a) in zip(zs, row)
             if gap < -1e-9
-        )
-        assert report.witnesses == witnesses
+        ]
+        assert report.witnesses.dtype == np.float64 and not report.witnesses.flags.writeable
+        assert report.witnesses.shape == (len(witnesses), 4)
+        assert np.array_equal(report.witnesses, np.array(witnesses).reshape(-1, 4))
         assert report.verdict == ("fails" if witnesses else "holds")
         assert report.min_gap == min(float(gap) for gap in loop[..., 0].ravel())
 

@@ -19,7 +19,8 @@ commit that has them.  The families:
 - ``conditional/``: conditional tables, cell reads and ``values``;
 - ``tree/``: tree, batch and K-tree roots;
 - ``paths/``: seeded paths of every policy and their K series;
-- ``convexity/``: scan cells and verdicts, Jensen and replimit results;
+- ``convexity/``: scan witnesses (as (k, 4) rows), cells and verdicts,
+  Jensen and replimit results;
 - ``draws/``: ``max_difference_quotient`` of every driver the manifest
   builds, and the refusal of a pair declared below its sampled quotient:
   what the Lipschitz spot check's fixed draw decides;
@@ -236,7 +237,9 @@ def _convexity():
     for gname, gen in gens.items():
         for h in ("exp(x)", "-(x^2)", "tanh(x)"):
             report = gx.check_g_convexity(band, gen, gx.parse_scalar(h), (-2.0, 2.0), (-2.0, 2.0), 33)
-            for part in ("witnesses", "min_gap", "cells", "verdict"):
+            # (y, z, A, gap) rows: an empty scan's are (0, 4) whether a tuple or an array holds them
+            yield f"convexity/scan/{gname}/{h}/witnesses", np.reshape(report.witnesses, (-1, 4))
+            for part in ("min_gap", "cells", "verdict"):
                 yield f"convexity/scan/{gname}/{h}/{part}", getattr(report, part)
         grid = gx.make_grid(band, 1.0, nx=101)
         result = gx.jensen_experiment(band, gen, gx.parse_scalar("x^2"), gx.parse_scalar("tanh(x)"), 0.0, 1.0, grid)
