@@ -28,7 +28,10 @@ Each expression is compiled once, when its function object is built:
 ``_compile`` walks the AST a single time and returns a closure that
 evaluates it on floats, on numpy arrays and on order-2 jets (value, first
 and second derivative under truncated-Taylor arithmetic), so exact
-derivatives never need symbolic differentiation.  The closure applies,
+derivatives never need symbolic differentiation.  The same walk collects
+the names of the variables the expression reads, which both function
+kinds carry as ``variables`` and the parsers check against the names
+they allow.  The closure applies,
 node by node, the operation a walk of the tree would, so it gives the
 same bits.  Literals compile to numpy floats, so a constant subexpression
 such as ``1/0`` gives an infinity under the caller's error state, as an
@@ -122,7 +125,7 @@ class Call:
 # parentheses and the compiled operation all read this one table
 _BINARY = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul), "/": (2, operator.truediv)}
 
-# node type -> the fields that hold its child nodes, for the tree walkers
+# node type -> the fields that hold its child nodes, for the tree rewriter ``_substitute``
 _CHILDREN = {Lit: (), Var: (), Neg: ("operand",), BinOp: ("left", "right"), Pow: ("base",), Call: ("arg",)}
 
 
@@ -173,7 +176,6 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.variables: set[str] = set()  # the names of the Var nodes built so far
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -248,7 +250,6 @@ class _Parser:
                         f"function {text!r} takes 1 argument, got {len(args)}", offset
                     )
                 return Call(text, args[0])
-            self.variables.add(text)
             return Var(text)
         if kind == "(":
             self.advance()
@@ -400,32 +401,35 @@ _BUILTINS = {
 }
 
 
-def _compile(node: Node):
+def _compile(node: Node, names: set[str]):
     """Closure ``fn(env)`` evaluating ``node`` under ``env``, whose values may be floats, arrays or jets.
 
-    The AST is walked once, here; each node's closure applies exactly the
-    operation an evaluation of that node would, so a compiled expression
-    gives the bits of evaluating it node by node.
+    The AST is walked once, here: the walk builds each node's closure and
+    adds to ``names`` the name of each ``Var`` node, the names the closure
+    reads from ``env``.  Each node's closure
+    applies exactly the operation an evaluation of that node would, so a
+    compiled expression gives the bits of evaluating it node by node.
     """
     if isinstance(node, Lit):
         value = np.float64(node.value)
         return lambda env: value
     if isinstance(node, Var):
         name = node.name
+        names.add(name)
         return lambda env: env[name]
     if isinstance(node, Neg):
-        operand = _compile(node.operand)
+        operand = _compile(node.operand, names)
         return lambda env: -operand(env)
     if isinstance(node, BinOp):
-        (_, op), left, right = _BINARY[node.op], _compile(node.left), _compile(node.right)
+        (_, op), left, right = _BINARY[node.op], _compile(node.left, names), _compile(node.right, names)
         return lambda env: op(left(env), right(env))
     if isinstance(node, Pow):
-        base, n = _compile(node.base), node.exponent
+        base, n = _compile(node.base, names), node.exponent
         if n >= 0:
             return lambda env: base(env) ** n
         return lambda env: 1.0 / base(env) ** -n
     if isinstance(node, Call):
-        arg, (value, derivatives) = _compile(node.arg), _BUILTINS[node.func]
+        arg, (value, derivatives) = _compile(node.arg, names), _BUILTINS[node.func]
 
         def call(env):
             a = arg(env)
@@ -451,15 +455,6 @@ def _finite(values: np.ndarray, xs: np.ndarray, what: str) -> np.ndarray:
 # Public function wrappers
 # ---------------------------------------------------------------------------
 
-def _free_variables(node: Node) -> set[str]:
-    if isinstance(node, Var):
-        return {node.name}
-    names = set()
-    for name in _CHILDREN[type(node)]:
-        names |= _free_variables(getattr(node, name))
-    return names
-
-
 def _substitute(node: Node, replacement: dict[str, Node]) -> Node:
     if isinstance(node, Var):
         return replacement.get(node.name, node)
@@ -480,14 +475,25 @@ def _number(name: str, value: float) -> Node:
 
 
 @dataclass(frozen=True)
-class ScalarFunction:
-    """Function of the single variable ``x``; its AST is compiled once, at construction."""
+class _Expression:
+    """An AST compiled once, at construction, by the walk that also finds ``variables``, the names it reads."""
 
     ast: Node
+    variables: frozenset = field(init=False, repr=False, compare=False)
     _compiled: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_compiled", _compile(self.ast))
+        names: set[str] = set()
+        object.__setattr__(self, "_compiled", _compile(self.ast, names))
+        object.__setattr__(self, "variables", frozenset(names))
+
+    def to_string(self) -> str:
+        return _to_string(self.ast)
+
+
+@dataclass(frozen=True)
+class ScalarFunction(_Expression):
+    """Function of the single variable ``x``."""
 
     def __call__(self, x):
         """Array like x; for a number, a float that must be finite (else EvalDomainError)."""
@@ -521,27 +527,16 @@ class ScalarFunction:
         """self + offset; an offset that is not finite raises ValueError."""
         return ScalarFunction(BinOp("+", self.ast, _number("offset", offset)))
 
-    def to_string(self) -> str:
-        return _to_string(self.ast)
-
 
 @dataclass(frozen=True)
-class TriFunction:
-    """Function of the driver variables ``t, y, z``; its AST is compiled once, at construction.
+class TriFunction(_Expression):
+    """Function of the driver variables ``t, y, z``.
 
     ``_compiled({"t": t, "y": y, "z": z})`` evaluates without the checks and
     the error state of a call: the march calls it inside its own, and leaves
     out of the mapping a variable that ``variables``, the names the
     expression reads, does not hold.
     """
-
-    ast: Node
-    variables: frozenset = field(init=False, repr=False, compare=False)
-    _compiled: Callable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_compiled", _compile(self.ast))
-        object.__setattr__(self, "variables", frozenset(_free_variables(self.ast)))
 
     def __call__(self, t, y, z):
         """For arrays, a new array shaped as the variables the expression reads; for numbers, a finite float.
@@ -566,9 +561,6 @@ class TriFunction:
             raise EvalDomainError(f"evaluation produced {value} at (t, y, z) = ({at})")
         return value
 
-    def to_string(self) -> str:
-        return _to_string(self.ast)
-
     def max_difference_quotient(self) -> float:
         """Largest |df| / (|dy| + |dz|) over one fixed draw of 1000 pairs.
 
@@ -587,14 +579,12 @@ class TriFunction:
 
 def parse_scalar(text: str) -> ScalarFunction:
     """Parse an expression over ``x``."""
-    ast, _ = _parse_checked(text, allowed={"x"})
-    return ScalarFunction(ast)
+    return _reading_only(ScalarFunction(_parse(text)), {"x"})
 
 
 def parse_tri(text: str) -> TriFunction:
     """Parse an expression over ``t``, ``y``, ``z``."""
-    ast, _ = _parse_checked(text, allowed={"t", "y", "z"})
-    return TriFunction(ast)
+    return _reading_only(TriFunction(_parse(text)), {"t", "y", "z"})
 
 
 def parse(text: str):
@@ -604,26 +594,23 @@ def parse(text: str):
     subset of ``{t, y, z}`` become :class:`TriFunction`.  Constants default
     to :class:`ScalarFunction`.
     """
-    ast, names = _parse_checked(text, allowed=None)
-    if names <= {"x"}:
-        return ScalarFunction(ast)
-    if names <= {"t", "y", "z"}:
-        return TriFunction(ast)
-    raise ParseError(f"expression mixes incompatible variables {sorted(names)}", 0)
+    fn = ScalarFunction(_parse(text))
+    if fn.variables <= {"x"}:
+        return fn
+    if fn.variables <= {"t", "y", "z"}:
+        return TriFunction(fn.ast)
+    raise ParseError(f"expression mixes incompatible variables {sorted(fn.variables)}", 0)
 
 
-def _parse_checked(text: str, allowed: set[str] | None) -> tuple[Node, set[str]]:
-    """The tree of ``text`` and the names of its variables, which the parser collects as it builds the tree."""
+def _reading_only(fn: _Expression, allowed: set[str]) -> _Expression:
+    """``fn``, unless it reads a name outside ``allowed``: ParseError at offset 0 names the first in sorted order."""
+    unknown = fn.variables - allowed
+    if unknown:
+        raise ParseError(f"unknown identifier {sorted(unknown)[0]!r} (allowed: {sorted(allowed)})", 0)
+    return fn
+
+
+def _parse(text: str) -> Node:
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(text)
-    ast = parser.parse()
-    if allowed is not None:
-        unknown = parser.variables - allowed
-        if unknown:
-            raise ParseError(
-                f"unknown identifier {sorted(unknown)[0]!r} "
-                f"(allowed: {sorted(allowed)})",
-                0,
-            )
-    return ast, parser.variables
+    return _Parser(text).parse()

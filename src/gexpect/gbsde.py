@@ -274,7 +274,9 @@ def _check_in_band(band: VolatilityBand, a) -> None:
 
 
 def k_increment(band: VolatilityBand, eta: float, a: float, dt: float) -> float:
-    """One K step: eta * a * dt - 2 G(eta) * dt, never positive in the band; dt finite and > 0."""
+    """One K step: eta * a * dt - 2 G(eta) * dt, never positive in the band; eta finite, dt finite and > 0."""
+    if not np.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
     _check_in_band(band, a)
     _check_positive("dt", dt)
     return float(_k_step(band, eta, a, dt))

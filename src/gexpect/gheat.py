@@ -504,10 +504,17 @@ class FieldSolution:
         return int(np.clip(round(self.layer_of(t)), 0, self.grid.nt))
 
     def value_at(self, t: float, x: float = 0.0) -> float:
-        """u at the node nearest x, linearly interpolated in time; a t within 1e-12 past an end reads that end."""
-        j = self.grid.node_index(x)
+        """u at the node nearest x, linearly interpolated in time; a t within 1e-12 past an end reads that end.
+
+        An x outside [x_min, x_max], or NaN, raises ValueError: the field
+        holds no value there, and its end node is not one.
+        """
+        grid = self.grid
+        if not (grid.x_min <= x <= grid.x_max):
+            raise ValueError(f"x = {x} outside the domain [{grid.x_min}, {grid.x_max}]")
+        j = grid.node_index(x)
         pos = self.layer_of(t)
-        k = int(np.clip(math.floor(pos), 0, self.grid.nt - 1))
+        k = int(np.clip(math.floor(pos), 0, grid.nt - 1))
         w = min(max(pos - k, 0.0), 1.0)
         return float((1.0 - w) * self.layer(k)[j] + w * self.layer(k + 1)[j])
 

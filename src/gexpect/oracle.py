@@ -81,7 +81,7 @@ class LatticePath:
             raise ValueError("times, b and qv must have equal length")
         if len(self.a) != len(self.times) - 1:
             raise ValueError("a must have one entry per step")
-        if self.qv[0] != 0.0 or np.any(np.diff(self.qv) < 0.0):
+        if self.qv[0] != 0.0 or not np.all(np.diff(self.qv) >= 0.0):  # NaN fails
             raise ValueError("qv must be nondecreasing from 0")
         for name in ("times", "b", "a", "qv"):  # read-only views: the caller's arrays stay writable
             view = getattr(self, name).view()

@@ -56,14 +56,18 @@ class TestParse:
         assert str(err.value).startswith("unknown identifier 'q' (allowed: ['t', 'y', 'z'])")
         assert err.value.offset == 0
 
-    @pytest.mark.parametrize("parser", [parse, parse_tri])
-    def test_a_parse_walks_the_tree_for_its_variables_once(self, monkeypatch, parser):
+    @pytest.mark.parametrize(
+        "parser,text,names,visited",
+        [(parse_tri, "y + sin(z)", {"y", "z"}, 4), (parse_scalar, "x * exp(x)", {"x"}, 4), (parse, "y + sin(z)", {"y", "z"}, 8)],
+        ids=["parse_tri", "parse_scalar", "parse"],
+    )
+    def test_a_parse_walks_the_tree_for_its_variables_once(self, monkeypatch, parser, text, names, visited):
+        # one walk compiles each of the four nodes and collects the names read; parse compiles a driver twice
         visits = []
-        walk = expr._free_variables
-        monkeypatch.setattr(expr, "_free_variables", lambda node: visits.append(node) or walk(node))
-        fn = parser("y + sin(z)")  # four nodes
-        assert fn.variables == {"y", "z"}
-        assert len(visits) <= 4
+        compile_node = expr._compile
+        monkeypatch.setattr(expr, "_compile", lambda node, found: visits.append(node) or compile_node(node, found))
+        assert parser(text).variables == names
+        assert len(visits) == visited
 
     def test_parse_refuses_mixed_variables(self):
         with pytest.raises(ParseError, match=r"mixes incompatible variables \['x', 'y'\]"):
@@ -312,6 +316,14 @@ class TestCombinators:
         assert (f + g)(2.0) == pytest.approx(4.0 + math.sin(2.0))
         assert f.scale(3.0)(2.0) == 12.0
         assert f.shift(-1.0)(2.0) == 3.0
+
+    def test_every_scalar_function_reports_the_variables_it_reads(self):
+        h, c = parse_scalar("x^2 + 1"), parse_scalar("3")
+        assert (h.variables, c.variables) == ({"x"}, frozenset())
+        assert (h.compose(c).variables, c.compose(h).variables, h.compose(h).variables) == (set(), set(), {"x"})
+        assert ((h + c).variables, (c + c).variables) == ({"x"}, set())
+        assert (h.scale(-2.0).variables, c.scale(2.0).variables) == ({"x"}, set())
+        assert (h.shift(-1.0).variables, c.shift(1.0).variables) == ({"x"}, set())
 
 
 class TestTriFunction:

@@ -87,6 +87,13 @@ class TestSolveGbsde:
         sol = solve_gbsde(band, gen, parse_scalar("1"), grid)
         assert sol.y_at(0.0, 0.0) == pytest.approx(math.exp(-1.0), abs=1e-3)
 
+    def test_y_at_an_x_outside_the_domain_is_refused(self, band):
+        # the end node of [-8.485, 8.485] was read in place of x = 50
+        gen = GeneratorPair(parse_tri("-y"), parse_tri("0"), 1.0)
+        sol = solve_gbsde(band, gen, parse_scalar("x^2"), make_grid(band, 1.0, nx=41))
+        with pytest.raises(ValueError, match="x = 50.0 outside the domain"):
+            sol.y_at(0.0, 50.0)
+
     def test_constant_variance_source(self, band, grid):
         # f = 1, zero terminal: Y grows by 2 G(1) per unit time
         gen = GeneratorPair(parse_tri("0"), parse_tri("1"), 0.0)
@@ -367,6 +374,12 @@ class TestKIncrement:
     def test_rejects_a_step_that_is_not_finite_and_positive(self, band, dt):
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
             k_increment(band, 1.0, 1.5, dt)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    def test_rejects_an_eta_that_is_not_finite(self, band, eta):
+        # an infinite eta gave NaN and a RuntimeWarning
+        with pytest.raises(ValueError, match=f"eta must be finite, got {eta}"):
+            k_increment(band, eta, 1.5, 0.1)
 
 
 @pytest.fixture(scope="module")

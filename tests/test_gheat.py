@@ -92,6 +92,13 @@ class TestSolveGHeat:
         with pytest.raises(ValueError, match="time 0.75 outside field range"):
             field.value_at(0.75)
 
+    @pytest.mark.parametrize("x", [100.0, -8.49, np.nan])
+    def test_value_at_an_x_outside_the_domain_is_refused(self, band, x):
+        # the domain is [-8.485, 8.485]; x = 100 read the end node, 72, where E[(100 + B_1)^2] = 10002
+        field = solve_g_heat(band, parse_scalar("x^2"), make_grid(band, 1.0, nx=41))
+        with pytest.raises(ValueError, match=r"x = \S+ outside the domain \[-8\.48\d*, 8\.48\d*\]"):
+            field.value_at(1.0, x)
+
     def test_result_read_only(self, band, default_grid):
         field = solve_g_heat(band, parse_scalar("x"), default_grid)
         with pytest.raises(ValueError):

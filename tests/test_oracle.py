@@ -339,6 +339,11 @@ class TestLatticePathInvariants:
                 qv=np.array([0.0, 0.5, 0.2]),
             )
 
+    def test_rejects_a_qv_with_nan_inside(self):
+        # np.diff gives NaN there, which no "< 0" test catches
+        with pytest.raises(ValueError, match="qv must be nondecreasing from 0"):
+            LatticePath(times=np.linspace(0, 1, 3), b=np.zeros(3), a=np.ones(2), qv=np.array([0.0, np.nan, 1.0]))
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             LatticePath(

@@ -7,6 +7,9 @@ first on ``sys.path`` and the commit's checkout as the working directory.
 It reaches the library through its public names only, so it runs on any
 commit that has them.  The families:
 
+- ``expr/``: each scalar text's printed form, values and order-2 jet
+  (``eval2``'s three parts) on one mesh, and each driver text's printed
+  form, the variables it reads and its values on fixed (t, y, z) arrays;
 - ``heat/``: single and batched heat solves on two bands and two grids,
   their whole fields ``u``, the layers a solve stores and one layer read
   by a segment re-march, and ``g_expectation`` values;
@@ -102,6 +105,22 @@ def _field(name, field):
     for k in sorted(set(range(0, nt + 1, stride)) | {nt - 1, nt}):
         yield f"{name}/layer{k}", field.layer(k)
     yield f"{name}/u", field.u
+
+
+def _expr():
+    xs = np.linspace(-2.0, 2.0, 41)
+    for text in TEXTS:
+        fn = gx.parse_scalar(text)
+        yield f"expr/scalar/{text}/text", fn.to_string()
+        yield f"expr/scalar/{text}/value", fn(xs)
+        for part, values in zip(("h", "dh", "d2h"), fn.eval2(xs)):
+            yield f"expr/scalar/{text}/{part}", values
+    t, y, z = np.linspace(0.0, 1.0, 41), np.linspace(-3.0, 3.0, 41), np.linspace(2.0, -2.0, 41)
+    for text in dict.fromkeys(text for pair in DRIVERS for text in pair):
+        fn = gx.parse_tri(text)
+        yield f"expr/driver/{text}/text", fn.to_string()
+        yield f"expr/driver/{text}/variables", ",".join(sorted(fn.variables))
+        yield f"expr/driver/{text}/value", fn(t, y, z)
 
 
 def _heat():
@@ -338,6 +357,6 @@ def _cli():
 
 def outputs():
     """Every output, family by family, as (name, value) pairs."""
-    for family in (_heat, _gbsde, _identity, _failures, _conditional, _trees, _paths, _convexity, _draws, _cli):
+    for family in (_expr, _heat, _gbsde, _identity, _failures, _conditional, _trees, _paths, _convexity, _draws, _cli):
         for name, value in family():
             yield from _parts(name, value)
