@@ -31,11 +31,11 @@ and second derivative under truncated-Taylor arithmetic), so exact
 derivatives never need symbolic differentiation.  The same walk collects
 the names of the variables the expression reads, which both function
 kinds carry as ``variables`` and the parsers check against the names
-they allow.  The closure applies,
-node by node, the operation a walk of the tree would, so it gives the
-same bits.  Literals compile to numpy floats, so a constant subexpression
-such as ``1/0`` gives an infinity under the caller's error state, as an
-array value does, rather than a Python exception.
+they allow.  The closure applies, node by node, the operation a walk of
+the tree would, so it gives the same bits.  Literals compile to numpy
+floats, so a constant subexpression such as ``1/0`` gives an infinity
+under the caller's error state, as an array value does, rather than a
+Python exception.
 Each built-in is defined once, in numpy, with its value and its first two
 derivatives; a call applies the chain rule when its argument is a jet.
 Jets carry arrays, so ``eval2`` takes a float or a whole array of points.

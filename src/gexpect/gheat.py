@@ -506,8 +506,8 @@ class FieldSolution:
     def value_at(self, t: float, x: float = 0.0) -> float:
         """u at the node nearest x, linearly interpolated in time; a t within 1e-12 past an end reads that end.
 
-        An x outside [x_min, x_max], or NaN, raises ValueError: the field
-        holds no value there, and its end node is not one.
+        An x outside [x_min, x_max], or NaN, raises ValueError naming x and
+        the domain: the end node holds no value of a point beyond it.
         """
         grid = self.grid
         if not (grid.x_min <= x <= grid.x_max):
