@@ -158,7 +158,7 @@ class SpaceTimeGrid:
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():
             raise ValueError(f"node_index needs finite x, got {x}")
-        j = np.clip(np.rint((x - self.x_min) / self.dx), 0, self.nx - 1).astype(int)
+        j = np.minimum(np.maximum(np.rint((x - self.x_min) / self.dx), 0), self.nx - 1).astype(int)  # np.clip, faster
         return j if j.ndim else int(j)
 
     def over(self, span: float) -> SpaceTimeGrid:

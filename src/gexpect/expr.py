@@ -30,8 +30,8 @@ evaluates it on floats, on numpy arrays and on order-2 jets (value, first
 and second derivative under truncated-Taylor arithmetic), so exact
 derivatives never need symbolic differentiation.  The same walk collects
 the names of the variables the expression reads, which both function
-kinds carry as ``variables`` and the parsers check against the names
-they allow.  The closure applies, node by node, the operation a walk of
+kinds carry as ``variables`` and check, when built, against the names
+their calls supply.  The closure applies, node by node, the operation a walk of
 the tree would, so it gives the same bits.  Literals compile to numpy
 floats, so a constant subexpression such as ``1/0`` gives an infinity
 under the caller's error state, as an array value does, rather than a
@@ -476,16 +476,26 @@ def _number(name: str, value: float) -> Node:
 
 @dataclass(frozen=True)
 class _Expression:
-    """An AST compiled once, at construction, by the walk that also finds ``variables``, the names it reads."""
+    """An AST compiled once, at construction, by the walk that also finds ``variables``, the names it reads.
+
+    A function kind sets ``_ALLOWED``, the names its calls supply, and
+    refuses an expression that reads any other: ParseError at offset 0
+    names the first in sorted order.  The base allows any name, so that
+    ``parse`` can classify.
+    """
 
     ast: Node
     variables: frozenset = field(init=False, repr=False, compare=False)
     _compiled: Callable = field(init=False, repr=False, compare=False)
+    _ALLOWED = None  # not a field: unannotated
 
     def __post_init__(self) -> None:
         names: set[str] = set()
         object.__setattr__(self, "_compiled", _compile(self.ast, names))
         object.__setattr__(self, "variables", frozenset(names))
+        if self._ALLOWED is not None and not names <= self._ALLOWED:
+            unknown = sorted(names - self._ALLOWED)[0]
+            raise ParseError(f"unknown identifier {unknown!r} (allowed: {sorted(self._ALLOWED)})", 0)
 
     def to_string(self) -> str:
         return _to_string(self.ast)
@@ -493,7 +503,9 @@ class _Expression:
 
 @dataclass(frozen=True)
 class ScalarFunction(_Expression):
-    """Function of the single variable ``x``."""
+    """Function of the single variable ``x``; one that reads another name is refused when built."""
+
+    _ALLOWED = frozenset({"x"})
 
     def __call__(self, x):
         """Array like x; for a number, a float that must be finite (else EvalDomainError)."""
@@ -535,8 +547,11 @@ class TriFunction(_Expression):
     ``_compiled({"t": t, "y": y, "z": z})`` evaluates without the checks and
     the error state of a call: the march calls it inside its own, and leaves
     out of the mapping a variable that ``variables``, the names the
-    expression reads, does not hold.
+    expression reads, does not hold.  One that reads another name is
+    refused when built.
     """
+
+    _ALLOWED = frozenset({"t", "y", "z"})
 
     def __call__(self, t, y, z):
         """For arrays, a new array shaped as the variables the expression reads; for numbers, a finite float.
@@ -579,12 +594,12 @@ class TriFunction(_Expression):
 
 def parse_scalar(text: str) -> ScalarFunction:
     """Parse an expression over ``x``."""
-    return _reading_only(ScalarFunction(_parse(text)), {"x"})
+    return ScalarFunction(_parse(text))
 
 
 def parse_tri(text: str) -> TriFunction:
     """Parse an expression over ``t``, ``y``, ``z``."""
-    return _reading_only(TriFunction(_parse(text)), {"t", "y", "z"})
+    return TriFunction(_parse(text))
 
 
 def parse(text: str):
@@ -594,20 +609,11 @@ def parse(text: str):
     subset of ``{t, y, z}`` become :class:`TriFunction`.  Constants default
     to :class:`ScalarFunction`.
     """
-    fn = ScalarFunction(_parse(text))
-    if fn.variables <= {"x"}:
-        return fn
-    if fn.variables <= {"t", "y", "z"}:
-        return TriFunction(fn.ast)
+    fn = _Expression(_parse(text))
+    for kind in (ScalarFunction, TriFunction):
+        if fn.variables <= kind._ALLOWED:
+            return kind(fn.ast)
     raise ParseError(f"expression mixes incompatible variables {sorted(fn.variables)}", 0)
-
-
-def _reading_only(fn: _Expression, allowed: set[str]) -> _Expression:
-    """``fn``, unless it reads a name outside ``allowed``: ParseError at offset 0 names the first in sorted order."""
-    unknown = fn.variables - allowed
-    if unknown:
-        raise ParseError(f"unknown identifier {sorted(unknown)[0]!r} (allowed: {sorted(allowed)})", 0)
-    return fn
 
 
 def _parse(text: str) -> Node:

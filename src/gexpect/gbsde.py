@@ -266,9 +266,9 @@ def nonlinear_expectation(
 def _check_in_band(band: VolatilityBand, a) -> None:
     """Raise ValueError naming the first entry of ``a`` outside the band, give or take 1e-12 (NaN is outside)."""
     values, lo, hi = np.atleast_1d(a), band.sigma_min_sq, band.sigma_max_sq
-    outside = np.flatnonzero(~((lo - 1e-12 <= values) & (values <= hi + 1e-12)))
-    if outside.size:
-        i = int(outside[0])
+    inside = (lo - 1e-12 <= values) & (values <= hi + 1e-12)
+    if not inside.all():
+        i = int(np.flatnonzero(~inside)[0])
         where = f" at step {i}" if np.ndim(a) else ""
         raise ValueError(f"variance density {values[i]}{where} outside band [{lo}, {hi}]")
 
@@ -294,8 +294,11 @@ def k_along_path(sol: BsdeSolution, path) -> np.ndarray:
     series is nonincreasing up to rounding noise.  A step whose density
     lies outside the band raises ValueError, as in ``k_increment``.
     """
-    nt = len(path.times) - 1
+    nt, grid = len(path.times) - 1, sol.grid
     sol._check_time_grid(nt, path.times[-1] - path.times[0])
     _check_in_band(sol.band, path.a)
-    dk = _k_step(sol.band, sol.eta_forward(np.arange(nt), path.b[:-1]), path.a, sol.grid.dt)
-    return np.concatenate(([0.0], np.cumsum(dk)))
+    # sol.eta_forward(np.arange(nt), b[:-1]) read directly: nt is the grid's, so every step is inside it
+    eta = sol.eta[np.arange(nt, 0, -1), grid.node_index(path.b[:-1])]
+    k = np.zeros(nt + 1)
+    np.cumsum(_k_step(sol.band, eta, path.a, grid.dt), out=k[1:])
+    return k

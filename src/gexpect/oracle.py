@@ -13,19 +13,24 @@ its own tree's bits; ``tree_expectation`` is the stack of one.  The tree's indep
 PDE solve lies in this lattice, not in the expression compiler, which
 evaluates phi for both.  Path innovations are +-1 from a fixed 64-bit
 shift-register generator so that quadratic variation is exact per step
-and runs reproduce bit for bit.  The path loop runs on Python floats; IEEE
-arithmetic is the same on a Python float as on a numpy scalar, so the
-paths keep the bits of the earlier loop on numpy scalars.
+and runs reproduce bit for bit.  The generator's state map is linear over
+GF(2), so a table of its powers on the 64 one-bit states gives a block of
+states at once (``_stream_bits``) with the bits of one draw at a time.  A
+path's positions are a sequential sum of its signed steps, which has the
+bits of the loop that adds one step at a time; only ``markov``, whose
+control reads eta at the current position, runs that loop, on Python
+floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, _MASK, _add, _check_count, _check_nonnegative, _multiply, _splitmix64, _subtract
+from .core import SpaceTimeGrid, VolatilityBand, _GOLDEN, _MASK, _add, _check_count, _check_nonnegative, _multiply, _splitmix64, _subtract
 from .gbsde import _k_step
 
 __all__ = [
@@ -45,21 +50,48 @@ RNG_ALGORITHM = "splitmix64+xorshift64star-v1"
 _POLICIES = ("const-low", "const-high", "random", "markov")
 
 
-class _Xorshift64Star:
-    """Deterministic 64-bit shift-register stream; seed state via splitmix."""
+_JUMP_ROWS = 256  # draws per block of the jump table
+_SHIFTS = np.arange(64, dtype=np.uint64)
+_MULTIPLIER = np.uint64(0x2545F4914F6CDD1D)  # xorshift64*'s output multiplier
 
-    def __init__(self, seed: int):
-        state = _splitmix64(seed & _MASK)
-        self._state = state if state else 0x9E3779B97F4A7C15
 
-    def next_bit(self) -> int:
-        """The top bit of the next output word."""
-        x = self._state
-        x ^= (x >> 12)
-        x ^= (x << 25) & _MASK
-        x ^= (x >> 27)
-        self._state = x
-        return ((x * 0x2545F4914F6CDD1D) & _MASK) >> 63
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """The xorshift64 state map T as a read-only (256, 64) uint64 table, built on first use.
+
+    T (x ^= x >> 12, x ^= x << 25, x ^= x >> 27) is linear over GF(2), so
+    T^m of a state is the xor of T^m of its set bits: row m, column k holds
+    T^(m + 1) of the state whose only set bit is k.
+    """
+    table = np.empty((_JUMP_ROWS, 64), dtype=np.uint64)
+    row = np.uint64(1) << _SHIFTS
+    for m in range(_JUMP_ROWS):
+        row = row ^ (row >> np.uint64(12))
+        row = row ^ (row << np.uint64(25))
+        row = row ^ (row >> np.uint64(27))
+        table[m] = row
+    table.setflags(write=False)
+    return table
+
+
+def _stream_bits(seed: int, n: int) -> np.ndarray:
+    """The top bits of the first n xorshift64* outputs of the state splitmix64 makes of ``seed``, as a bool array.
+
+    A block of up to 256 states is the xor of the table rows of the set
+    bits of the state before the block, and the next block starts from its
+    last state, so the stream has the bits of stepping T one draw at a
+    time.  Every operation acts on an array, where numpy wraps modulo 2^64
+    silently (numpy scalars warn on a wrap).
+    """
+    table = _jump_table()
+    state = _splitmix64(seed) or _GOLDEN  # T keeps 0 at 0
+    states = np.empty(n, dtype=np.uint64)
+    for start in range(0, n, _JUMP_ROWS):
+        block = states[start : start + _JUMP_ROWS]
+        bits = ((np.uint64(state) >> _SHIFTS) & np.uint64(1)).astype(bool)
+        np.bitwise_xor.reduce(table[: len(block), bits], axis=1, out=block)
+        state = int(block[-1])
+    return ((states * _MULTIPLIER) >> np.uint64(63)).astype(bool)
 
 
 @dataclass(frozen=True)
@@ -221,9 +253,19 @@ def simulate_path(
     backward solution (sign of its eta at the current node); it raises
     ValueError unless ``grid`` has the solution's nt and horizon and
     ``band`` is the solution's band.  ``seed`` is a Python or numpy
-    integer; a float or a bool raises ValueError.
+    integer in [0, 2^64); a float, a bool or an integer outside that range
+    raises ValueError.
+
+    The move and control bits come from ``_stream_bits``, which has the
+    bits of stepping the generator one draw at a time.  The positions are
+    a sequential sum from 0 of the signed steps (``np.cumsum`` adds in
+    order, and x - step is x + (-step) in IEEE), so they have the bits of
+    the loop that steps x one move at a time; ``markov`` runs that loop
+    for its control and reads its moves from the same bits.
     """
     _check_count("seed", seed)
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
     if policy == "markov":
@@ -235,33 +277,29 @@ def simulate_path(
         # five times a whole step of this loop; the reference path test pins the two together
         eta, field_nt = field.eta, field.grid.nt
         x_min, dx, last = field.grid.x_min, field.grid.dx, field.grid.nx - 1
-    rng = _Xorshift64Star(int(seed))  # the generator's 64-bit arithmetic needs a Python int
     nt = grid.nt
     low, high = band.sigma_min_sq, band.sigma_max_sq
-    # each step is sqrt(a * dt) for a band end; the loop runs on Python floats
-    low_step, high_step = math.sqrt(low * grid.dt), math.sqrt(high * grid.dt)
-    x = 0.0
-    b, a, squares = [x], [], []
-    for i in range(nt):
-        if policy == "const-low":
-            up = False
-        elif policy == "const-high":
-            up = True
-        elif policy == "random":
-            up = rng.next_bit()
-        else:
+    low_step, high_step = math.sqrt(low * grid.dt), math.sqrt(high * grid.dt)  # sqrt(a * dt) for a band end
+    if policy == "random":  # a control bit, then a move bit, per step
+        drawn = _stream_bits(int(seed), 2 * nt)
+        up, moves = drawn[0::2], drawn[1::2]
+    else:
+        moves = _stream_bits(int(seed), nt)
+        up = np.full(nt, policy == "const-high")
+    if policy == "markov":  # the control reads eta at the current x, so x is stepped one move at a time
+        x = 0.0
+        for i, move in enumerate(moves.tolist()):
             j = min(max(round((x - x_min) / dx), 0), last)
-            up = eta[field_nt - i, j] >= 0.0
-        a_i, step = (high, high_step) if up else (low, low_step)
-        x = x + step if rng.next_bit() else x - step
-        a.append(a_i)
-        b.append(x)
-        squares.append(step * step)
-    qv = np.empty(nt + 1)
-    qv[0] = 0.0
-    np.cumsum(squares, out=qv[1:])  # sequential, as a running sum is
+            up[i] = high_end = eta[field_nt - i, j] >= 0.0
+            step = high_step if high_end else low_step
+            x = x + step if move else x - step
+    steps = np.where(up, high_step, low_step)
+    b, qv = np.zeros(nt + 1), np.zeros(nt + 1)
+    b[1:] = np.where(moves, steps, -steps)  # x - step is x + (-step) in IEEE
+    np.cumsum(b, out=b)  # sequential from 0.0: the markov loop's x, bit for bit
+    np.cumsum(steps * steps, out=qv[1:])  # sequential, as a running sum is
     times = np.linspace(0.0, grid.horizon, nt + 1)
-    return LatticePath(times=times, b=np.array(b), a=np.array(a), qv=qv)
+    return LatticePath(times=times, b=b, a=np.where(up, high, low), qv=qv)
 
 
 def quadratic_variation(path: LatticePath) -> np.ndarray:
@@ -292,16 +330,18 @@ def tree_k_expectation(band: VolatilityBand, sol) -> float:
 
     Dynamic program on the same time grid as the solution, with the
     per-step reward eta * a * dt - 2 G(eta) * dt of ``k_along_path`` at
-    the band ends a, eta read by ``sol.eta_forward``.  The value is exactly
-    0.0: at the band end that matches eta's sign the reward is exactly 0
-    in floating point (outside the subnormal range), so it shows only that
-    no control makes K's worst-case mean positive.  A ``band`` other than
-    the solution's raises ValueError naming both.
+    the band ends a, eta at forward step i read as ``sol.eta_forward``
+    reads it: row nt - i, the nodes nearest the lattice's.  The value is
+    exactly 0.0: at the band end that matches eta's sign the reward is
+    exactly 0 in floating point (outside the subnormal range), so it shows
+    only that no control makes K's worst-case mean positive.  A ``band``
+    other than the solution's raises ValueError naming both.
     """
     sol._check_band(band)
-    dt, ends = sol.grid.dt, np.array([[band.sigma_max_sq], [band.sigma_min_sq]])
+    grid, eta = sol.grid, sol.eta
+    dt, nt, ends = grid.dt, grid.nt, np.array([[band.sigma_max_sq], [band.sigma_min_sq]])
     (root,) = _lattice(  # the reward rows are K's step at the top and the bottom band end
-        band, [dt], sol.grid.nt, [np.zeros_like], lambda i, xs: _k_step(band, sol.eta_forward(i, xs), ends, dt)
+        band, [dt], nt, [np.zeros_like], lambda i, xs: _k_step(band, eta[nt - i, grid.node_index(xs)], ends, dt)
     )
     return float(root)
 

@@ -325,6 +325,22 @@ class TestCombinators:
         assert (h.scale(-2.0).variables, c.scale(2.0).variables) == ({"x"}, set())
         assert (h.shift(-1.0).variables, c.shift(1.0).variables) == ({"x"}, set())
 
+    @pytest.mark.parametrize(
+        "build,allowed,name",
+        [
+            (lambda: parse_scalar("x").compose(parse_tri("y")), "'x'", "y"),
+            (lambda: parse_scalar("x") + parse_tri("z"), "'x'", "z"),
+            (lambda: ScalarFunction(BinOp("*", Var("t"), Var("x"))), "'x'", "t"),
+            (lambda: TriFunction(BinOp("+", Var("y"), Var("x"))), "'t', 'y', 'z'", "x"),
+        ],
+        ids=["compose", "add", "scalar", "driver"],
+    )
+    def test_a_function_reading_a_name_its_calls_do_not_supply_is_refused_when_built(self, build, allowed, name):
+        # such a function was built, and its first call raised a bare KeyError
+        with pytest.raises(ParseError, match=rf"^unknown identifier '{name}' \(allowed: \[{allowed}\]\)") as err:
+            build()
+        assert err.value.offset == 0
+
 
 class TestTriFunction:
     def test_eval(self):

@@ -13,9 +13,11 @@ code that kept its bits: G as half the difference of the two scaled
 parts; the tree step that formed both endpoint continuations and took
 their maximum; the lattice loop that built its views at every step; the
 path loop on numpy scalars with a ``node_index`` lookup per ``markov``
-step; and the AST walker.  The tree now steps ``mid + max(d, c d)`` in
-blocks of steps, the path loop runs on Python floats, and each expression
-goes through a closure compiled once.  The heat march is also compared
+step, drawing one bit at a time from the shift-register stream on Python
+ints; and the AST walker.  The tree now steps ``mid + max(d, c d)`` in
+blocks of steps, the paths draw their bits a table block at a time and
+sum their positions on arrays, and each expression goes through a
+closure compiled once.  The heat march is also compared
 with the march of zero-valued drivers, on subnormal data too.
 """
 
@@ -46,7 +48,8 @@ from gexpect import (
 )
 from gexpect.expr import _BUILTINS, BinOp, Call, Lit, Neg, Pow, Var, _Jet
 from gexpect.gheat import _march, _reduce_last_axis
-from gexpect.oracle import LatticePath, _lattice, _Xorshift64Star
+from gexpect.core import _MASK, _splitmix64
+from gexpect.oracle import LatticePath, _lattice, _stream_bits
 
 from conftest import CATALOG_TEXTS, generator, grid_with_steps
 
@@ -579,6 +582,39 @@ class TestFoldDrift:
                 assert np.max(np.abs(out[k] - layer)) <= 4.0 * np.spacing(peak), (text, k)
 
 
+class _Xorshift64Star:
+    """The path generator one draw at a time on Python ints; the state is seeded by splitmix64."""
+
+    def __init__(self, seed: int):
+        state = _splitmix64(seed & _MASK)
+        self._state = state if state else 0x9E3779B97F4A7C15
+
+    def next_bit(self) -> int:
+        """The top bit of the next output word."""
+        x = self._state
+        x ^= (x >> 12)
+        x ^= (x << 25) & _MASK
+        x ^= (x >> 27)
+        self._state = x
+        return ((x * 0x2545F4914F6CDD1D) & _MASK) >> 63
+
+
+class TestStream:
+    # counts on both sides of one and two table blocks of 256 draws
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 700))
+    @example(seed=0, n=256)
+    @example(seed=2**64 - 1, n=257)
+    @example(seed=-0x9E3779B97F4A7C15 % 2**64, n=255)  # splitmix64 maps it to the state 0
+    @example(seed=12345, n=513)
+    def test_the_table_stream_is_the_one_draw_at_a_time_stream(self, seed, n):
+        rng = _Xorshift64Star(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a wrap on a numpy scalar would warn
+            bits = _stream_bits(seed, n)
+        assert bits.dtype == bool and bits.tolist() == [bool(rng.next_bit()) for _ in range(n)]
+
+
 def reference_path(band, policy, grid, seed, field=None):
     """The path loop on numpy scalars, one node_index lookup per markov step."""
     rng = _Xorshift64Star(seed)
@@ -610,6 +646,17 @@ class TestPathLoop:
         sol = solve_gbsde(band, generator("-y", "0.2*y"), parse_scalar("sin(3*x) + 0.1*x^2"), grid)
         for policy in ("const-low", "const-high", "random", "markov"):
             for seed in range(200):
+                path = simulate_path(band, policy, grid, seed, field=sol)
+                expected = reference_path(band, policy, grid, seed, field=sol)
+                for name in ("times", "b", "a", "qv"):
+                    assert getattr(path, name).tobytes() == getattr(expected, name).tobytes(), (policy, seed, name)
+
+    def test_paths_whose_draws_cross_table_blocks_match_the_reference_loop(self):
+        band = VolatilityBand(0.7, 2.3)
+        grid = grid_with_steps(band, 41, 300, 0.45)  # random draws 600 bits, three table blocks; the others two
+        sol = solve_gbsde(band, generator("0.5*z", "0.1*y"), parse_scalar("sin(3*x) + 0.1*x^2"), grid)
+        for policy in ("const-low", "const-high", "random", "markov"):
+            for seed in range(20):
                 path = simulate_path(band, policy, grid, seed, field=sol)
                 expected = reference_path(band, policy, grid, seed, field=sol)
                 for name in ("times", "b", "a", "qv"):

@@ -245,6 +245,12 @@ class TestSimulatePath:
         with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
             simulate_path(band, "random", pow2_grid, seed)
 
+    @pytest.mark.parametrize("seed", [2**64, -1, np.int64(-1), 2**70 + 5])
+    def test_a_seed_outside_64_bits_is_refused_by_name(self, band, pow2_grid, seed):
+        # such a seed drew the stream of seed mod 2^64
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\^64\), got {seed}$"):
+            simulate_path(band, "random", pow2_grid, seed)
+
     def test_a_numpy_integer_seed_is_the_python_seed(self, band, pow2_grid):
         p1 = simulate_path(band, "random", pow2_grid, np.uint64(2**64 - 1))
         p2 = simulate_path(band, "random", pow2_grid, 2**64 - 1)

@@ -21,7 +21,9 @@ commit that has them.  The families:
 - ``failure/``: the class, message, layer and row of failing marches;
 - ``conditional/``: conditional tables, cell reads and ``values``;
 - ``tree/``: tree, batch and K-tree roots;
-- ``paths/``: seeded paths of every policy and their K series;
+- ``paths/``: seeded paths of every policy (``times``, ``b``, ``a`` and
+  ``qv``) and their K series, on a grid of 25 steps and on one of 1023
+  steps whose draws cross the generator's table blocks;
 - ``convexity/``: scan witnesses (as (k, 4) rows), cells and verdicts,
   Jensen and replimit results;
 - ``draws/``: ``max_difference_quotient`` of every driver the manifest
@@ -233,17 +235,18 @@ def _trees():
 
 def _paths():
     band = gx.VolatilityBand(0.7, 2.3)
-    grid = gx.make_grid(band, 0.5, nx=41)
-    for g, f in DRIVERS[:2]:
-        sol = gx.solve_gbsde(band, gx.GeneratorPair(gx.parse_tri(g), gx.parse_tri(f), 1.0),
-                             gx.parse_scalar("sin(3*x) + 0.1*x^2"), grid)
-        for policy in POLICIES:
-            for seed in range(5):
-                path = gx.simulate_path(band, policy, grid, seed, field=sol)
-                name = f"paths/{g}|{f}/{policy}/seed{seed}"
-                for part in ("b", "a", "qv"):
-                    yield f"{name}/{part}", getattr(path, part)
-                yield f"{name}/k", gx.k_along_path(sol, path)
+    # nt 25, and nt 1023 on [-1, 1], whose draws cross table blocks of 256 and whose paths leave the grid
+    for grid in (gx.make_grid(band, 0.5, nx=41), gx.make_grid(band, 0.5, nx=41, half_width=1.0)):
+        for g, f in DRIVERS[:2]:
+            sol = gx.solve_gbsde(band, gx.GeneratorPair(gx.parse_tri(g), gx.parse_tri(f), 1.0),
+                                 gx.parse_scalar("sin(3*x) + 0.1*x^2"), grid)
+            for policy in POLICIES:
+                for seed in range(5):
+                    path = gx.simulate_path(band, policy, grid, seed, field=sol)
+                    name = f"paths/nt{grid.nt}/{g}|{f}/{policy}/seed{seed}"
+                    for part in ("times", "b", "a", "qv"):
+                        yield f"{name}/{part}", getattr(path, part)
+                    yield f"{name}/k", gx.k_along_path(sol, path)
 
 
 def _convexity():
