@@ -31,8 +31,8 @@ and second derivative under truncated-Taylor arithmetic), so exact
 derivatives never need symbolic differentiation.  The same walk collects
 the names of the variables the expression reads, which both function
 kinds carry as ``variables`` and check, when built, against the names
-their calls supply.  The closure applies, node by node, the operation a walk of
-the tree would, so it gives the same bits.  Literals compile to numpy
+their calls supply.  The closure applies, node by node, the operation a
+walk of the tree would, so it gives the same bits.  Literals compile to numpy
 floats, so a constant subexpression such as ``1/0`` gives an infinity
 under the caller's error state, as an array value does, rather than a
 Python exception.
