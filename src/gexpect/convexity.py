@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, _check_count, _check_nonnegative, _check_positive, g_eval, make_grid
+from .core import SpaceTimeGrid, VolatilityBand, _check_count, _check_nonnegative, _check_positive, _read_only, g_eval, make_grid
 from .expr import EvalDomainError, ScalarFunction, parse_scalar
 from .gbsde import GeneratorPair, _nonlinear_expectations, solve_gbsde
 
@@ -183,13 +183,11 @@ def check_g_convexity(
     zs = np.linspace(z_range[0], z_range[1], resolution)
     inf_gap, arg = _reduce_mesh(band, gen, h, t, ys, zs)
     grid_y, grid_z = np.meshgrid(ys, zs, indexing="ij")
-    cells = np.stack([grid_y, grid_z, arg, inf_gap], axis=-1)
-    cells.setflags(write=False)
+    cells = _read_only(np.stack([grid_y, grid_z, arg, inf_gap], axis=-1))
     gaps = inf_gap.ravel()
     # First minimum in scan order, as a sequential min over the cells would pick.
     min_gap = float(gaps[np.argmin(gaps)])
-    witnesses = cells[inf_gap < -WITNESS_TOL]  # a copy, rows in scan order
-    witnesses.setflags(write=False)
+    witnesses = _read_only(cells[inf_gap < -WITNESS_TOL])  # a copy, rows in scan order
     return ConvexityReport(witnesses=witnesses, min_gap=min_gap, cells=cells)
 
 

@@ -162,7 +162,9 @@ class SpaceTimeGrid:
         return j if j.ndim else int(j)
 
     def over(self, span: float) -> SpaceTimeGrid:
-        """The same x mesh over [0, span], in the fewest steps no longer than dt."""
+        """The same x mesh over [0, span], in the fewest steps no longer than dt; span must be finite."""
+        if not math.isfinite(span):
+            raise ValueError(f"span must be finite, got {span}")
         return replace(self, horizon=span, nt=sub_steps(span, self.dt))
 
     def check_interval(self, s: float, t: float) -> None:
@@ -178,6 +180,13 @@ class SpaceTimeGrid:
                 f"dt = {self.dt:.3e} exceeds CFL limit {limit:.3e} "
                 f"(dx = {self.dx:.3e}, sigma_max_sq = {band.sigma_max_sq})"
             )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``; the array itself stays writable."""
+    view = array.view()
+    view.setflags(write=False)
+    return view
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -251,10 +260,18 @@ def _uniforms(seed: int, shape, low, high) -> np.ndarray:
 def cfl_time_steps(
     band: VolatilityBand, horizon: float, dx: float, theta: float = DEFAULT_CFL_THETA
 ) -> int:
-    """Smallest step count satisfying dt <= theta * dx^2 / sigma_max_sq."""
+    """Smallest step count satisfying dt <= theta * dx^2 / sigma_max_sq.
+
+    Raises ValueError naming dx and theta when that count is not finite:
+    theta * dx^2 underflows to 0, or the quotient overflows.
+    """
     if not (0.0 < theta <= MAX_CFL_THETA):
         raise ValueError(f"theta must lie in (0, {MAX_CFL_THETA}], got {theta}")
-    return max(1, math.ceil(horizon * band.sigma_max_sq / (theta * dx * dx)))
+    limit = theta * dx * dx
+    steps = horizon * band.sigma_max_sq / limit if limit else math.inf
+    if not math.isfinite(steps):
+        raise ValueError(f"dx = {dx} and theta = {theta} give a time-step count that is not finite")
+    return max(1, math.ceil(steps))
 
 
 def sub_steps(span: float, dt: float) -> int:

@@ -137,8 +137,12 @@ class BsdeSolution:
         outside = steps[(steps < 0) | (steps > grid.nt)]
         if outside.size:
             raise IndexError(f"step {outside[0]} outside [0, {grid.nt}]")
-        eta = self.eta[grid.nt - step, grid.node_index(x)]
+        eta = self._eta_at(step, x)
         return eta if eta.ndim else float(eta)
+
+    def _eta_at(self, step, x):
+        """``eta_forward`` without its step check: forward step i reads row nt - i at the node nearest x."""
+        return self.eta[self.grid.nt - step, self.grid.node_index(x)]
 
     def _check_time_grid(self, nt: int, span: float) -> None:
         """Raise ValueError unless nt steps over ``span`` are this solution's time grid."""
@@ -294,11 +298,10 @@ def k_along_path(sol: BsdeSolution, path) -> np.ndarray:
     series is nonincreasing up to rounding noise.  A step whose density
     lies outside the band raises ValueError, as in ``k_increment``.
     """
-    nt, grid = len(path.times) - 1, sol.grid
+    nt = len(path.times) - 1
     sol._check_time_grid(nt, path.times[-1] - path.times[0])
     _check_in_band(sol.band, path.a)
-    # sol.eta_forward(np.arange(nt), b[:-1]) read directly: nt is the grid's, so every step is inside it
-    eta = sol.eta[np.arange(nt, 0, -1), grid.node_index(path.b[:-1])]
+    eta = sol._eta_at(np.arange(nt), path.b[:-1])  # nt is the grid's, so every step is inside it
     k = np.zeros(nt + 1)
-    np.cumsum(_k_step(sol.band, eta, path.a, grid.dt), out=k[1:])
+    np.cumsum(_k_step(sol.band, eta, path.a, sol.grid.dt), out=k[1:])
     return k

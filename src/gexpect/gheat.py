@@ -50,6 +50,7 @@ from .core import (
     _check_count,
     _divide,
     _multiply,
+    _read_only,
     _subtract,
     _uniforms,
     make_grid,
@@ -220,18 +221,17 @@ def _march(
     that fails the sum of squares below, and to name a predictor that
     failed its test.
 
-    The tests are cheap, and a tested layer takes one row test, with an
-    envelope or without.  It is one sum of squares: with m the smallest
-    envelope (each one finite; the largest float without an envelope),
-    |x| > m gives fl(x^2) >= fl(m^2), and a sum of non-negative terms never
-    rounds below its largest, so vdot(row, row) < m * m (inf where that
-    overflows) proves every row finite and inside its envelope; a NaN fails
-    it too.  The test holds while the layer's squares sum to less than the
-    smallest envelope's square: bounded data of rows on one scale.  From
-    the first layer that fails it (rows of mixed scale, many nodes, or Y
-    grown toward its envelope) each layer takes ``_check_rows`` instead,
-    which raises on a failing row, so such a march pays one sum of squares
-    more than that test alone.  With an envelope every layer is tested.
+    The tests are cheap: a tested layer takes one sum of squares, with an
+    envelope or without, and ``_check_rows`` only when that fails.  With
+    m the smallest envelope (each one finite; the largest float without
+    an envelope), |x| > m gives fl(x^2) >= fl(m^2), and a sum of
+    non-negative terms never rounds below its largest, so vdot(row, row) <
+    m * m (inf where that overflows) proves every row finite and inside
+    its envelope; a NaN fails it too.  The test holds while the layer's
+    squares sum to less than the smallest envelope's square: bounded data
+    of rows on one scale (rows of mixed scale, many nodes, or Y grown
+    toward its envelope fail it and are decided per row).  With an
+    envelope every layer is tested.
     Without one a non-finite node stays non-finite, as each layer is the
     last plus an increment and inf + x is inf or NaN, so finiteness is
     tested once, at layer nt, whatever ``out`` stores; a test that fails
@@ -315,7 +315,6 @@ def _march(
         # row's when it is written; the step calls the ufuncs on them in the allocating step's order
         layer, (lo, mid, hi, gradient) = datum, stencil(datum)
         base = datum + 0.0  # what layer 1 adds its increment to: the datum with no -0
-        by_sum = True  # the sum-of-squares test, until a layer fails it
         # the kernel names its own failures: an overflow or x/0 is a NonFiniteError, not a warning
         with np.errstate(all="ignore"):
             for k in range(1, nt + 1):
@@ -351,10 +350,8 @@ def _march(
                                     return None
                                 _check_rows(k, predictor)
                             y, y_views = predictor, predictor_views
-                if each and not (by_sum and np.vdot(row, row) < bound_sq):
-                    # this layer and every later one take the per-row test, which raises on failure
-                    by_sum = False
-                    _check_rows(k, row, limit)
+                if each and not np.vdot(row, row) < bound_sq:
+                    _check_rows(k, row, limit)  # a layer the sum cannot clear may still pass row by row
                 layer, (lo, mid, hi, gradient) = row, stencil(row) if checkpoint else ring_stencils[k % 2]
                 base = row
             # a non-finite node stays non-finite, so layer nt's test covers every layer before it
@@ -373,8 +370,7 @@ def _derived(build):
     def get(self):
         value = getattr(self, slot)
         if value is None:
-            value = build(self)
-            value.setflags(write=False)
+            value = _read_only(build(self))
             setattr(self, slot, value)
         return value
 
@@ -402,10 +398,8 @@ class FieldSolution:
 
     def __init__(self, grid: SpaceTimeGrid, u: np.ndarray, times: np.ndarray):
         self.grid = grid
-        u, times = u.view(), times.view()
-        u.setflags(write=False)
-        times.setflags(write=False)
-        self.times = times
+        u = _read_only(u)
+        self.times = _read_only(times)
         # layer k * stride is row k of the checkpoints; a whole field is stride 1
         self._checkpoints, self._stride, self._u = u, 1, u
         self._ring, self._band, self._drivers = (), None, (None, None, False)
@@ -445,8 +439,7 @@ class FieldSolution:
             band, grid.dx, grid.dt, grid.nt, rows, g, f, times, picard,
             out=out, envelope=envelope, stride=stride, ring=buffers,
         )
-        for array in (checkpoints, *ring):
-            array.setflags(write=False)
+        checkpoints, ring = _read_only(checkpoints), tuple(map(_read_only, ring))
         fields = []
         for b in range(batch):
             field = cls(grid, checkpoints[:, b], times)
@@ -476,8 +469,7 @@ class FieldSolution:
         if self._segment[0] != first:
             rows = np.empty((min(stride, nt - first), self.grid.nx))
             self._march_on(first, rows)
-            rows.setflags(write=False)
-            self._segment = (first, rows)
+            self._segment = (first, _read_only(rows))
         return self._segment[1][k - first]
 
     @_derived
@@ -617,10 +609,9 @@ class TabulatedFunction:
 
     def __init__(self, axes: Sequence[np.ndarray], values: np.ndarray):
         self.axes = [_axis(k, a) for k, a in enumerate(axes)]
-        values = np.asarray(values).view()
+        values = _read_only(np.asarray(values))
         if values.shape != tuple(len(a) for a in self.axes):
             raise ValueError("table shape does not match axes")
-        values.setflags(write=False)
         self._entries = self._values = values
         self._unread = np.zeros(values.shape, dtype=bool)  # the entries not reduced yet
         self._source = self._reduce = None

@@ -1,6 +1,16 @@
-"""Independent verification machinery: a worst-case-volatility binomial
-tree for the band's expectations and a seeded path simulator for
-quadratic-variation and K-monotonicity experiments.
+"""Cross-checks: a worst-case-volatility binomial tree for the band's
+expectations and a seeded path simulator for quadratic-variation and
+K-monotonicity experiments.
+
+The tree is not independent of the PDE solve.  At node spacing
+sigma_max * sqrt(dt) its step is the heat march's explicit step
+u + max(a d, b d) at CFL fraction theta = 1 (a = 1/2, b = c / 2), on a
+lattice with no boundary, so a march at theta = 1 whose boundary lies
+outside the root's cone agrees with it to rounding.  Its check sees the
+march's truncation by the boundary, the change from theta = 0.45 to 1,
+and a second code path; it cannot see an error in G's form, in the
+per-step maximum of two linear steps, or the scheme's fourth-moment
+shortfall, which the two share.
 
 Both trees run one backward loop, ``_lattice``: nodes sigma_max * sqrt(dt)
 apart and no boundary, each taking the better continuation of the two band
@@ -9,9 +19,7 @@ endpoints (exact for a reward linear in the variance), plus K's per-step
 it steps and what it does with a terminal that is not finite.  The step
 reads no dt, so ``tree_expectation_batch`` marches trees of several
 functions and times on one band as the columns of one lattice, each with
-its own tree's bits; ``tree_expectation`` is the stack of one.  The tree's independence from the
-PDE solve lies in this lattice, not in the expression compiler, which
-evaluates phi for both.  Path innovations are +-1 from a fixed 64-bit
+its own tree's bits; ``tree_expectation`` is the stack of one.  Path innovations are +-1 from a fixed 64-bit
 shift-register generator so that quadratic variation is exact per step
 and runs reproduce bit for bit.  The generator's state map is linear over
 GF(2), so a table of its powers on the 64 one-bit states gives a block of
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpaceTimeGrid, VolatilityBand, _GOLDEN, _MASK, _add, _check_count, _check_nonnegative, _multiply, _splitmix64, _subtract
+from .core import SpaceTimeGrid, VolatilityBand, _GOLDEN, _MASK, _add, _check_count, _check_nonnegative, _multiply, _read_only, _splitmix64, _subtract
 from .gbsde import _k_step
 
 __all__ = [
@@ -70,8 +78,7 @@ def _jump_table() -> np.ndarray:
         row = row ^ (row << np.uint64(25))
         row = row ^ (row >> np.uint64(27))
         table[m] = row
-    table.setflags(write=False)
-    return table
+    return _read_only(table)
 
 
 def _stream_bits(seed: int, n: int) -> np.ndarray:
@@ -116,13 +123,10 @@ class LatticePath:
         if self.qv[0] != 0.0 or not np.all(np.diff(self.qv) >= 0.0):  # NaN fails
             raise ValueError("qv must be nondecreasing from 0")
         for name in ("times", "b", "a", "qv"):  # read-only views: the caller's arrays stay writable
-            view = getattr(self, name).view()
-            view.setflags(write=False)
-            object.__setattr__(self, name, view)
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
 
-_HALF = np.array(0.5)  # 0-d arrays: numpy takes them per call faster than floats
-_HALF.setflags(write=False)
+_HALF = _read_only(np.array(0.5))  # 0-d arrays: numpy takes them per call faster than floats
 _BLOCK = 32  # the lattice builds its views once per block of this many steps, not once per step
 _LINE = 64  # bytes in a cache line
 
@@ -229,7 +233,9 @@ def tree_expectation(band: VolatilityBand, phi, t: float, steps: int) -> float:
 
     Node spacing sigma_max * sqrt(dt); each backward step takes the larger
     of the two endpoint one-step expectations (move probability a * dt /
-    (2 dx^2), stay otherwise).  ``phi`` may be any callable on arrays;
+    (2 dx^2), stay otherwise): the explicit heat step at theta = 1 with no
+    boundary, so it checks the march's boundary and theta, not its scheme
+    (see the module docstring).  ``phi`` may be any callable on arrays;
     t must be finite and >= 0, and steps >= 1.  The lattice steps without
     numpy warnings: a phi that is NaN or infinite at a node gives a value
     that is not finite, returned as it is.  This is
@@ -273,8 +279,8 @@ def simulate_path(
             raise ValueError("markov policy needs the backward solution")
         field._check_time_grid(grid.nt, grid.horizon)
         field._check_band(band)
-        # field.eta_forward(i, x) inlined on Python floats: a call costs about 15 us, some
-        # five times a whole step of this loop; the reference path test pins the two together
+        # field._eta_at(i, x) inlined on Python floats: a call costs some five times a whole
+        # step of this loop; TestPathLoop pins this copy to eta_forward
         eta, field_nt = field.eta, field.grid.nt
         x_min, dx, last = field.grid.x_min, field.grid.dx, field.grid.nx - 1
     nt = grid.nt
@@ -338,10 +344,9 @@ def tree_k_expectation(band: VolatilityBand, sol) -> float:
     other than the solution's raises ValueError naming both.
     """
     sol._check_band(band)
-    grid, eta = sol.grid, sol.eta
-    dt, nt, ends = grid.dt, grid.nt, np.array([[band.sigma_max_sq], [band.sigma_min_sq]])
+    dt, nt, ends = sol.grid.dt, sol.grid.nt, np.array([[band.sigma_max_sq], [band.sigma_min_sq]])
     (root,) = _lattice(  # the reward rows are K's step at the top and the bottom band end
-        band, [dt], nt, [np.zeros_like], lambda i, xs: _k_step(band, eta[nt - i, grid.node_index(xs)], ends, dt)
+        band, [dt], nt, [np.zeros_like], lambda i, xs: _k_step(band, sol._eta_at(i, xs), ends, dt)
     )
     return float(root)
 

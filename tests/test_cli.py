@@ -663,6 +663,21 @@ class TestNoTraceback:
         assert f"config error at {field}: " in capsys.readouterr().err
         assert not (out / f"{command}.report.json").exists()
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {**GRID, "theta": 1e-320},  # theta * dx^2 is subnormal: the step count overflows
+            {**GRID, "half_width": 1e-300},  # dx^2 underflows to 0
+            {"horizon": 1.0, "nx": 201, "x_min": -1e-300, "x_max": 1e-300},
+        ],
+    )
+    def test_a_grid_whose_step_count_is_not_finite_exits_1(self, tmp_path, capsys, grid):
+        # each raised ZeroDivisionError or OverflowError out of the CLI, with a traceback
+        out = tmp_path / "out"
+        assert run("gexp", write_config(tmp_path, base_config(grid=grid)), out) == 1
+        assert capsys.readouterr().err.startswith("config error at config.grid: dx = ")
+        assert not (out / "gexp.report.json").exists()
+
     def test_huge_exponent_exits_1_without_a_traceback(self, tmp_path):
         # the jet of x^1e300 formed a 301-digit int and raised OverflowError out of the CLI
         path = write_config(tmp_path, variant("convexity", "functions", h="x^1e300"))

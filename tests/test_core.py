@@ -155,6 +155,20 @@ class TestSpaceTimeGrid:
         with pytest.raises(ValueError, match=field):
             make_grid(band, 1.0, 201, half_width=half_width)
 
+    @pytest.mark.parametrize("half_width", [1e-300, 1e-160])
+    def test_make_grid_refuses_a_step_count_that_is_not_finite(self, half_width):
+        # theta * dx^2 underflowed to 0 (a bare ZeroDivisionError), or the count overflowed to inf
+        # and math.ceil raised OverflowError; neither was a ValueError the CLI could name
+        with pytest.raises(ValueError, match=r"^dx = \S+ and theta = 0\.45 give a time-step count that is not finite$"):
+            make_grid(VolatilityBand(1, 2), 1.0, nx=3, half_width=half_width)
+
+    @pytest.mark.parametrize("span", [math.nan, math.inf])
+    def test_over_refuses_a_span_that_is_not_finite(self, span):
+        # NaN gave an unnamed ValueError from math.ceil, inf an OverflowError
+        grid = SpaceTimeGrid(horizon=1.0, x_min=-2.0, x_max=2.0, nx=5, nt=100)
+        with pytest.raises(ValueError, match=f"^span must be finite, got {span}$"):
+            grid.over(span)
+
     def test_cfl_check(self, band):
         grid = SpaceTimeGrid(horizon=1.0, x_min=-8.5, x_max=8.5, nx=401, nt=10)
         with pytest.raises(CflError):

@@ -494,11 +494,15 @@ class TestConditional:
 
 
 class TestTabulatedFunction:
-    def test_interpolates_an_eager_table_multilinearly(self):
-        table = TabulatedFunction([[0.0, 1.0, 2.0], [-1.0, 1.0]], [[0.0, 2.0], [1.0, 3.0], [4.0, 6.0]])
+    def test_interpolates_an_eager_table_multilinearly(self, band):
+        values = np.array([[0.0, 2.0], [1.0, 3.0], [4.0, 6.0]])
+        table = TabulatedFunction([[0.0, 1.0, 2.0], [-1.0, 1.0]], values)
         assert table(0.5, 0.0) == 1.5
         assert table(1.5, 1.0) == 4.5
-        assert not table.values.flags.writeable
+        # a read-only view: the caller's array stays writable; a lazily reduced table's values are read-only too
+        assert not table.values.flags.writeable and values.flags.writeable
+        payoff = CylinderPayoff((0.5, 1.0), lambda a, b: a + b)
+        assert not conditional_g_expectation(band, payoff, 1, make_grid(band, 1.0, nx=41)).values.flags.writeable
 
     @pytest.mark.parametrize(
         "axes,values,problem",

@@ -639,6 +639,9 @@ def reference_path(band, policy, grid, seed, field=None):
 
 
 class TestPathLoop:
+    # simulate_path's markov loop keeps its own copy of eta's forward-step rule on Python floats,
+    # since a call to the solution's reader costs about five steps of that loop; the reference
+    # loop reads eta_forward, so these tests pin the copy to the one reader
     @pytest.mark.parametrize("half_width", [None, 1.0])  # 1.0: the paths leave the grid, the lookup clamps
     def test_every_policy_and_seed_matches_the_reference_loop(self, half_width):
         band = VolatilityBand(0.7, 2.3)

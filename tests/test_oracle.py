@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +22,8 @@ from gexpect import (
     tree_k_expectation,
     zero_generator,
 )
-from gexpect.oracle import _empty_on_line
+from gexpect.gheat import _march
+from gexpect.oracle import _empty_on_line, _jump_table
 
 from conftest import CATALOG_TEXTS
 
@@ -42,6 +45,24 @@ class TestTreeExpectation:
     def test_concave_square_floor(self, band):
         value = tree_expectation(band, parse_scalar("-(x^2)"), 1.0, 2000)
         assert value == pytest.approx(-1.0, abs=5e-3)
+
+    @pytest.mark.parametrize("steps", [1, 7, 500, 2000])
+    def test_the_tree_is_the_explicit_scheme_at_theta_one_without_a_boundary(self, steps):
+        # at dx = sigma_max sqrt(dt) the march's u + max(a d, b d) has a = 1/2 and b = c / 2, the
+        # lattice's mid + max(d / 2, c d / 2); steps + 5 nodes each side keep the march's boundary
+        # out of the centre's cone, so the two differ by rounding alone. The tree therefore checks
+        # the boundary, theta and a second code path, not the scheme itself.
+        texts = ("x^2", "-x^2", "x^4", "-x^4", "x^3", "tanh(x)", "sin(x)", "x*abs_smooth(x)", "exp(0.5*x)", "-bump(x)")
+        phis = [parse_scalar(text) for text in texts]
+        for band in (VolatilityBand(1.0, 2.0), VolatilityBand(0.3, 1.7)):
+            for t in (0.25, 1.0):
+                half = (steps + 5) * band.sigma_max * math.sqrt(t / steps)
+                grid = SpaceTimeGrid(horizon=t, x_min=-half, x_max=half, nx=2 * (steps + 5) + 1, nt=steps)
+                data = np.stack([phi(grid.xs) for phi in phis])
+                pde = _march(band, grid.dx, grid.dt, steps, data)[:, grid.center_index]
+                tree = tree_expectation_batch(band, phis, [t], steps)[:, 0]
+                bound = 4 * steps * np.finfo(float).eps * np.max(np.abs(data), axis=1)
+                assert np.all(np.abs(pde - tree) <= bound), (band, t)
 
     def test_degenerate_band_matches_quadrature(self):
         sigma = VolatilityBand(1.5, 1.5)
@@ -271,6 +292,7 @@ class TestSimulatePath:
         path = simulate_path(band, "random", pow2_grid, 4)
         with pytest.raises(ValueError):
             path.b[0] = 1.0
+        assert not _jump_table().flags.writeable  # the stream's table, shared by every path
 
 
 class TestQuadraticVariation:

@@ -18,7 +18,10 @@ commit that has them.  The families:
   ``eta_layer`` and ``y_at``;
 - ``identity/``: whether the heat solve and the backward solves with the
   zero generator and with ``0*y``/``0*z`` have the same bytes;
-- ``failure/``: the class, message, layer and row of failing marches;
+- ``failure/``: the class, message, layer and row of failing marches,
+  and the refusals of grids whose CFL step count is not finite and of a
+  sub-interval span that is not finite, from the library and, with the
+  exit code and stderr, from ``gexpect gexp``;
 - ``conditional/``: conditional tables, cell reads and ``values``;
 - ``tree/``: tree, batch and K-tree roots;
 - ``paths/``: seeded paths of every policy (``times``, ``b``, ``a`` and
@@ -42,6 +45,8 @@ commit that has them.  The families:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -90,12 +95,22 @@ def _parts(name, value):
 
 
 def _failure(march) -> str:
-    """The class, message, layer and row of what ``march()`` raises, or "returned"."""
+    """The class, message, layer and row of what ``march()`` raises; else the text it returns, or "returned"."""
     try:
-        march()
+        result = march()
     except Exception as exc:  # the record is the output: any class is compared
         return f"{type(exc).__name__}: {exc} (layer {getattr(exc, 'layer', None)}, row {getattr(exc, 'row', None)})"
-    return "returned"
+    return result if isinstance(result, str) else "returned"
+
+
+def _cli_refusal(command, body, root: Path) -> str:
+    """The exit code and stderr of one CLI run on ``body`` (a config without its band), as text."""
+    config = root / "config.json"
+    config.write_text(json.dumps({"schema_version": 1, "band": BAND, **body}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = run_cli(command, config, root / "out")
+    return f"exit {status}: {err.getvalue()}"
 
 
 def _field(name, field):
@@ -200,8 +215,24 @@ def _failures():
             gx.make_grid(gx.VolatilityBand(0.25, 0.5), 1.0, nx=21),
         ),
     }
-    for name, march in cases.items():
-        yield f"failure/{name}", _failure(march)
+    # grids whose CFL step count is not finite (theta * dx^2 underflows to 0, or the count
+    # overflows) and sub-intervals that are not finite
+    b12 = gx.VolatilityBand(1, 2)
+    cases["grid-dx-squared-underflows"] = lambda: gx.make_grid(b12, 1.0, nx=3, half_width=1e-300)
+    cases["grid-step-count-overflows"] = lambda: gx.make_grid(b12, 1.0, nx=3, half_width=1e-160)
+    cases["grid-over-nan"] = lambda: grid.over(math.nan)
+    cases["grid-over-inf"] = lambda: grid.over(math.inf)
+    with tempfile.TemporaryDirectory(prefix="bit_manifest-") as scratch:
+        cli_grids = {
+            "theta": {**GRID, "theta": 1e-320},
+            "half-width": {**GRID, "half_width": 1e-300},
+            "ends": {"horizon": 1.0, "nx": 201, "x_min": -1e-300, "x_max": 1e-300},
+        }
+        for key, grid_config in cli_grids.items():
+            body = {**CONFIGS["gexp"], "grid": grid_config}
+            cases[f"cli-gexp-grid-{key}"] = lambda body=body: _cli_refusal("gexp", body, Path(scratch))
+        for name, march in cases.items():
+            yield f"failure/{name}", _failure(march)
     sols = gx.solve_gbsde_batch(band, plain("-y", "0"), mixed, grid)
     for text, sol in zip(("100*tanh(x)^2", "10*tanh(x)"), sols):
         yield f"failure/mixed-scale-rows/{text}/u", sol.field.u
