@@ -355,7 +355,14 @@ def run(command: str, config_path: str | Path, out_dir: str | Path | None = None
     try:
         cfg = ExperimentConfig(command, raw)
         out = _output_dir(raw, out_dir)
-        report, header, columns, axes = _COMMANDS[command].runner(cfg)
+        try:
+            report, header, columns, axes = _COMMANDS[command].runner(cfg)
+        except MemoryError as exc:  # numpy cannot allocate the run's arrays: its grid, or its params, is too large
+            if cfg.grid is None:
+                raise ConfigError("config.params", f"the run's arrays cannot be allocated: {exc}") from exc
+            raise ConfigError(
+                "config.grid", f"nx = {cfg.grid.nx} and nt = {cfg.grid.nt} need arrays too large to allocate: {exc}"
+            ) from exc
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -40,6 +40,7 @@ __all__ = [
 
 WITNESS_TOL = 1e-9
 REPLIMIT_TOL = 0.05  # largest final error of the representation quotient, relative to 1 + |limit|
+_GAP_BLOCK = 8192  # A values per block of condition_gap: each float64 temporary is 64 KB
 
 
 def _gap(band: VolatilityBand, h1, h2, z, g_h, f_h, g_y, f_y, A):
@@ -61,20 +62,38 @@ def condition_gap(
     """Signed slack of the pointwise convexity condition at (t, y, z, A).
 
     Nonnegative everywhere exactly when h respects the expectation
-    inequality.  ``A`` may be an array; the driver evaluations do not
+    inequality.  ``y`` and ``z`` are numbers (an array raises ValueError
+    naming it); ``A`` may be an array, and the driver evaluations do not
     depend on it.  A NaN or infinite A raises EvalDomainError naming
-    (y, z, A), the first such A for an array.  A G value beyond the
-    float range makes the gap infinite without a warning, as in the mesh
-    pass of ``reduce_over_A``.
+    (y, z, A), the first such A in C order for an array, before any gap
+    is evaluated.  A G value beyond the float range makes the gap
+    infinite without a warning, as in the mesh pass of ``reduce_over_A``.
+
+    An A longer than one block of ``_GAP_BLOCK`` values is evaluated a
+    block at a time, in C order, into one output shaped like A, so the
+    pass holds the output and O(block) temporaries (plus a C-ordered copy
+    of an A that is not C-contiguous).  Each entry goes through the
+    arithmetic of one pass over the whole A, so the gaps, their dtype and
+    shape are those of that pass.
     """
+    for name, value in (("y", y), ("z", z)):
+        if np.ndim(value):
+            raise ValueError(f"condition gap needs a number for {name}, got an array of shape {np.shape(value)}")
     bad = ~np.isfinite(A)
     if np.any(bad):
         a = float(np.asarray(A)[bad].flat[0])
         raise EvalDomainError(f"condition gap needs a finite A, got (y, z, A) = ({float(y)!r}, {float(z)!r}, {a!r})")
     hv, h1, h2 = h.eval2(y)
     g_h, f_h, g_y, f_y = gen.g(t, hv, h1 * z), gen.f(t, hv, h1 * z), gen.g(t, y, z), gen.f(t, y, z)
+    gap = lambda a: _gap(band, h1, h2, z, g_h, f_h, g_y, f_y, a)
     with np.errstate(over="ignore"):
-        return _gap(band, h1, h2, z, g_h, f_h, g_y, f_y, A)
+        if np.size(A) <= _GAP_BLOCK:
+            return gap(A)
+        flat = np.ravel(A)  # C order; a view of a C-contiguous A
+        out = np.empty(flat.shape, gap(flat[:1]).dtype)  # the dtype of one pass: float32 stays float32
+        for start in range(0, flat.size, _GAP_BLOCK):
+            out[start:start + _GAP_BLOCK] = gap(flat[start:start + _GAP_BLOCK])
+        return out.reshape(np.shape(A))
 
 
 def _reduce_mesh(band: VolatilityBand, gen: GeneratorPair, h: ScalarFunction, t: float, ys, zs):

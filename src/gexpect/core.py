@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,7 @@ def g_eval(band: VolatilityBand, a):
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
+_MAX_FLOATS = np.iinfo(np.intp).max // 8  # the most float64 values one numpy array can hold
 # the kernel's ufuncs, bound once; they take their output by position, which numpy parses
 # faster per call than the out= keyword (np.maximum keeps out=: a third positional is deprecated)
 _add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
@@ -107,7 +109,8 @@ class SpaceTimeGrid:
 
     ``nx`` counts nodes (spacing (x_max - x_min)/(nx - 1)); ``nt`` counts
     time steps (spacing horizon/nt); each is a Python or numpy integer, not
-    a float or a bool.  The horizon, the two ends and the spacing must be
+    a float or a bool, and the nt + 1 time labels must fit one float64
+    array.  The horizon, the two ends and the spacing must be
     finite.  The domain must straddle 0 and x = 0 must be a node (to 1e-9
     dx), since every value "at x = 0" reads it.
     """
@@ -124,6 +127,8 @@ class SpaceTimeGrid:
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
         _check_count("nx", self.nx, 3)
         _check_count("nt", self.nt, 1)
+        if self.nt >= _MAX_FLOATS:  # nt + 1 time labels: more than one float64 array can hold
+            raise ValueError(f"nt = {self.nt} needs more time labels than a float64 array can hold")
         for name in ("horizon", "x_min", "x_max", "dx"):  # dx overflows where x_max - x_min does
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -144,6 +149,11 @@ class SpaceTimeGrid:
     @property
     def xs(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.nx)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """The nt + 1 forward time labels ``np.linspace(0, horizon, nt + 1)``, read-only, built on first use."""
+        return _read_only(np.linspace(0.0, self.horizon, self.nt + 1))
 
     @property
     def center_index(self) -> int:

@@ -198,7 +198,7 @@ def solve_gbsde_batch(
     _check_positive("envelope_factor", envelope_factor)
     grid.check_cfl(band)
     data = _stack(terminals, grid)
-    times = t0 + grid.horizon - np.linspace(0.0, grid.horizon, grid.nt + 1)
+    times = t0 + grid.horizon - grid.times
     origin_scale = 0.0
     for name, fn in (("g", gen.g), ("f", gen.f)):
         vals = np.abs(np.broadcast_to(fn(times, 0.0, 0.0), times.shape))

@@ -529,7 +529,7 @@ def solve_g_heat_batch(
     affine tails).
     """
     grid.check_cfl(band)
-    return FieldSolution._solve(band, grid, _stack(phis, grid), np.linspace(0.0, grid.horizon, grid.nt + 1))
+    return FieldSolution._solve(band, grid, _stack(phis, grid), grid.times)
 
 
 def solve_g_heat(

@@ -304,8 +304,7 @@ def simulate_path(
     b[1:] = np.where(moves, steps, -steps)  # x - step is x + (-step) in IEEE
     np.cumsum(b, out=b)  # sequential from 0.0: the markov loop's x, bit for bit
     np.cumsum(steps * steps, out=qv[1:])  # sequential, as a running sum is
-    times = np.linspace(0.0, grid.horizon, nt + 1)
-    return LatticePath(times=times, b=b, a=np.where(up, high, low), qv=qv)
+    return LatticePath(times=grid.times, b=b, a=np.where(up, high, low), qv=qv)
 
 
 def quadratic_variation(path: LatticePath) -> np.ndarray:

@@ -678,6 +678,42 @@ class TestNoTraceback:
         assert capsys.readouterr().err.startswith("config error at config.grid: dx = ")
         assert not (out / "gexp.report.json").exists()
 
+    def test_a_step_count_beyond_any_array_exits_1_naming_nt(self, tmp_path, capsys):
+        # nt is about 2.8e302: numpy refused the time labels as config.params, "Maximum allowed size exceeded"
+        out = tmp_path / "out"
+        assert run("gexp", write_config(tmp_path, base_config(grid={**GRID, "theta": 1e-300})), out) == 1
+        assert capsys.readouterr().err.startswith("config error at config.grid: nt = 2768")
+        assert not (out / "gexp.report.json").exists()
+
+    def test_a_grid_too_large_to_allocate_exits_1_naming_nt(self, tmp_path, capsys, monkeypatch):
+        # nt is about 2.8e11: the solve's labels would take 2 TiB, and numpy's MemoryError was a
+        # traceback; here the refusal is injected, so nothing asks for the memory
+        linspace = np.linspace
+
+        def refusing(start, stop, num, **kwargs):
+            if num > 10**9:
+                raise MemoryError(f"Unable to allocate an array with shape ({num},)")
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", refusing)
+        out = tmp_path / "out"
+        assert run("gexp", write_config(tmp_path, base_config(grid={**GRID, "theta": 1e-9})), out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error at config.grid: nx = 201 and nt = 276816608997 need arrays too large")
+        assert err.endswith("shape (276816608998,)\n")
+        assert not (out / "gexp.report.json").exists()
+
+    def test_a_scan_too_large_to_allocate_exits_1_at_its_params(self, tmp_path, capsys, monkeypatch):
+        # convexity has no grid: its arrays are sized by its params
+        def refusing(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(gexpect.cli, "check_g_convexity", refusing)
+        out = tmp_path / "out"
+        assert run("convexity", write_config(tmp_path, VALID["convexity"]), out) == 1
+        assert capsys.readouterr().err == "config error at config.params: the run's arrays cannot be allocated: Unable to allocate 7.28 TiB\n"
+        assert not (out / "convexity.report.json").exists()
+
     def test_huge_exponent_exits_1_without_a_traceback(self, tmp_path):
         # the jet of x^1e300 formed a 301-digit int and raised OverflowError out of the CLI
         path = write_config(tmp_path, variant("convexity", "functions", h="x^1e300"))

@@ -27,6 +27,7 @@ from gexpect import (
     zero_generator,
 )
 
+from gexpect.convexity import _GAP_BLOCK, _gap
 from gexpect.expr import BinOp, Call, Lit, Pow, ScalarFunction, Var
 
 from conftest import dense_scan_min
@@ -70,7 +71,92 @@ def _scalar_reduce(band, gen, h, t, y, z):
     return low, candidates[best]
 
 
+def _one_pass(band, gen, h, t, y, z, A):
+    """condition_gap's arithmetic on the whole of A in one array pass."""
+    hv, h1, h2 = h.eval2(y)
+    drivers = gen.g(t, hv, h1 * z), gen.f(t, hv, h1 * z), gen.g(t, y, z), gen.f(t, y, z)
+    with np.errstate(over="ignore"):
+        return _gap(band, h1, h2, z, *drivers, A)
+
+
+_B = _GAP_BLOCK
+A_SHAPES = ((0,), (1,), (_B - 1,), (_B,), (_B + 1,), (3 * _B + 7,), (3, _B // 2 + 1), (2, 3, _B // 4 + 5))
+
+
 class TestConditionGap:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(A_SHAPES),
+        layout=st.sampled_from(("contiguous", "transposed", "strided", "int")),
+        scale=st.sampled_from((1.0, 1e3, 1.7e308)),
+        seed=st.integers(0, 2**32 - 1),
+        h_text=st.sampled_from(H_CATALOG),
+        case=st.sampled_from(GEN_CASES),
+        wide=st.booleans(),
+        y=st.floats(-3.0, 3.0),
+        z=st.floats(-3.0, 3.0),
+    )
+    # G(A / 2) overflows to inf on the wide band: at y = -+1e-10 a third of the gaps are +-inf
+    @example(shape=(3 * _B + 7,), layout="contiguous", scale=1.7e308, seed=1, h_text="x^2",
+             case=GEN_CASES[0], wide=True, y=-1e-10, z=0.25)
+    @example(shape=(3, _B // 2 + 1), layout="transposed", scale=1.7e308, seed=1, h_text="x^2",
+             case=GEN_CASES[0], wide=True, y=1e-10, z=0.25)
+    def test_blocks_have_the_bytes_of_one_pass(self, shape, layout, scale, seed, h_text, case, wide, y, z):
+        band = VolatilityBand(3.0, 12.0) if wide else VolatilityBand(1.0, 2.0)
+        gen, h = _gen(*case), parse_scalar(h_text)
+        rng = np.random.default_rng(seed)
+        if layout == "int":
+            A = rng.integers(-(2**31), 2**31, shape)
+        elif layout == "transposed":  # a view in Fortran order
+            A = scale * rng.uniform(-1.0, 1.0, shape[::-1]).T
+        elif layout == "strided":  # every other entry of a longer last axis
+            A = (scale * rng.uniform(-1.0, 1.0, (*shape[:-1], 2 * shape[-1])))[..., ::2]
+        else:
+            A = scale * rng.uniform(-1.0, 1.0, shape)
+        with np.errstate(invalid="ignore"):  # inf - inf where both sides overflow
+            gap, one = condition_gap(band, gen, h, 0.0, y, z, A), _one_pass(band, gen, h, 0.0, y, z, A)
+        assert (gap.dtype, gap.shape) == (one.dtype, one.shape) == (np.float64, A.shape)
+        assert gap.tobytes() == one.tobytes()
+
+    def test_a_non_finite_A_after_the_first_block_is_refused_naming_the_first_in_C_order(self):
+        # a Fortran-ordered view: the inf comes first in memory, the NaN first in C order
+        A = np.zeros((_GAP_BLOCK + 3, 2)).T
+        A[1, 2], A[0, _GAP_BLOCK + 1] = np.inf, np.nan
+        with pytest.raises(EvalDomainError, match=r"\(y, z, A\) = \(0.5, 0.5, nan\)"):
+            condition_gap(VolatilityBand(1.0, 2.0), zero_generator(), parse_scalar("x^2"), 0.0, 0.5, 0.5, A)
+
+    @pytest.mark.parametrize("A", [0.3, np.array(0.3), np.float32(0.3)])
+    def test_a_0_d_A_gives_a_scalar(self, band, A):
+        gap = condition_gap(band, zero_generator(), parse_scalar("x^2"), 0.0, 0.5, 0.2, A)
+        assert np.ndim(gap) == 0 and type(gap) is (np.float32 if isinstance(A, np.float32) else np.float64)
+
+    def test_a_float32_A_longer_than_a_block_stays_float32(self, band):
+        # with Python-float drivers one pass computes in float32; the blocks keep its dtype and bytes
+        A = np.linspace(-10.0, 10.0, 2 * _GAP_BLOCK + 1, dtype=np.float32)
+        gap = condition_gap(band, zero_generator(), parse_scalar("x^2"), 0.0, 0.5, 0.2, A)
+        one = _one_pass(band, zero_generator(), parse_scalar("x^2"), 0.0, 0.5, 0.2, A)
+        assert gap.dtype == one.dtype == np.float32 and gap.tobytes() == one.tobytes()
+
+    def test_a_million_point_A_stays_small(self, band):
+        # one pass built some 20 temporaries as long as A and peaked at 41 MB
+        A = np.linspace(-1e3, 1e3, 1_000_000)
+        h, gen = parse_scalar("exp(x)"), _gen("0.5*z", "0.1*y", 0.5)
+        tracemalloc.start()
+        try:
+            gap = condition_gap(band, gen, h, 0.0, 0.3, -0.7, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap.shape == A.shape
+        assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("which", ["y", "z"])
+    def test_an_array_y_or_z_is_refused_by_name(self, band, which):
+        # the parent broadcast y, z and A together: y = [0.5, 0.6] against a (3, 1) A gave a (3, 2) gap
+        args = {"y": 0.5, "z": 0.2, which: np.array([0.5, 0.6])}
+        with pytest.raises(ValueError, match=rf"^condition gap needs a number for {which}, got an array of shape \(2,\)$"):
+            condition_gap(band, zero_generator(), parse_scalar("x^2"), 0.0, args["y"], args["z"], np.arange(3.0)[:, None])
+
     @pytest.mark.parametrize(
         "y,A,shown",
         [

@@ -145,6 +145,19 @@ class TestSpaceTimeGrid:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
             SpaceTimeGrid(horizon=1.0, x_min=-1.0, x_max=1.0, **counts)
 
+    def test_a_step_count_beyond_any_array_is_refused_by_name(self):
+        # its nt + 1 time labels overflow numpy's largest array; one fewer step is accepted
+        most = np.iinfo(np.intp).max // 8
+        with pytest.raises(ValueError, match=rf"^nt = {most} needs more time labels than a float64 array can hold$"):
+            SpaceTimeGrid(horizon=1.0, x_min=-1.0, x_max=1.0, nx=3, nt=most)
+        assert SpaceTimeGrid(horizon=1.0, x_min=-1.0, x_max=1.0, nx=3, nt=most - 1).nt == most - 1
+
+    def test_the_time_labels_are_built_once_and_read_only(self):
+        grid = SpaceTimeGrid(horizon=0.7, x_min=-1.0, x_max=1.0, nx=5, nt=37)
+        assert grid.times is grid.times and not grid.times.flags.writeable
+        assert grid.times.tobytes() == np.linspace(0.0, 0.7, 38).tobytes()
+        assert grid.over(0.35).times.tobytes() == np.linspace(0.0, 0.35, grid.over(0.35).nt + 1).tobytes()
+
     def test_make_grid_refuses_a_float_nx_and_takes_a_numpy_integer(self, band):
         with pytest.raises(ValueError, match=r"^nx must be an integer, got 21\.0$"):
             make_grid(band, 1.0, nx=21.0)

@@ -294,6 +294,16 @@ class TestSimulatePath:
             path.b[0] = 1.0
         assert not _jump_table().flags.writeable  # the stream's table, shared by every path
 
+    def test_every_path_and_solve_on_a_grid_reads_its_one_set_of_time_labels(self, band):
+        # each path, heat solve and backward solve built its own np.linspace of the labels
+        grid = make_grid(band, 0.7, nx=41)
+        paths = [simulate_path(band, policy, grid, 4) for policy in ("const-low", "random")]
+        field = solve_g_heat(band, parse_scalar("x^2"), grid)
+        assert all(np.shares_memory(x.times, grid.times) for x in (*paths, field))
+        assert paths[0].times.tobytes() == np.linspace(0.0, 0.7, grid.nt + 1).tobytes()
+        backward = solve_gbsde(band, zero_generator(), parse_scalar("x^2"), grid, t0=0.25)
+        assert backward.field.times.tobytes() == (0.25 + 0.7 - np.linspace(0.0, 0.7, grid.nt + 1)).tobytes()
+
 
 class TestQuadraticVariation:
     def test_constant_path_zero(self):

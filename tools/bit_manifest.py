@@ -28,7 +28,9 @@ commit that has them.  The families:
   ``qv``) and their K series, on a grid of 25 steps and on one of 1023
   steps whose draws cross the generator's table blocks;
 - ``convexity/``: scan witnesses (as (k, 4) rows), cells and verdicts,
-  Jensen and replimit results;
+  Jensen and replimit results, and condition gaps over A arrays of many
+  blocks (a 100 000-point line, a 2-d A and its transpose, and an A whose
+  G overflows to +-inf);
 - ``draws/``: ``max_difference_quotient`` of every driver the manifest
   builds, and the refusal of a pair declared below its sampled quotient:
   what the Lipschitz spot check's fixed draw decides;
@@ -301,6 +303,18 @@ def _convexity():
         band, gens["linear"], gx.parse_scalar("x^2 + 1"), 0.0, [0.1, 0.05, 0.025], nx=101
     )
     yield from _parts("convexity/replimit", limit)
+    # condition_gap over A arrays of many blocks: the dense-cells oracle's line, a 2-d A and its
+    # transpose, and A values whose G overflows on a wide band (at y = +-1e-10 a third of the gaps are -+inf)
+    line, square = np.linspace(-1e3, 1e3, 100_000), np.linspace(-50.0, 50.0, 30_000).reshape(100, 300)
+    for gname, gen in gens.items():
+        for h, y, z in (("exp(x)", 0.3, -1.2), ("-(x^2)", 0.0, 1.0), ("tanh(x)", -0.7, 0.4)):
+            gap = lambda A: gx.condition_gap(band, gen, gx.parse_scalar(h), 0.0, y, z, A)
+            yield f"convexity/gap/{gname}/{h}/y{y}z{z}/line", gap(line)
+            yield f"convexity/gap/{gname}/{h}/y{y}z{z}/square", gap(square)
+            yield f"convexity/gap/{gname}/{h}/y{y}z{z}/square.T", gap(square.T)
+    wide, huge = gx.VolatilityBand(3.0, 12.0), 1.7e308 * np.linspace(-1.0, 1.0, 20_001)
+    for y in (1e-10, -1e-10):
+        yield f"convexity/gap/overflow/y{y}", gx.condition_gap(wide, gens["zero"], gx.parse_scalar("x^2"), 0.0, y, 0.25, huge)
 
 
 BAND = {"sigma_min_sq": 1.0, "sigma_max_sq": 2.0}
