@@ -19,9 +19,10 @@ commit that has them.  The families:
 - ``identity/``: whether the heat solve and the backward solves with the
   zero generator and with ``0*y``/``0*z`` have the same bytes;
 - ``failure/``: the class, message, layer and row of failing marches,
-  and the refusals of grids whose CFL step count is not finite and of a
-  sub-interval span that is not finite, from the library and, with the
-  exit code and stderr, from ``gexpect gexp``;
+  and the refusals of grids whose CFL step count is not finite or whose
+  time labels no float64 array can hold, and of a sub-interval span that
+  is not finite, from the library and, with the exit code and stderr,
+  from ``gexpect gexp``;
 - ``conditional/``: conditional tables, cell reads and ``values``;
 - ``tree/``: tree, batch and K-tree roots;
 - ``paths/``: seeded paths of every policy (``times``, ``b``, ``a`` and
@@ -224,11 +225,15 @@ def _failures():
     cases["grid-step-count-overflows"] = lambda: gx.make_grid(b12, 1.0, nx=3, half_width=1e-160)
     cases["grid-over-nan"] = lambda: grid.over(math.nan)
     cases["grid-over-inf"] = lambda: grid.over(math.inf)
+    # a step count whose nt + 1 time labels no float64 array can hold (nothing is allocated)
+    most = np.iinfo(np.intp).max // 8
+    cases["grid-nt-beyond-any-array"] = lambda: gx.SpaceTimeGrid(1.0, -1.0, 1.0, 3, most)
     with tempfile.TemporaryDirectory(prefix="bit_manifest-") as scratch:
         cli_grids = {
             "theta": {**GRID, "theta": 1e-320},
             "half-width": {**GRID, "half_width": 1e-300},
             "ends": {"horizon": 1.0, "nx": 201, "x_min": -1e-300, "x_max": 1e-300},
+            "huge-nt": {**GRID, "theta": 1e-300},  # nt about 2.8e302: its labels are refused unallocated
         }
         for key, grid_config in cli_grids.items():
             body = {**CONFIGS["gexp"], "grid": grid_config}
