@@ -305,7 +305,10 @@ def _run_oracle_check(cfg: ExperimentConfig):
     steps = cfg.params.get("steps", 2000)
     fields = solve_g_heat_batch(cfg.band, phis, cfg.grid)
     pde = np.array([[field.value_at(t, 0.0) for t in times] for field in fields])
-    tree = tree_expectation_batch(cfg.band, phis, times, steps)
+    try:
+        tree = tree_expectation_batch(cfg.band, phis, times, steps)
+    except MemoryError as exc:  # the lattice is sized by steps, not by the grid
+        raise ConfigError("config.params.steps", f"steps = {steps} needs a lattice too large to allocate: {exc}") from exc
     diffs = np.abs(pde - tree)
     worst = float(diffs.max())  # a NaN or infinite difference fails the check
     report = {

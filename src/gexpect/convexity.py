@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import SpaceTimeGrid, VolatilityBand, _check_count, _check_nonnegative, _check_positive, _read_only, g_eval, make_grid
 from .expr import EvalDomainError, ScalarFunction, parse_scalar
-from .gbsde import GeneratorPair, _nonlinear_expectations, solve_gbsde
+from .gbsde import GeneratorPair, _nonlinear_expectations, _solve_on_grids, solve_gbsde
 
 __all__ = [
     "ConvexityReport",
@@ -237,7 +237,11 @@ def representation_quotient(
     """(E over [t, t + eps] of Phi(increment) - Phi(0)) / eps on ``grid.over(eps)``; finite t >= 0, eps > 0."""
     _check_nonnegative("t", t)
     _check_positive("eps", eps)
-    sol = solve_gbsde(band, gen, terminal, grid.over(eps), t0=t)
+    return _quotient(solve_gbsde(band, gen, terminal, grid.over(eps), t0=t), terminal, t, eps)
+
+
+def _quotient(sol, terminal: ScalarFunction, t: float, eps: float) -> float:
+    """(Y at time t, node x = 0, of ``sol`` - Phi(0)) / eps."""
     return (sol.y_at(t, 0.0) - float(terminal(0.0))) / eps
 
 
@@ -254,15 +258,26 @@ def representation_limit_check(
     Fits the convergence order with ``statistics.linear_regression`` of log
     error on log eps (errors floored at 1e-12 (1 + |limit|)); passes when
     the errors decrease and the final error is at most REPLIMIT_TOL * (1 + |limit|).
+
+    Each eps gets ``make_grid(band, eps, nx)``, and those grids share nt
+    (``make_grid`` sizes the mesh to the horizon, so the CFL step count
+    is the same to rounding), so every solve is a row of one stack, marched
+    once with per-row dx, dt, clocks and envelopes; each quotient has the
+    bits of ``representation_quotient`` on that grid.  Every grid's CFL
+    rule and the drivers' origin are checked, in eps order, before any
+    march; grids that rounding splits by nt march as separate stacks, in
+    eps order.  A numerical failure is that of the first failing
+    (layer, row), row k being ``eps_list[k]``, as in ``jensen_experiment``.
     """
     eps_list = list(eps_list)
     if len(eps_list) < 3 or not all(math.inf > a > b > 0.0 for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be finite, positive and decreasing with at least 3 entries")
     formula = representation_formula(band, gen, terminal, t)  # rejects a bad t before any solve
+    grids = [make_grid(band, eps, nx=nx).over(eps) for eps in eps_list]
+    sols = _solve_on_grids(band, gen, [terminal] * len(eps_list), grids, t)
     rows = []
-    for eps in eps_list:
-        grid = make_grid(band, eps, nx=nx)
-        quotient = representation_quotient(band, gen, terminal, t, eps, grid)
+    for eps, sol in zip(eps_list, sols):
+        quotient = _quotient(sol, terminal, t, eps)
         rows.append((eps, quotient, abs(quotient - formula)))
     errors = [r[2] for r in rows]
     floor = 1e-12 * (1.0 + abs(formula))

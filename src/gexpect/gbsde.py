@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import SpaceTimeGrid, VolatilityBand, _check_nonnegative, _check_positive, _uniforms, g_eval
 from .expr import EvalDomainError, ScalarFunction, TriFunction, parse_tri
-from .gheat import BlowUpError, FieldSolution, _derived, _second_difference, _space_gradient, _stack
+from .gheat import BlowUpError, FieldSolution, NonFiniteError, _data, _derived, _second_difference, _space_gradient
 
 __all__ = [
     "GeneratorPair",
@@ -194,12 +194,12 @@ def solve_gbsde_batch(
     origin| + 1)``, clamped to the largest float; both errors name the
     time layer and the datum's row.
     """
-    _check_nonnegative("t0", t0)
-    _check_positive("envelope_factor", envelope_factor)
-    grid.check_cfl(band)
-    data = _stack(terminals, grid)
-    times = t0 + grid.horizon - grid.times
-    origin_scale = 0.0
+    return _solve_on_grids(band, gen, terminals, [grid] * len(terminals), t0, envelope_factor, picard)
+
+
+def _origin_scale(gen: GeneratorPair, times: np.ndarray) -> float:
+    """sup |g| + sup |f| at (t, 0, 0) over the layer labels; EvalDomainError names the first that is not finite."""
+    scale = 0.0
     for name, fn in (("g", gen.g), ("f", gen.f)):
         vals = np.abs(np.broadcast_to(fn(times, 0.0, 0.0), times.shape))
         # a NaN or infinite envelope would pass every layer unchecked
@@ -210,11 +210,57 @@ def solve_gbsde_batch(
                 f"driver {name} is {float(vals[k])} at (t, y, z) = ({float(times[k])!r}, 0.0, 0.0), "
                 "where the blow-up envelope reads it"
             )
-        origin_scale += float(np.max(vals))
-    with np.errstate(over="ignore"):  # clamped, a bound is finite: a row inside it is finite too
-        envelope = envelope_factor * (np.max(np.abs(data), axis=-1) + grid.horizon * origin_scale + 1.0)
-    np.minimum(envelope, np.finfo(float).max, out=envelope)
-    fields = FieldSolution._solve(band, grid, data, times, (gen.g, gen.f, picard), envelope)
+        scale += float(np.max(vals))
+    return scale
+
+
+def _solve_on_grids(
+    band: VolatilityBand,
+    gen: GeneratorPair,
+    terminals: Sequence[ScalarFunction],
+    grids: Sequence[SpaceTimeGrid],
+    t0: float,
+    envelope_factor: float = 50.0,
+    picard: bool = False,
+) -> list[BsdeSolution]:
+    """``terminals[b]`` solved backward over ``grids[b]`` from t0; rows of equal nx and nt march as one stack.
+
+    ``solve_gbsde_batch`` is the case of one grid for every row.  The
+    checks of its docstring run before any march, each distinct grid's in
+    row order: the CFL rule of every grid, then every datum, then the
+    drivers' origin on every grid.  A row keeps the bits of its own
+    ``solve_gbsde`` on its grid.  Rows are grouped by (nx, nt), and the
+    groups march in the order of their first rows; a failure names the
+    first failing (layer, row) of the first group that fails, with ``row``
+    the index into ``terminals``.
+    """
+    _check_nonnegative("t0", t0)
+    _check_positive("envelope_factor", envelope_factor)
+    distinct = list(dict.fromkeys(grids))  # each grid once, in row order
+    for grid in distinct:
+        grid.check_cfl(band)
+    data = _data(terminals, grids)
+    labels = {grid: t0 + grid.horizon - grid.times for grid in distinct}
+    scales = {grid: _origin_scale(gen, labels[grid]) for grid in distinct}
+    groups: dict[tuple[int, int], list[int]] = {}
+    for b, grid in enumerate(grids):
+        groups.setdefault((grid.nx, grid.nt), []).append(b)
+    fields = [None] * len(grids)
+    for rows in groups.values():
+        stack, rows_data = [grids[b] for b in rows], np.stack([data[b] for b in rows])
+        reach = np.array([grid.horizon * scales[grid] for grid in stack])
+        with np.errstate(over="ignore"):  # clamped, a bound is finite: a row inside it is finite too
+            envelope = envelope_factor * (np.max(np.abs(rows_data), axis=-1) + reach + 1.0)
+        np.minimum(envelope, np.finfo(float).max, out=envelope)
+        # rows on one grid share its labels; rows on several grids each carry their own
+        times = labels[stack[0]] if len(set(stack)) == 1 else np.stack([labels[grid] for grid in stack])
+        try:
+            solved = FieldSolution._solve(band, stack, rows_data, times, (gen.g, gen.f, picard), envelope)
+        except (NonFiniteError, BlowUpError) as exc:
+            exc.row = rows[exc.row]  # the row within the group, as an index into ``terminals``
+            raise
+        for b, field in zip(rows, solved):
+            fields[b] = field
     return [BsdeSolution(field, gen, band) for field in fields]
 
 

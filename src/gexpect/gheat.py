@@ -23,10 +23,12 @@ says how, and how a failure names its layer and row.  ``_d2_into`` and
 ``_gradient_into`` are the one form of each stencil, for the kernel and
 for the allocating ``_second_difference`` and ``_space_gradient`` alike.
 ``FieldSolution`` says which layers a solve keeps and how a read of any
-other re-marches them.  ``solve_g_heat_batch`` (and
-``gbsde.solve_gbsde_batch``) march a stack of data on one grid in one
-pass, each row with the bits of its own solve; ``solve_g_heat`` is the
-stack of one.  ``conditional_g_expectation`` returns a table that reduces
+other, or of the whole field, re-marches them.  ``solve_g_heat_batch``
+(and ``gbsde.solve_gbsde_batch``) march a stack of data on one grid in
+one pass, each row with the bits of its own solve; ``solve_g_heat`` is the
+stack of one.  A stack's rows may also sit on grids of one shape (nx, nt)
+with their own dx, dt and clocks, as the representation-limit check's
+eps list does.  ``conditional_g_expectation`` returns a table that reduces
 an entry the first time a read needs it; its docstring says when a
 failure raises.
 
@@ -197,7 +199,14 @@ def _march(
     """Shared explicit kernel: marches layers 1..nt from ``datum``, returns layer nt.
 
     Space is the last axis; leading axes are a batch, and each slice along
-    them (a row) marches on its own, with the bits it gets alone.  Layer k
+    them (a row) marches on its own, with the bits it gets alone.  A row
+    may carry its own grid constants and clock: ``dx`` and ``dt`` are
+    numbers or per-row columns (the batch shape followed by 1), and
+    ``layer_times`` is (nt + 1,) or per row, (nt + 1,) + batch shape +
+    (1,).  Every constant is formed elementwise, so a row of a stack of
+    equal-shape solves, each with its own dx, dt and labels, keeps the bits
+    of its own march, and a failure names the first failing (layer, row)
+    of the stack, as below.  Layer k
     is one step u + (max(a D, b D) + dt g) from layer k-1, D = d + 2 dx^2 f,
     with the drivers evaluated at ``layer_times[k]``; without drivers
     (``g_fn`` None, or both the literal 0) it is u + max(a d, b d), and the
@@ -363,6 +372,11 @@ def _march(
     return last if last is not None else sweep(True)
 
 
+# values per slab of a whole-field rebuild, 4 MB: a stack's stride + 1 stored layers and the
+# march's work rows, some _WORK_ROWS of them (its buffers and a driver's temporaries)
+_SLAB, _WORK_ROWS = 1 << 19, 16
+
+
 def _derived(build):
     """A read-only property: ``build(self)`` runs on first access, kept read-only in ``self._<name>``."""
     slot = "_" + build.__name__
@@ -390,10 +404,19 @@ class FieldSolution:
     segment from the checkpoint before it with the band and drivers of the
     solve; the re-march gives the first march's bits, and reads at the end
     time re-march nothing.  ``u`` is the whole (nt + 1, nx) field, built
-    on first access (by one more march) and read-only; no whole gradient or
-    curvature is kept.  ``FieldSolution(grid, u, times)`` wraps a whole
-    field ``u`` as stride 1, keeping read-only views of ``u`` and
-    ``times``; the caller's arrays stay writable.
+    on first access and read-only: the nt // stride segments that end on a
+    checkpoint march as stacks of ``stride`` layers, one row per segment,
+    each from its checkpoint with its own clock, so a layer costs numpy's
+    per-call overhead once per stack rather than once per segment.  A
+    stack holds at most ``_SLAB`` // ((stride + 1 + ``_WORK_ROWS``) nx)
+    segments (at least one), so that its stride + 1 stored layers and the
+    march's work rows fit one slab of ``_SLAB`` values; it marches into
+    one slab buffer whose layers are copied into place, and the tail after
+    the last checkpoint marches alone.  The build holds ``u`` and one
+    slab, never a second field-sized array; no whole gradient or curvature
+    is kept.  ``FieldSolution(grid, u, times)`` wraps a whole field ``u``
+    as stride 1, keeping read-only views of ``u`` and ``times``; the
+    caller's arrays stay writable.
     """
 
     def __init__(self, grid: SpaceTimeGrid, u: np.ndarray, times: np.ndarray):
@@ -409,16 +432,19 @@ class FieldSolution:
     def _solve(
         cls,
         band: VolatilityBand,
-        grid: SpaceTimeGrid,
+        grids: Sequence[SpaceTimeGrid],
         data: np.ndarray,
         times: np.ndarray,
         drivers=(),
         envelope=None,
     ) -> list[FieldSolution]:
-        """March a (B, nx) stack of data once over ``grid``; one field per datum.
+        """March a (B, nx) stack of data once, row b over ``grids[b]``; one field per datum.
 
-        ``drivers`` is (g, f, picard), or empty for the heat step; ``times``
-        labels the layers and gives the drivers their time argument;
+        The grids share nx and nt; where they differ in dx or dt, the march
+        takes both as per-row columns.  ``drivers`` is (g, f, picard), or
+        empty for the heat step; ``times`` labels the layers and gives the
+        drivers their time argument: one (nt + 1,) array for every row (on
+        equal grids), or one row of labels per datum, (B, nt + 1).
         ``envelope`` is None or one value per datum.  The checkpoints, every
         max(1, isqrt(nt))-th layer, share one (nt // stride + 1, B, nx) array,
         and the march's two alternating (B, nx) buffers keep the last two
@@ -427,22 +453,27 @@ class FieldSolution:
         skips the end-column pass of the flattened sweep over several rows.
         """
         batch, nx = data.shape
+        grid = grids[0]
         stride = max(1, math.isqrt(grid.nt))
         checkpoints = np.empty((grid.nt // stride + 1, batch, nx))
         ring = (np.empty((batch, nx)), np.empty((batch, nx)))
         g, f, picard = drivers or (None, None, False)
+        dx, dt = grid.dx, grid.dt
+        if any(other.dx != dx or other.dt != dt for other in grids):
+            dx, dt = (np.array([[getattr(other, name)] for other in grids]) for name in ("dx", "dt"))
+        clock = times if times.ndim == 1 else times.T[..., None]  # layer k's labels: a number or a column
         rows, out, buffers = data, checkpoints, ring
         if batch == 1:
             rows, out, buffers = data[0], checkpoints[:, 0], (ring[0][0], ring[1][0])
             envelope = None if envelope is None else envelope[0]
         _march(
-            band, grid.dx, grid.dt, grid.nt, rows, g, f, times, picard,
+            band, dx, dt, grid.nt, rows, g, f, clock, picard,
             out=out, envelope=envelope, stride=stride, ring=buffers,
         )
         checkpoints, ring = _read_only(checkpoints), tuple(map(_read_only, ring))
         fields = []
         for b in range(batch):
-            field = cls(grid, checkpoints[:, b], times)
+            field = cls(grids[b], checkpoints[:, b], times if times.ndim == 1 else times[b])
             field._stride, field._ring, field._band = stride, (ring[0][b], ring[1][b]), band
             field._drivers = (g, f, picard)
             field._u = field._checkpoints if stride == 1 else None
@@ -474,9 +505,24 @@ class FieldSolution:
 
     @_derived
     def u(self) -> np.ndarray:
-        """The whole (nt + 1, nx) field, re-marched from the datum on first access."""
-        u = np.empty((self.grid.nt + 1, self.grid.nx))
-        self._march_on(0, u)
+        """The whole (nt + 1, nx) field, re-marched from the checkpoints on first access, a slab of segments at a time."""
+        grid, stride, (g, f, picard) = self.grid, self._stride, self._drivers
+        nx = grid.nx
+        u = np.empty((grid.nt + 1, nx))
+        full = grid.nt // stride  # the segments that end on a checkpoint
+        rows = max(1, min(full, _SLAB // ((stride + 1 + _WORK_ROWS) * nx)))
+        slab = np.empty((stride + 1, rows, nx))
+        offsets = np.arange(stride + 1)[:, None]
+        for first in range(0, full, rows):
+            r = min(rows, full - first)
+            # segment c's clock is times[c stride .. (c + 1) stride], one column per segment
+            datum, out = self._checkpoints[first : first + r], slab[:, :r]
+            clock = self.times[(first + np.arange(r)) * stride + offsets][..., None]
+            if r == 1:  # a stack of one marches as a single row
+                datum, out, clock = datum[0], out[:, 0], clock[:, 0, 0]
+            _march(self._band, grid.dx, grid.dt, stride, datum, g, f, clock, picard, out=out)
+            u[first * stride : (first + r) * stride].reshape(r, stride, nx)[...] = slab[:stride, :r].swapaxes(0, 1)
+        self._march_on(full * stride, u[full * stride :])  # the tail, or the last checkpoint alone
         return u
 
     def z_layer(self, k: int) -> np.ndarray:
@@ -511,11 +557,11 @@ class FieldSolution:
         return float((1.0 - w) * self.layer(k)[j] + w * self.layer(k + 1)[j])
 
 
-def _stack(functions: Sequence[ScalarFunction], grid: SpaceTimeGrid) -> np.ndarray:
-    """Each function on ``grid.xs``, one row per function; at least one is needed."""
+def _data(functions: Sequence[ScalarFunction], grids: Sequence[SpaceTimeGrid]) -> list[np.ndarray]:
+    """Each function on its grid's ``xs``, one float array per function; at least one is needed."""
     if not len(functions):
         raise ValueError("need at least one datum")
-    return np.stack([np.asarray(fn(grid.xs), dtype=float) for fn in functions])
+    return [np.asarray(fn(grid.xs), dtype=float) for fn, grid in zip(functions, grids)]
 
 
 def solve_g_heat_batch(
@@ -529,7 +575,8 @@ def solve_g_heat_batch(
     affine tails).
     """
     grid.check_cfl(band)
-    return FieldSolution._solve(band, grid, _stack(phis, grid), grid.times)
+    grids = [grid] * len(phis)
+    return FieldSolution._solve(band, grids, np.stack(_data(phis, grids)), grid.times)
 
 
 def solve_g_heat(

@@ -120,7 +120,8 @@ class LatticePath:
             raise ValueError("times, b and qv must have equal length")
         if len(self.a) != len(self.times) - 1:
             raise ValueError("a must have one entry per step")
-        if self.qv[0] != 0.0 or not np.all(np.diff(self.qv) >= 0.0):  # NaN fails
+        # np.diff's subtraction without its overhead: a NaN, and inf - inf, fail the comparison
+        if self.qv[0] != 0.0 or not (_subtract(self.qv[1:], self.qv[:-1]) >= 0.0).all():
             raise ValueError("qv must be nondecreasing from 0")
         for name in ("times", "b", "a", "qv"):  # read-only views: the caller's arrays stay writable
             object.__setattr__(self, name, _read_only(getattr(self, name)))

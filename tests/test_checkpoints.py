@@ -9,6 +9,7 @@ that stores every layer.
 
 import gc
 import json
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -27,14 +28,16 @@ from gexpect import (
     parse_tri,
     solve_g_heat,
     solve_gbsde,
+    solve_gbsde_batch,
     zero_generator,
 )
 from gexpect.cli import _fmt, run
+from gexpect import gheat
 from gexpect.gheat import _march, _second_difference, _space_gradient
 
 from conftest import CATALOG_TEXTS, generator, grid_with_steps
 
-DRIVERS = (("0", "0"), ("-y", "0"), ("0.5*z", "0.1*y"))
+DRIVERS = (("0", "0"), ("-y", "0"), ("0.5*z", "0.1*y"), ("sin(y) - t", "0.3*t*y"))
 
 # nt = 1 and 2 (stride 1), perfect squares (the last layer is a checkpoint),
 # multiples of the stride, and one past a checkpoint (the last layer alone in the ring)
@@ -93,6 +96,26 @@ class TestCheckpointReads:
                 assert heat.layer(k).tobytes() == reference.u[k].tobytes()
             assert heat.u.tobytes() == reference.u.tobytes()
 
+    # nt 30 (stride 5, no tail), 47 (stride 6: 7 segments and a tail of 5), 26 (stride 5, a tail of 1)
+    @pytest.mark.parametrize("nt", [30, 47, 26])
+    @pytest.mark.parametrize("drivers", DRIVERS)
+    @pytest.mark.parametrize("picard", [False, True])
+    @pytest.mark.parametrize("segments", [1, 2, 3, None])  # segments per slab; None: the module's slab
+    def test_u_marched_by_slabs_of_segments_has_the_stride_one_bytes(self, band, monkeypatch, nt, drivers, picard, segments):
+        # each segment marches from its checkpoint on its own clock, as a row of a stack; the
+        # tail after the last checkpoint marches alone
+        grid = grid_with_steps(band, 21, nt, 0.45)
+        stride = max(1, math.isqrt(nt))
+        if segments is not None:
+            monkeypatch.setattr(gheat, "_SLAB", segments * (stride + 1 + gheat._WORK_ROWS) * grid.nx)
+        gen, phi = generator(*drivers), parse_scalar("sin(3*x) + 0.1*x^2")
+        sols = [solve_gbsde(band, gen, phi, grid, t0=0.4, picard=picard)]
+        sols += solve_gbsde_batch(band, gen, [parse_scalar("tanh(x)"), phi], grid, t0=0.4, picard=picard)
+        for sol in (sols[0], sols[2]):  # a solve of one and the second row of a batch: non-contiguous checkpoints
+            reference = stride_one(band, grid, phi(grid.xs), gen, sol.field.times, picard)
+            assert sol.field.u.tobytes() == reference.u.tobytes()
+            assert sol.eta.tobytes() == BsdeSolution(reference, gen, band).eta.tobytes()
+
     def test_a_layer_outside_the_field_raises(self, band):
         field = solve_g_heat(band, parse_scalar("x^2"), grid_with_steps(band, 11, 20, 0.4))
         for k in (-1, 21):
@@ -140,6 +163,22 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("drivers", [("0", "0"), ("0.5*z", "0.1*y")])
+    def test_building_u_at_nx401_holds_the_field_and_one_slab(self, band, drivers):
+        # the segments march a slab at a time: no second field-sized array is allocated
+        grid = make_grid(band, 1.0, nx=401)
+        sol = solve_gbsde(band, generator(*drivers), parse_scalar("tanh(x)"), grid)
+        field_bytes = (grid.nt + 1) * grid.nx * 8
+        stride = max(1, math.isqrt(grid.nt))
+        assert grid.nt // stride > gheat._SLAB // ((stride + 1 + gheat._WORK_ROWS) * grid.nx)  # more than one slab
+        tracemalloc.start()
+        try:
+            assert sol.field.u.nbytes == field_bytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= field_bytes + 8 * gheat._SLAB, f"peak {peak / 1e6:.2f} MB, field {field_bytes / 1e6:.2f} MB"
 
     def test_gbsde_rows_at_nx401_stay_small(self, band):
         # the whole u, z, curvature and eta were 7.9 MB each (nt = 2470) and the run peaked

@@ -714,6 +714,22 @@ class TestNoTraceback:
         assert capsys.readouterr().err == "config error at config.params: the run's arrays cannot be allocated: Unable to allocate 7.28 TiB\n"
         assert not (out / "convexity.report.json").exists()
 
+    def test_a_tree_too_large_to_allocate_exits_1_at_its_steps(self, tmp_path, capsys, monkeypatch):
+        # the lattice is sized by params.steps, not by the grid; the refusal is injected, so
+        # nothing asks for the 14.6 TiB that 10^12 steps would take
+        def refusing(band, phis, times, steps):
+            raise MemoryError(f"Unable to allocate an array with shape ({2 * steps + 1},)")
+
+        monkeypatch.setattr(gexpect.cli, "tree_expectation_batch", refusing)
+        config = {**VALID["oracle-check"], "params": {**VALID["oracle-check"]["params"], "steps": 10**12}}
+        out = tmp_path / "out"
+        assert run("oracle-check", write_config(tmp_path, config), out) == 1
+        assert capsys.readouterr().err == (
+            "config error at config.params.steps: steps = 1000000000000 needs a lattice too large to allocate: "
+            "Unable to allocate an array with shape (2000000000001,)\n"
+        )
+        assert not (out / "oracle-check.report.json").exists()
+
     def test_huge_exponent_exits_1_without_a_traceback(self, tmp_path):
         # the jet of x^1e300 formed a 301-digit int and raised OverflowError out of the CLI
         path = write_config(tmp_path, variant("convexity", "functions", h="x^1e300"))

@@ -382,6 +382,27 @@ class TestLatticePathInvariants:
         with pytest.raises(ValueError, match="qv must be nondecreasing from 0"):
             LatticePath(times=np.linspace(0, 1, 3), b=np.zeros(3), a=np.ones(2), qv=np.array([0.0, np.nan, 1.0]))
 
+    @pytest.mark.parametrize(
+        "qv",
+        [[0.0, 0.5, 0.2], [0.0, np.nan, 1.0], [0.0, 1.0, np.nan], [np.nan, 1.0, 2.0], [0.1, 0.5, 1.0], [-0.0, -1.0, 1.0]],
+    )
+    def test_refuses_what_the_difference_check_refuses(self, qv):
+        # a decrease, a NaN anywhere, and a first entry other than 0
+        with pytest.raises(ValueError, match="qv must be nondecreasing from 0"):
+            LatticePath(times=np.linspace(0, 1, 3), b=np.zeros(3), a=np.ones(2), qv=np.array(qv))
+
+    def test_refuses_two_infinite_entries_in_a_row(self):
+        # inf - inf is NaN, which fails the comparison, as np.diff's difference did; the
+        # subtraction warns as np.diff's did
+        with pytest.raises(ValueError, match="qv must be nondecreasing from 0"):
+            with pytest.warns(RuntimeWarning, match="invalid value encountered in subtract"):
+                LatticePath(times=np.linspace(0, 1, 3), b=np.zeros(3), a=np.ones(2), qv=np.array([0.0, np.inf, np.inf]))
+
+    @pytest.mark.parametrize("qv", [[0.0, 0.0, 0.0], [-0.0, 1.0, 1.0], [0.0, 1.0, np.inf]])
+    def test_accepts_what_the_difference_check_accepts(self, qv):
+        path = LatticePath(times=np.linspace(0, 1, 3), b=np.zeros(3), a=np.ones(2), qv=np.array(qv))
+        assert path.qv.tobytes() == np.array(qv).tobytes()
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             LatticePath(

@@ -18,8 +18,8 @@ commit that has them.  The families:
   ``eta_layer`` and ``y_at``;
 - ``identity/``: whether the heat solve and the backward solves with the
   zero generator and with ``0*y``/``0*z`` have the same bytes;
-- ``failure/``: the class, message, layer and row of failing marches,
-  and the refusals of grids whose CFL step count is not finite or whose
+- ``failure/``: the class, message, layer and row of failing marches
+  (a failing representation-limit check among them), and the refusals of grids whose CFL step count is not finite or whose
   time labels no float64 array can hold, and of a sub-interval span that
   is not finite, from the library and, with the exit code and stderr,
   from ``gexpect gexp``;
@@ -29,7 +29,8 @@ commit that has them.  The families:
   ``qv``) and their K series, on a grid of 25 steps and on one of 1023
   steps whose draws cross the generator's table blocks;
 - ``convexity/``: scan witnesses (as (k, 4) rows), cells and verdicts,
-  Jensen and replimit results, and condition gaps over A arrays of many
+  Jensen and replimit results (one replimit from t0 = 0.3 with drivers
+  that read t), and condition gaps over A arrays of many
   blocks (a 100 000-point line, a 2-d A and its transpose, and an A whose
   G overflows to +-inf);
 - ``draws/``: ``max_difference_quotient`` of every driver the manifest
@@ -225,6 +226,10 @@ def _failures():
     cases["grid-step-count-overflows"] = lambda: gx.make_grid(b12, 1.0, nx=3, half_width=1e-160)
     cases["grid-over-nan"] = lambda: grid.over(math.nan)
     cases["grid-over-inf"] = lambda: grid.over(math.inf)
+    # a replimit whose two largest eps blow up, the first in fewer layers
+    cases["replimit-blow-up"] = lambda: gx.representation_limit_check(
+        band, plain("y*y", "0"), gx.parse_scalar("3 + tanh(x)^2"), 0.0, [1.0, 0.5, 0.2, 0.1], nx=21
+    )
     # a step count whose nt + 1 time labels no float64 array can hold (nothing is allocated)
     most = np.iinfo(np.intp).max // 8
     cases["grid-nt-beyond-any-array"] = lambda: gx.SpaceTimeGrid(1.0, -1.0, 1.0, 3, most)
@@ -308,6 +313,10 @@ def _convexity():
         band, gens["linear"], gx.parse_scalar("x^2 + 1"), 0.0, [0.1, 0.05, 0.025], nx=101
     )
     yield from _parts("convexity/replimit", limit)
+    # per-row clocks: each eps's solve runs from t0 = 0.3, with drivers that read t
+    clocked = gx.GeneratorPair(gx.parse_tri("sin(y) - t"), gx.parse_tri("0.3*t*y"), 1.0)
+    limit = gx.representation_limit_check(band, clocked, gx.parse_scalar("x^2 + 1"), 0.3, [0.2, 0.1, 0.05, 0.025], nx=101)
+    yield from _parts("convexity/replimit-t0.3", limit)
     # condition_gap over A arrays of many blocks: the dense-cells oracle's line, a 2-d A and its
     # transpose, and A values whose G overflows on a wide band (at y = +-1e-10 a third of the gaps are -+inf)
     line, square = np.linspace(-1e3, 1e3, 100_000), np.linspace(-50.0, 50.0, 30_000).reshape(100, 300)
